@@ -129,14 +129,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _max_grid_default() -> int:
+def _positive_int(text: str) -> int:
+    """argparse type for grid caps: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _max_grid(args) -> int:
+    """Per-dimension grid cap: --max-grid, else LENS_MAX_GRID, else the default."""
+    if args.max_grid is not None:
+        return args.max_grid
     env = os.environ.get("LENS_MAX_GRID")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_N
+    if env is None:
+        return DEFAULT_MAX_N
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"LENS_MAX_GRID: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="refinement tolerance (default 1e-10)")
-        p.add_argument("--max-grid", type=int, default=None,
+        p.add_argument("--max-grid", type=_positive_int, default=None,
                        help="per-dimension grid cap (default 4096; env LENS_MAX_GRID)")
 
     p = sub.add_parser("analyze", help="one-scale summary of an expression")
@@ -198,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_analyze(args) -> int:
     expr = parse(args.expr, args.n)
-    max_n = args.max_grid if args.max_grid else _max_grid_default()
+    max_n = _max_grid(args)
     summary = spectral_summary(expr, args.lam, tol=args.tol, max_n=max_n)
     if args.json:
         print(canonical_json(summary.to_json_dict()))
@@ -223,7 +237,7 @@ def _star_text(value) -> str:
 
 def cmd_sweep(args) -> int:
     expr = parse(args.expr, args.n)
-    max_n = args.max_grid if args.max_grid else _max_grid_default()
+    max_n = _max_grid(args)
     grid = geometric_grid(args.lam_min, args.lam_max, args.steps)
     sweep = variance_sweep(expr, grid, tol=args.tol, max_n=max_n)
     lines = ["lambda,variance,variance_model,bound_gap,est_error"]
@@ -288,7 +302,7 @@ def cmd_verify(args) -> int:
 def cmd_transform(args) -> int:
     psi = parse(args.expr, args.n, var_letter="u")
     change = parse(args.morph, args.n)
-    max_n = args.max_grid if args.max_grid else _max_grid_default()
+    max_n = _max_grid(args)
     morph = morph_validate(change, args.lam)
     report = verify_transform(psi, morph, args.lam, tol=args.tol, max_n=max_n)
     print(f"lambda             = {fmt_float(args.lam)}")
@@ -305,15 +319,31 @@ def cmd_transform(args) -> int:
 # --------------------------------------------------------------- entry point
 
 
-def _join_interval_values(argv: list[str]) -> list[str]:
-    """Fold `--interval -pi:pi` into `--interval=-pi:pi` so interval strings
-    starting with '-' are not mistaken for flags."""
+# Options whose values may start with '-' (intervals, negated expressions).
+_DASH_VALUE_OPTIONS = ("--interval", "--expr", "--morph")
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string the parser or one of its subcommands registers."""
+    found = set(parser._option_string_actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def _join_dash_values(argv: list[str], options: set[str]) -> list[str]:
+    """Fold `--interval -pi:pi` into `--interval=-pi:pi` (likewise --expr and
+    --morph) so values starting with '-' are not mistaken for flags; a value
+    that is itself a registered option is left for argparse to report."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok == "--interval" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--interval={argv[i + 1]}")
+        if (tok in _DASH_VALUE_OPTIONS and i + 1 < len(argv)
+                and argv[i + 1].startswith("-") and argv[i + 1] not in options):
+            out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue
         out.append(tok)
@@ -326,7 +356,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_interval_values(list(argv)))
+        args = parser.parse_args(_join_dash_values(list(argv), _option_strings(parser)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

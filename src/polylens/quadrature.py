@@ -8,6 +8,13 @@ contraction.  Uniform sampling of a periodic analytic integrand is spectrally
 accurate, and exact (to rounding) for Laurent polynomials whose exponent range
 per dimension is narrower than the grid.
 
+Refinement doubles N until two successive grids agree.  Each level samples
+its grid once and extracts every requested coefficient in one separable
+contraction (one small phase matrix per axis).  The first level samples
+2*n_start points per dimension and reads the n_start statistic from the even
+sub-grid, whose coordinates are bitwise those of the n_start grid, so a
+result accepted at N = 2*n_start costs one evaluation of f.
+
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
 coordinate arrays works, e.g. ``expr.MeroExpr``, ``laurent.LaurentPoly`` or
@@ -62,6 +69,12 @@ class TorusGrid:
     N: int
     values: np.ndarray  # shape (N,)*n + (k,)
 
+    def even_subgrid(self) -> "TorusGrid":
+        """The N/2 grid formed by the even-indexed points of this one."""
+        values = self.values[(slice(None, None, 2),) * self.n]
+        return TorusGrid(n=self.n, k=self.k, lam=self.lam, N=self.N // 2,
+                         values=np.ascontiguousarray(values))
+
 
 def torus_coords(n: int, lam: float, N: int) -> list[np.ndarray]:
     """Broadcastable coordinate arrays for the sample grid."""
@@ -82,8 +95,8 @@ def sample_torus(f, lam: float, N: int, max_points: int = MAX_TOTAL_POINTS) -> T
     the point count exceeds the budget (or n > 4).
     """
     n, k = f.n, f.k
-    if lam <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < lam < np.inf:  # also rejects NaN
+        raise ValueError(f"radius must be positive and finite, got {lam!r}")
     if N < 4:
         raise ValueError("need at least 4 points per dimension")
     if n > MAX_DIMENSION:
@@ -109,31 +122,53 @@ def sample_torus(f, lam: float, N: int, max_points: int = MAX_TOTAL_POINTS) -> T
     return TorusGrid(n=n, k=k, lam=lam, N=N, values=values)
 
 
-def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
-    """Coefficient c_a of the sampled function, one entry per component.
+def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> np.ndarray:
+    """Coefficients c_a of the sampled function for every index a, as an
+    array of shape (len(indices), k).
 
     c_a = lam^(-sum a) * (1/N^n) * sum_m values(m) exp(-2*pi*i*a.m/N); exact to
     rounding for Laurent polynomials whose per-dimension exponent width is
     below N.  Requires |a_j| <= N/2 - 1 against aliasing.
+
+    The sum is separable: axis j is contracted against one phase matrix with a
+    row per distinct order requested on that axis.  Axis 0 goes first, from
+    the left, so the full grid is read in place; the remaining axes are
+    contracted on the small result.
     """
-    avec = tuple(int(x) for x in a)
-    if len(avec) != grid.n:
-        raise DimensionMismatch(f"index {avec} has length {len(avec)}, expected {grid.n}")
-    if any(abs(x) > grid.N // 2 - 1 for x in avec):
-        raise AliasingRisk(
-            f"coefficient order {avec} too high for N={grid.N} (need |a_j| <= N/2 - 1)"
-        )
-    m = np.arange(grid.N)
+    n, N = grid.n, grid.N
+    idx = [tuple(int(x) for x in a) for a in indices]
+    for avec in idx:
+        if len(avec) != n:
+            raise DimensionMismatch(f"index {avec} has length {len(avec)}, expected {n}")
+        if any(abs(x) > N // 2 - 1 for x in avec):
+            raise AliasingRisk(
+                f"coefficient order {avec} too high for N={N} (need |a_j| <= N/2 - 1)"
+            )
+    m = np.arange(N)
+    rows = []
     out = grid.values
-    for aj in avec:
-        phases = np.exp(-2j * np.pi * aj * m / grid.N)
-        out = np.tensordot(phases, out, axes=(0, 0))
-    return out * (grid.lam ** (-sum(avec)) / grid.N**grid.n)
+    for j in range(n):
+        orders = sorted({a[j] for a in idx})
+        rows.append([orders.index(a[j]) for a in idx])
+        phases = np.exp(-2j * np.pi * np.array(orders)[:, None] * m / N)
+        # (r_j, N) @ (r_0, ..., r_{j-1}, N, rest): contracts grid axis j; the
+        # first step reads the full grid in place
+        out = phases @ out.reshape(out.shape[:j] + (N, -1))
+    # out has shape (r_0, ..., r_{n-1}, k)
+    coeffs = out[tuple(rows)]
+    scale = grid.lam ** -np.array([sum(a) for a in idx], dtype=float) / N**n
+    return coeffs * scale[:, None]
+
+
+def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
+    """Coefficient c_a of the sampled function, one entry per component
+    (see laurent_coefficients)."""
+    return laurent_coefficients(grid, [a])[0]
 
 
 def _mean_power(grid: TorusGrid) -> float:
     """Average of |f|^2 over the grid, summed over components."""
-    return float(np.mean(np.sum(np.abs(grid.values) ** 2, axis=-1)))
+    return float(np.vdot(grid.values, grid.values).real) / grid.N**grid.n
 
 
 @dataclass(frozen=True)
@@ -171,29 +206,42 @@ class SpectralSummary:
 
 
 def _adaptive(
-    stat: Callable[[int], np.ndarray],
+    sample: Callable[[int], TorusGrid],
+    stat: Callable[[TorusGrid], np.ndarray],
     tol: float,
     n_start: int,
     max_n: int,
 ) -> tuple[np.ndarray, float, int]:
-    """Double N until two successive evaluations of stat agree within tol.
+    """Double N until stat on two successive grids agrees within tol.
 
-    Agreement is absolute for entries of modulus <= 1 and relative above, so
-    large variances do not stall the refinement at the rounding floor.  The
-    returned error estimate is the raw infinity-norm of the last delta.
+    The first level samples 2*n_start and evaluates stat on its even sub-grid
+    as the n_start level; every later level samples one new grid.  Agreement
+    is absolute for entries of modulus <= 1 and relative above, so large
+    variances do not stall the refinement at the rounding floor.  The returned
+    error estimate is the raw infinity-norm of the last delta.
     """
-    prev = None
-    N = n_start
-    while N <= max_n:
-        cur = stat(N)
-        if prev is not None:
-            delta = np.abs(cur - prev)
-            if np.all(delta <= tol * np.maximum(1.0, np.abs(cur))):
-                return cur, float(np.max(delta)), N
+    if n_start < 4:
+        raise ValueError("need at least 4 points per dimension")
+    N = 2 * n_start
+    if N > max_n:
+        raise NonConvergent(
+            f"grid cap N={max_n} leaves no room for two grids "
+            f"(N={n_start} and N={N})"
+        )
+    grid = sample(N)
+    prev, cur = stat(grid.even_subgrid()), stat(grid)
+    del grid  # hold no grid while the next one is sampled
+    while True:
+        delta = np.abs(cur - prev)
+        if np.all(delta <= tol * np.maximum(1.0, np.abs(cur))):
+            return cur, float(np.max(delta)), N
+        if 2 * N > max_n:
+            break
         prev = cur
         N *= 2
+        cur = stat(sample(N))
     raise NonConvergent(
-        f"refinement reached N={max_n} without two grids agreeing within {tol:g}"
+        f"refinement reached N={N} (cap {max_n}) without two grids agreeing within {tol:g}"
     )
 
 
@@ -225,14 +273,13 @@ def adaptive_coefficients(
     """
     idx = [tuple(int(x) for x in a) for a in indices]
 
-    def stat(N: int) -> np.ndarray:
-        grid = sample_torus(f, lam, N, max_points)
-        parts = [laurent_coefficient(grid, a).ravel() for a in idx]
-        if with_power:
-            parts.append(np.asarray([_mean_power(grid)], dtype=complex))
-        return np.concatenate(parts)
+    def stat(grid: TorusGrid) -> np.ndarray:
+        vec = laurent_coefficients(grid, idx).ravel()
+        return np.append(vec, _mean_power(grid)) if with_power else vec
 
-    vec, err, n_used = _adaptive(stat, tol, n_start, max_n)
+    vec, err, n_used = _adaptive(
+        lambda N: sample_torus(f, lam, N, max_points), stat, tol, n_start, max_n
+    )
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for i, a in enumerate(idx):
         coeffs[a] = vec[i * f.k : (i + 1) * f.k]
@@ -332,11 +379,15 @@ def inner_product_numeric(
             f"shape ({f.n},{f.k}) vs ({g.n},{g.k})"
         )
 
-    def stat(N: int) -> np.ndarray:
-        gf = sample_torus(f, lam, N)
-        gg = sample_torus(g, lam, N)
-        value = np.mean(np.sum(np.conj(gf.values) * gg.values, axis=-1))
-        return np.asarray([value])
+    k = f.k
+    pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
 
-    vec, _, _ = _adaptive(stat, tol, n_start, max_n)
+    def stat(grid: TorusGrid) -> np.ndarray:
+        values = grid.values
+        total = np.vdot(values[..., :k], values[..., k:])
+        return np.asarray([total / grid.N**grid.n])
+
+    vec, _, _ = _adaptive(
+        lambda N: sample_torus(pair, lam, N), stat, tol, n_start, max_n
+    )
     return complex(vec[0])

@@ -1,6 +1,7 @@
 """Command-line interface tests: golden outputs, exit codes, schemas."""
 
 import json
+import warnings
 
 import pytest
 
@@ -148,6 +149,49 @@ class TestEnvironmentOverride:
         monkeypatch.delenv("LENS_MAX_GRID")
         assert main(["analyze", "--expr", "1/(w-2)", "--n", "1", "--lambda", "1"]) == 0
         capsys.readouterr()
+
+
+class TestInputBoundary:
+    ANALYZE = ["analyze", "--expr", "1/w", "--n", "1", "--lambda", "1"]
+
+    @pytest.mark.parametrize("cap", ["0", "-4", "many"])
+    def test_bad_grid_cap_flag(self, cap, capsys):
+        assert main(self.ANALYZE + ["--max-grid", cap]) == 1
+        assert "--max-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", ""])
+    def test_bad_grid_cap_environment(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("LENS_MAX_GRID", value)
+        assert main(self.ANALYZE) == 1
+        assert "LENS_MAX_GRID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["8", "16"])
+    def test_cap_without_room_for_two_grids(self, cap, capsys):
+        assert main(self.ANALYZE + ["--max-grid", cap]) == 3
+        err = capsys.readouterr().err
+        assert "NonConvergent" in err and "no room for two grids" in err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_scale(self, lam, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--expr", "1/w", "--n", "1", "--lambda", lam])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "positive and finite" in err and "Warning" not in err
+
+    def test_expression_with_leading_minus(self, capsys):
+        assert main(["analyze", "--expr", "-1/w", "--n", "1", "--lambda", "1"]) == 0
+        assert "eta         = [[-1" in capsys.readouterr().out
+
+    def test_morph_with_leading_minus(self, capsys):
+        code = main(["transform", "--expr", "1/u", "--morph", "-w", "--n", "1"])
+        assert code == 0
+        assert "morph_jacobian     = [[-1]]" in capsys.readouterr().out
+
+    def test_option_is_not_taken_as_expression(self, capsys):
+        assert main(["analyze", "--expr", "--n", "1", "--lambda", "1"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestFormatting:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylens.errors import (
     AliasingRisk,
@@ -17,12 +19,16 @@ from polylens.expr import parse
 from polylens.laurent import decompose, matrix_to_complex, variance_exact
 from polylens.quadrature import (
     GridFunction,
+    TorusGrid,
+    adaptive_coefficients,
     expectation_numeric,
     first_order_summary,
     inner_product_numeric,
     laurent_coefficient,
+    laurent_coefficients,
     sample_torus,
     spectral_summary,
+    torus_coords,
 )
 from polylens.verify import random_decomposable
 
@@ -54,6 +60,25 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_torus(parse("w", 1), 1.0, 2)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_scale_must_be_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_torus(parse("1/w", 1), lam, 16)
+
+    def test_even_subgrid_has_the_coarse_coordinates(self):
+        # the first refinement level reads the N grid off the 2N grid
+        for N in (16, 32, 64, 128):
+            for lam in (0.3, 1.0, 1.7, 2.5):
+                fine = torus_coords(1, lam, 2 * N)[0]
+                assert np.array_equal(fine[::2], torus_coords(1, lam, N)[0])
+
+    def test_even_subgrid_matches_direct_sampling(self):
+        f = parse("1/w1 + w2/(1.5 - w1*w2), w1^2", 2)
+        coarse = sample_torus(f, 0.8, 32).even_subgrid()
+        direct = sample_torus(f, 0.8, 16)
+        assert coarse.N == 16 and coarse.values.shape == direct.values.shape
+        assert np.allclose(coarse.values, direct.values, rtol=1e-14, atol=0)
+
 
 class TestCoefficients:
     def test_residue_direct(self):
@@ -80,6 +105,117 @@ class TestCoefficients:
         grid = sample_torus(parse("w", 1), 1.0, 16)
         with pytest.raises(DimensionMismatch):
             laurent_coefficient(grid, (1, 1))
+
+
+def _direct_coefficient(grid: TorusGrid, a) -> np.ndarray:
+    """c_a as a plain sum over every grid point, one index at a time."""
+    n, N = grid.n, grid.N
+    dot = np.tensordot(np.asarray(a), np.indices((N,) * n), axes=(0, 0))
+    phase = np.exp(-2j * np.pi * dot / N)
+    total = np.sum(grid.values * phase[..., None], axis=tuple(range(n)))
+    return total * grid.lam ** (-sum(a)) / N**n
+
+
+@st.composite
+def _grids_with_indices(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    N = draw(st.sampled_from((8, 16, 32)))
+    lam = draw(st.sampled_from((0.3, 1.0, 1.7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (N,) * n + (k,)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # an order -2 class probe and a mixed index such as (1, -1, 0)
+    beta = draw(st.integers(0, n - 1))
+    fixed = [tuple(-2 if j == beta else 0 for j in range(n))]
+    if n >= 2:
+        fixed.append((1, -1) + (0,) * (n - 2))
+    drawn = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=6))
+    indices = draw(st.permutations(fixed + drawn))
+    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values), indices
+
+
+class TestBatchedCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(_grids_with_indices())
+    def test_matches_direct_sum(self, case):
+        grid, indices = case
+        got = laurent_coefficients(grid, indices)
+        assert got.shape == (len(indices), grid.k)
+        for row, a in zip(got, indices):
+            want = _direct_coefficient(grid, a)
+            assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_single_index_wrapper(self):
+        grid = sample_torus(parse("1/w1 + 2*w2, w1*w2", 2), 0.7, 16)
+        indices = [(0, 0), (-1, 0), (0, 1), (1, 1)]
+        batch = laurent_coefficients(grid, indices)
+        for row, a in zip(batch, indices):
+            assert np.allclose(laurent_coefficient(grid, a), row, rtol=1e-14, atol=1e-14)
+
+    def test_checks_every_index(self):
+        grid = sample_torus(parse("w1", 2), 1.0, 16)
+        with pytest.raises(AliasingRisk):
+            laurent_coefficients(grid, [(0, 0), (1, 8)])
+        with pytest.raises(DimensionMismatch):
+            laurent_coefficients(grid, [(0, 0), (1,)])
+
+
+# Accepted grid sizes and raised errors of the refinement loop:
+# (expression, n, scale, keyword arguments, grid_n or error type).
+_REFINEMENT_CORPUS = [
+    ("1/w + w", 1, 1.0, {}, 32),
+    ("1/w", 1, 0.5, {}, 32),
+    ("1/w + 3*w + w^2", 1, 0.8, {}, 32),
+    ("1/(w-2)", 1, 1.0, {}, 128),
+    ("2/w1 + w2/(1.5 - w2)", 2, 0.9, {}, 128),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {}, 128),
+    ("1/(w-2)", 1, 1.0, {"max_n": 32}, NonConvergent),
+    ("1/(w-2)", 1, 1.0, {"max_n": 64}, NonConvergent),
+    ("1/w", 1, 1.0, {"max_n": 8}, NonConvergent),
+    ("1/w", 1, 1.0, {"max_n": 16}, NonConvergent),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 32**3 - 1}, GridTooLarge),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3}, GridTooLarge),
+    ("1/(w - 1)", 1, 1.0, {}, PoleOnTorus),
+    # exp(2*pi*i/32): a pole on an odd point of the 32-grid only
+    ("1/(w - (0.98078528040323043 + 0.19509032201612825i))", 1, 1.0, {}, PoleOnTorus),
+]
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("text,n,lam,kwargs,outcome", _REFINEMENT_CORPUS)
+    def test_outcome_pinned(self, text, n, lam, kwargs, outcome):
+        f = parse(text, n)
+        if isinstance(outcome, int):
+            assert spectral_summary(f, lam, **kwargs).grid_n == outcome
+        else:
+            with pytest.raises(outcome):
+                spectral_summary(f, lam, **kwargs)
+
+    def test_aliasing_at_the_first_level(self):
+        # order 8 fits the 32-grid but not the 16-grid of the first level
+        with pytest.raises(AliasingRisk):
+            adaptive_coefficients(parse("w^8", 1), 1.0, [(8,)])
+
+    def test_second_level_acceptance_samples_once(self):
+        f = parse("1/w1 + 2*w2", 2)
+        sizes = []
+
+        def counted(coords):
+            sizes.append(coords[0].size)
+            return f.eval_grid(coords)
+
+        s = spectral_summary(GridFunction(2, 1, counted), 1.0)
+        assert s.grid_n == 32
+        assert sizes == [32]
+
+    @pytest.mark.parametrize("max_n", [8, 16, 31])
+    def test_cap_without_room_for_two_grids(self, max_n):
+        sizes = []
+        f = GridFunction(1, 1, lambda c: sizes.append(c[0].size) or [1 / c[0]])
+        with pytest.raises(NonConvergent, match="no room for two grids"):
+            spectral_summary(f, 1.0, max_n=max_n)
+        assert sizes == []
 
 
 class TestSpectralSummary:
