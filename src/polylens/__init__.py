@@ -24,6 +24,7 @@ from .errors import (
     AliasingRisk,
     DimensionMismatch,
     DivisionNearZero,
+    ExpansionTooLarge,
     GridTooLarge,
     InconsistentScales,
     LensError,

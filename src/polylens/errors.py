@@ -95,6 +95,10 @@ class NotLaurent(LensError):
         self.subtree = subtree
 
 
+class ExpansionTooLarge(LensError):
+    """Exact expansion would exceed the exponent-degree or term-count cap."""
+
+
 class NotPolynomial(LensError):
     """Coordinate-change components must be polynomial."""
 

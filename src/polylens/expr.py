@@ -21,6 +21,7 @@ in errors are byte positions into the original input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -30,6 +31,7 @@ import numpy as np
 from .errors import (
     DivisionNearZero,
     DimensionMismatch,
+    ExpansionTooLarge,
     NotLaurent,
     ParseError,
     UnknownVariable,
@@ -38,6 +40,13 @@ from .laurent import CR_ONE, ComplexRational, LaurentPoly
 
 # Divisors with modulus below this are treated as poles.
 EPS_POLE = 1e-9
+
+# Caps on exact expansion: the largest |exponent|, and the term products one
+# multiplication may form (its cost; exact coefficients make each one slow).
+MAX_EXPANSION_DEGREE = 4096
+MAX_EXPANSION_PRODUCTS = 4096
+
+Bounds = list[tuple[int, int]]  # per-axis (lo, hi) exponent range
 
 
 # ------------------------------------------------------------------ AST nodes
@@ -117,6 +126,13 @@ class MeroExpr:
     def eval_at(self, point: Sequence[complex]) -> tuple[complex, ...]:
         coords = [np.asarray(complex(p)) for p in point]
         return tuple(complex(v) for v in self.eval_grid(coords))
+
+    def exponent_bounds(self) -> Bounds | None:
+        """Per-axis range holding every exponent of every component's Laurent
+        expansion, or None when some division (or negative power) is by an
+        expression that is not a monomial."""
+        ranges = [_node_bounds(node, self.n) for node in self.components]
+        return None if None in ranges else functools.reduce(_hull, ranges)
 
 
 # ------------------------------------------------------------------ scanning
@@ -369,6 +385,64 @@ def _eval_node(node: Node, coords: Sequence[np.ndarray]):
     raise TypeError(f"unknown node {node!r}")
 
 
+# ------------------------------------------------------------ exponent range
+
+
+def _hull(a: Bounds, b: Bounds) -> Bounds:
+    return [(min(lo1, lo2), max(hi1, hi2)) for (lo1, hi1), (lo2, hi2) in zip(a, b)]
+
+
+def _is_monomial(bounds: Bounds) -> bool:
+    return all(lo == hi for lo, hi in bounds)
+
+
+def _node_bounds(node: Node, n: int) -> Bounds | None:
+    """Bottom-up exponent range of a subtree (see MeroExpr.exponent_bounds)."""
+    if isinstance(node, Lit):
+        return [(0, 0)] * n
+    if isinstance(node, Var):
+        return [(1, 1) if j == node.index else (0, 0) for j in range(n)]
+    if isinstance(node, Neg):
+        return _node_bounds(node.operand, n)
+    if isinstance(node, Pow):
+        base = _node_bounds(node.base, n)
+        e = node.exponent
+        if base is None or (e < 0 and not _is_monomial(base)):
+            return None
+        return [(min(e * lo, e * hi), max(e * lo, e * hi)) for lo, hi in base]
+    left, right = _node_bounds(node.left, n), _node_bounds(node.right, n)
+    if left is None or right is None:
+        return None
+    if isinstance(node, (Add, Sub)):
+        return _hull(left, right)
+    if isinstance(node, Mul):
+        return [(lo1 + lo2, hi1 + hi2) for (lo1, hi1), (lo2, hi2) in zip(left, right)]
+    if isinstance(node, Div):
+        if not _is_monomial(right):
+            return None
+        return [(lo - p, hi - p) for (lo, hi), (p, _) in zip(left, right)]
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _check_degree(bounds: Bounds) -> None:
+    """Raise ExpansionTooLarge when an exponent range exceeds the degree cap."""
+    if max(max(-lo, hi) for lo, hi in bounds) > MAX_EXPANSION_DEGREE:
+        raise ExpansionTooLarge(
+            f"exponent range {bounds} exceeds the degree cap {MAX_EXPANSION_DEGREE}"
+        )
+
+
+def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b, refused before multiplying when it exceeds the product cap."""
+    count = len(a.terms) * len(b.terms)
+    if count > MAX_EXPANSION_PRODUCTS:
+        raise ExpansionTooLarge(
+            f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds the cap "
+            f"of {MAX_EXPANSION_PRODUCTS} term products"
+        )
+    return a * b
+
+
 # --------------------------------------------------------------- exact form
 
 
@@ -377,9 +451,15 @@ def to_laurent(e: MeroExpr) -> LaurentPoly:
 
     Succeeds when the expression uses +, -, *, nonnegative integer powers, and
     divides (or raises to negative powers) only by single monomials c*w^a.
-    Raises NotLaurent with the offending subtree otherwise, and
-    AdmissibilityViolation when expansion would create a pole of order >= 2.
+    Raises NotLaurent with the offending subtree otherwise,
+    AdmissibilityViolation when expansion would create a pole of order >= 2,
+    and ExpansionTooLarge when the exponent range (checked before expanding,
+    and for each power's expanded base) or one multiplication exceeds the
+    expansion caps.
     """
+    bounds = e.exponent_bounds()
+    if bounds is not None:
+        _check_degree(bounds)
     return LaurentPoly.from_components(
         [_node_to_laurent(node, e.n, e.var_letter) for node in e.components]
     )
@@ -398,23 +478,30 @@ def _node_to_laurent(node: Node, n: int, letter: str) -> LaurentPoly:
     if isinstance(node, Sub):
         return _node_to_laurent(node.left, n, letter) - _node_to_laurent(node.right, n, letter)
     if isinstance(node, Mul):
-        return _node_to_laurent(node.left, n, letter) * _node_to_laurent(node.right, n, letter)
+        return _product(_node_to_laurent(node.left, n, letter),
+                        _node_to_laurent(node.right, n, letter))
     if isinstance(node, Div):
         num = _node_to_laurent(node.left, n, letter)
         return num * _monomial_inverse(node.right, n, letter)
     if isinstance(node, Pow):
         if node.exponent >= 0:
-            base = _node_to_laurent(node.base, n, letter)
-            out = LaurentPoly.scalar(n, {(0,) * n: CR_ONE})
-            for _ in range(node.exponent):
-                out = out * base
-            return out
-        inv = _monomial_inverse(node.base, n, letter)
-        out = LaurentPoly.scalar(n, {(0,) * n: CR_ONE})
-        for _ in range(-node.exponent):
-            out = out * inv
-        return out
+            return _power(_node_to_laurent(node.base, n, letter), node.exponent)
+        return _power(_monomial_inverse(node.base, n, letter), -node.exponent)
     raise TypeError(f"unknown node {node!r}")
+
+
+def _power(base: LaurentPoly, e: int) -> LaurentPoly:
+    """base^e for e >= 0 by binary exponentiation, after checking the degree
+    of the result against the cap."""
+    _check_degree([(e * lo, e * hi) for lo, hi in base.exponent_bounds()])
+    out = LaurentPoly.scalar(base.n, {(0,) * base.n: CR_ONE})
+    while e:
+        if e & 1:
+            out = _product(out, base)
+        e >>= 1
+        if e:
+            base = _product(base, base)
+    return out
 
 
 def _monomial_inverse(node: Node, n: int, letter: str) -> LaurentPoly:

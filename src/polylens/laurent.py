@@ -256,6 +256,12 @@ class LaurentPoly:
             )
         return self.terms.get(key, (CR_ZERO,) * self.k)
 
+    def exponent_bounds(self) -> list[tuple[int, int]]:
+        """Per-axis (min, max) of the term exponents; (0, 0) when f = 0."""
+        if not self.terms:
+            return [(0, 0)] * self.n
+        return [(min(axis), max(axis)) for axis in zip(*self.terms)]
+
     def component(self, alpha: int) -> "LaurentPoly":
         return LaurentPoly(
             self.n, 1, {e: (v[alpha],) for e, v in self.terms.items() if v[alpha]}

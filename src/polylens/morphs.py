@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    ExpansionTooLarge,
     NotDiagonalDominant,
     NotFixingOrigin,
     NotPolynomial,
@@ -90,6 +91,8 @@ def morph_validate(
         raise DimensionMismatch(f"coordinate change needs {n} components, got {g.k}")
     try:
         exact = to_laurent(g)
+    except ExpansionTooLarge:
+        raise
     except Exception as exc:
         raise NotPolynomial(f"components are not polynomial: {exc}") from exc
     if any(e < 0 for exps in exact.terms for e in exps):

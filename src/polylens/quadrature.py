@@ -8,7 +8,22 @@ contraction.  Uniform sampling of a periodic analytic integrand is spectrally
 accurate, and exact (to rounding) for Laurent polynomials whose exponent range
 per dimension is narrower than the grid.
 
-Refinement doubles N until two successive grids agree.  Each level samples
+Evaluators that know their exponent range (an ``exponent_bounds()`` method
+returning per-axis ``(lo, hi)`` pairs, or None) are sampled once, on the
+exact grid: the smallest power of two N >= n_start with N greater than
+max(hi, max a_j) - min(lo, min a_j) on every axis, where a runs over the
+requested coefficient orders.  On that grid every requested coefficient and
+the mean of |f|^2 are exact up to rounding (discrete orthogonality), so no
+second grid is sampled; the reported error is an a-priori rounding bound (see
+_rounding_bound), which must meet the tolerance.  Where it does not (its
+constants are worst-case, so this happens at extreme scales), the exact grids
+N and 2N are compared as in the doubling loop.  For inner products N must
+exceed the widest exponent difference of conj(f)*g.  ``laurent.LaurentPoly``
+and ``expr.MeroExpr`` provide the method; a MeroExpr has a range when it
+divides only by monomials.
+
+Every other evaluator (divisions by non-monomials, :class:`GridFunction`) is
+refined by doubling N until two successive grids agree.  Each level samples
 its grid once and extracts every requested coefficient in one separable
 contraction (one small phase matrix per axis).  The first level samples
 2*n_start points per dimension and reads the n_start statistic from the even
@@ -68,6 +83,7 @@ class TorusGrid:
     lam: float
     N: int
     values: np.ndarray  # shape (N,)*n + (k,)
+    peak: float | None = None  # max |value|, recorded by sample_torus
 
     def even_subgrid(self) -> "TorusGrid":
         """The N/2 grid formed by the even-indexed points of this one."""
@@ -119,7 +135,7 @@ def sample_torus(f, lam: float, N: int, max_points: int = MAX_TOTAL_POINTS) -> T
         raise PoleOnTorus(
             f"value of modulus {peak:.3g} on the radius-{lam:g} torus"
         )
-    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values)
+    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values, peak=peak)
 
 
 def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> np.ndarray:
@@ -245,6 +261,65 @@ def _adaptive(
     )
 
 
+def _rounding_bound(grid: TorusGrid) -> float:
+    """A-priori rounding bound on a coefficient read from an exact grid,
+    before its lam^(-sum a) scale: (n + 1) * N * eps * max(peak |f|, 1).
+
+    n*N*eps is the standard bound for the n length-N phase contractions and
+    N*eps allows for evaluating terms of degree below N, both relative to the
+    peak (floored at 1 for intermediates of unit size).  A mean of a product
+    of two samples is bounded by 4*k*max(peak, 1) times this, which also
+    covers the variance formed from the mean of |f|^2.  Rounding inside the
+    evaluator beyond that, as in the cancellation of (w + 1e8) - 1e8, is not
+    covered.
+    """
+    return (grid.n + 1) * grid.N * np.finfo(float).eps * max(grid.peak, 1.0)
+
+
+def _refine(
+    sample: Callable[[int], TorusGrid],
+    stat: Callable[[TorusGrid], np.ndarray],
+    read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
+    width: int | None,
+    tol: float,
+    n_start: int,
+    max_n: int,
+) -> tuple[np.ndarray, float, int]:
+    """One refinement: the exact grid when the exponent width is known, else
+    the doubling loop (see _adaptive).
+
+    The exact grid is the smallest power of two N >= n_start above
+    ``width``, the widest per-axis spread of the exponents the statistic
+    involves, so no term aliases onto a read one.  ``read`` returns the
+    statistic with a per-entry rounding bound; when every entry meets the
+    acceptance rule of _adaptive, the largest bound is the error estimate.
+    The bound uses worst-case constants, so at extreme scales it can miss
+    the tolerance while the values are accurate: the doubling loop then
+    compares the exact grids N and 2N, both alias-free.
+    """
+    if width is None:
+        return _adaptive(sample, stat, tol, n_start, max_n)
+    if n_start < 4:
+        raise ValueError("need at least 4 points per dimension")
+    N = 1 << (n_start - 1).bit_length()
+    while N <= width:
+        N *= 2
+    if N > max_n:
+        raise NonConvergent(
+            f"exponent width {width} needs an exact grid of N={N}, above the cap {max_n}"
+        )
+    value, est = read(sample(N))
+    if np.all(est <= tol * np.maximum(1.0, np.abs(value))):
+        return value, float(np.max(est)), N
+    return _adaptive(sample, stat, tol, N, max_n)
+
+
+def _exponent_bounds(f) -> list[tuple[int, int]] | None:
+    """Per-axis exponent range of an evaluator, or None when it has none."""
+    method = getattr(f, "exponent_bounds", None)
+    return None if method is None else method()
+
+
 def _index_set(n: int, orders: Sequence[int]) -> list[tuple[int, ...]]:
     """Zero vector plus each +-order unit vector for the requested orders."""
     out = [(0,) * n]
@@ -267,24 +342,64 @@ def adaptive_coefficients(
     max_points: int = MAX_TOTAL_POINTS,
 ) -> tuple[dict[tuple[int, ...], np.ndarray], float | None, float, int]:
     """Laurent coefficients at the given indices (and optionally the mean of
-    |f|^2), refined by grid doubling until stable.
+    |f|^2): from the exact grid when f has an exponent range, else refined by
+    grid doubling until stable.
 
     Returns (coefficients, mean_power, est_error, N_used).
     """
     idx = [tuple(int(x) for x in a) for a in indices]
 
+    def sample(N: int) -> TorusGrid:
+        return sample_torus(f, lam, N, max_points)
+
     def stat(grid: TorusGrid) -> np.ndarray:
         vec = laurent_coefficients(grid, idx).ravel()
         return np.append(vec, _mean_power(grid)) if with_power else vec
 
-    vec, err, n_used = _adaptive(
-        lambda N: sample_torus(f, lam, N, max_points), stat, tol, n_start, max_n
+    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+        vec = laurent_coefficients(grid, idx).ravel()
+        unit = _rounding_bound(grid)
+        scales = lam ** -np.array([sum(a) for a in idx], dtype=float)
+        est = np.repeat(unit * scales, f.k)
+        if with_power:
+            # pairwise summation keeps the sum's rounding logarithmic in N^n
+            power = float(np.sum(np.abs(grid.values) ** 2)) / grid.N**grid.n
+            vec = np.append(vec, power)
+            est = np.append(est, 4 * f.k * max(grid.peak, 1.0) * unit)
+        return vec, est
+
+    bounds = _exponent_bounds(f)
+    width = None if bounds is None else max(
+        max(hi, *(a[j] for a in idx)) - min(lo, *(a[j] for a in idx))
+        for j, (lo, hi) in enumerate(bounds)
     )
+    vec, err, n_used = _refine(sample, stat, read, width, tol, n_start, max_n)
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for i, a in enumerate(idx):
         coeffs[a] = vec[i * f.k : (i + 1) * f.k]
     power = float(vec[-1].real) if with_power else None
     return coeffs, power, err, n_used
+
+
+def _first_order(
+    f, lam: float, **options
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, float, int]:
+    """Constant term, residue matrix eta and derivative matrix D of f, as
+    (core, eta, D, mean_power, est_error, N_used); options go to
+    adaptive_coefficients."""
+    n, k = f.n, f.k
+    coeffs, power, err, n_used = adaptive_coefficients(
+        f, lam, _index_set(n, (-1, 1)), **options
+    )
+    eta = np.empty((k, n), dtype=complex)
+    jac = np.empty((k, n), dtype=complex)
+    for beta in range(n):
+        vec = [0] * n
+        vec[beta] = -1
+        eta[:, beta] = coeffs[tuple(vec)]
+        vec[beta] = 1
+        jac[:, beta] = coeffs[tuple(vec)]
+    return coeffs[(0,) * n], eta, jac, power, err, n_used
 
 
 def spectral_summary(
@@ -302,21 +417,10 @@ def spectral_summary(
     of |f|^2 equals <f,f>); the tail energy is whatever part of it the
     two-term closed form does not account for.
     """
-    n, k = f.n, f.k
-    indices = _index_set(n, (-1, 1))
-    coeffs, power, err, n_used = adaptive_coefficients(
-        f, lam, indices, tol=tol, with_power=True,
+    core, eta, jac, power, err, n_used = _first_order(
+        f, lam, tol=tol, with_power=True,
         n_start=n_start, max_n=max_n, max_points=max_points,
     )
-    core = coeffs[(0,) * n]
-    eta = np.empty((k, n), dtype=complex)
-    jac = np.empty((k, n), dtype=complex)
-    for beta in range(n):
-        vec = [0] * n
-        vec[beta] = -1
-        eta[:, beta] = coeffs[tuple(vec)]
-        vec[beta] = 1
-        jac[:, beta] = coeffs[tuple(vec)]
     variance = max(power - float(np.sum(np.abs(core) ** 2)), 0.0)
     tr_eta = float(np.sum(np.abs(eta) ** 2))
     tr_jac = float(np.sum(np.abs(jac) ** 2))
@@ -338,19 +442,7 @@ def first_order_summary(
     Unlike spectral_summary this stays meaningful for functions whose pole
     structure mixes coordinates, e.g. pullbacks under coordinate changes.
     """
-    n, k = f.n, f.k
-    coeffs, _, err, n_used = adaptive_coefficients(
-        f, lam, _index_set(n, (-1, 1)), tol=tol, max_n=max_n
-    )
-    core = coeffs[(0,) * n]
-    eta = np.empty((k, n), dtype=complex)
-    jac = np.empty((k, n), dtype=complex)
-    for beta in range(n):
-        vec = [0] * n
-        vec[beta] = -1
-        eta[:, beta] = coeffs[tuple(vec)]
-        vec[beta] = 1
-        jac[:, beta] = coeffs[tuple(vec)]
+    core, eta, jac, _, err, n_used = _first_order(f, lam, tol=tol, max_n=max_n)
     return core, eta, jac, err, n_used
 
 
@@ -373,7 +465,9 @@ def inner_product_numeric(
     n_start: int = DEFAULT_START_N,
     max_n: int = DEFAULT_MAX_N,
 ) -> complex:
-    """<f, g> as the grid mean of conj(f).g, conjugate-linear in f."""
+    """<f, g> as the grid mean of conj(f).g, conjugate-linear in f.  When both
+    have an exponent range, the exact grid must exceed the widest exponent
+    difference of conj(f).g on every axis."""
     if f.n != g.n or f.k != g.k:
         raise DimensionMismatch(
             f"shape ({f.n},{f.k}) vs ({g.n},{g.k})"
@@ -382,12 +476,25 @@ def inner_product_numeric(
     k = f.k
     pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
 
+    def sample(N: int) -> TorusGrid:
+        return sample_torus(pair, lam, N)
+
     def stat(grid: TorusGrid) -> np.ndarray:
         values = grid.values
         total = np.vdot(values[..., :k], values[..., k:])
         return np.asarray([total / grid.N**grid.n])
 
-    vec, _, _ = _adaptive(
-        lambda N: sample_torus(pair, lam, N), stat, tol, n_start, max_n
+    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+        values = grid.values
+        # pairwise summation, as for the mean power in adaptive_coefficients
+        total = np.sum(np.conj(values[..., :k]) * values[..., k:])
+        est = 4 * k * max(grid.peak, 1.0) * _rounding_bound(grid)
+        return np.asarray([total / grid.N**grid.n]), np.asarray([est])
+
+    f_bounds, g_bounds = _exponent_bounds(f), _exponent_bounds(g)
+    width = None if f_bounds is None or g_bounds is None else max(
+        max(g_hi - f_lo, f_hi - g_lo)
+        for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
     )
+    vec, _, _ = _refine(sample, stat, read, width, tol, n_start, max_n)
     return complex(vec[0])

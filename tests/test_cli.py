@@ -1,6 +1,7 @@
 """Command-line interface tests: golden outputs, exit codes, schemas."""
 
 import json
+import time
 import warnings
 
 import pytest
@@ -167,11 +168,18 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("cap", ["8", "16"])
     def test_cap_without_room_for_two_grids(self, cap, capsys):
-        assert main(self.ANALYZE + ["--max-grid", cap]) == 3
+        # 1/(w-2) has no exponent range, so it takes the doubling loop
+        argv = ["analyze", "--expr", "1/(w-2)", "--n", "1", "--lambda", "1"]
+        assert main(argv + ["--max-grid", cap]) == 3
         err = capsys.readouterr().err
         assert "NonConvergent" in err and "no room for two grids" in err
 
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_cap_below_the_exact_grid(self, capsys):
+        assert main(self.ANALYZE + ["--max-grid", "8"]) == 3
+        err = capsys.readouterr().err
+        assert "NonConvergent" in err and "exact grid of N=16" in err
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-nan"])
     def test_non_finite_scale(self, lam, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -179,6 +187,35 @@ class TestInputBoundary:
         assert code == 1
         err = capsys.readouterr().err
         assert "positive and finite" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("option", ["--lambda-min", "--lambda-max"])
+    def test_sweep_scale_starting_with_minus(self, option, capsys):
+        argv = ["sweep", "--expr", "1/w", "--n", "1", "--steps", "3",
+                "--lambda-min", "0.5", "--lambda-max", "2"]
+        argv[argv.index(option) + 1] = "-inf"
+        assert main(argv) == 1
+        assert "need 0 < lam_min < lam_max" in capsys.readouterr().err
+
+    def test_expansion_cap_bounds_transform(self, capsys):
+        start = time.perf_counter()
+        code = main(["transform", "--expr", "1/u", "--morph", "w + 0.25*w^99999999",
+                     "--n", "1"])
+        assert code == 3 and time.perf_counter() - start < 1.0
+        assert "ExpansionTooLarge" in capsys.readouterr().err
+
+    def test_alias_probes(self, capsys):
+        assert main(["analyze", "--expr", "w^33", "--n", "1", "--lambda", "1",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["grid_n"] == 64
+        assert max(abs(x) for x in doc["jacobian"][0][0]) < 1e-12
+        assert abs(doc["tail_energy"] - 1) < 1e-12
+        assert main(["analyze", "--expr", "1/w + w^-31", "--n", "1", "--lambda", "1",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert abs(doc["eta"][0][0][0] - 1) < 1e-12
+        assert max(abs(x) for x in doc["jacobian"][0][0]) < 1e-12
+        assert abs(doc["variance"] - 2) < 1e-12 and abs(doc["tail_energy"] - 1) < 1e-12
 
     def test_expression_with_leading_minus(self, capsys):
         assert main(["analyze", "--expr", "-1/w", "--n", "1", "--lambda", "1"]) == 0

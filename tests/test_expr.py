@@ -2,13 +2,18 @@
 
 from fractions import Fraction
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _corpus import MALFORMED_CASES, VALID_CASES
 from polylens.errors import (
     AdmissibilityViolation,
     DivisionNearZero,
+    ExpansionTooLarge,
     NotLaurent,
     ParseError,
     UnknownVariable,
@@ -162,6 +167,84 @@ class TestToLaurent:
     def test_division_by_exact_zero(self):
         with pytest.raises((NotLaurent, ZeroDivisionError)):
             to_laurent(parse("1/(w - w)", 1))
+
+
+class TestExpansionCaps:
+    def test_binary_power_matches_repeated_products(self):
+        base = to_laurent(parse("1 + 2*w1 - w1^2*w2", 2))
+        want = base
+        for _ in range(6):
+            want = want * base
+        assert to_laurent(parse("(1 + 2*w1 - w1^2*w2)^7", 2)) == want
+
+    @pytest.mark.parametrize("text,n", [
+        ("w^5000", 1),                         # degree cap, before expanding
+        ("w + 0.25*w^99999999", 1),
+        # the walk sees no range (non-monomial divisor); the power's expanded
+        # base is checked before exponentiation
+        ("((w + 1 - 1)/(w + 1 - 1) + w)^1000000", 1),
+        ("(1 + w)^200", 1),                    # product cap inside a power
+        ("(1 + w1)^70 * (1 + w2)^70", 2),      # product cap of a multiplication
+    ])
+    def test_caps_bound_the_work(self, text, n):
+        start = time.perf_counter()
+        with pytest.raises(ExpansionTooLarge):
+            to_laurent(parse(text, n))
+        assert time.perf_counter() - start < 1.0
+
+    def test_sparse_wide_range_expands(self):
+        # a 6 x 4 x 6 exponent box with six terms, as random_decomposable draws
+        lp = to_laurent(parse("1/w1 + 1/w2 + 1/w3 + w1^4 + w2^2*w3^2 + w3^4", 3))
+        assert len(lp.terms) == 6
+
+
+@st.composite
+def _monomial_divisor_texts(draw):
+    """Expressions in w1..wn that divide (or take negative powers) only by
+    monomials, so their exponent range is always known."""
+    n = draw(st.integers(1, 3))
+    var = st.integers(1, n).map(lambda j: f"w{j}")
+    number = st.sampled_from(["1", "2", "0.5", "3i", "(1-2i)"])
+    monomial = st.tuples(number, st.lists(var, min_size=1, max_size=3)).map(
+        lambda t: "*".join([t[0], *t[1]])
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"
+            ),
+            st.tuples(inner, monomial).map(lambda t: f"({t[0]})/({t[1]})"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(monomial, st.integers(-2, -1)).map(lambda t: f"({t[0]})^{t[1]}"),
+            inner.map(lambda t: f"-({t})"),
+        )
+
+    components = draw(st.lists(st.recursive(st.one_of(number, var), extend, max_leaves=6),
+                               min_size=1, max_size=2))
+    return ", ".join(components), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_divisor_texts())
+def test_exponent_bounds_hold_the_expansion(case):
+    text, n = case
+    e = parse(text, n)
+    bounds = e.exponent_bounds()
+    assert bounds is not None and len(bounds) == n
+    try:
+        exact = to_laurent(e)
+    except (AdmissibilityViolation, ExpansionTooLarge):
+        return
+    for exps in exact.terms:
+        assert all(lo <= x <= hi for x, (lo, hi) in zip(exps, bounds))
+
+
+def test_exponent_bounds_need_monomial_divisors():
+    assert parse("1/(2*w1*w2^2) + w1, w2^3", 2).exponent_bounds() == [(-1, 1), (-2, 3)]
+    assert parse("(3*w)^-2 - 1", 1).exponent_bounds() == [(-2, 0)]
+    assert parse("1/w + 1/(w - 2)", 1).exponent_bounds() is None
+    assert parse("(w + 1)^-1", 1).exponent_bounds() is None
 
 
 def test_semantic_agreement_with_oracle():

@@ -16,7 +16,7 @@ from polylens.errors import (
     PoleOnTorus,
 )
 from polylens.expr import parse
-from polylens.laurent import decompose, matrix_to_complex, variance_exact
+from polylens.laurent import LaurentPoly, decompose, matrix_to_complex, variance_exact
 from polylens.quadrature import (
     GridFunction,
     TorusGrid,
@@ -162,23 +162,35 @@ class TestBatchedCoefficients:
 
 
 # Accepted grid sizes and raised errors of the refinement loop:
-# (expression, n, scale, keyword arguments, grid_n or error type).
+# (expression, n, scale, keyword arguments, grid_n or error type).  Laurent
+# expressions take the single exact grid; expressions that divide by a
+# non-monomial (here 1/(w - 10) and the like) double N.
 _REFINEMENT_CORPUS = [
-    ("1/w + w", 1, 1.0, {}, 32),
-    ("1/w", 1, 0.5, {}, 32),
-    ("1/w + 3*w + w^2", 1, 0.8, {}, 32),
+    ("1/w + w", 1, 1.0, {}, 16),
+    ("1/w", 1, 0.5, {}, 16),
+    ("1/w + 3*w + w^2", 1, 0.8, {}, 16),
     ("1/(w-2)", 1, 1.0, {}, 128),
     ("2/w1 + w2/(1.5 - w2)", 2, 0.9, {}, 128),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {}, 128),
     ("1/(w-2)", 1, 1.0, {"max_n": 32}, NonConvergent),
     ("1/(w-2)", 1, 1.0, {"max_n": 64}, NonConvergent),
     ("1/w", 1, 1.0, {"max_n": 8}, NonConvergent),
-    ("1/w", 1, 1.0, {"max_n": 16}, NonConvergent),
+    ("1/w", 1, 1.0, {"max_n": 16}, 16),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 32**3 - 1}, GridTooLarge),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3}, GridTooLarge),
     ("1/(w - 1)", 1, 1.0, {}, PoleOnTorus),
     # exp(2*pi*i/32): a pole on an odd point of the 32-grid only
     ("1/(w - (0.98078528040323043 + 0.19509032201612825i))", 1, 1.0, {}, PoleOnTorus),
+    # accepted at the second level of the doubling loop
+    ("1/w + w + 1/(w - 10)", 1, 1.0, {}, 32),
+    ("1/w + 1/(w - 10)", 1, 0.5, {}, 32),
+    ("1/w + 3*w + w^2 + 1/(w - 10)", 1, 0.8, {}, 32),
+    ("1/(w - 10)", 1, 1.0, {"max_n": 16}, NonConvergent),
+    # exponent width 34 (orders -1..33): the exact grid is N=64
+    ("w^33", 1, 1.0, {}, 64),
+    ("w^33", 1, 1.0, {"max_n": 32}, NonConvergent),
+    ("1/w + w^-31", 1, 1.0, {}, 64),
+    ("2/w1 + 3*w2^2 + w1*w2/w3", 3, 0.7, {}, 16),
 ]
 
 
@@ -216,6 +228,81 @@ class TestRefinement:
         with pytest.raises(NonConvergent, match="no room for two grids"):
             spectral_summary(f, 1.0, max_n=max_n)
         assert sizes == []
+
+
+class _Counted:
+    """An evaluator with an exponent range that records its grid sizes."""
+
+    def __init__(self, f):
+        self.f, self.n, self.k, self.sizes = f, f.n, f.k, []
+
+    def exponent_bounds(self):
+        return self.f.exponent_bounds()
+
+    def eval_grid(self, coords):
+        self.sizes.append(coords[0].size)
+        return self.f.eval_grid(coords)
+
+
+class TestExactGrid:
+    @pytest.mark.parametrize("f", [
+        parse("1/w1 + 2*w2 + w1^3*w2", 2),
+        LaurentPoly.scalar(2, {(-1, 0): 1, (0, 1): 2, (3, 1): 1}),
+    ])
+    def test_one_evaluation_on_the_exact_grid(self, f):
+        counted = _Counted(f)
+        s = spectral_summary(counted, 1.0)
+        assert s.grid_n == 16
+        assert counted.sizes == [16]
+        assert 0 < s.est_error <= 1e-12
+
+    @pytest.mark.parametrize("max_n", [8, 15])
+    def test_cap_below_the_exact_grid(self, max_n):
+        counted = _Counted(parse("1/w + w", 1))
+        with pytest.raises(NonConvergent, match="exact grid of N=16"):
+            spectral_summary(counted, 1.0, max_n=max_n)
+        assert counted.sizes == []
+
+    def test_requested_orders_widen_the_grid(self):
+        # w^-10 aliases onto order 6 of a 16-grid; the spread -10..6 needs N=32
+        coeffs, _, _, n_used = adaptive_coefficients(parse("w^-10", 1), 1.0, [(6,)])
+        assert n_used == 32 and abs(coeffs[(6,)][0]) < 1e-12
+        # orders above N/2 - 1 of the exact grid still raise, as on the first
+        # level of the doubling loop
+        with pytest.raises(AliasingRisk):
+            adaptive_coefficients(parse("1/w", 1), 1.0, [(9,)])
+
+    def test_zero_function_has_a_nonzero_bound(self):
+        s = spectral_summary(parse("0", 2), 0.5)
+        assert s.variance == 0.0 and 0 < s.est_error < 1e-12
+
+    def test_missed_bound_compares_two_exact_grids(self):
+        # the bound on D (scale 1/lam, peak 1e5) misses 1e-10, so the exact
+        # grid 64 is compared with 128; neither aliases w^33 onto w
+        s = spectral_summary(parse("w^33 + 100000/w", 1), 0.9)
+        assert s.grid_n == 128
+        assert abs(s.jacobian[0, 0]) < 1e-10 and abs(s.eta[0, 0] - 1e5) < 1e-10 * 1e5
+
+    def test_inner_product_grid_covers_the_exponent_difference(self):
+        # conj(w^8) * w^-8 = w^-16 on the unit circle: a 16-grid would read 1
+        f, g = parse("w^8", 1), parse("w^-8", 1)
+        assert abs(inner_product_numeric(f, g, 1.0)) < 1e-12
+        assert abs(inner_product_numeric(f, f, 1.1) - 1.1**16) < 1e-12 * 1.1**16
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((0.3, 1.0, 1.7)))
+    def test_error_estimate_bounds_the_oracle_gap(self, seed, lam):
+        f = random_decomposable(np.random.default_rng(seed))
+        s = spectral_summary(f, lam)
+        d = decompose(f)
+        assert s.grid_n == 16 and s.est_error > 0
+        gaps = [
+            np.max(np.abs(s.core - matrix_to_complex([d.core]).ravel())),
+            np.max(np.abs(s.eta - matrix_to_complex(d.eta))),
+            np.max(np.abs(s.jacobian - matrix_to_complex(d.jacobian))),
+            abs(s.variance - float(variance_exact(f, Fraction(lam)))),
+        ]
+        assert max(gaps) <= s.est_error
 
 
 class TestSpectralSummary:
