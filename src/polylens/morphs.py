@@ -20,7 +20,7 @@ pullback overshoots D' J by exactly eta' a^2/c^3.  The covariance law is a
 chain rule for the analytic component, so its direct side is measured on the
 pullback of the analytic part (the full pullback minus the measured pole
 part); the residue law is insensitive to this split and is checked on the
-full pullback.  pole_feedthrough quantifies the shed term itself.
+full pullback.  TransformReport.feedthrough quantifies the shed term itself.
 
 For n >= 2 only diagonal-dominant morphs g_gamma = c_gamma * w_gamma *
 (1 + h_gamma(w)) with sup|h_gamma| < 1/2 on the poly-disc are accepted:
@@ -35,10 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AdmissibilityViolation,
     DimensionMismatch,
-    ExpansionTooLarge,
     NotDiagonalDominant,
     NotFixingOrigin,
+    NotLaurent,
     NotPolynomial,
     SingularJacobian,
     VanishesOnTorus,
@@ -91,9 +92,7 @@ def morph_validate(
         raise DimensionMismatch(f"coordinate change needs {n} components, got {g.k}")
     try:
         exact = to_laurent(g)
-    except ExpansionTooLarge:
-        raise
-    except Exception as exc:
+    except (NotLaurent, AdmissibilityViolation) as exc:
         raise NotPolynomial(f"components are not polynomial: {exc}") from exc
     if any(e < 0 for exps in exact.terms for e in exps):
         raise NotPolynomial("components must have no poles")
@@ -186,7 +185,8 @@ def compose(outer: MeroExpr, inner: MeroExpr) -> MeroExpr:
 
 @dataclass(frozen=True)
 class TransformReport:
-    """Directly measured vs transformation-law-predicted matrices."""
+    """Directly measured vs transformation-law-predicted matrices, and the
+    raw first-order matrix of the full pullback."""
 
     eta_direct: np.ndarray
     eta_predicted: np.ndarray
@@ -194,6 +194,15 @@ class TransformReport:
     jac_predicted: np.ndarray
     eta_residual: float
     jac_residual: float
+    jac_raw: np.ndarray
+
+    @property
+    def feedthrough(self) -> np.ndarray:
+        """First-order coefficients that the pulled-back pole part sheds: the
+        gap between the raw first-order matrix of the full pullback and the
+        derivative of its analytic component.  Zero for linear changes;
+        eta' a^2/c^3 for the one-dimensional quadratic family."""
+        return self.jac_raw - self.jac_direct
 
     @property
     def max_residual(self) -> float:
@@ -245,7 +254,7 @@ def verify_transform(
     lam = g.lam if lam is None else lam
     _, eta_p, jac_p, _, _ = first_order_summary(psi_prime, lam, tol=tol, max_n=max_n)
     pulled = pullback(psi_prime, g)
-    _, eta_d, _, _, _ = first_order_summary(pulled, lam, tol=tol, max_n=max_n)
+    _, eta_d, jac_raw, _, _ = first_order_summary(pulled, lam, tol=tol, max_n=max_n)
     _, _, jac_d, _, _ = first_order_summary(
         _analytic_pullback(pulled, g, eta_p), lam, tol=tol, max_n=max_n
     )
@@ -258,6 +267,7 @@ def verify_transform(
         jac_predicted=jac_pred,
         eta_residual=float(np.max(np.abs(eta_d - eta_pred))),
         jac_residual=float(np.max(np.abs(jac_d - jac_pred))),
+        jac_raw=jac_raw,
     )
 
 
@@ -268,19 +278,6 @@ def pole_feedthrough(
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
 ) -> np.ndarray:
-    """First-order coefficients that the pulled-back pole part sheds: the gap
-    between the raw first-order matrix of the full pullback and the derivative
-    of its analytic component.  Zero for linear changes; eta' a^2/c^3 for the
-    one-dimensional quadratic family."""
-    if psi_prime.n != g.n:
-        raise DimensionMismatch(
-            f"function in {psi_prime.n} variables vs change of {g.n} coordinates"
-        )
-    lam = g.lam if lam is None else lam
-    _, eta_p, _, _, _ = first_order_summary(psi_prime, lam, tol=tol, max_n=max_n)
-    pulled = pullback(psi_prime, g)
-    _, _, jac_raw, _, _ = first_order_summary(pulled, lam, tol=tol, max_n=max_n)
-    _, _, jac_analytic, _, _ = first_order_summary(
-        _analytic_pullback(pulled, g, eta_p), lam, tol=tol, max_n=max_n
-    )
-    return jac_raw - jac_analytic
+    """The feedthrough matrix of verify_transform's report (see
+    TransformReport.feedthrough)."""
+    return verify_transform(psi_prime, g, lam, tol=tol, max_n=max_n).feedthrough

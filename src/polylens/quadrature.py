@@ -23,12 +23,23 @@ and ``expr.MeroExpr`` provide the method; a MeroExpr has a range when it
 divides only by monomials.
 
 Every other evaluator (divisions by non-monomials, :class:`GridFunction`) is
-refined by doubling N until two successive grids agree.  Each level samples
-its grid once and extracts every requested coefficient in one separable
-contraction (one small phase matrix per axis).  The first level samples
-2*n_start points per dimension and reads the n_start statistic from the even
-sub-grid, whose coordinates are bitwise those of the n_start grid, so a
-result accepted at N = 2*n_start costs one evaluation of f.
+refined by doubling N.  Each level samples its grid once and extracts every
+requested coefficient in one separable contraction (one small phase matrix
+per axis).  The first level samples 2*n_start points per dimension and reads
+the n_start statistic from the even sub-grid, whose coordinates are bitwise
+those of the n_start grid, so a result accepted at N = 2*n_start costs one
+evaluation of f.  A level accepts N when the grids N/2 and N agree within the
+tolerance.  When they do not, but the square of their delta does (on
+geometric decay the error of N is near that square), N is confirmed on a
+copy of the N grid turned by GRID_SHIFT grid steps per axis instead of
+sampling 2N: an alias term c_{a+N m} of a coefficient read from the N grid
+turns its phase by 2*pi*m.s under the shift, so the two grids differ by the
+alias error times |1 - exp(2*pi*i*m.s)|.  The estimate divides that
+difference by the smallest such factor over the nonzero m in {-1,0,1}^n
+(see _alias_floor), with a margin of SHIFT_MARGIN; if it misses the
+tolerance, N doubles as before.  On either path the estimate is floored by
+the rounding bound of the accepted grid, since the nested grids share points
+and rounding.
 
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
@@ -60,6 +71,14 @@ MAX_TOTAL_POINTS = 2**24      # budget on N**n
 MAX_DIMENSION = 4
 BLOWUP_THRESHOLD = 1e12       # |f| beyond this counts as a pole on the torus
 
+# Per-axis turn of the confirming grid, in grid steps.  For every nonzero m in
+# {-1,0,1}^n the binary fractions keep m.s at least 2^-n from an integer, the
+# most any n shifts allow: two of the 2^n sums over m in {0,1}^n lie within
+# 2^-n of each other on the circle.  Aliases c_{a+2N m} keep their phase
+# under these shifts, as they do between the nested grids N and 2N.
+GRID_SHIFT = (1 / 2, 1 / 4, 1 / 8, 1 / 16)
+SHIFT_MARGIN = 2.0            # safety factor on the shifted-grid estimate
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -84,27 +103,46 @@ class TorusGrid:
     N: int
     values: np.ndarray  # shape (N,)*n + (k,)
     peak: float | None = None  # max |value|, recorded by sample_torus
+    shift: tuple[float, ...] | None = None  # per-axis turn in grid steps
 
     def even_subgrid(self) -> "TorusGrid":
-        """The N/2 grid formed by the even-indexed points of this one."""
+        """The N/2 grid formed by the even-indexed points of this one (its
+        peak is this grid's, an upper bound)."""
         values = self.values[(slice(None, None, 2),) * self.n]
+        shift = None if self.shift is None else tuple(s / 2 for s in self.shift)
         return TorusGrid(n=self.n, k=self.k, lam=self.lam, N=self.N // 2,
-                         values=np.ascontiguousarray(values))
+                         values=np.ascontiguousarray(values), peak=self.peak,
+                         shift=shift)
 
 
-def torus_coords(n: int, lam: float, N: int) -> list[np.ndarray]:
-    """Broadcastable coordinate arrays for the sample grid."""
-    circle = lam * np.exp(2j * np.pi * np.arange(N) / N)
+def _steps(N: int, shift: tuple[float, ...] | None, j: int) -> np.ndarray:
+    """Grid positions along axis j, in grid steps."""
+    return np.arange(N) if shift is None else np.arange(N) + shift[j]
+
+
+def torus_coords(
+    n: int, lam: float, N: int, shift: tuple[float, ...] | None = None
+) -> list[np.ndarray]:
+    """Broadcastable coordinate arrays for the sample grid, axis j turned by
+    shift[j] grid steps when a shift is given."""
     coords = []
     for j in range(n):
         shape = [1] * n
         shape[j] = N
+        circle = lam * np.exp(2j * np.pi * _steps(N, shift, j) / N)
         coords.append(circle.reshape(shape))
     return coords
 
 
-def sample_torus(f, lam: float, N: int, max_points: int = MAX_TOTAL_POINTS) -> TorusGrid:
-    """Evaluate f on the N^n torus grid.
+def sample_torus(
+    f,
+    lam: float,
+    N: int,
+    max_points: int = MAX_TOTAL_POINTS,
+    shift: tuple[float, ...] | None = None,
+) -> TorusGrid:
+    """Evaluate f on the N^n torus grid, turned by shift[j] grid steps along
+    axis j when a shift is given.
 
     Raises PoleOnTorus when evaluation divides by a near-zero modulus or any
     value is non-finite or beyond the blow-up threshold, and GridTooLarge when
@@ -119,7 +157,9 @@ def sample_torus(f, lam: float, N: int, max_points: int = MAX_TOTAL_POINTS) -> T
         raise GridTooLarge(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
     if N**n > max_points:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {max_points}")
-    coords = torus_coords(n, lam, N)
+    if shift is not None and len(shift) != n:
+        raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
+    coords = torus_coords(n, lam, N, shift)
     try:
         components = f.eval_grid(coords)
     except DivisionNearZero as exc:
@@ -135,16 +175,17 @@ def sample_torus(f, lam: float, N: int, max_points: int = MAX_TOTAL_POINTS) -> T
         raise PoleOnTorus(
             f"value of modulus {peak:.3g} on the radius-{lam:g} torus"
         )
-    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values, peak=peak)
+    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values, peak=peak, shift=shift)
 
 
 def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> np.ndarray:
     """Coefficients c_a of the sampled function for every index a, as an
     array of shape (len(indices), k).
 
-    c_a = lam^(-sum a) * (1/N^n) * sum_m values(m) exp(-2*pi*i*a.m/N); exact to
-    rounding for Laurent polynomials whose per-dimension exponent width is
-    below N.  Requires |a_j| <= N/2 - 1 against aliasing.
+    c_a = lam^(-sum a) * (1/N^n) * sum_m values(m) exp(-2*pi*i*a.(m + s)/N),
+    with s the grid's shift (zero when it has none); exact to rounding for
+    Laurent polynomials whose per-dimension exponent width is below N.
+    Requires |a_j| <= N/2 - 1 against aliasing.
 
     The sum is separable: axis j is contracted against one phase matrix with a
     row per distinct order requested on that axis.  Axis 0 goes first, from
@@ -160,12 +201,12 @@ def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> n
             raise AliasingRisk(
                 f"coefficient order {avec} too high for N={N} (need |a_j| <= N/2 - 1)"
             )
-    m = np.arange(N)
     rows = []
     out = grid.values
     for j in range(n):
         orders = sorted({a[j] for a in idx})
         rows.append([orders.index(a[j]) for a in idx])
+        m = _steps(N, grid.shift, j)
         phases = np.exp(-2j * np.pi * np.array(orders)[:, None] * m / N)
         # (r_j, N) @ (r_0, ..., r_{j-1}, N, rest): contracts grid axis j; the
         # first step reads the full grid in place
@@ -180,11 +221,6 @@ def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
     """Coefficient c_a of the sampled function, one entry per component
     (see laurent_coefficients)."""
     return laurent_coefficients(grid, [a])[0]
-
-
-def _mean_power(grid: TorusGrid) -> float:
-    """Average of |f|^2 over the grid, summed over components."""
-    return float(np.vdot(grid.values, grid.values).real) / grid.N**grid.n
 
 
 @dataclass(frozen=True)
@@ -221,20 +257,33 @@ class SpectralSummary:
         }
 
 
+def _alias_floor(n: int) -> float:
+    """Smallest |1 - exp(2*pi*i*m.s)| over the nonzero m in {-1,0,1}^n, for
+    s = GRID_SHIFT[:n]: 2*sin(pi * 2^-n), since m.s keeps 2^-n from an
+    integer."""
+    return 2 * np.sin(np.pi / 2**n)
+
+
 def _adaptive(
-    sample: Callable[[int], TorusGrid],
-    stat: Callable[[TorusGrid], np.ndarray],
+    sample: Callable[..., TorusGrid],
+    read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
     tol: float,
     n_start: int,
     max_n: int,
 ) -> tuple[np.ndarray, float, int]:
-    """Double N until stat on two successive grids agrees within tol.
+    """Refine N until the statistic is resolved within tol.
 
-    The first level samples 2*n_start and evaluates stat on its even sub-grid
-    as the n_start level; every later level samples one new grid.  Agreement
-    is absolute for entries of modulus <= 1 and relative above, so large
-    variances do not stall the refinement at the rounding floor.  The returned
-    error estimate is the raw infinity-norm of the last delta.
+    ``sample(N, shift=None)`` samples a grid and ``read`` returns the
+    statistic on it with a per-entry rounding bound.  The first level
+    samples 2*n_start and reads its even sub-grid as the n_start level;
+    every later level samples one new grid.  A level accepts N when the
+    grids N/2 and N agree; when only the squared delta is within tol, it
+    samples the N grid turned by GRID_SHIFT and accepts N when the alias
+    error inferred from the two (see _alias_floor) is.  Otherwise N doubles.
+    Agreement is absolute for entries of modulus <= 1 and relative above, so
+    large variances do not stall the refinement at the rounding floor.  The
+    returned error estimate is the infinity-norm of the accepting delta or
+    alias error, floored entry by entry by the rounding bound of N.
     """
     if n_start < 4:
         raise ValueError("need at least 4 points per dimension")
@@ -245,17 +294,25 @@ def _adaptive(
             f"(N={n_start} and N={N})"
         )
     grid = sample(N)
-    prev, cur = stat(grid.even_subgrid()), stat(grid)
+    shift = GRID_SHIFT[: grid.n]
+    prev, _ = read(grid.even_subgrid())
+    cur, floor = read(grid)
     del grid  # hold no grid while the next one is sampled
     while True:
+        bound = tol * np.maximum(1.0, np.abs(cur))
         delta = np.abs(cur - prev)
-        if np.all(delta <= tol * np.maximum(1.0, np.abs(cur))):
-            return cur, float(np.max(delta)), N
+        if np.all(delta <= bound):
+            return cur, float(np.max(np.maximum(delta, floor))), N
+        if np.all(delta <= np.sqrt(bound)):
+            turned, _ = read(sample(N, shift))
+            alias = SHIFT_MARGIN * np.abs(turned - cur) / _alias_floor(len(shift))
+            if np.all(alias <= bound):
+                return cur, float(np.max(np.maximum(alias, floor))), N
         if 2 * N > max_n:
             break
         prev = cur
         N *= 2
-        cur = stat(sample(N))
+        cur, floor = read(sample(N))
     raise NonConvergent(
         f"refinement reached N={N} (cap {max_n}) without two grids agreeing within {tol:g}"
     )
@@ -277,8 +334,7 @@ def _rounding_bound(grid: TorusGrid) -> float:
 
 
 def _refine(
-    sample: Callable[[int], TorusGrid],
-    stat: Callable[[TorusGrid], np.ndarray],
+    sample: Callable[..., TorusGrid],
     read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
     width: int | None,
     tol: float,
@@ -298,7 +354,7 @@ def _refine(
     compares the exact grids N and 2N, both alias-free.
     """
     if width is None:
-        return _adaptive(sample, stat, tol, n_start, max_n)
+        return _adaptive(sample, read, tol, n_start, max_n)
     if n_start < 4:
         raise ValueError("need at least 4 points per dimension")
     N = 1 << (n_start - 1).bit_length()
@@ -311,7 +367,7 @@ def _refine(
     value, est = read(sample(N))
     if np.all(est <= tol * np.maximum(1.0, np.abs(value))):
         return value, float(np.max(est)), N
-    return _adaptive(sample, stat, tol, N, max_n)
+    return _adaptive(sample, read, tol, N, max_n)
 
 
 def _exponent_bounds(f) -> list[tuple[int, int]] | None:
@@ -349,12 +405,8 @@ def adaptive_coefficients(
     """
     idx = [tuple(int(x) for x in a) for a in indices]
 
-    def sample(N: int) -> TorusGrid:
-        return sample_torus(f, lam, N, max_points)
-
-    def stat(grid: TorusGrid) -> np.ndarray:
-        vec = laurent_coefficients(grid, idx).ravel()
-        return np.append(vec, _mean_power(grid)) if with_power else vec
+    def sample(N: int, shift: tuple[float, ...] | None = None) -> TorusGrid:
+        return sample_torus(f, lam, N, max_points, shift)
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         vec = laurent_coefficients(grid, idx).ravel()
@@ -373,7 +425,7 @@ def adaptive_coefficients(
         max(hi, *(a[j] for a in idx)) - min(lo, *(a[j] for a in idx))
         for j, (lo, hi) in enumerate(bounds)
     )
-    vec, err, n_used = _refine(sample, stat, read, width, tol, n_start, max_n)
+    vec, err, n_used = _refine(sample, read, width, tol, n_start, max_n)
     coeffs: dict[tuple[int, ...], np.ndarray] = {}
     for i, a in enumerate(idx):
         coeffs[a] = vec[i * f.k : (i + 1) * f.k]
@@ -464,10 +516,12 @@ def inner_product_numeric(
     tol: float = DEFAULT_TOL,
     n_start: int = DEFAULT_START_N,
     max_n: int = DEFAULT_MAX_N,
+    max_points: int = MAX_TOTAL_POINTS,
 ) -> complex:
     """<f, g> as the grid mean of conj(f).g, conjugate-linear in f.  When both
     have an exponent range, the exact grid must exceed the widest exponent
-    difference of conj(f).g on every axis."""
+    difference of conj(f).g on every axis.  Raises GridTooLarge when a grid
+    exceeds max_points."""
     if f.n != g.n or f.k != g.k:
         raise DimensionMismatch(
             f"shape ({f.n},{f.k}) vs ({g.n},{g.k})"
@@ -476,13 +530,8 @@ def inner_product_numeric(
     k = f.k
     pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
 
-    def sample(N: int) -> TorusGrid:
-        return sample_torus(pair, lam, N)
-
-    def stat(grid: TorusGrid) -> np.ndarray:
-        values = grid.values
-        total = np.vdot(values[..., :k], values[..., k:])
-        return np.asarray([total / grid.N**grid.n])
+    def sample(N: int, shift: tuple[float, ...] | None = None) -> TorusGrid:
+        return sample_torus(pair, lam, N, max_points, shift)
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         values = grid.values
@@ -496,5 +545,5 @@ def inner_product_numeric(
         max(g_hi - f_lo, f_hi - g_lo)
         for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
     )
-    vec, _, _ = _refine(sample, stat, read, width, tol, n_start, max_n)
+    vec, _, _ = _refine(sample, read, width, tol, n_start, max_n)
     return complex(vec[0])

@@ -11,6 +11,7 @@ from polylens.errors import (
     SingularJacobian,
     VanishesOnTorus,
 )
+from polylens import morphs
 from polylens.expr import parse, to_text
 from polylens.morphs import (
     compose,
@@ -44,6 +45,16 @@ class TestValidation:
             morph_validate(parse("1/w", 1), 0.5)
         with pytest.raises(NotPolynomial):
             morph_validate(parse("w + 1/(w-2)", 1), 0.5)
+        with pytest.raises(NotPolynomial):
+            morph_validate(parse("w + w^-2", 1), 0.5)
+
+    def test_internal_errors_are_not_wrapped(self, monkeypatch):
+        def broken(g):
+            raise TypeError("unknown node")
+
+        monkeypatch.setattr(morphs, "to_laurent", broken)
+        with pytest.raises(TypeError, match="unknown node"):
+            morph_validate(parse("2*w", 1), 0.5)
 
     def test_vanishing_on_torus(self):
         # w - 4 w^2 has a zero at 0.25, exactly on the radius-1/4 circle
@@ -140,6 +151,11 @@ class TestPoleFeedthrough:
         g = morph_validate(parse("2*w", 1), 0.25)
         shed = pole_feedthrough(parse("1/u", 1, var_letter="u"), g)
         assert abs(shed[0, 0]) <= 1e-10
+
+    def test_report_carries_the_feedthrough(self):
+        g = morph_validate(parse("w + 0.25*w^2", 1), 0.25)
+        report = verify_transform(parse("1/u + u", 1, var_letter="u"), g)
+        assert report.feedthrough[0, 0] == pytest.approx(0.0625, abs=1e-9)
 
 
 class TestComposition:

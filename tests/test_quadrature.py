@@ -1,6 +1,9 @@
 """Torus-quadrature engine tests: sampling, coefficient extraction, adaptive
 summaries, and agreement with the exact oracle."""
 
+import cmath
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +21,10 @@ from polylens.errors import (
 from polylens.expr import parse
 from polylens.laurent import LaurentPoly, decompose, matrix_to_complex, variance_exact
 from polylens.quadrature import (
+    GRID_SHIFT,
     GridFunction,
     TorusGrid,
+    _alias_floor,
     adaptive_coefficients,
     expectation_numeric,
     first_order_summary,
@@ -164,20 +169,22 @@ class TestBatchedCoefficients:
 # Accepted grid sizes and raised errors of the refinement loop:
 # (expression, n, scale, keyword arguments, grid_n or error type).  Laurent
 # expressions take the single exact grid; expressions that divide by a
-# non-monomial (here 1/(w - 10) and the like) double N.
+# non-monomial (here 1/(w - 10) and the like) double N, and a grid whose
+# nested delta squared meets the tolerance is confirmed on the shifted grid
+# of the same N (1/(w-2): the N=32 confirmation misses 1e-10, N=64 passes).
 _REFINEMENT_CORPUS = [
     ("1/w + w", 1, 1.0, {}, 16),
     ("1/w", 1, 0.5, {}, 16),
     ("1/w + 3*w + w^2", 1, 0.8, {}, 16),
-    ("1/(w-2)", 1, 1.0, {}, 128),
-    ("2/w1 + w2/(1.5 - w2)", 2, 0.9, {}, 128),
-    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {}, 128),
+    ("1/(w-2)", 1, 1.0, {}, 64),
+    ("2/w1 + w2/(1.5 - w2)", 2, 0.9, {}, 64),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {}, 64),
     ("1/(w-2)", 1, 1.0, {"max_n": 32}, NonConvergent),
-    ("1/(w-2)", 1, 1.0, {"max_n": 64}, NonConvergent),
+    ("1/(w-2)", 1, 1.0, {"max_n": 64}, 64),
     ("1/w", 1, 1.0, {"max_n": 8}, NonConvergent),
     ("1/w", 1, 1.0, {"max_n": 16}, 16),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 32**3 - 1}, GridTooLarge),
-    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3}, GridTooLarge),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3 - 1}, GridTooLarge),
     ("1/(w - 1)", 1, 1.0, {}, PoleOnTorus),
     # exp(2*pi*i/32): a pole on an odd point of the 32-grid only
     ("1/(w - (0.98078528040323043 + 0.19509032201612825i))", 1, 1.0, {}, PoleOnTorus),
@@ -191,6 +198,11 @@ _REFINEMENT_CORPUS = [
     ("w^33", 1, 1.0, {"max_n": 32}, NonConvergent),
     ("1/w + w^-31", 1, 1.0, {}, 64),
     ("2/w1 + 3*w2^2 + w1*w2/w3", 3, 0.7, {}, 16),
+    # rho = 0.8: levels 32 and 64 miss, the shifted 128 grid confirms; a cap
+    # of 64 refuses after two levels
+    ("1/(w - 1.25)", 1, 1.0, {}, 128),
+    ("1/(w - 1.25)", 1, 1.0, {"max_n": 64}, NonConvergent),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3}, 64),
 ]
 
 
@@ -377,6 +389,13 @@ class TestInnerProduct:
         with pytest.raises(DimensionMismatch):
             inner_product_numeric(parse("w", 1), parse("w1, w2", 2), 1.0)
 
+    def test_point_budget(self):
+        # no exponent range: the first level samples 32^2 points
+        f = GridFunction(2, 1, lambda c: [c[0] * c[1]])
+        assert abs(inner_product_numeric(f, f, 1.0, max_points=32**2) - 1) < 1e-12
+        with pytest.raises(GridTooLarge):
+            inner_product_numeric(f, f, 1.0, max_points=32**2 - 1)
+
 
 class TestOracleAgreement:
     def test_summary_matches_oracle(self):
@@ -418,3 +437,105 @@ def test_mean_of_modulus_squared_equals_self_inner_product():
     core_energy = float(np.sum(np.abs(s.core) ** 2))
     assert abs((s.variance + core_energy) - ip.real) < 1e-10
     assert abs(ip.imag) < 1e-10
+
+
+@st.composite
+def _laurent_with_shift(draw):
+    n = draw(st.integers(1, 3))
+    f = random_decomposable(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n=n)
+    N = draw(st.sampled_from((16, 32)))
+    lam = draw(st.sampled_from((0.5, 1.0, 1.5)))
+    fraction = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
+    shift = draw(st.one_of(st.just(GRID_SHIFT[:n]), st.tuples(*[fraction] * n)))
+    drawn = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6))
+    return f, N, lam, shift, drawn
+
+
+def _deep_case(rng, n: int, band: tuple[float, float]):
+    """A member of c0 + sum e/w + sum d*w + r/(a - w1...wn) with the series
+    ratio rho = lam^n/|a| drawn from the band, and its closed-form core, eta
+    and D (r/(a - w) adds r/a^2 to D when n = 1)."""
+    def text(z):
+        return f"({z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i)"
+
+    def cplx(bound):
+        return complex(*rng.uniform(-bound, bound, 2))
+
+    lam = rng.uniform(0.8, 1.25)
+    a = lam**n / rng.uniform(*band) * cmath.exp(2j * math.pi * rng.uniform())
+    r = rng.uniform(0.5, 1.5) * cmath.exp(2j * math.pi * rng.uniform()) * a
+    c0, e, d = cplx(1), [cplx(2) for _ in range(n)], [cplx(2) for _ in range(n)]
+    product = "*".join(f"w{j + 1}" for j in range(n))
+    parts = [text(c0)] + [f"{text(x)}/w{j + 1}" for j, x in enumerate(e)]
+    parts += [f"{text(x)}*w{j + 1}" for j, x in enumerate(d)]
+    parts.append(f"{text(r)}/({text(a)} - {product})")
+    jac = np.array(d) + (r / a**2 if n == 1 else 0)
+    return parse(" + ".join(parts), n), lam, c0 + r / a, np.array(e), jac
+
+
+# Bands of rho accepted at N = 32 by the nested grids, at N = 32 by the
+# shifted grid, and at N = 64 by the shifted grid, with the accepted N.  n = 4
+# leaves out the last to keep every grid at or below 32^4 points.
+_RHO_BANDS = (((0.10, 0.19), 32), ((0.33, 0.42), 32), ((0.55, 0.64), 64))
+_DEEP_SHAPES = [(n, band) for n in (1, 2, 3, 4) for band in _RHO_BANDS
+                if n < 4 or band[1] == 32]
+
+
+class TestShiftedGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(_laurent_with_shift())
+    def test_coefficients_match_the_unshifted_grid(self, case):
+        f, N, lam, shift, drawn = case
+        indices = [(0,) * f.n, *drawn]
+        plain = laurent_coefficients(sample_torus(f, lam, N), indices)
+        turned = sample_torus(f, lam, N, shift=shift)
+        assert turned.shift == shift
+        got = laurent_coefficients(turned, indices)
+        assert np.all(np.abs(got - plain) <= 1e-12 * np.maximum(1.0, np.abs(plain)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_shifts_keep_every_alias_detectable(self, n):
+        shift = np.array(GRID_SHIFT[:n])
+        factors, distances = [], []
+        for m in itertools.product((-1, 0, 1), repeat=n):
+            if any(m):
+                turn = float(np.dot(m, shift))
+                distances.append(abs(turn - round(turn)))
+                factors.append(abs(1 - cmath.exp(2j * math.pi * turn)))
+        assert min(distances) == 2.0**-n
+        assert min(factors) >= _alias_floor(n) * (1 - 1e-12)
+        assert min(factors) <= _alias_floor(n) * (1 + 1e-12)
+
+    def test_shift_needs_one_entry_per_axis(self):
+        with pytest.raises(DimensionMismatch):
+            sample_torus(parse("w1*w2", 2), 1.0, 16, shift=(0.5,))
+
+    def test_confirmation_samples_the_same_grid_size(self):
+        sizes = []
+        f = GridFunction(1, 1, lambda c: sizes.append(c[0].size) or [1 / (c[0] - 2)])
+        s = spectral_summary(f, 1.0)
+        # 16 against 32 misses by ~1e-5, too far for a shifted 32 grid; 32
+        # against 64 misses by ~1e-10, and the shifted 64 grid confirms 64
+        assert s.grid_n == 64 and sizes == [32, 64, 64]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(_DEEP_SHAPES))
+    def test_error_estimate_bounds_the_closed_form_gap(self, seed, shape):
+        n, (rho_band, grid_n) = shape
+        f, lam, core, eta, jac = _deep_case(np.random.default_rng(seed), n, rho_band)
+        s = spectral_summary(f, lam, max_points=32**4)
+        assert s.grid_n == grid_n
+        gaps = [abs(s.core[0] - core), *np.abs(s.eta[0] - eta),
+                *np.abs(s.jacobian[0] - jac)]
+        assert max(gaps) <= s.est_error
+
+    @pytest.mark.parametrize("b,lam", [(3, 0.05), (10, 0.02)])
+    def test_first_level_estimate_is_floored_by_rounding(self, b, lam):
+        # 1/w + w + 1/(w - b) = 1/w + w - sum_m w^m / b^(m+1): the nested
+        # grids 16 and 32 agree below the real error of D, so the rounding
+        # bound of the 32 grid has to carry the estimate
+        s = spectral_summary(parse(f"1/w + w + 1/(w - {b})", 1), lam)
+        assert s.grid_n == 32
+        gaps = [abs(s.core[0] + 1 / b), abs(s.eta[0, 0] - 1),
+                abs(s.jacobian[0, 0] - (1 - 1 / b**2))]
+        assert max(gaps) <= s.est_error
