@@ -74,6 +74,7 @@ from .quadrature import (
     inner_product_numeric,
     laurent_coefficient,
     sample_torus,
+    spectral_summaries,
     spectral_summary,
 )
 from .slices import (

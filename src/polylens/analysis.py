@@ -17,10 +17,12 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import InconsistentScales, PoleOnTorus
+from .laurent import trace_norm_sq
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
     adaptive_coefficients,
+    spectral_summaries,
     spectral_summary,
 )
 
@@ -54,8 +56,8 @@ def optimal_scale(eta, jacobian, zero_threshold: float = TRACE_ZERO_THRESHOLD) -
     in the scale) and Degenerate(ZeroResidue) when Tr(eta* eta) = 0 (monotone
     increasing toward zero scale); degeneracies are values, not errors.
     """
-    tr_eta = float(np.sum(np.abs(np.asarray(eta, dtype=complex)) ** 2))
-    tr_jac = float(np.sum(np.abs(np.asarray(jacobian, dtype=complex)) ** 2))
+    tr_eta = trace_norm_sq(eta)
+    tr_jac = trace_norm_sq(jacobian)
     if tr_jac <= zero_threshold:
         return ZERO_JACOBIAN
     if tr_eta <= zero_threshold:
@@ -86,7 +88,7 @@ def variance_sweep(
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
 ) -> LensSweep:
-    """Spectral summary at every grid scale, collected into a sweep.
+    """Spectral summaries at every grid scale, collected into a sweep.
 
     The grid must be positive and strictly increasing.  The residue and
     derivative matrices are reported from the smallest scale and checked for
@@ -99,7 +101,7 @@ def variance_sweep(
     if not lams or any(x <= 0 for x in lams) or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("scale grid must be nonempty, positive and increasing")
 
-    summaries = [spectral_summary(f, lam, tol=tol, max_n=max_n) for lam in lams]
+    summaries = spectral_summaries(f, lams, tol=tol, max_n=max_n)
     eta = summaries[0].eta
     jac = summaries[0].jacobian
     consistency = max(1e-9, 100.0 * tol)
@@ -113,7 +115,7 @@ def variance_sweep(
                 f"{lams[0]:g} and {s.lam:g}"
             )
 
-    tr_eta = float(np.sum(np.abs(eta) ** 2))
+    tr_eta = trace_norm_sq(eta)
 
     def variance_at(lam: float) -> float:
         return spectral_summary(f, lam, tol=tol, max_n=max_n).variance

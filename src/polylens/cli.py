@@ -30,6 +30,7 @@ from . import verify as verify_mod
 from .analysis import Degenerate, geometric_grid, variance_sweep
 from .errors import LensError, ParseError
 from .expr import parse
+from .laurent import trace_norm_sq
 from .morphs import DEFAULT_MORPH_LAMBDA, morph_validate, verify_transform
 from .quadrature import DEFAULT_MAX_N, DEFAULT_TOL, spectral_summary
 from .slices import Slice, parse_interval, product_measure, slice_measure
@@ -181,8 +182,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         print(canonical_json(summary.to_json_dict()))
         return 0
-    tr_eta = float(np.sum(np.abs(summary.eta) ** 2))
-    bound = tr_eta**0.5 / args.lam
+    bound = trace_norm_sq(summary.eta) ** 0.5 / args.lam
     print(f"lambda      = {fmt_float(args.lam)}")
     print(f"core        = {fmt_vector(summary.core)}")
     print(f"eta         = {fmt_matrix(summary.eta)}")

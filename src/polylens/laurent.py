@@ -457,10 +457,12 @@ def matrix_to_complex(matrix) -> np.ndarray:
     )
 
 
+def trace_norm_sq(matrix) -> float:
+    """Numeric counterpart of trace_norm_sq_exact: Tr(M* M) of a measured (or
+    exact) matrix, or the squared norm of a vector, in floating point."""
+    return float(np.sum(np.abs(np.asarray(matrix, dtype=complex)) ** 2))
+
+
 def variance_model(eta, jacobian, lam: float) -> float:
     """Numeric counterpart of variance_model_exact for measured matrices."""
-    e = np.asarray(matrix_to_complex(eta))
-    d = np.asarray(matrix_to_complex(jacobian))
-    tr_e = float(np.sum(np.abs(e) ** 2))
-    tr_d = float(np.sum(np.abs(d) ** 2))
-    return tr_e / lam**2 + lam**2 * tr_d
+    return trace_norm_sq(eta) / lam**2 + lam**2 * trace_norm_sq(jacobian)

@@ -22,6 +22,17 @@ exceed the widest exponent difference of conj(f)*g.  ``laurent.LaurentPoly``
 and ``expr.MeroExpr`` provide the method; a MeroExpr has a range when it
 divides only by monomials.
 
+The exact grid does not depend on the scale, so a sweep over several scales
+(:func:`spectral_summaries`) samples them together in blocks: one evaluation
+of f on the coordinates lam[:, None] * circle and one separable contraction
+per block, with the scale axis leading.  A block holds at most BLOCK_VALUES
+values (scales x N^n points x k components), which keeps its memory that of
+a small grid.  Every scale keeps its own peak, rounding bound and acceptance
+test, and a scale whose bound misses the tolerance runs the doubling loop
+alone.  A block that raises (a pole on one of its tori, an invalid scale) is
+sampled again one scale at a time, so the error names the scale and point
+that a one-scale call names.  One scale is the block of one.
+
 Every other evaluator (divisions by non-monomials, :class:`GridFunction`) is
 refined by doubling N.  Each level samples its grid once and extracts every
 requested coefficient in one separable contraction (one small phase matrix
@@ -44,12 +55,15 @@ and rounding.
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
 coordinate arrays works, e.g. ``expr.MeroExpr``, ``laurent.LaurentPoly`` or
-the :class:`GridFunction` adapter below.  Evaluators must be re-entrant and
-side-effect free; grids and summaries are immutable once built.
+the :class:`GridFunction` adapter below.  The arrays of a block carry one more
+leading axis, the scale, which an evaluator with an exponent range must
+broadcast like the others.  Evaluators must be re-entrant and side-effect
+free; grids and summaries are immutable once built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,6 +77,7 @@ from .errors import (
     NonConvergent,
     PoleOnTorus,
 )
+from .laurent import trace_norm_sq, variance_model
 
 DEFAULT_TOL = 1e-10
 DEFAULT_START_N = 16
@@ -70,6 +85,8 @@ DEFAULT_MAX_N = 4096          # per-dimension cap; env LENS_MAX_GRID overrides v
 MAX_TOTAL_POINTS = 2**24      # budget on N**n
 MAX_DIMENSION = 4
 BLOWUP_THRESHOLD = 1e12       # |f| beyond this counts as a pole on the torus
+BLOCK_VALUES = 2**14          # most values (scales x N^n x k) in one block of scales
+SCALE_RANGE = (2.0**-511, 2.0**511)  # scales whose square is a normal float
 
 # Per-axis turn of the confirming grid, in grid steps.  For every nonzero m in
 # {-1,0,1}^n the binary fractions keep m.s at least 2^-n from an integer, the
@@ -95,20 +112,24 @@ class GridFunction:
 @dataclass(frozen=True)
 class TorusGrid:
     """Values of an evaluator on the N^n equispaced grid of the radius-lam
-    torus; values[m1,...,mn,alpha] = f_alpha(lam * exp(2*pi*i*m/N))."""
+    torus; values[m1,...,mn,alpha] = f_alpha(lam * exp(2*pi*i*m/N)).
+
+    A block sampled at L scales at once has the scales as an (L,) array in
+    ``lam``, one peak per scale in ``peak``, and a leading scale axis on
+    ``values``."""
 
     n: int
     k: int
-    lam: float
+    lam: float | np.ndarray
     N: int
-    values: np.ndarray  # shape (N,)*n + (k,)
-    peak: float | None = None  # max |value|, recorded by sample_torus
+    values: np.ndarray  # shape lead + (N,)*n + (k,), lead = () or (L,)
+    peak: float | np.ndarray | None = None  # max |value| per scale, recorded by sample_torus
     shift: tuple[float, ...] | None = None  # per-axis turn in grid steps
 
     def even_subgrid(self) -> "TorusGrid":
         """The N/2 grid formed by the even-indexed points of this one (its
         peak is this grid's, an upper bound)."""
-        values = self.values[(slice(None, None, 2),) * self.n]
+        values = self.values[(..., *(slice(None, None, 2),) * self.n, slice(None))]
         shift = None if self.shift is None else tuple(s / 2 for s in self.shift)
         return TorusGrid(n=self.n, k=self.k, lam=self.lam, N=self.N // 2,
                          values=np.ascontiguousarray(values), peak=self.peak,
@@ -121,36 +142,54 @@ def _steps(N: int, shift: tuple[float, ...] | None, j: int) -> np.ndarray:
 
 
 def torus_coords(
-    n: int, lam: float, N: int, shift: tuple[float, ...] | None = None
+    n: int, lam, N: int, shift: tuple[float, ...] | None = None
 ) -> list[np.ndarray]:
     """Broadcastable coordinate arrays for the sample grid, axis j turned by
-    shift[j] grid steps when a shift is given."""
+    shift[j] grid steps when a shift is given.  For a sequence of L scales
+    the arrays carry a leading scale axis: lam[:, None] * circle."""
+    radius = np.asarray(lam, dtype=float)
+    radius = radius.reshape(radius.shape + (1,) * n)
     coords = []
     for j in range(n):
         shape = [1] * n
         shape[j] = N
-        circle = lam * np.exp(2j * np.pi * _steps(N, shift, j) / N)
-        coords.append(circle.reshape(shape))
+        circle = np.exp(2j * np.pi * _steps(N, shift, j) / N)
+        coords.append(radius * circle.reshape(shape))
     return coords
+
+
+def _torus(lams: np.ndarray) -> str:
+    """The sampled torus, or the tori of a block, as error messages name them."""
+    radii = ", ".join(f"{x:g}" for x in lams.ravel())
+    return f"radius-{radii} torus" if lams.size == 1 else f"tori of radii {radii}"
 
 
 def sample_torus(
     f,
-    lam: float,
+    lam,
     N: int,
     max_points: int = MAX_TOTAL_POINTS,
     shift: tuple[float, ...] | None = None,
 ) -> TorusGrid:
     """Evaluate f on the N^n torus grid, turned by shift[j] grid steps along
-    axis j when a shift is given.
+    axis j when a shift is given.  ``lam`` is one scale, or a sequence of L
+    scales sampled as one block in a single evaluation of f (see TorusGrid).
 
-    Raises PoleOnTorus when evaluation divides by a near-zero modulus or any
-    value is non-finite or beyond the blow-up threshold, and GridTooLarge when
-    the point count exceeds the budget (or n > 4).
+    Raises ValueError for a scale outside SCALE_RANGE (the variance model
+    divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
+    divides by a near-zero modulus or any value is non-finite or beyond the
+    blow-up threshold, and GridTooLarge when the point count per scale
+    exceeds the budget (or n > 4).
     """
     n, k = f.n, f.k
-    if not 0 < lam < np.inf:  # also rejects NaN
-        raise ValueError(f"radius must be positive and finite, got {lam!r}")
+    lams = np.asarray(lam, dtype=float)
+    lo, hi = SCALE_RANGE
+    for i, x in enumerate(lams.ravel().tolist()):
+        if not lo <= x <= hi:  # also rejects NaN
+            value = lam if lams.ndim == 0 else lam[i]
+            raise ValueError(
+                f"radius must be positive and finite, within 2^-511..2^511, got {value!r}"
+            )
     if N < 4:
         raise ValueError("need at least 4 points per dimension")
     if n > MAX_DIMENSION:
@@ -159,28 +198,34 @@ def sample_torus(
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {max_points}")
     if shift is not None and len(shift) != n:
         raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
-    coords = torus_coords(n, lam, N, shift)
+    coords = torus_coords(n, lams, N, shift)
     try:
-        components = f.eval_grid(coords)
+        # overflow and 0/0 leave non-finite values, refused just below
+        with np.errstate(all="ignore"):
+            components = f.eval_grid(coords)
     except DivisionNearZero as exc:
         raise PoleOnTorus(
-            f"pole on the radius-{lam:g} torus: {exc}", point=exc.point
+            f"pole on the {_torus(lams)}: {exc}", point=exc.point
         ) from exc
-    shape = (N,) * n
-    values = np.stack([np.broadcast_to(c, shape) for c in components], axis=-1)
-    if not np.all(np.isfinite(values)):
-        raise PoleOnTorus(f"non-finite value on the radius-{lam:g} torus")
-    peak = float(np.max(np.abs(values)))
-    if peak > BLOWUP_THRESHOLD:
+    values = np.empty(lams.shape + (N,) * n + (k,), dtype=complex)
+    for alpha, component in enumerate(components):
+        values[..., alpha] = component
+    if not np.isfinite(values).all():
+        raise PoleOnTorus(f"non-finite value on the {_torus(lams)}")
+    peak = np.abs(values).max(axis=tuple(range(lams.ndim, values.ndim)))
+    if peak.max() > BLOWUP_THRESHOLD:
         raise PoleOnTorus(
-            f"value of modulus {peak:.3g} on the radius-{lam:g} torus"
+            f"value of modulus {peak.max():.3g} on the {_torus(lams)}"
         )
-    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values, peak=peak, shift=shift)
+    one = lams.ndim == 0
+    return TorusGrid(n=n, k=k, lam=lam if one else lams, N=N, values=values,
+                     peak=float(peak) if one else peak, shift=shift)
 
 
 def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> np.ndarray:
     """Coefficients c_a of the sampled function for every index a, as an
-    array of shape (len(indices), k).
+    array of shape (len(indices), k), or (L, len(indices), k) for a block of
+    L scales.
 
     c_a = lam^(-sum a) * (1/N^n) * sum_m values(m) exp(-2*pi*i*a.(m + s)/N),
     with s the grid's shift (zero when it has none); exact to rounding for
@@ -190,7 +235,7 @@ def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> n
     The sum is separable: axis j is contracted against one phase matrix with a
     row per distinct order requested on that axis.  Axis 0 goes first, from
     the left, so the full grid is read in place; the remaining axes are
-    contracted on the small result.
+    contracted on the small result.  A block's scale axis leads throughout.
     """
     n, N = grid.n, grid.N
     idx = [tuple(int(x) for x in a) for a in indices]
@@ -203,18 +248,20 @@ def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> n
             )
     rows = []
     out = grid.values
+    lead = np.ndim(grid.lam)
     for j in range(n):
         orders = sorted({a[j] for a in idx})
         rows.append([orders.index(a[j]) for a in idx])
         m = _steps(N, grid.shift, j)
         phases = np.exp(-2j * np.pi * np.array(orders)[:, None] * m / N)
-        # (r_j, N) @ (r_0, ..., r_{j-1}, N, rest): contracts grid axis j; the
-        # first step reads the full grid in place
-        out = phases @ out.reshape(out.shape[:j] + (N, -1))
-    # out has shape (r_0, ..., r_{n-1}, k)
-    coeffs = out[tuple(rows)]
-    scale = grid.lam ** -np.array([sum(a) for a in idx], dtype=float) / N**n
-    return coeffs * scale[:, None]
+        # (r_j, N) @ (lead, r_0, ..., r_{j-1}, N, rest): contracts grid axis
+        # j; the first step reads the full grid in place
+        out = phases @ out.reshape(out.shape[: lead + j] + (N, -1))
+    # out has shape lead + (r_0, ..., r_{n-1}, k)
+    coeffs = out[(..., *rows, slice(None))]
+    sums = np.array([sum(a) for a in idx], dtype=float)
+    scale = np.asarray(grid.lam)[..., None] ** -sums / N**n
+    return coeffs * scale[..., None]
 
 
 def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
@@ -239,9 +286,7 @@ class SpectralSummary:
 
     @property
     def variance_model(self) -> float:
-        tr_eta = float(np.sum(np.abs(self.eta) ** 2))
-        tr_jac = float(np.sum(np.abs(self.jacobian) ** 2))
-        return tr_eta / self.lam**2 + self.lam**2 * tr_jac
+        return variance_model(self.eta, self.jacobian, self.lam)
 
     def to_json_dict(self) -> dict:
         pair = lambda z: [float(z.real), float(z.imag)]
@@ -273,7 +318,7 @@ def _adaptive(
 ) -> tuple[np.ndarray, float, int]:
     """Refine N until the statistic is resolved within tol.
 
-    ``sample(N, shift=None)`` samples a grid and ``read`` returns the
+    ``sample(N, shift=None)`` samples one scale and ``read`` returns the
     statistic on it with a per-entry rounding bound.  The first level
     samples 2*n_start and reads its even sub-grid as the n_start level;
     every later level samples one new grid.  A level accepts N when the
@@ -318,9 +363,16 @@ def _adaptive(
     )
 
 
-def _rounding_bound(grid: TorusGrid) -> float:
+def _grid_axes(grid: TorusGrid) -> tuple[int, ...]:
+    """The point and component axes of a grid's values, after any scale axis;
+    a sum over them runs in the memory order of one scale's grid."""
+    return tuple(range(-grid.n - 1, 0))
+
+
+def _rounding_bound(grid: TorusGrid) -> float | np.ndarray:
     """A-priori rounding bound on a coefficient read from an exact grid,
-    before its lam^(-sum a) scale: (n + 1) * N * eps * max(peak |f|, 1).
+    before its lam^(-sum a) scale: (n + 1) * N * eps * max(peak |f|, 1), one
+    per scale of a block.
 
     n*N*eps is the standard bound for the n length-N phase contractions and
     N*eps allows for evaluating terms of degree below N, both relative to the
@@ -330,31 +382,42 @@ def _rounding_bound(grid: TorusGrid) -> float:
     evaluator beyond that, as in the cancellation of (w + 1e8) - 1e8, is not
     covered.
     """
-    return (grid.n + 1) * grid.N * np.finfo(float).eps * max(grid.peak, 1.0)
+    return (grid.n + 1) * grid.N * np.finfo(float).eps * np.maximum(grid.peak, 1.0)
 
 
 def _refine(
     sample: Callable[..., TorusGrid],
     read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
     width: int | None,
+    lams: Sequence[float],
+    dims: tuple[int, int],
     tol: float,
     n_start: int,
     max_n: int,
-) -> tuple[np.ndarray, float, int]:
-    """One refinement: the exact grid when the exponent width is known, else
-    the doubling loop (see _adaptive).
+) -> list[tuple[np.ndarray, float, int]]:
+    """One refinement per scale in lams: the exact grid when the exponent
+    width is known, else the doubling loop (see _adaptive).
 
-    The exact grid is the smallest power of two N >= n_start above
-    ``width``, the widest per-axis spread of the exponents the statistic
-    involves, so no term aliases onto a read one.  ``read`` returns the
-    statistic with a per-entry rounding bound; when every entry meets the
-    acceptance rule of _adaptive, the largest bound is the error estimate.
-    The bound uses worst-case constants, so at extreme scales it can miss
-    the tolerance while the values are accurate: the doubling loop then
-    compares the exact grids N and 2N, both alias-free.
+    ``sample(lam, N, shift=None)`` samples one scale or a list of scales as
+    a block, and ``read`` returns the statistic with a per-entry rounding
+    bound, the block's scale axis leading.  The exact grid is the smallest
+    power of two N >= n_start above ``width``, the widest per-axis spread of
+    the exponents the statistic involves, so no term aliases onto a read
+    one.  Its scales are sampled in blocks of at most BLOCK_VALUES values,
+    for an evaluator of dims = (n, k).  A scale is accepted when every entry
+    of its row meets the acceptance rule of _adaptive, with the largest bound
+    as its error estimate.  The bound uses worst-case constants, so at
+    extreme scales it can miss the tolerance while the values are accurate:
+    the doubling loop then compares the exact grids N and 2N of that scale,
+    both alias-free.  A block that raises a pole or an invalid scale is
+    sampled again one scale at a time, so the error is the one a one-scale
+    call raises.
     """
     if width is None:
-        return _adaptive(sample, read, tol, n_start, max_n)
+        return [
+            _adaptive(functools.partial(sample, lam), read, tol, n_start, max_n)
+            for lam in lams
+        ]
     if n_start < 4:
         raise ValueError("need at least 4 points per dimension")
     N = 1 << (n_start - 1).bit_length()
@@ -364,10 +427,28 @@ def _refine(
         raise NonConvergent(
             f"exponent width {width} needs an exact grid of N={N}, above the cap {max_n}"
         )
-    value, est = read(sample(N))
-    if np.all(est <= tol * np.maximum(1.0, np.abs(value))):
-        return value, float(np.max(est)), N
-    return _adaptive(sample, read, tol, N, max_n)
+    n, k = dims
+    step = max(1, BLOCK_VALUES // (N**n * k))
+    pending = [lams[i : i + step] for i in range(0, len(lams), step)]
+    results = []
+    while pending:
+        block = pending.pop(0)
+        try:
+            values, ests = read(sample(block, N))
+        except (PoleOnTorus, ValueError):
+            if len(block) == 1:
+                raise
+            pending[:0] = [[lam] for lam in block]
+            continue
+        accepted = np.all(ests <= tol * np.maximum(1.0, np.abs(values)), axis=-1)
+        for lam, value, err, ok in zip(block, values, np.max(ests, axis=-1), accepted):
+            if ok:
+                results.append((value, float(err), N))
+            else:
+                results.append(
+                    _adaptive(functools.partial(sample, lam), read, tol, N, max_n)
+                )
+    return results
 
 
 def _exponent_bounds(f) -> list[tuple[int, int]] | None:
@@ -387,6 +468,53 @@ def _index_set(n: int, orders: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
+def _coefficients(
+    f,
+    lams: Sequence[float],
+    indices: Sequence[Sequence[int]],
+    tol: float = DEFAULT_TOL,
+    with_power: bool = False,
+    n_start: int = DEFAULT_START_N,
+    max_n: int = DEFAULT_MAX_N,
+    max_points: int = MAX_TOTAL_POINTS,
+) -> list[tuple[dict[tuple[int, ...], np.ndarray], float | None, float, int]]:
+    """adaptive_coefficients at each scale in lams, the scales of an
+    evaluator with an exponent range sampled together in blocks."""
+    idx = [tuple(int(x) for x in a) for a in indices]
+    powers = -np.array([sum(a) for a in idx], dtype=float)  # of lam in each scale
+
+    def sample(lam, N: int, shift: tuple[float, ...] | None = None) -> TorusGrid:
+        return sample_torus(f, lam, N, max_points, shift)
+
+    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+        lead = np.shape(grid.lam)
+        vec = laurent_coefficients(grid, idx).reshape(lead + (-1,))
+        unit = np.asarray(_rounding_bound(grid))[..., None]
+        scales = np.asarray(grid.lam)[..., None] ** powers
+        est = (unit * scales).repeat(f.k, axis=-1)
+        if with_power:
+            # pairwise summation keeps the sum's rounding logarithmic in N^n
+            power = (np.abs(grid.values) ** 2).sum(axis=_grid_axes(grid))
+            peak = np.maximum(np.asarray(grid.peak)[..., None], 1.0)
+            vec = np.concatenate([vec, power[..., None] / grid.N**grid.n], axis=-1)
+            est = np.concatenate([est, 4 * f.k * peak * unit], axis=-1)
+        return vec, est
+
+    bounds = _exponent_bounds(f)
+    width = None if bounds is None else max(
+        max(hi, *(a[j] for a in idx)) - min(lo, *(a[j] for a in idx))
+        for j, (lo, hi) in enumerate(bounds)
+    )
+    results = []
+    for vec, err, n_used in _refine(
+        sample, read, width, lams, (f.n, f.k), tol, n_start, max_n
+    ):
+        coeffs = {a: vec[i * f.k : (i + 1) * f.k] for i, a in enumerate(idx)}
+        power = float(vec[-1].real) if with_power else None
+        results.append((coeffs, power, err, n_used))
+    return results
+
+
 def adaptive_coefficients(
     f,
     lam: float,
@@ -403,55 +531,63 @@ def adaptive_coefficients(
 
     Returns (coefficients, mean_power, est_error, N_used).
     """
-    idx = [tuple(int(x) for x in a) for a in indices]
-
-    def sample(N: int, shift: tuple[float, ...] | None = None) -> TorusGrid:
-        return sample_torus(f, lam, N, max_points, shift)
-
-    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-        vec = laurent_coefficients(grid, idx).ravel()
-        unit = _rounding_bound(grid)
-        scales = lam ** -np.array([sum(a) for a in idx], dtype=float)
-        est = np.repeat(unit * scales, f.k)
-        if with_power:
-            # pairwise summation keeps the sum's rounding logarithmic in N^n
-            power = float(np.sum(np.abs(grid.values) ** 2)) / grid.N**grid.n
-            vec = np.append(vec, power)
-            est = np.append(est, 4 * f.k * max(grid.peak, 1.0) * unit)
-        return vec, est
-
-    bounds = _exponent_bounds(f)
-    width = None if bounds is None else max(
-        max(hi, *(a[j] for a in idx)) - min(lo, *(a[j] for a in idx))
-        for j, (lo, hi) in enumerate(bounds)
-    )
-    vec, err, n_used = _refine(sample, read, width, tol, n_start, max_n)
-    coeffs: dict[tuple[int, ...], np.ndarray] = {}
-    for i, a in enumerate(idx):
-        coeffs[a] = vec[i * f.k : (i + 1) * f.k]
-    power = float(vec[-1].real) if with_power else None
-    return coeffs, power, err, n_used
+    return _coefficients(
+        f, [lam], indices, tol, with_power, n_start, max_n, max_points
+    )[0]
 
 
 def _first_order(
-    f, lam: float, **options
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, float, int]:
-    """Constant term, residue matrix eta and derivative matrix D of f, as
-    (core, eta, D, mean_power, est_error, N_used); options go to
-    adaptive_coefficients."""
+    f, lams: Sequence[float], **options
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float | None, float, int]]:
+    """Constant term, residue matrix eta and derivative matrix D of f at each
+    scale, as (core, eta, D, mean_power, est_error, N_used); options go to
+    _coefficients."""
     n, k = f.n, f.k
-    coeffs, power, err, n_used = adaptive_coefficients(
-        f, lam, _index_set(n, (-1, 1)), **options
+    results = []
+    for coeffs, power, err, n_used in _coefficients(
+        f, lams, _index_set(n, (-1, 1)), **options
+    ):
+        eta = np.empty((k, n), dtype=complex)
+        jac = np.empty((k, n), dtype=complex)
+        for beta in range(n):
+            vec = [0] * n
+            vec[beta] = -1
+            eta[:, beta] = coeffs[tuple(vec)]
+            vec[beta] = 1
+            jac[:, beta] = coeffs[tuple(vec)]
+        results.append((coeffs[(0,) * n], eta, jac, power, err, n_used))
+    return results
+
+
+def spectral_summaries(
+    f,
+    lams: Sequence[float],
+    tol: float = DEFAULT_TOL,
+    n_start: int = DEFAULT_START_N,
+    max_n: int = DEFAULT_MAX_N,
+    max_points: int = MAX_TOTAL_POINTS,
+) -> list[SpectralSummary]:
+    """spectral_summary at each scale in lams, in order.
+
+    An evaluator with an exponent range has the same exact grid at every
+    scale, so its scales are sampled and contracted together in blocks (see
+    the module docstring); each summary is the one spectral_summary returns
+    at its scale, and an error is the one the first failing scale raises.
+    """
+    lams = list(lams)
+    results = _first_order(
+        f, lams, tol=tol, with_power=True,
+        n_start=n_start, max_n=max_n, max_points=max_points,
     )
-    eta = np.empty((k, n), dtype=complex)
-    jac = np.empty((k, n), dtype=complex)
-    for beta in range(n):
-        vec = [0] * n
-        vec[beta] = -1
-        eta[:, beta] = coeffs[tuple(vec)]
-        vec[beta] = 1
-        jac[:, beta] = coeffs[tuple(vec)]
-    return coeffs[(0,) * n], eta, jac, power, err, n_used
+    summaries = []
+    for lam, (core, eta, jac, power, err, n_used) in zip(lams, results):
+        variance = max(power - trace_norm_sq(core), 0.0)
+        summaries.append(SpectralSummary(
+            lam=lam, core=core, eta=eta, jacobian=jac, variance=variance,
+            tail_energy=variance - variance_model(eta, jac, lam),
+            est_error=err, grid_n=n_used,
+        ))
+    return summaries
 
 
 def spectral_summary(
@@ -469,18 +605,7 @@ def spectral_summary(
     of |f|^2 equals <f,f>); the tail energy is whatever part of it the
     two-term closed form does not account for.
     """
-    core, eta, jac, power, err, n_used = _first_order(
-        f, lam, tol=tol, with_power=True,
-        n_start=n_start, max_n=max_n, max_points=max_points,
-    )
-    variance = max(power - float(np.sum(np.abs(core) ** 2)), 0.0)
-    tr_eta = float(np.sum(np.abs(eta) ** 2))
-    tr_jac = float(np.sum(np.abs(jac) ** 2))
-    tail = variance - (tr_eta / lam**2 + lam**2 * tr_jac)
-    return SpectralSummary(
-        lam=lam, core=core, eta=eta, jacobian=jac,
-        variance=variance, tail_energy=tail, est_error=err, grid_n=n_used,
-    )
+    return spectral_summaries(f, [lam], tol, n_start, max_n, max_points)[0]
 
 
 def first_order_summary(
@@ -494,7 +619,7 @@ def first_order_summary(
     Unlike spectral_summary this stays meaningful for functions whose pole
     structure mixes coordinates, e.g. pullbacks under coordinate changes.
     """
-    core, eta, jac, _, err, n_used = _first_order(f, lam, tol=tol, max_n=max_n)
+    core, eta, jac, _, err, n_used = _first_order(f, [lam], tol=tol, max_n=max_n)[0]
     return core, eta, jac, err, n_used
 
 
@@ -530,20 +655,20 @@ def inner_product_numeric(
     k = f.k
     pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
 
-    def sample(N: int, shift: tuple[float, ...] | None = None) -> TorusGrid:
+    def sample(lam, N: int, shift: tuple[float, ...] | None = None) -> TorusGrid:
         return sample_torus(pair, lam, N, max_points, shift)
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         values = grid.values
-        # pairwise summation, as for the mean power in adaptive_coefficients
-        total = np.sum(np.conj(values[..., :k]) * values[..., k:])
-        est = 4 * k * max(grid.peak, 1.0) * _rounding_bound(grid)
-        return np.asarray([total / grid.N**grid.n]), np.asarray([est])
+        # pairwise summation, as for the mean power in _coefficients
+        total = np.sum(np.conj(values[..., :k]) * values[..., k:], axis=_grid_axes(grid))
+        est = 4 * k * np.maximum(grid.peak, 1.0) * _rounding_bound(grid)
+        return total[..., None] / grid.N**grid.n, np.asarray(est)[..., None]
 
     f_bounds, g_bounds = _exponent_bounds(f), _exponent_bounds(g)
     width = None if f_bounds is None or g_bounds is None else max(
         max(g_hi - f_lo, f_hi - g_lo)
         for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
     )
-    vec, _, _ = _refine(sample, read, width, tol, n_start, max_n)
+    [(vec, _, _)] = _refine(sample, read, width, [lam], (f.n, 2 * k), tol, n_start, max_n)
     return complex(vec[0])

@@ -121,15 +121,10 @@ def slice_subtract(a: Slice, b: Slice) -> SliceSet:
     bi = b.interval
     # a \ b = a intersected with the complement of b in [-pi, pi]; a boundary
     # point excluded from b belongs to the complement, so flags flip.
-    pieces = []
-    if bi.lo >= -math.pi:
-        pieces.append(
-            AngularInterval(-math.pi, bi.lo, lo_open=False, hi_open=not bi.lo_open)
-        )
-    if bi.hi <= math.pi:
-        pieces.append(
-            AngularInterval(bi.hi, math.pi, lo_open=not bi.hi_open, hi_open=False)
-        )
+    pieces = (
+        AngularInterval(-math.pi, bi.lo, lo_open=False, hi_open=not bi.lo_open),
+        AngularInterval(bi.hi, math.pi, lo_open=not bi.hi_open, hi_open=False),
+    )
     out = []
     for piece in pieces:
         if piece.is_empty:

@@ -47,6 +47,7 @@ from .quadrature import (
     inner_product_numeric,
     laurent_coefficient,
     sample_torus,
+    spectral_summaries,
     spectral_summary,
 )
 from .slices import (
@@ -435,9 +436,8 @@ def check_exact_subclass_variance(seed: int, cases: int = 200) -> CheckResult:
         for lam in exact_lams:
             if variance_exact(f, lam) != variance_model_exact(d.eta, d.jacobian, lam):
                 failures.append(f"case {i}: exact equality fails at {lam}")
-        for lam_f in (0.3, 1.0, 1.7):
-            s = spectral_summary(f, lam_f)
-            model = float(variance_model_exact(d.eta, d.jacobian, Fraction(lam_f)))
+        for s in spectral_summaries(f, (0.3, 1.0, 1.7)):
+            model = float(variance_model_exact(d.eta, d.jacobian, Fraction(s.lam)))
             if abs(s.variance - model) > 1e-9 * max(1.0, model):
                 failures.append(f"case {i}: measured {s.variance!r} vs model {model!r}")
     return _result("exact_subclass_variance", failures, cases)
@@ -473,10 +473,9 @@ def check_bound_sweep(seed: int, cases: int = 200, steps: int = 33) -> CheckResu
     for i in range(cases):
         f = random_decomposable(rng)
         tr_eta = float(trace_norm_sq_exact(decompose(f).eta))
-        for lam in grid:
-            v = spectral_summary(f, lam).variance
-            if lam * lam * v < tr_eta - 1e-9:
-                failures.append(f"case {i}: floor broken at scale {lam:g}")
+        for s in spectral_summaries(f, grid):
+            if s.lam * s.lam * s.variance < tr_eta - 1e-9:
+                failures.append(f"case {i}: floor broken at scale {s.lam:g}")
                 break
     return _result("uncertainty_floor_sweep", failures, cases)
 
@@ -547,8 +546,7 @@ def check_matrix_scale_independence(seed: int, cases: int = 100) -> CheckResult:
     failures = []
     for i in range(cases):
         f = random_decomposable(rng)
-        low = spectral_summary(f, 0.3)
-        high = spectral_summary(f, 1.2)
+        low, high = spectral_summaries(f, (0.3, 1.2))
         drift = max(
             float(np.max(np.abs(low.eta - high.eta))),
             float(np.max(np.abs(low.jacobian - high.jacobian))),

@@ -1,10 +1,14 @@
 """Command-line interface tests: golden outputs, exit codes, schemas."""
 
+import contextlib
+import io
 import json
 import time
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polylens.verify as verify_mod
 from gen_goldens import COMMANDS, GOLDEN_DIR, run_command
@@ -179,7 +183,7 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert "NonConvergent" in err and "exact grid of N=16" in err
 
-    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-nan"])
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-nan", "1e300", "1e-300"])
     def test_non_finite_scale(self, lam, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -187,6 +191,13 @@ class TestInputBoundary:
         assert code == 1
         err = capsys.readouterr().err
         assert "positive and finite" in err and "Warning" not in err
+
+    def test_overflow_in_evaluation_is_a_pole(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--expr", "w^200", "--n", "1", "--lambda", "100"])
+        assert code == 3
+        assert "PoleOnTorus: non-finite value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", ["--lambda-min", "--lambda-max"])
     def test_sweep_scale_starting_with_minus(self, option, capsys):
@@ -242,3 +253,86 @@ class TestFormatting:
         assert fmt_complex(0.5j) == "0.5i"
         assert fmt_complex(1 - 2j) == "1-2i"
         assert fmt_complex(0j) == "0"
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# Small cases only: n <= 2, --steps <= 9 and --max-grid <= 64, so every call
+# samples grids of at most 64^2 points.  Valid values are listed several
+# times, so that most calls get past argument parsing into the engine.
+_NUMBERS = ["0", "1", "2.5", "3i", "(1+2i)", "0.001", "1e8"]
+_SCALES = ["0.5", "1", "2"] * 3 + ["0.001", "1000", "1e300", "1e-300", "0", "-1",
+                                   "nan", "inf", "x"]
+_MORPHS = {
+    1: ["w", "2*w", "w + 0.25*w^2", "i*w", "w^2", "0", "1/w", "w + 1", "-w"],
+    2: ["w1, w2", "w1 + w1*w2/4, 2*w2", "w2, w1", "w1", "w1*w2, w2", "w1, 0"],
+}
+_INTERVALS = ["0:pi/2", "-pi:pi", "pi/4:pi/3", "-pi/2:pi"] * 2 + ["1:0", "0:7", "x", "0:0"]
+
+
+def _expressions(names: list[str]):
+    """Small random expressions in the given variables; one in four is junk."""
+    tree = st.recursive(
+        st.sampled_from(names + _NUMBERS),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(inner, st.integers(-3, 9)).map(lambda t: f"({t[0]})^{t[1]}"),
+        ),
+        max_leaves=5,
+    )
+    return st.one_of(tree, tree, tree, st.text(alphabet="wu12+-*/^() .i", max_size=10))
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["analyze", "sweep", "transform", "measure"]))
+    n = draw(st.integers(1, 2))
+    if command == "measure":
+        argv = ["measure"]
+        for _ in range(draw(st.integers(1, 2))):
+            argv += ["--interval", draw(st.sampled_from(_INTERVALS))]
+        if draw(st.booleans()):
+            argv += ["--dims", draw(st.sampled_from(["1", "2", "1", "2", "0", "x"]))]
+    else:
+        letter = "u" if command == "transform" else "w"
+        names = [letter, f"{letter}1"] if n == 1 else [f"{letter}1", f"{letter}2"]
+        argv = [command, "--expr", draw(_expressions(names)),
+                "--n", draw(st.sampled_from([str(n)] * 6 + ["0", "-1", "x"])),
+                "--max-grid", draw(st.sampled_from(["16", "32", "64"] * 2 + ["8", "0"]))]
+        if draw(st.booleans()):
+            argv += ["--tol", draw(st.sampled_from(["1e-10", "1e-6"] * 2 + ["0", "nan"]))]
+        if command == "analyze":
+            argv += ["--lambda", draw(st.sampled_from(_SCALES))]
+            if draw(st.booleans()):
+                argv.append("--json")
+        elif command == "sweep":
+            argv += ["--lambda-min", draw(st.sampled_from(["0.3"] + _SCALES)),
+                     "--lambda-max", draw(st.sampled_from(["3", "5"] * 4 + _SCALES)),
+                     "--steps", draw(st.sampled_from(["3", "5", "9"] * 2 + ["2", "0", "x"]))]
+        else:
+            argv += ["--morph", draw(st.sampled_from(_MORPHS[n]))]
+            if draw(st.booleans()):
+                argv += ["--lambda", draw(st.sampled_from(_SCALES))]
+    # now and then drop a token, which often leaves an option without a value
+    if draw(st.sampled_from([False] * 7 + [True])):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in {0, 1, 2, 3, 4}
+    assert not caught, [str(w.message) for w in caught]
+    err = stderr.getvalue()
+    assert "Traceback" not in err and "Warning" not in err
+    assert elapsed < 2.0

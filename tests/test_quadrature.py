@@ -18,9 +18,11 @@ from polylens.errors import (
     NonConvergent,
     PoleOnTorus,
 )
+from polylens.analysis import variance_sweep
 from polylens.expr import parse
 from polylens.laurent import LaurentPoly, decompose, matrix_to_complex, variance_exact
 from polylens.quadrature import (
+    BLOCK_VALUES,
     GRID_SHIFT,
     GridFunction,
     TorusGrid,
@@ -32,6 +34,7 @@ from polylens.quadrature import (
     laurent_coefficient,
     laurent_coefficients,
     sample_torus,
+    spectral_summaries,
     spectral_summary,
     torus_coords,
 )
@@ -65,7 +68,7 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_torus(parse("w", 1), 1.0, 2)
 
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0, 1e300, 1e-300])
     def test_scale_must_be_positive_and_finite(self, lam):
         with pytest.raises(ValueError, match="positive and finite"):
             sample_torus(parse("1/w", 1), lam, 16)
@@ -539,3 +542,77 @@ class TestShiftedGrid:
         gaps = [abs(s.core[0] + 1 / b), abs(s.eta[0, 0] - 1),
                 abs(s.jacobian[0, 0] - (1 - 1 / b**2))]
         assert max(gaps) <= s.est_error
+
+
+def _assert_same_summary(got, want):
+    """Equal grid and error estimate, values within 1e-15 max(1, |v|)."""
+    assert got.lam == want.lam
+    assert got.grid_n == want.grid_n and got.est_error == want.est_error
+    for name in ("core", "eta", "jacobian", "variance", "tail_energy"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert np.all(np.abs(a - b) <= 1e-15 * np.maximum(1.0, np.abs(b))), name
+
+
+class TestScaleBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 2),
+           st.lists(st.floats(0.2, 5.0), min_size=1, max_size=12, unique=True))
+    def test_matches_one_scale_summaries(self, seed, n, k, lams):
+        f = random_decomposable(np.random.default_rng(seed), n=n, k=k)
+        lams = sorted(lams)
+        batched = spectral_summaries(f, lams)
+        assert len(batched) == len(lams)
+        for lam, s in zip(lams, batched):
+            _assert_same_summary(s, spectral_summary(f, lam))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_one_evaluation_per_block(self, extra):
+        # n = 3, k = 1 on the exact 16-grid: 4096 values per scale
+        f = random_decomposable(np.random.default_rng(3), n=3, k=1)
+        block = BLOCK_VALUES // 16**3
+        lams = [0.4 + 0.1 * i for i in range(block + extra)]
+        counted = _Counted(f)
+        batched = spectral_summaries(counted, lams)
+        blocks = [lams[i : i + block] for i in range(0, len(lams), block)]
+        assert counted.sizes == [16 * len(b) for b in blocks]
+        for lam, s in zip(lams, batched):
+            _assert_same_summary(s, spectral_summary(f, lam))
+
+    def test_sweep_samples_its_grid_in_one_block(self):
+        counted = _Counted(parse("1/w + w", 1))
+        sweep = variance_sweep(counted, [0.25 * 2 ** (i / 8) for i in range(33)])
+        # the sweep grid is one block; golden section then samples one scale
+        # at a time
+        assert counted.sizes[0] == 33 * 16
+        assert set(counted.sizes[1:]) == {16}
+        assert abs(sweep.lambda_star_empirical - 1) < 1e-3
+
+    @pytest.mark.parametrize("text,lams,bad", [
+        ("w^12", [1.0, 2.0, 20.0], 20.0),    # blow-up: |w^12| = 4e15
+        ("1/w + w", [1e-10, 1.0, 2.0], 1e-10),  # division near zero
+    ])
+    def test_pole_in_a_block_names_its_scale(self, text, lams, bad):
+        f = parse(text, 1)
+        with pytest.raises(PoleOnTorus) as one:
+            spectral_summary(f, bad)
+        with pytest.raises(PoleOnTorus) as batched:
+            spectral_summaries(f, lams)
+        assert str(batched.value) == str(one.value)
+        assert batched.value.point == one.value.point
+        assert f"radius-{bad:g} torus" in str(one.value)
+
+    def test_invalid_scale_in_a_block_names_itself(self):
+        with pytest.raises(ValueError, match="got nan"):
+            spectral_summaries(parse("1/w + w", 1), [1.0, float("nan"), 2.0])
+
+    def test_extreme_scales_take_the_doubling_fallback(self):
+        f = parse("1/w + w", 1)
+        lams = [0.001, 1.0, 1000.0]
+        counted = _Counted(f)
+        batched = spectral_summaries(counted, lams)
+        # one block on the exact 16-grid; the rounding bound misses the
+        # tolerance at both extremes, which compare the grids 16 and 32 alone
+        assert counted.sizes == [3 * 16, 32, 32]
+        assert [s.grid_n for s in batched] == [32, 16, 32]
+        for lam, s in zip(lams, batched):
+            _assert_same_summary(s, spectral_summary(f, lam))
