@@ -458,8 +458,11 @@ def _deep_case(rng, n: int, band: tuple[float, float]):
     """A member of c0 + sum e/w + sum d*w + r/(a - w1...wn) with the series
     ratio rho = lam^n/|a| drawn from the band, and its closed-form core, eta
     and D (r/(a - w) adds r/a^2 to D when n = 1)."""
+    def decimal(x):  # the grammar has no exponent notation: 1e-05 won't parse
+        return np.format_float_positional(x, unique=True, trim="0")
+
     def text(z):
-        return f"({z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i)"
+        return f"({decimal(z.real)}{'+' if z.imag >= 0 else '-'}{decimal(abs(z.imag))}i)"
 
     def cplx(bound):
         return complex(*rng.uniform(-bound, bound, 2))
