@@ -52,6 +52,15 @@ tolerance, N doubles as before.  On either path the estimate is floored by
 the rounding bound of the accepted grid, since the nested grids share points
 and rounding.
 
+A pointwise evaluator (one with an ``exponent_bounds`` method, such as
+``MeroExpr`` and ``LaurentPoly``) is evaluated on a grid of more than
+SLAB_VALUES values slab by slab, rows of the first grid axis at a time, into
+the one array of the grid.  Its intermediates then stay arrays of a slab,
+not of the grid: an n = 4 expression summed term by term otherwise holds
+three grid-sized temporaries at once, and where the allocator placed them
+moved the peak memory of a process by one grid array from run to run.  The
+operations are elementwise, so the values are those of one evaluation.
+
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
 coordinate arrays works, e.g. ``expr.MeroExpr``, ``laurent.LaurentPoly`` or
@@ -86,6 +95,7 @@ MAX_TOTAL_POINTS = 2**24      # budget on N**n
 MAX_DIMENSION = 4
 BLOWUP_THRESHOLD = 1e12       # |f| beyond this counts as a pole on the torus
 BLOCK_VALUES = 2**14          # most values (scales x N^n x k) in one block of scales
+SLAB_VALUES = 2**16           # most values one evaluation of a pointwise evaluator yields
 SCALE_RANGE = (2.0**-511, 2.0**511)  # scales whose square is a normal float
 
 # Per-axis turn of the confirming grid, in grid steps.  For every nonzero m in
@@ -164,6 +174,25 @@ def _torus(lams: np.ndarray) -> str:
     return f"radius-{radii} torus" if lams.size == 1 else f"tori of radii {radii}"
 
 
+def _evaluate(f, coords: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """f on the given coordinates; overflow and 0/0 leave non-finite values,
+    which sample_torus refuses."""
+    with np.errstate(all="ignore"):
+        return f.eval_grid(coords)
+
+
+def _whole_grid_pole(
+    f, coords: Sequence[np.ndarray], slab_error: DivisionNearZero
+) -> DivisionNearZero:
+    """The error an evaluation of f on the whole grid raises after one slab
+    raised: it names the smallest denominator of the grid, not of the slab."""
+    try:
+        _evaluate(f, coords)
+    except DivisionNearZero as exc:
+        return exc
+    return slab_error
+
+
 def sample_torus(
     f,
     lam,
@@ -174,6 +203,9 @@ def sample_torus(
     """Evaluate f on the N^n torus grid, turned by shift[j] grid steps along
     axis j when a shift is given.  ``lam`` is one scale, or a sequence of L
     scales sampled as one block in a single evaluation of f (see TorusGrid).
+    A pointwise evaluator on a grid of more than SLAB_VALUES values is
+    evaluated slab by slab along the first grid axis (see the module
+    docstring).
 
     Raises ValueError for a scale outside SCALE_RANGE (the variance model
     divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
@@ -199,20 +231,32 @@ def sample_torus(
     if shift is not None and len(shift) != n:
         raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
     coords = torus_coords(n, lams, N, shift)
-    try:
-        # overflow and 0/0 leave non-finite values, refused just below
-        with np.errstate(all="ignore"):
-            components = f.eval_grid(coords)
-    except DivisionNearZero as exc:
-        raise PoleOnTorus(
-            f"pole on the {_torus(lams)}: {exc}", point=exc.point
-        ) from exc
     values = np.empty(lams.shape + (N,) * n + (k,), dtype=complex)
-    for alpha, component in enumerate(components):
-        values[..., alpha] = component
-    if not np.isfinite(values).all():
+    rows = N  # of the first grid axis per evaluation of f
+    if hasattr(f, "exponent_bounds"):  # pointwise, so it may run on slabs
+        rows = min(N, max(1, SLAB_VALUES * N // values.size))
+    lead = (slice(None),) * lams.ndim
+    grid_axes = tuple(range(lams.ndim, values.ndim))
+    finite, peaks = True, []
+    for start in range(0, N, rows):
+        part = lead + (slice(start, start + rows),)
+        try:
+            components = _evaluate(f, [coords[0][part], *coords[1:]])
+        except DivisionNearZero as exc:
+            error = exc if rows == N else _whole_grid_pole(f, coords, exc)
+            raise PoleOnTorus(
+                f"pole on the {_torus(lams)}: {error}", point=error.point
+            ) from error
+        slab = values[part]
+        for alpha, component in enumerate(components):
+            slab[..., alpha] = component
+        # checked per slab, so that no temporary has the size of the grid
+        finite = finite and np.isfinite(slab).all()
+        if finite:
+            peaks.append(np.abs(slab).max(axis=grid_axes))
+    if not finite:
         raise PoleOnTorus(f"non-finite value on the {_torus(lams)}")
-    peak = np.abs(values).max(axis=tuple(range(lams.ndim, values.ndim)))
+    peak = functools.reduce(np.maximum, peaks)  # per scale
     if peak.max() > BLOWUP_THRESHOLD:
         raise PoleOnTorus(
             f"value of modulus {peak.max():.3g} on the {_torus(lams)}"

@@ -24,6 +24,7 @@ from polylens.laurent import LaurentPoly, decompose, matrix_to_complex, variance
 from polylens.quadrature import (
     BLOCK_VALUES,
     GRID_SHIFT,
+    SLAB_VALUES,
     GridFunction,
     TorusGrid,
     _alias_floor,
@@ -86,6 +87,33 @@ class TestSampling:
         direct = sample_torus(f, 0.8, 16)
         assert coarse.N == 16 and coarse.values.shape == direct.values.shape
         assert np.allclose(coarse.values, direct.values, rtol=1e-14, atol=0)
+
+    def test_big_grid_is_evaluated_in_slabs_of_the_first_axis(self):
+        f = parse("1/w1 + 2*w2 + 3*w3 + 0.5/(4 - w1*w2*w3), w2^2", 3)
+        counted = _Counted(f)
+        grid = sample_torus(counted, 1.1, 64)
+        rows = SLAB_VALUES * 64 // grid.values.size
+        assert 1 < rows < 64 and counted.sizes == [rows] * (64 // rows)
+        # a GridFunction need not be pointwise, so it is evaluated once
+        sizes = []
+        whole = sample_torus(
+            GridFunction(3, 2, lambda c: sizes.append(c[0].size) or f.eval_grid(c)), 1.1, 64
+        )
+        assert sizes == [64]
+        assert np.array_equal(grid.values, whole.values) and grid.peak == whole.peak
+
+    def test_pole_found_in_a_slab_is_named_as_on_the_whole_grid(self):
+        # |den| is 2e-10 at w1 = 1, in the first slab, and about 2e-16 at
+        # w1 = -1, in the third: the error names the smallest, as one
+        # evaluation of the whole grid does
+        f = parse("1/((w1 - 1.0000000001)*(w1 + 1))", 2)
+        errors = []
+        for g in (f, GridFunction(2, 1, f.eval_grid)):
+            with pytest.raises(PoleOnTorus) as excinfo:
+                sample_torus(g, 1.0, 512)
+            errors.append(excinfo.value)
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].point == errors[1].point and errors[0].point[0].real < 0
 
 
 class TestCoefficients:
