@@ -22,7 +22,7 @@ in errors are byte positions into the original input.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -108,6 +108,14 @@ class MeroExpr:
     n: int
     components: tuple[Node, ...]
     var_letter: str = "w"
+    # the exponent range, found once: the tree never changes
+    _bounds: Bounds | None = field(init=False, repr=False, compare=False)
+    pointwise = True  # eval_grid acts point by point (see quadrature)
+
+    def __post_init__(self):
+        ranges = [_node_bounds(node, self.n) for node in self.components]
+        bounds = None if None in ranges else functools.reduce(_hull, ranges)
+        object.__setattr__(self, "_bounds", bounds)
 
     @property
     def k(self) -> int:
@@ -131,8 +139,7 @@ class MeroExpr:
         """Per-axis range holding every exponent of every component's Laurent
         expansion, or None when some division (or negative power) is by an
         expression that is not a monomial."""
-        ranges = [_node_bounds(node, self.n) for node in self.components]
-        return None if None in ranges else functools.reduce(_hull, ranges)
+        return None if self._bounds is None else list(self._bounds)
 
 
 # ------------------------------------------------------------------ scanning

@@ -120,6 +120,7 @@ class LaurentPoly:
     """
 
     __slots__ = ("n", "k", "terms")
+    pointwise = True  # eval_grid acts point by point (see quadrature)
 
     def __init__(self, n: int, k: int, terms: Mapping[Exponents, object]):
         if n < 1 or k < 1:

@@ -20,7 +20,10 @@ constants are worst-case, so this happens at extreme scales), the exact grids
 N and 2N are compared as in the doubling loop.  For inner products N must
 exceed the widest exponent difference of conj(f)*g.  ``laurent.LaurentPoly``
 and ``expr.MeroExpr`` provide the method; a MeroExpr has a range when it
-divides only by monomials.
+divides only by monomials.  A :class:`GridFunction` has the range of its
+``bounds`` field, which its maker declares: on the radius-lam torus
+conj(w^a) = lam^(2a) w^(-a), so conjugation negates a range, and a factor
+w_d or 1/w_d shifts axis d by +1 or -1.
 
 The exact grid does not depend on the scale, so a sweep over several scales
 (:func:`spectral_summaries`) samples them together in blocks: one evaluation
@@ -33,10 +36,10 @@ alone.  A block that raises (a pole on one of its tori, an invalid scale) is
 sampled again one scale at a time, so the error names the scale and point
 that a one-scale call names.  One scale is the block of one.
 
-Every other evaluator (divisions by non-monomials, :class:`GridFunction`) is
-refined by doubling N.  Each level samples its grid once and extracts every
-requested coefficient in one separable contraction (one small phase matrix
-per axis).  The first level samples 2*n_start points per dimension and reads
+Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
+without ``bounds``) is refined by doubling N.  Each level samples its grid
+once and extracts every requested coefficient in one separable contraction
+(one small phase matrix per axis).  The first level samples 2*n_start points per dimension and reads
 the n_start statistic from the even sub-grid, whose coordinates are bitwise
 those of the n_start grid, so a result accepted at N = 2*n_start costs one
 evaluation of f.  A level accepts N when the grids N/2 and N agree within the
@@ -52,27 +55,30 @@ tolerance, N doubles as before.  On either path the estimate is floored by
 the rounding bound of the accepted grid, since the nested grids share points
 and rounding.
 
-A pointwise evaluator (one with an ``exponent_bounds`` method, such as
+A pointwise evaluator (one whose ``pointwise`` attribute is true, such as
 ``MeroExpr`` and ``LaurentPoly``) is evaluated on a grid of more than
 SLAB_VALUES values slab by slab, rows of the first grid axis at a time, into
 the one array of the grid.  Its intermediates then stay arrays of a slab,
 not of the grid: an n = 4 expression summed term by term otherwise holds
 three grid-sized temporaries at once, and where the allocator placed them
 moved the peak memory of a process by one grid array from run to run.  The
-operations are elementwise, so the values are those of one evaluation.
+operations are elementwise, so the values are those of one evaluation.  A
+:class:`GridFunction` wraps an arbitrary callable, so it is evaluated whole.
 
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
 coordinate arrays works, e.g. ``expr.MeroExpr``, ``laurent.LaurentPoly`` or
-the :class:`GridFunction` adapter below.  The arrays of a block carry one more
-leading axis, the scale, which an evaluator with an exponent range must
-broadcast like the others.  Evaluators must be re-entrant and side-effect
+the :class:`GridFunction` adapter below; ``exponent_bounds`` and
+``pointwise`` are optional.  The arrays of a block carry one more leading
+axis, the scale, which an evaluator with an exponent range must broadcast
+like the others.  Evaluators must be re-entrant and side-effect
 free; grids and summaries are immutable once built.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -109,14 +115,44 @@ SHIFT_MARGIN = 2.0            # safety factor on the shifted-grid estimate
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Adapter turning a plain callable on coordinate arrays into an evaluator."""
+    """Adapter turning a plain callable on coordinate arrays into an evaluator.
+
+    ``bounds``, when given, holds one (lo, hi) pair of integers per axis: a
+    range holding every exponent of every component's Laurent expansion on
+    the sampled tori.  The evaluator is then sampled on its exact grid (see
+    the module docstring), so a range that misses an exponent gives wrong
+    numbers; without it N doubles until two grids agree."""
 
     n: int
     k: int
     fn: Callable[[Sequence[np.ndarray]], list[np.ndarray]]
+    bounds: tuple[tuple[int, int], ...] | None = None
+
+    def __post_init__(self):
+        if self.bounds is None:
+            return
+        if len(self.bounds) != self.n:
+            raise DimensionMismatch(
+                f"bounds has {len(self.bounds)} axes, expected {self.n}"
+            )
+        for pair in self.bounds:
+            if not (
+                isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                        for x in pair)
+            ):
+                raise ValueError(f"bounds entry {pair!r} is not an integer (lo, hi) pair")
+            if pair[0] > pair[1]:
+                raise ValueError(f"bounds entry {pair!r} has lo > hi")
+        object.__setattr__(
+            self, "bounds", tuple((int(lo), int(hi)) for lo, hi in self.bounds)
+        )
 
     def eval_grid(self, coords: Sequence[np.ndarray]) -> list[np.ndarray]:
         return self.fn(coords)
+
+    def exponent_bounds(self) -> list[tuple[int, int]] | None:
+        return None if self.bounds is None else list(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -233,7 +269,7 @@ def sample_torus(
     coords = torus_coords(n, lams, N, shift)
     values = np.empty(lams.shape + (N,) * n + (k,), dtype=complex)
     rows = N  # of the first grid axis per evaluation of f
-    if hasattr(f, "exponent_bounds"):  # pointwise, so it may run on slabs
+    if getattr(f, "pointwise", False):  # so it may run on slabs
         rows = min(N, max(1, SLAB_VALUES * N // values.size))
     lead = (slice(None),) * lams.ndim
     grid_axes = tuple(range(lams.ndim, values.ndim))

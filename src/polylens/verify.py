@@ -289,28 +289,36 @@ def _tail_integral_shapes_exact(tail: LaurentPoly):
         yield f"conj_over_w{delta + 1}", exterior_integral(tail, down, conjugate=True)
 
 
-def _tail_integral_shapes_numeric(tail: LaurentPoly, lam: float):
-    n, k = tail.n, tail.k
+def _tail_integral_shapes_numeric(tail: LaurentPoly) -> tuple[list[str], GridFunction]:
+    """The integrands of _tail_integral_shapes_exact, in its order, as the
+    shape names and one evaluator holding k components per shape.
 
-    def wrap(fn):
-        return GridFunction(n, k, fn)
+    On the radius-lam torus conj(w^a) = lam^(2a) w^(-a), so a conjugate
+    negates the tail's exponent range [lo, hi], and a factor w_d or 1/w_d
+    shifts axis d by +1 or -1.  Every axis carries both shifts of the tail
+    and of its conjugate, so the evaluator declares the hull
+    [min(lo, -hi) - 1, max(hi, -lo) + 1] on each axis."""
+    # (name, conjugated, axis d of the factor w_d^step or None, step)
+    shapes = [("plain", False, None, 0), ("conj", True, None, 0)]
+    for d in range(tail.n):
+        shapes += [
+            (f"times_w{d + 1}", False, d, 1),
+            (f"conj_times_w{d + 1}", True, d, 1),
+            (f"over_w{d + 1}", False, d, -1),
+            (f"conj_over_w{d + 1}", True, d, -1),
+        ]
 
-    yield "plain", wrap(lambda c: tail.eval_grid(c))
-    yield "conj", wrap(lambda c: [np.conj(v) for v in tail.eval_grid(c)])
-    for delta in range(n):
-        d = delta
-        yield f"times_w{d + 1}", wrap(
-            lambda c, d=d: [v * c[d] for v in tail.eval_grid(c)]
-        )
-        yield f"conj_times_w{d + 1}", wrap(
-            lambda c, d=d: [np.conj(v) * c[d] for v in tail.eval_grid(c)]
-        )
-        yield f"over_w{d + 1}", wrap(
-            lambda c, d=d: [v / c[d] for v in tail.eval_grid(c)]
-        )
-        yield f"conj_over_w{d + 1}", wrap(
-            lambda c, d=d: [np.conj(v) / c[d] for v in tail.eval_grid(c)]
-        )
+    def fn(c):
+        values = tail.eval_grid(c)
+        conjugates = [np.conj(v) for v in values]
+        out = []
+        for _, conj, d, step in shapes:
+            for v in conjugates if conj else values:
+                out.append(v if d is None else v * c[d] if step > 0 else v / c[d])
+        return out
+
+    hull = tuple((min(lo, -hi) - 1, max(hi, -lo) + 1) for lo, hi in tail.exponent_bounds())
+    return [shape[0] for shape in shapes], GridFunction(tail.n, tail.k * len(shapes), fn, hull)
 
 
 def check_tail_integrals_vanish(seed: int, cases: int = 100) -> CheckResult:
@@ -323,11 +331,24 @@ def check_tail_integrals_vanish(seed: int, cases: int = 100) -> CheckResult:
             if any(value):
                 failures.append(f"case {i}: exact {shape} integral is nonzero")
         lam = lams[i % len(lams)]
-        for shape, fn in _tail_integral_shapes_numeric(tail, lam):
-            value = expectation_numeric(fn, lam)
+        names, fn = _tail_integral_shapes_numeric(tail)
+        values = expectation_numeric(fn, lam)
+        for s, shape in enumerate(names):
+            value = values[s * tail.k : (s + 1) * tail.k]
             if float(np.max(np.abs(value))) > 1e-9:
                 failures.append(f"case {i}: numeric {shape} integral = {value!r}")
     return _result("tail_integrals_vanish", failures, cases)
+
+
+def _tail_self_energy_numeric(tail: LaurentPoly) -> GridFunction:
+    """|v|^2 for each component v of a tail.  It is conj(v) * v, so its
+    range is [lo - hi, hi - lo] on each axis of the tail's range."""
+    return GridFunction(
+        tail.n,
+        tail.k,
+        lambda c: [np.abs(v) ** 2 + 0j for v in tail.eval_grid(c)],
+        tuple((lo - hi, hi - lo) for lo, hi in tail.exponent_bounds()),
+    )
 
 
 def check_tail_self_energy(seed: int, cases: int = 60) -> CheckResult:
@@ -346,12 +367,7 @@ def check_tail_self_energy(seed: int, cases: int = 60) -> CheckResult:
     for i in range(cases):
         tail = random_tail(rng)
         lam = 0.8 if i % 2 else 1.2
-        fn = GridFunction(
-            tail.n,
-            tail.k,
-            lambda c: [np.abs(v) ** 2 + 0j for v in tail.eval_grid(c)],
-        )
-        numeric = expectation_numeric(fn, lam)
+        numeric = expectation_numeric(_tail_self_energy_numeric(tail), lam)
         for alpha in range(tail.k):
             exact = float(component_norm_sq(tail, alpha, Fraction(lam)))
             if abs(float(numeric[alpha].real) - exact) > 1e-9 * max(1.0, exact):
@@ -557,11 +573,15 @@ def check_matrix_scale_independence(seed: int, cases: int = 100) -> CheckResult:
 
 
 def _coordinate_functions(n: int):
-    """z-bar, 1/z, z, 1/z-bar as grid evaluators with k = n components."""
-    zbar = GridFunction(n, n, lambda c: [np.conj(c[j]) + 0j for j in range(n)])
-    inv_z = GridFunction(n, n, lambda c: [1.0 / c[j] for j in range(n)])
-    z = GridFunction(n, n, lambda c: [c[j] + 0j for j in range(n)])
-    inv_zbar = GridFunction(n, n, lambda c: [1.0 / np.conj(c[j]) for j in range(n)])
+    """z-bar, 1/z, z, 1/z-bar as grid evaluators with k = n components.
+    Component j of each is w_j^(+-1) on the radius-lam torus, up to a power
+    of lam (conj(w_j) = lam^2 / w_j), so each range is [-1, 0] or [0, 1] on
+    every axis."""
+    below, above = ((-1, 0),) * n, ((0, 1),) * n
+    zbar = GridFunction(n, n, lambda c: [np.conj(c[j]) + 0j for j in range(n)], below)
+    inv_z = GridFunction(n, n, lambda c: [1.0 / c[j] for j in range(n)], below)
+    z = GridFunction(n, n, lambda c: [c[j] + 0j for j in range(n)], above)
+    inv_zbar = GridFunction(n, n, lambda c: [1.0 / np.conj(c[j]) for j in range(n)], above)
     return zbar, inv_z, z, inv_zbar
 
 

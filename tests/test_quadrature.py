@@ -274,7 +274,10 @@ class TestRefinement:
 
 
 class _Counted:
-    """An evaluator with an exponent range that records its grid sizes."""
+    """A pointwise evaluator with an exponent range that records its grid
+    sizes."""
+
+    pointwise = True
 
     def __init__(self, f):
         self.f, self.n, self.k, self.sizes = f, f.n, f.k, []
@@ -346,6 +349,50 @@ class TestExactGrid:
             abs(s.variance - float(variance_exact(f, Fraction(lam)))),
         ]
         assert max(gaps) <= s.est_error
+
+
+class TestGridFunctionBounds:
+    @staticmethod
+    def _fn(c):
+        return [c[0] ** 3 + 1 / c[0]]
+
+    def test_bounds_put_a_grid_function_on_the_exact_grid(self):
+        sizes = []
+        f = GridFunction(1, 1, lambda c: sizes.append(c[0].size) or self._fn(c), ((-1, 3),))
+        s = spectral_summary(f, 0.7)
+        assert s.grid_n == 16 and sizes == [16]
+        assert abs(s.eta[0, 0] - 1) < 1e-12 and abs(s.jacobian[0, 0]) < 1e-12
+
+    def test_bounds_are_normalized_to_integer_pairs(self):
+        f = GridFunction(2, 1, self._fn, [(np.int64(-1), 0), [0, 3]])
+        assert f.bounds == ((-1, 0), (0, 3)) and f.exponent_bounds() == [(-1, 0), (0, 3)]
+        assert GridFunction(1, 1, self._fn).exponent_bounds() is None
+
+    def test_wrong_number_of_axes(self):
+        with pytest.raises(DimensionMismatch, match="2 axes, expected 1"):
+            GridFunction(1, 1, self._fn, ((-1, 3), (0, 0)))
+
+    @pytest.mark.parametrize("bounds", [
+        ((-1, 3.0),), ((0.5, 3),), (("-1", 3),), ((True, 3),), ((-1, 3, 4),), (3,),
+    ])
+    def test_non_integer_pairs(self, bounds):
+        with pytest.raises(ValueError, match="not an integer"):
+            GridFunction(1, 1, self._fn, bounds)
+
+    def test_lo_above_hi(self):
+        with pytest.raises(ValueError, match="lo > hi"):
+            GridFunction(1, 1, self._fn, ((3, -1),))
+
+    def test_bounds_do_not_make_a_grid_function_pointwise(self):
+        # a range alone says nothing about how the callable treats its
+        # coordinates, so a big grid is still evaluated in one piece
+        f = parse("1/w1 + 2*w2 + 3*w3, w2^2", 3)
+        sizes = []
+        g = GridFunction(
+            3, 2, lambda c: sizes.append(c[0].size) or f.eval_grid(c), tuple(f.exponent_bounds())
+        )
+        grid = sample_torus(g, 1.1, 64)
+        assert grid.values.size > SLAB_VALUES and sizes == [64]
 
 
 class TestSpectralSummary:

@@ -1,0 +1,98 @@
+"""The evaluators the verify checks build around LaurentPoly inputs: their
+declared exponent ranges, and the grids a tail case samples."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polylens import quadrature
+from polylens.quadrature import expectation_numeric, sample_torus
+from polylens.verify import (
+    _coordinate_functions,
+    _tail_integral_shapes_exact,
+    _tail_integral_shapes_numeric,
+    _tail_self_energy_numeric,
+    check_tail_integrals_vanish,
+    random_tail,
+)
+
+
+def _exact_n(bounds) -> int:
+    """The exact grid expectation_numeric samples for a range."""
+    width = max(max(hi, 0) - min(lo, 0) for lo, hi in bounds)
+    N = quadrature.DEFAULT_START_N
+    while N <= width:
+        N *= 2
+    return N
+
+
+def _assert_range_holds(fn, lam):
+    """Every coefficient outside the declared range vanishes on a grid twice
+    the exact one, relative to the peak of the samples."""
+    bounds = fn.exponent_bounds()
+    M = 2 * _exact_n(bounds)
+    grid = sample_torus(fn, lam, M)
+    # entry a (mod M) is lam^(sum a) times the coefficient of order a
+    spectrum = np.fft.fftn(grid.values, axes=tuple(range(fn.n))) / M**fn.n
+    inside = np.zeros((M,) * fn.n, dtype=bool)
+    inside[np.ix_(*[np.arange(lo, hi + 1) % M for lo, hi in bounds])] = True
+    outside = np.abs(spectrum[~inside]).max(initial=0.0)
+    assert outside <= 1e-12 * max(1.0, grid.peak), (bounds, outside)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.sampled_from((0.5, 0.8, 1.1, 2.0)),
+)
+def test_declared_ranges_hold_the_expansion(seed, n, k, lam):
+    tail = random_tail(np.random.default_rng(seed), n, k)
+    _, shapes = _tail_integral_shapes_numeric(tail)
+    for fn in (shapes, _tail_self_energy_numeric(tail), *_coordinate_functions(n)):
+        _assert_range_holds(fn, lam)
+        exact = expectation_numeric(fn, lam)
+        doubled = expectation_numeric(dataclasses.replace(fn, bounds=None), lam)
+        assert np.all(np.abs(exact - doubled) <= 1e-12 * np.maximum(1.0, np.abs(doubled)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tail_shapes_follow_the_exact_order(n):
+    tail = random_tail(np.random.default_rng(n), n, 2)
+    names, fn = _tail_integral_shapes_numeric(tail)
+    assert names == [name for name, _ in _tail_integral_shapes_exact(tail)]
+    assert len(names) == 2 + 4 * n and fn.k == 2 * len(names)
+    # each block of k components is the integrand its name describes
+    c = [np.asarray(0.6 + 0.3j * (j + 1)) for j in range(n)]
+    v = tail.eval_grid(c)
+    want = {"plain": v, "conj": [np.conj(x) for x in v]}
+    for d in range(n):
+        for prefix, base in (("", want["plain"]), ("conj_", want["conj"])):
+            want[f"{prefix}times_w{d + 1}"] = [x * c[d] for x in base]
+            want[f"{prefix}over_w{d + 1}"] = [x / c[d] for x in base]
+    got = fn.eval_grid(c)
+    for s, name in enumerate(names):
+        assert np.array_equal(got[2 * s : 2 * s + 2], want[name]), name
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_tail_case_samples_one_exact_grid(seed, monkeypatch):
+    grids = []
+    sample = quadrature.sample_torus
+
+    def counted(f, lam, N, *args, **kwargs):
+        grids.append(N)
+        return sample(f, lam, N, *args, **kwargs)
+
+    def doubling(*args, **kwargs):
+        raise AssertionError("the doubling loop ran")
+
+    monkeypatch.setattr(quadrature, "sample_torus", counted)
+    monkeypatch.setattr(quadrature, "_adaptive", doubling)
+    result = check_tail_integrals_vanish(seed, 10)
+    assert result.passed and result.cases == 10
+    assert grids == [16] * 10
