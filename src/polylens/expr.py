@@ -14,6 +14,16 @@ integer exponent.  A number immediately followed by 'i' is an imaginary
 literal.  Decimal literals are held as exact rationals, never binary floats,
 so conversion to the exact Laurent form loses nothing.
 
+A component is a tree of five node types: the leaves `Lit` and `Var`, the
+unary `Neg` and `Pow` (integer exponent), and `BinOp(op, left, right)` for
+'+', '-', '*', '/'.  `fold` is the one post-order traversal: it hands each
+node, with the results of folding its subtrees, to the step a table holds
+for the node's type.  The exponent range, the evaluator, `to_laurent`, the
+printer and `substitute` are each such a table.  `MeroExpr` folds each
+component at construction into its range and into a numpy function of the
+coordinate arrays, literals already converted to complex, which `eval_grid`
+calls.
+
 The default variable letter is 'w'; a different letter (e.g. 'u' for target
 coordinates of a coordinate change) can be requested at parse time.  Offsets
 in errors are byte positions into the original input.
@@ -22,9 +32,10 @@ in errors are byte positions into the original input.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +59,10 @@ MAX_EXPANSION_PRODUCTS = 4096
 
 Bounds = list[tuple[int, int]]  # per-axis (lo, hi) exponent range
 
+_ZERO = Fraction(0)
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
 
 # ------------------------------------------------------------------ AST nodes
 
@@ -69,25 +84,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
+class BinOp:
+    op: str  # one of + - * /
     left: "Node"
     right: "Node"
 
@@ -98,7 +96,26 @@ class Pow:
     exponent: int
 
 
-Node = Union[Lit, Var, Neg, Add, Sub, Mul, Div, Pow]
+Node = Union[Lit, Var, Neg, BinOp, Pow]
+
+
+Steps = dict  # node class -> step(node, *results of folding its subtrees)
+
+
+def fold(node: Node, steps: Steps):
+    """Post-order fold: steps[type(node)](node, *results of folding its
+    subtrees), the left subtree before the right.  Each reader of a tree is
+    one table of steps, one step per node type."""
+    kind = type(node)
+    if kind is BinOp:
+        return steps[BinOp](node, fold(node.left, steps), fold(node.right, steps))
+    if kind is Neg:
+        return steps[Neg](node, fold(node.operand, steps))
+    if kind is Pow:
+        return steps[Pow](node, fold(node.base, steps))
+    if kind is Lit or kind is Var:
+        return steps[kind](node)
+    raise TypeError(f"unknown node {node!r}")
 
 
 @dataclass(frozen=True)
@@ -108,14 +125,22 @@ class MeroExpr:
     n: int
     components: tuple[Node, ...]
     var_letter: str = "w"
-    # the exponent range, found once: the tree never changes
+    # the exponent range and the compiled evaluators, found once from the tree
     _bounds: Bounds | None = field(init=False, repr=False, compare=False)
+    _evaluators: tuple = field(init=False, repr=False, compare=False)
     pointwise = True  # eval_grid acts point by point (see quadrature)
 
     def __post_init__(self):
-        ranges = [_node_bounds(node, self.n) for node in self.components]
+        steps = _bounds_steps(self.n)
+        ranges = [fold(node, steps) for node in self.components]
         bounds = None if None in ranges else functools.reduce(_hull, ranges)
         object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_evaluators",
+                           tuple(fold(node, _COMPILE) for node in self.components))
+
+    def __reduce__(self):
+        # the compiled closures do not pickle; rebuild them from the tree
+        return MeroExpr, (self.n, self.components, self.var_letter)
 
     @property
     def k(self) -> int:
@@ -126,10 +151,7 @@ class MeroExpr:
         if len(coords) != self.n:
             raise DimensionMismatch(f"expected {self.n} coordinate arrays")
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        return [
-            np.broadcast_to(np.asarray(_eval_node(node, coords)), shape)
-            for node in self.components
-        ]
+        return [np.broadcast_to(np.asarray(f(coords)), shape) for f in self._evaluators]
 
     def eval_at(self, point: Sequence[complex]) -> tuple[complex, ...]:
         coords = [np.asarray(complex(p)) for p in point]
@@ -142,10 +164,10 @@ class MeroExpr:
         return None if self._bounds is None else list(self._bounds)
 
 
-# ------------------------------------------------------------------ scanning
+# ------------------------------------------------------------------ parsing
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen dataclass is three times as slow to build
 class _Token:
     kind: str  # NUM, IMAG, VAR, OP, EOF
     offset: int
@@ -153,8 +175,8 @@ class _Token:
     value: object = None
 
 
-class _TokenStream:
-    """Lazy single-token-lookahead scanner.
+class _Parser:
+    """Recursive descent over a lazy single-token-lookahead scanner.
 
     Tokens are produced on demand so that a grammar error at an early token
     is reported before any lexical problem later in the input: offsets always
@@ -195,13 +217,11 @@ class _TokenStream:
                 pos += 1
                 while pos < length and text[pos].isdigit():
                     pos += 1
-            value = Fraction(text[start:pos])
+            value, kind = Fraction(text[start:pos]), "NUM"
             if pos < length and text[pos] == "i":
-                pos += 1
-                self.pos = pos
-                return _Token("IMAG", start, text[start:pos], value)
+                pos, kind = pos + 1, "IMAG"
             self.pos = pos
-            return _Token("NUM", start, text[start:pos], value)
+            return _Token(kind, start, text[start:pos], value)
         if ch == "i":
             self.pos = pos + 1
             return _Token("IMAG", pos, "i", Fraction(1))
@@ -227,20 +247,6 @@ class _TokenStream:
             return _Token("OP", pos, ch)
         raise ParseError(pos, "a token", f"character {ch!r}")
 
-
-# ------------------------------------------------------------------ parsing
-
-
-class _Parser:
-    def __init__(self, stream: _TokenStream):
-        self.stream = stream
-
-    def peek(self) -> _Token:
-        return self.stream.peek()
-
-    def advance(self) -> _Token:
-        return self.stream.advance()
-
     def _found(self, tok: _Token) -> str:
         return "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
 
@@ -264,26 +270,17 @@ class _Parser:
                 raise ParseError(tok.offset, "',' or end of input", self._found(tok))
 
     def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            else:
-                return node
+        return self._left_assoc("+-", self.parse_term)
 
     def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "*/":
-                self.advance()
-                rhs = self.parse_factor()
-                node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
-            else:
-                return node
+        return self._left_assoc("*/", self.parse_factor)
+
+    def _left_assoc(self, ops: str, operand: Callable[[], Node]) -> Node:
+        node = operand()
+        while (tok := self.peek()).kind == "OP" and tok.text in ops:
+            self.advance()
+            node = BinOp(tok.text, node, operand())
+        return node
 
     def parse_factor(self) -> Node:
         node = self.parse_base()
@@ -301,9 +298,7 @@ class _Parser:
             if tok.text == "-":
                 sign = -1
             tok = self.peek()
-        if tok.kind != "NUM":
-            raise ParseError(tok.offset, "integer exponent", self._found(tok))
-        if tok.value.denominator != 1:
+        if tok.kind != "NUM" or tok.value.denominator != 1:
             raise ParseError(tok.offset, "integer exponent", self._found(tok))
         self.advance()
         return sign * int(tok.value)
@@ -312,10 +307,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUM":
             self.advance()
-            return Lit(tok.value, Fraction(0))
+            return Lit(tok.value, _ZERO)
         if tok.kind == "IMAG":
             self.advance()
-            return Lit(Fraction(0), tok.value)
+            return Lit(_ZERO, tok.value)
         if tok.kind == "VAR":
             self.advance()
             return Var(tok.value)
@@ -327,11 +322,7 @@ class _Parser:
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
             return Neg(self.parse_base())
-        raise ParseError(
-            tok.offset,
-            "number, 'i', variable, '(' or '-'",
-            self._found(tok),
-        )
+        raise ParseError(tok.offset, "number, 'i', variable, '(' or '-'", self._found(tok))
 
 
 def parse(text: str, n: int, var_letter: str = "w") -> MeroExpr:
@@ -344,8 +335,7 @@ def parse(text: str, n: int, var_letter: str = "w") -> MeroExpr:
         raise DimensionMismatch("dimension must be at least 1")
     if var_letter == "i" or len(var_letter) != 1:
         raise ValueError("variable letter must be a single letter other than 'i'")
-    parser = _Parser(_TokenStream(text, n, var_letter))
-    return MeroExpr(n, parser.parse_vector(), var_letter)
+    return MeroExpr(n, _Parser(text, n, var_letter).parse_vector(), var_letter)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -359,37 +349,49 @@ def _locate_min(values: np.ndarray, coords: Sequence[np.ndarray]) -> tuple:
     return tuple(complex(np.broadcast_to(c, shape)[idx]) for c in coords)
 
 
-def _eval_node(node: Node, coords: Sequence[np.ndarray]):
-    if isinstance(node, Lit):
-        return complex(float(node.re), float(node.im))
-    if isinstance(node, Var):
-        return coords[node.index]
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, coords)
-    if isinstance(node, Add):
-        return _eval_node(node.left, coords) + _eval_node(node.right, coords)
-    if isinstance(node, Sub):
-        return _eval_node(node.left, coords) - _eval_node(node.right, coords)
-    if isinstance(node, Mul):
-        return _eval_node(node.left, coords) * _eval_node(node.right, coords)
-    if isinstance(node, Div):
-        num = _eval_node(node.left, coords)
-        den = np.asarray(_eval_node(node.right, coords))
-        if float(np.min(np.abs(den))) < EPS_POLE:
-            raise DivisionNearZero(
-                "division by a value of modulus below the pole threshold",
-                point=_locate_min(den, coords),
-            )
-        return num / den
-    if isinstance(node, Pow):
-        base = np.asarray(_eval_node(node.base, coords))
-        if node.exponent < 0 and float(np.min(np.abs(base))) < EPS_POLE:
-            raise DivisionNearZero(
-                "negative power of a value of modulus below the pole threshold",
-                point=_locate_min(base, coords),
-            )
-        return base ** node.exponent
-    raise TypeError(f"unknown node {node!r}")
+def _guard_pole(values, coords, what: str) -> np.ndarray:
+    """values as an array; DivisionNearZero if a modulus is below EPS_POLE."""
+    values = np.asarray(values)
+    if float(np.min(np.abs(values))) < EPS_POLE:
+        raise DivisionNearZero(
+            f"{what} a value of modulus below the pole threshold",
+            point=_locate_min(values, coords),
+        )
+    return values
+
+
+# Fold steps that compile a subtree into a function of the coordinate arrays,
+# given those of its subtrees; operands are evaluated left before right.
+
+
+def _compile_lit(node: Lit) -> Callable:
+    # the quotient float(Fraction) computes, without its two calls
+    value = complex(node.re.numerator / node.re.denominator,
+                    node.im.numerator / node.im.denominator)
+    return lambda coords: value
+
+
+def _compile_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
+    if node.op == "/":
+        return lambda coords: left(coords) / _guard_pole(right(coords), coords, "division by")
+    apply = _OPS[node.op]
+    return lambda coords: apply(left(coords), right(coords))
+
+
+def _compile_pow(node: Pow, base: Callable) -> Callable:
+    e = node.exponent
+    if e >= 0:
+        return lambda coords: np.asarray(base(coords)) ** e
+    return lambda coords: _guard_pole(base(coords), coords, "negative power of") ** e
+
+
+_COMPILE = {
+    Lit: _compile_lit,
+    Var: lambda node: operator.itemgetter(node.index),
+    Neg: lambda node, operand: lambda coords: -operand(coords),
+    BinOp: _compile_binop,
+    Pow: _compile_pow,
+}
 
 
 # ------------------------------------------------------------ exponent range
@@ -403,32 +405,34 @@ def _is_monomial(bounds: Bounds) -> bool:
     return all(lo == hi for lo, hi in bounds)
 
 
-def _node_bounds(node: Node, n: int) -> Bounds | None:
-    """Bottom-up exponent range of a subtree (see MeroExpr.exponent_bounds)."""
-    if isinstance(node, Lit):
-        return [(0, 0)] * n
-    if isinstance(node, Var):
-        return [(1, 1) if j == node.index else (0, 0) for j in range(n)]
-    if isinstance(node, Neg):
-        return _node_bounds(node.operand, n)
-    if isinstance(node, Pow):
-        base = _node_bounds(node.base, n)
-        e = node.exponent
-        if base is None or (e < 0 and not _is_monomial(base)):
-            return None
-        return [(min(e * lo, e * hi), max(e * lo, e * hi)) for lo, hi in base]
-    left, right = _node_bounds(node.left, n), _node_bounds(node.right, n)
+def _bounds_binop(node: BinOp, left: Bounds | None, right: Bounds | None) -> Bounds | None:
     if left is None or right is None:
         return None
-    if isinstance(node, (Add, Sub)):
+    if node.op in "+-":
         return _hull(left, right)
-    if isinstance(node, Mul):
+    if node.op == "*":
         return [(lo1 + lo2, hi1 + hi2) for (lo1, hi1), (lo2, hi2) in zip(left, right)]
-    if isinstance(node, Div):
-        if not _is_monomial(right):
-            return None
-        return [(lo - p, hi - p) for (lo, hi), (p, _) in zip(left, right)]
-    raise TypeError(f"unknown node {node!r}")
+    if not _is_monomial(right):
+        return None
+    return [(lo - p, hi - p) for (lo, hi), (p, _) in zip(left, right)]
+
+
+def _bounds_pow(node: Pow, base: Bounds | None) -> Bounds | None:
+    e = node.exponent
+    if base is None or (e < 0 and not _is_monomial(base)):
+        return None
+    return [(min(e * lo, e * hi), max(e * lo, e * hi)) for lo, hi in base]
+
+
+def _bounds_steps(n: int) -> Steps:
+    """Fold steps: the exponent range of a subtree (MeroExpr.exponent_bounds)."""
+    return {
+        Lit: lambda node: [(0, 0)] * n,
+        Var: lambda node: [(1, 1) if j == node.index else (0, 0) for j in range(n)],
+        Neg: lambda node, operand: operand,
+        BinOp: _bounds_binop,
+        Pow: _bounds_pow,
+    }
 
 
 def _check_degree(bounds: Bounds) -> None:
@@ -441,8 +445,7 @@ def _check_degree(bounds: Bounds) -> None:
 
 def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """a * b, refused before multiplying when it exceeds the product cap."""
-    count = len(a.terms) * len(b.terms)
-    if count > MAX_EXPANSION_PRODUCTS:
+    if len(a.terms) * len(b.terms) > MAX_EXPANSION_PRODUCTS:
         raise ExpansionTooLarge(
             f"a product of {len(a.terms)} by {len(b.terms)} terms exceeds the cap "
             f"of {MAX_EXPANSION_PRODUCTS} term products"
@@ -467,34 +470,33 @@ def to_laurent(e: MeroExpr) -> LaurentPoly:
     bounds = e.exponent_bounds()
     if bounds is not None:
         _check_degree(bounds)
-    return LaurentPoly.from_components(
-        [_node_to_laurent(node, e.n, e.var_letter) for node in e.components]
-    )
+    steps = _laurent_steps(e.n, e.var_letter)
+    return LaurentPoly.from_components([fold(node, steps) for node in e.components])
 
 
-def _node_to_laurent(node: Node, n: int, letter: str) -> LaurentPoly:
-    if isinstance(node, Lit):
-        return LaurentPoly.scalar(n, {(0,) * n: ComplexRational(node.re, node.im)})
-    if isinstance(node, Var):
-        exps = tuple(1 if j == node.index else 0 for j in range(n))
-        return LaurentPoly.scalar(n, {exps: CR_ONE})
-    if isinstance(node, Neg):
-        return -_node_to_laurent(node.operand, n, letter)
-    if isinstance(node, Add):
-        return _node_to_laurent(node.left, n, letter) + _node_to_laurent(node.right, n, letter)
-    if isinstance(node, Sub):
-        return _node_to_laurent(node.left, n, letter) - _node_to_laurent(node.right, n, letter)
-    if isinstance(node, Mul):
-        return _product(_node_to_laurent(node.left, n, letter),
-                        _node_to_laurent(node.right, n, letter))
-    if isinstance(node, Div):
-        num = _node_to_laurent(node.left, n, letter)
-        return num * _monomial_inverse(node.right, n, letter)
-    if isinstance(node, Pow):
+def _laurent_steps(n: int, letter: str) -> Steps:
+    """Fold steps: the exact Laurent expansion of a subtree."""
+
+    def binop(node: BinOp, left: LaurentPoly, right: LaurentPoly) -> LaurentPoly:
+        if node.op == "/":
+            return left * _monomial_inverse(right, node.right, letter)
+        if node.op == "*":
+            return _product(left, right)
+        return _OPS[node.op](left, right)
+
+    def power(node: Pow, base: LaurentPoly) -> LaurentPoly:
         if node.exponent >= 0:
-            return _power(_node_to_laurent(node.base, n, letter), node.exponent)
-        return _power(_monomial_inverse(node.base, n, letter), -node.exponent)
-    raise TypeError(f"unknown node {node!r}")
+            return _power(base, node.exponent)
+        return _power(_monomial_inverse(base, node.base, letter), -node.exponent)
+
+    return {
+        Lit: lambda node: LaurentPoly.scalar(n, {(0,) * n: ComplexRational(node.re, node.im)}),
+        Var: lambda node: LaurentPoly.scalar(
+            n, {tuple(int(j == node.index) for j in range(n)): CR_ONE}),
+        Neg: lambda node, operand: -operand,
+        BinOp: binop,
+        Pow: power,
+    }
 
 
 def _power(base: LaurentPoly, e: int) -> LaurentPoly:
@@ -511,16 +513,16 @@ def _power(base: LaurentPoly, e: int) -> LaurentPoly:
     return out
 
 
-def _monomial_inverse(node: Node, n: int, letter: str) -> LaurentPoly:
-    poly = _node_to_laurent(node, n, letter)
+def _monomial_inverse(poly: LaurentPoly, node: Node, letter: str) -> LaurentPoly:
+    """1/poly, where poly is the expansion of node; NotLaurent unless it is a
+    single monomial."""
     if len(poly.terms) != 1:
         raise NotLaurent(
             f"division by non-monomial: {render_node(node, letter)}",
             subtree=render_node(node, letter),
         )
     ((exps, (coeff,)),) = poly.terms.items()
-    inv_exps = tuple(-e for e in exps)
-    return LaurentPoly.scalar(n, {inv_exps: coeff.reciprocal()})
+    return LaurentPoly.scalar(poly.n, {tuple(-e for e in exps): coeff.reciprocal()})
 
 
 # ------------------------------------------------------------------ printing
@@ -546,36 +548,30 @@ def _frac_to_decimal(x: Fraction) -> str:
     return f"{s[:-digits]}.{s[-digits:]}"
 
 
-def _atom(node: Node, letter: str) -> str:
-    text = render_node(node, letter)
-    if isinstance(node, (Lit, Var)):
-        return text
-    return f"({text})"
+def _render_lit(node: Lit) -> str:
+    if node.im == 0:
+        return _frac_to_decimal(node.re)
+    if node.re == 0:
+        return _frac_to_decimal(node.im) + "i"
+    # mixed literals never come from the parser; render re-parseably
+    return f"({_frac_to_decimal(node.re)}+{_frac_to_decimal(node.im)}i)"
+
+
+def _operand(rendered: tuple[str, bool]) -> str:
+    """A rendered subtree as an operand: parenthesized unless it is bare."""
+    text, bare = rendered
+    return text if bare else f"({text})"
 
 
 def render_node(node: Node, letter: str = "w") -> str:
-    if isinstance(node, Lit):
-        if node.im == 0:
-            return _frac_to_decimal(node.re)
-        if node.re == 0:
-            return _frac_to_decimal(node.im) + "i"
-        # mixed literals never come from the parser; render re-parseably
-        return f"({_frac_to_decimal(node.re)}+{_frac_to_decimal(node.im)}i)"
-    if isinstance(node, Var):
-        return f"{letter}{node.index + 1}"
-    if isinstance(node, Neg):
-        return f"-{_atom(node.operand, letter)}"
-    if isinstance(node, Add):
-        return f"{_atom(node.left, letter)}+{_atom(node.right, letter)}"
-    if isinstance(node, Sub):
-        return f"{_atom(node.left, letter)}-{_atom(node.right, letter)}"
-    if isinstance(node, Mul):
-        return f"{_atom(node.left, letter)}*{_atom(node.right, letter)}"
-    if isinstance(node, Div):
-        return f"{_atom(node.left, letter)}/{_atom(node.right, letter)}"
-    if isinstance(node, Pow):
-        return f"{_atom(node.base, letter)}^{node.exponent}"
-    raise TypeError(f"unknown node {node!r}")
+    # each step gives (text, whether it is a bare literal or variable)
+    return fold(node, {
+        Lit: lambda node: (_render_lit(node), True),
+        Var: lambda node: (f"{letter}{node.index + 1}", True),
+        Neg: lambda node, operand: (f"-{_operand(operand)}", False),
+        BinOp: lambda node, left, right: (f"{_operand(left)}{node.op}{_operand(right)}", False),
+        Pow: lambda node, base: (f"{_operand(base)}^{node.exponent}", False),
+    })[0]
 
 
 def to_text(e: MeroExpr) -> str:
@@ -587,21 +583,11 @@ def to_text(e: MeroExpr) -> str:
 
 
 def substitute(node: Node, replacements: Sequence[Node]) -> Node:
-    """Replace every variable j by replacements[j], recursively."""
-    if isinstance(node, Lit):
-        return node
-    if isinstance(node, Var):
-        return replacements[node.index]
-    if isinstance(node, Neg):
-        return Neg(substitute(node.operand, replacements))
-    if isinstance(node, Add):
-        return Add(substitute(node.left, replacements), substitute(node.right, replacements))
-    if isinstance(node, Sub):
-        return Sub(substitute(node.left, replacements), substitute(node.right, replacements))
-    if isinstance(node, Mul):
-        return Mul(substitute(node.left, replacements), substitute(node.right, replacements))
-    if isinstance(node, Div):
-        return Div(substitute(node.left, replacements), substitute(node.right, replacements))
-    if isinstance(node, Pow):
-        return Pow(substitute(node.base, replacements), node.exponent)
-    raise TypeError(f"unknown node {node!r}")
+    """Replace every variable j by replacements[j]."""
+    return fold(node, {
+        Lit: lambda node: node,
+        Var: lambda node: replacements[node.index],
+        Neg: lambda node, operand: Neg(operand),
+        BinOp: lambda node, left, right: BinOp(node.op, left, right),
+        Pow: lambda node, base: Pow(base, node.exponent),
+    })

@@ -152,22 +152,6 @@ class LaurentPoly:
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def zero(cls, n: int, k: int = 1) -> "LaurentPoly":
-        return cls(n, k, {})
-
-    @classmethod
-    def constant(cls, n: int, values) -> "LaurentPoly":
-        if not isinstance(values, (tuple, list)):
-            values = (values,)
-        return cls(n, len(values), {(0,) * n: tuple(values)})
-
-    @classmethod
-    def monomial(cls, n: int, exps: Iterable[int], coeffs) -> "LaurentPoly":
-        if not isinstance(coeffs, (tuple, list)):
-            coeffs = (coeffs,)
-        return cls(n, len(coeffs), {tuple(exps): tuple(coeffs)})
-
-    @classmethod
     def scalar(cls, n: int, mapping: Mapping[Exponents, object]) -> "LaurentPoly":
         """Build a k=1 polynomial from {exponents: coefficient}."""
         return cls(n, 1, {exps: (c,) for exps, c in mapping.items()})

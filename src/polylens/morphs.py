@@ -161,12 +161,7 @@ def pullback(psi: MeroExpr, g: Morph) -> MeroExpr:
         raise DimensionMismatch(
             f"function in {psi.n} variables vs change of {g.n} coordinates"
         )
-    replacements = g.components.components
-    return MeroExpr(
-        n=g.n,
-        components=tuple(substitute(node, replacements) for node in psi.components),
-        var_letter=g.components.var_letter,
-    )
+    return compose(psi, g.components)
 
 
 def compose(outer: MeroExpr, inner: MeroExpr) -> MeroExpr:
@@ -175,10 +170,9 @@ def compose(outer: MeroExpr, inner: MeroExpr) -> MeroExpr:
         raise DimensionMismatch(
             f"outer change expects {outer.n} inputs, inner produces {inner.k}"
         )
-    replacements = inner.components
     return MeroExpr(
         n=inner.n,
-        components=tuple(substitute(node, replacements) for node in outer.components),
+        components=tuple(substitute(node, inner.components) for node in outer.components),
         var_letter=inner.var_letter,
     )
 

@@ -685,34 +685,27 @@ MORPHS_2D = [
 FUNCTIONS_2D = ["1/u1 + 1/u2 + u1 + 2*u2", "(1+i)/u1 + u2 + u1*u2"]
 
 
-def check_transform_1d(seed: int = 0) -> CheckResult:
+def _transform_laws(name: str, n: int, morphs, functions) -> CheckResult:
     failures = []
     cases = 0
-    for text in MORPHS_1D:
-        morph = morph_validate(parse(text, 1), 0.25)
-        for fn_text in FUNCTIONS_1D:
+    for text in morphs:
+        morph = morph_validate(parse(text, n), 0.25)
+        for fn_text in functions:
             cases += 1
-            report = verify_transform(parse(fn_text, 1, var_letter="u"), morph)
+            report = verify_transform(parse(fn_text, n, var_letter="u"), morph)
             if not report.passed(1e-8):
                 failures.append(
                     f"{fn_text} under {text}: residual {report.max_residual:.3g}"
                 )
-    return _result("transform_laws_1d", failures, cases)
+    return _result(name, failures, cases)
+
+
+def check_transform_1d(seed: int = 0) -> CheckResult:
+    return _transform_laws("transform_laws_1d", 1, MORPHS_1D, FUNCTIONS_1D)
 
 
 def check_transform_2d(seed: int = 0) -> CheckResult:
-    failures = []
-    cases = 0
-    for text in MORPHS_2D:
-        morph = morph_validate(parse(text, 2), 0.25)
-        for fn_text in FUNCTIONS_2D:
-            cases += 1
-            report = verify_transform(parse(fn_text, 2, var_letter="u"), morph)
-            if not report.passed(1e-8):
-                failures.append(
-                    f"{fn_text} under {text}: residual {report.max_residual:.3g}"
-                )
-    return _result("transform_laws_2d", failures, cases)
+    return _transform_laws("transform_laws_2d", 2, MORPHS_2D, FUNCTIONS_2D)
 
 
 def check_identity_morph(seed: int = 0) -> CheckResult:

@@ -1,8 +1,8 @@
 """Parser, evaluator and exact-form tests for the expression DSL."""
 
-from fractions import Fraction
-
+import pickle
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,13 +19,13 @@ from polylens.errors import (
     UnknownVariable,
 )
 from polylens.expr import (
-    Add,
-    Div,
+    BinOp,
     Lit,
     MeroExpr,
     Neg,
     Pow,
     Var,
+    fold,
     parse,
     substitute,
     to_laurent,
@@ -37,7 +37,7 @@ from polylens.laurent import LaurentPoly
 class TestGrammar:
     def test_basic_shape(self):
         e = parse("1/w + w", 1)
-        assert e.components == (Add(Div(Lit(Fraction(1), Fraction(0)), Var(0)), Var(0)),)
+        assert e.components == (BinOp("+", BinOp("/", Lit(Fraction(1), Fraction(0)), Var(0)), Var(0)),)
 
     def test_precedence_power_binds_tightest(self):
         e = parse("2*w^3", 1)
@@ -283,3 +283,66 @@ def test_to_text_explicit_form():
     assert to_text(parse("1/w + w", 1)) == "(1/w1)+w1"
     # unary minus is part of `base`, so the power applies to the negated base
     assert to_text(parse("-w^2", 1)) == "(-w1)^2"
+
+
+def test_pickle_round_trip():
+    coords = [np.exp(2j * np.pi * np.arange(16) / 16)[:, None], np.array([[0.5, 2j, -1.5]])]
+    for text in ["1/w1 + w1*w2^2 - (3+4i)", "(2*w1)^-1 + w2, 1/(w2 - 3) + 0.5i*w1"]:
+        e = parse(text, 2)
+        back = pickle.loads(pickle.dumps(e))
+        assert back == e and hash(back) == hash(e) and repr(back) == repr(e)
+        assert back.exponent_bounds() == e.exponent_bounds()
+        for got, want in zip(back.eval_grid(coords), e.eval_grid(coords)):
+            assert np.array_equal(got, want)
+
+
+def test_fold_rejects_a_non_node():
+    steps = {kind: lambda node, *subs: node for kind in (Lit, Var, Neg, BinOp, Pow)}
+    with pytest.raises(TypeError, match="unknown node"):
+        fold("w1", steps)
+    with pytest.raises(TypeError, match="unknown node"):
+        fold(BinOp("+", Var(0), 1.5), steps)
+
+
+def _trees(n: int, depth: int):
+    """Trees of every node type, as the parser builds them: literals are
+    nonnegative and either real or imaginary.  Divisors and negative powers
+    may be non-monomials; depth and exponents are kept small so that the
+    float evaluation stays within 1e-12 relative of the exact one."""
+    number = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
+    leaf = st.one_of(
+        number.map(lambda x: Lit(x, Fraction(0))),
+        number.map(lambda x: Lit(Fraction(0), x)),
+        st.integers(0, n - 1).map(Var),
+    )
+    if depth == 0:
+        return leaf
+    inner = _trees(n, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Neg, inner),
+        st.builds(BinOp, st.sampled_from("+-*/"), inner, inner),
+        st.builds(Pow, inner, st.integers(-2, 2)),
+    )
+
+
+@st.composite
+def _random_exprs(draw):
+    n = draw(st.integers(1, 3))
+    return MeroExpr(n, tuple(draw(st.lists(_trees(n, 3), min_size=1, max_size=2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_exprs())
+def test_readers_agree_on_random_trees(e):
+    assert parse(to_text(e), e.n).components == e.components
+    identity = [Var(j) for j in range(e.n)]
+    assert all(substitute(node, identity) == node for node in e.components)
+    try:
+        exact = to_laurent(e)
+    except (NotLaurent, AdmissibilityViolation, ExpansionTooLarge):
+        return
+    ring = np.exp(2j * np.pi * np.arange(16) / 16)
+    coords = [ring.reshape([-1 if j == d else 1 for j in range(e.n)]) for d in range(e.n)]
+    for got, want in zip(e.eval_grid(coords), exact.eval_grid(coords)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
