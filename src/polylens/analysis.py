@@ -29,6 +29,8 @@ from .quadrature import (
 # Traces below this are treated as exactly zero when classifying degeneracies.
 TRACE_ZERO_THRESHOLD = 1e-18
 
+GOLDEN_REL_TOL = 1e-4  # golden section stops at a bracket this fraction of its midpoint
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -48,7 +50,7 @@ ZERO_RESIDUE = Degenerate("ZeroResidue")
 OptimalScale = Union[float, Degenerate]
 
 
-def optimal_scale(eta, jacobian, zero_threshold: float = TRACE_ZERO_THRESHOLD) -> OptimalScale:
+def optimal_scale(eta, jacobian) -> OptimalScale:
     """Closed-form minimizer [Tr(eta* eta)/Tr(D* D)]^(1/4) of the two-term
     variance model.
 
@@ -58,9 +60,9 @@ def optimal_scale(eta, jacobian, zero_threshold: float = TRACE_ZERO_THRESHOLD) -
     """
     tr_eta = trace_norm_sq(eta)
     tr_jac = trace_norm_sq(jacobian)
-    if tr_jac <= zero_threshold:
+    if tr_jac <= TRACE_ZERO_THRESHOLD:
         return ZERO_JACOBIAN
-    if tr_eta <= zero_threshold:
+    if tr_eta <= TRACE_ZERO_THRESHOLD:
         return ZERO_RESIDUE
     return (tr_eta / tr_jac) ** 0.25
 
@@ -137,7 +139,7 @@ def variance_sweep(
     return sweep
 
 
-def empirical_optimal_scale(sweep: LensSweep, rel_tol: float = 1e-4) -> float:
+def empirical_optimal_scale(sweep: LensSweep) -> float:
     """Golden-section refinement of the sweep minimizer of measured variance.
 
     Needs at least 3 sweep points.  When the minimum sits on the boundary of
@@ -155,7 +157,7 @@ def empirical_optimal_scale(sweep: LensSweep, rel_tol: float = 1e-4) -> float:
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
     fc, fd = f(c), f(d)
-    while h > rel_tol * (a + b) / 2.0:
+    while h > GOLDEN_REL_TOL * (a + b) / 2.0:
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a

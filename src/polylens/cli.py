@@ -268,7 +268,7 @@ def cmd_transform(args) -> int:
     change = parse(args.morph, args.n)
     max_n = _max_grid(args)
     morph = morph_validate(change, args.lam)
-    report = verify_transform(psi, morph, args.lam, tol=args.tol, max_n=max_n)
+    report = verify_transform(psi, morph, tol=args.tol, max_n=max_n)
     print(f"lambda             = {fmt_float(args.lam)}")
     print(f"morph_jacobian     = {fmt_matrix(morph.jac)}")
     print(f"eta_direct         = {fmt_matrix(report.eta_direct)}")

@@ -10,9 +10,10 @@ Grammar (LL(1), recursive descent with one-token lookahead)::
     variable := 'w' digits          (plain 'w' allowed when n = 1)
 
 Binary operators associate to the left; '^' binds tightest and requires an
-integer exponent.  A number immediately followed by 'i' is an imaginary
-literal.  Decimal literals are held as exact rationals, never binary floats,
-so conversion to the exact Laurent form loses nothing.
+integer exponent.  Digits are the ASCII 0-9 only.  A number immediately
+followed by 'i' is an imaginary literal.  Decimal literals are held as exact
+rationals, never binary floats, so conversion to the exact Laurent form loses
+nothing.  The parser refuses input nested deeper than MAX_NESTING.
 
 A component is a tree of five node types: the leaves `Lit` and `Var`, the
 unary `Neg` and `Pow` (integer exponent), and `BinOp(op, left, right)` for
@@ -57,9 +58,17 @@ EPS_POLE = 1e-9
 MAX_EXPANSION_DEGREE = 4096
 MAX_EXPANSION_PRODUCTS = 4096
 
+# Cap on the nesting of an input, so that parsing and every fold stay well
+# inside Python's recursion limit.  Parentheses and unary minus nest their
+# operand one level deeper, and each operator of a sum or product chain puts
+# the chain so far one level deeper (the parser builds it left-deep).
+MAX_NESTING = 100
+
 Bounds = list[tuple[int, int]]  # per-axis (lo, hi) exponent range
 
 _ZERO = Fraction(0)
+
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts '²' and '١'
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -189,6 +198,8 @@ class _Parser:
         self.var_letter = var_letter
         self.pos = 0
         self._lookahead: _Token | None = None
+        self.depth = 0   # nesting of the subtree being parsed (see MAX_NESTING)
+        self.height = 0  # nesting inside the subtree parsed last
 
     def peek(self) -> _Token:
         if self._lookahead is None:
@@ -209,13 +220,13 @@ class _Parser:
             self.pos = length
             return _Token("EOF", length, "")
         ch = text[pos]
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < length and text[pos].isdigit():
+            while pos < length and text[pos] in _DIGITS:
                 pos += 1
-            if pos < length and text[pos] == "." and pos + 1 < length and text[pos + 1].isdigit():
+            if pos < length and text[pos] == "." and pos + 1 < length and text[pos + 1] in _DIGITS:
                 pos += 1
-                while pos < length and text[pos].isdigit():
+                while pos < length and text[pos] in _DIGITS:
                     pos += 1
             value, kind = Fraction(text[start:pos]), "NUM"
             if pos < length and text[pos] == "i":
@@ -229,7 +240,7 @@ class _Parser:
             start = pos
             pos += 1
             digits = ""
-            while pos < length and text[pos].isdigit():
+            while pos < length and text[pos] in _DIGITS:
                 digits += text[pos]
                 pos += 1
             if digits:
@@ -246,6 +257,19 @@ class _Parser:
             self.pos = pos + 1
             return _Token("OP", pos, ch)
         raise ParseError(pos, "a token", f"character {ch!r}")
+
+    def _nested(self, tok: _Token, levels: int, parse: Callable[[], Node]) -> Node:
+        """parse() one level deeper, the subtree one level higher; first a
+        ParseError at tok if the nesting there, depth + levels, crosses
+        MAX_NESTING."""
+        if self.depth + levels > MAX_NESTING:
+            expected = f"at most {MAX_NESTING} levels of nesting"
+            raise ParseError(tok.offset, expected, repr(tok.text))
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        self.height += 1
+        return node
 
     def _found(self, tok: _Token) -> str:
         return "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
@@ -277,9 +301,13 @@ class _Parser:
 
     def _left_assoc(self, ops: str, operand: Callable[[], Node]) -> Node:
         node = operand()
+        height = self.height
         while (tok := self.peek()).kind == "OP" and tok.text in ops:
             self.advance()
-            node = BinOp(tok.text, node, operand())
+            height += 1  # the chain so far goes one level down
+            node = BinOp(tok.text, node, self._nested(tok, height, operand))
+            height = max(height, self.height)
+        self.height = height
         return node
 
     def parse_factor(self) -> Node:
@@ -305,6 +333,7 @@ class _Parser:
 
     def parse_base(self) -> Node:
         tok = self.peek()
+        self.height = 0
         if tok.kind == "NUM":
             self.advance()
             return Lit(tok.value, _ZERO)
@@ -316,12 +345,12 @@ class _Parser:
             return Var(tok.value)
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
-            node = self.parse_expr()
+            node = self._nested(tok, 1, self.parse_expr)
             self.expect_op(")")
             return node
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_base())
+            return Neg(self._nested(tok, 1, self.parse_base))
         raise ParseError(tok.offset, "number, 'i', variable, '(' or '-'", self._found(tok))
 
 
@@ -577,7 +606,10 @@ def render_node(node: Node, letter: str = "w") -> str:
 def to_text(e: MeroExpr) -> str:
     """Canonical printed form: explicit '*', parenthesized subexpressions.
 
-    parse(to_text(parse(s))) is structurally identical to parse(s).
+    parse(to_text(parse(s))) is structurally identical to parse(s) while the
+    printed form stays within the nesting cap: it parenthesizes the left
+    operand of every chained operator, which nests a chain of m operators
+    2m - 1 levels deep.
     """
     return ", ".join(render_node(node, e.var_letter) for node in e.components)
 

@@ -247,11 +247,6 @@ class LaurentPoly:
             return [(0, 0)] * self.n
         return [(min(axis), max(axis)) for axis in zip(*self.terms)]
 
-    def component(self, alpha: int) -> "LaurentPoly":
-        return LaurentPoly(
-            self.n, 1, {e: (v[alpha],) for e, v in self.terms.items() if v[alpha]}
-        )
-
     # ----------------------------------------------------------- evaluation
 
     def eval_grid(self, coords: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -74,12 +74,7 @@ class Morph:
         return self.components.n
 
 
-def morph_validate(
-    g: MeroExpr,
-    lam: float = DEFAULT_MORPH_LAMBDA,
-    det_threshold: float = DET_THRESHOLD,
-    vanish_threshold: float = VANISH_THRESHOLD,
-) -> Morph:
+def morph_validate(g: MeroExpr, lam: float = DEFAULT_MORPH_LAMBDA) -> Morph:
     """Check a candidate coordinate change and package its derivative data.
 
     Validates: polynomial components, g(0) = 0, invertible derivative at the
@@ -106,7 +101,7 @@ def morph_validate(
         e = [0] * n
         e[beta] = 1
         jac[:, beta] = [complex(c) for c in exact.coefficient(tuple(e))]
-    if abs(np.linalg.det(jac)) <= det_threshold:
+    if abs(np.linalg.det(jac)) <= DET_THRESHOLD:
         raise SingularJacobian("derivative at the origin is not invertible")
 
     if n >= 2:
@@ -115,7 +110,7 @@ def morph_validate(
     N = _SAMPLE_POINTS.get(n, 8)
     grid = sample_torus(g, lam, N)
     low = float(np.min(np.abs(grid.values)))
-    if low <= vanish_threshold:
+    if low <= VANISH_THRESHOLD:
         raise VanishesOnTorus(
             f"a component reaches modulus {low:.3g} on the radius-{lam:g} torus"
         )
@@ -230,12 +225,13 @@ def _analytic_pullback(pulled: MeroExpr, g: Morph, eta_p: np.ndarray):
 def verify_transform(
     psi_prime: MeroExpr,
     g: Morph,
-    lam: float | None = None,
+    *,  # by keyword: a radius passed third must not become tol
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
 ) -> TransformReport:
-    """Measure eta and D for psi' and for its pullback along g, and compare
-    against the tensor transformation laws.
+    """Measure eta and D for psi' and for its pullback along g at the radius
+    g.lam that morph_validate certified, and compare against the tensor
+    transformation laws.
 
     The residue matrix is extracted from the full pullback; the derivative
     matrix from the pullback of the analytic component (see the module
@@ -245,7 +241,7 @@ def verify_transform(
         raise DimensionMismatch(
             f"function in {psi_prime.n} variables vs change of {g.n} coordinates"
         )
-    lam = g.lam if lam is None else lam
+    lam = g.lam
     _, eta_p, jac_p, _, _ = first_order_summary(psi_prime, lam, tol=tol, max_n=max_n)
     pulled = pullback(psi_prime, g)
     _, eta_d, jac_raw, _, _ = first_order_summary(pulled, lam, tol=tol, max_n=max_n)
@@ -265,13 +261,7 @@ def verify_transform(
     )
 
 
-def pole_feedthrough(
-    psi_prime: MeroExpr,
-    g: Morph,
-    lam: float | None = None,
-    tol: float = DEFAULT_TOL,
-    max_n: int = DEFAULT_MAX_N,
-) -> np.ndarray:
+def pole_feedthrough(psi_prime: MeroExpr, g: Morph) -> np.ndarray:
     """The feedthrough matrix of verify_transform's report (see
     TransformReport.feedthrough)."""
-    return verify_transform(psi_prime, g, lam, tol=tol, max_n=max_n).feedthrough
+    return verify_transform(psi_prime, g).feedthrough

@@ -10,7 +10,7 @@ per dimension is narrower than the grid.
 
 Evaluators that know their exponent range (an ``exponent_bounds()`` method
 returning per-axis ``(lo, hi)`` pairs, or None) are sampled once, on the
-exact grid: the smallest power of two N >= n_start with N greater than
+exact grid: the smallest power of two N >= DEFAULT_START_N greater than
 max(hi, max a_j) - min(lo, min a_j) on every axis, where a runs over the
 requested coefficient orders.  On that grid every requested coefficient and
 the mean of |f|^2 are exact up to rounding (discrete orthogonality), so no
@@ -39,9 +39,10 @@ that a one-scale call names.  One scale is the block of one.
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
 without ``bounds``) is refined by doubling N.  Each level samples its grid
 once and extracts every requested coefficient in one separable contraction
-(one small phase matrix per axis).  The first level samples 2*n_start points per dimension and reads
-the n_start statistic from the even sub-grid, whose coordinates are bitwise
-those of the n_start grid, so a result accepted at N = 2*n_start costs one
+(one small phase matrix per axis).  The first level samples
+2*DEFAULT_START_N points per dimension and reads the DEFAULT_START_N
+statistic from the even sub-grid, whose coordinates are bitwise those of the
+smaller grid, so a result accepted at N = 2*DEFAULT_START_N costs one
 evaluation of f.  A level accepts N when the grids N/2 and N agree within the
 tolerance.  When they do not, but the square of their delta does (on
 geometric decay the error of N is near that square), N is confirmed on a
@@ -390,35 +391,35 @@ def _alias_floor(n: int) -> float:
 
 
 def _adaptive(
-    sample: Callable[..., TorusGrid],
+    f,
+    lam: float,
     read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
     tol: float,
     n_start: int,
     max_n: int,
+    max_points: int,
 ) -> tuple[np.ndarray, float, int]:
-    """Refine N until the statistic is resolved within tol.
+    """Refine N at one scale until the statistic is resolved within tol.
 
-    ``sample(N, shift=None)`` samples one scale and ``read`` returns the
-    statistic on it with a per-entry rounding bound.  The first level
-    samples 2*n_start and reads its even sub-grid as the n_start level;
-    every later level samples one new grid.  A level accepts N when the
-    grids N/2 and N agree; when only the squared delta is within tol, it
-    samples the N grid turned by GRID_SHIFT and accepts N when the alias
-    error inferred from the two (see _alias_floor) is.  Otherwise N doubles.
-    Agreement is absolute for entries of modulus <= 1 and relative above, so
-    large variances do not stall the refinement at the rounding floor.  The
-    returned error estimate is the infinity-norm of the accepting delta or
-    alias error, floored entry by entry by the rounding bound of N.
+    ``read`` returns the statistic on a grid of f with a per-entry rounding
+    bound.  The first level samples twice the starting size (see _refine)
+    and reads its even sub-grid as the starting level; every later level
+    samples one new grid.  A level accepts N when the grids N/2 and N agree;
+    when only the squared delta is within tol, it samples the N grid turned
+    by GRID_SHIFT and accepts N when the alias error inferred from the two
+    (see _alias_floor) is.  Otherwise N doubles.  Agreement is absolute for
+    entries of modulus <= 1 and relative above, so large variances do not
+    stall the refinement at the rounding floor.  The returned error estimate
+    is the infinity-norm of the accepting delta or alias error, floored
+    entry by entry by the rounding bound of N.
     """
-    if n_start < 4:
-        raise ValueError("need at least 4 points per dimension")
     N = 2 * n_start
     if N > max_n:
         raise NonConvergent(
             f"grid cap N={max_n} leaves no room for two grids "
             f"(N={n_start} and N={N})"
         )
-    grid = sample(N)
+    grid = sample_torus(f, lam, N, max_points)
     shift = GRID_SHIFT[: grid.n]
     prev, _ = read(grid.even_subgrid())
     cur, floor = read(grid)
@@ -429,7 +430,7 @@ def _adaptive(
         if np.all(delta <= bound):
             return cur, float(np.max(np.maximum(delta, floor))), N
         if np.all(delta <= np.sqrt(bound)):
-            turned, _ = read(sample(N, shift))
+            turned, _ = read(sample_torus(f, lam, N, max_points, shift))
             alias = SHIFT_MARGIN * np.abs(turned - cur) / _alias_floor(len(shift))
             if np.all(alias <= bound):
                 return cur, float(np.max(np.maximum(alias, floor))), N
@@ -437,16 +438,10 @@ def _adaptive(
             break
         prev = cur
         N *= 2
-        cur, floor = read(sample(N))
+        cur, floor = read(sample_torus(f, lam, N, max_points))
     raise NonConvergent(
         f"refinement reached N={N} (cap {max_n}) without two grids agreeing within {tol:g}"
     )
-
-
-def _grid_axes(grid: TorusGrid) -> tuple[int, ...]:
-    """The point and component axes of a grid's values, after any scale axis;
-    a sum over them runs in the memory order of one scale's grid."""
-    return tuple(range(-grid.n - 1, 0))
 
 
 def _rounding_bound(grid: TorusGrid) -> float | np.ndarray:
@@ -457,64 +452,69 @@ def _rounding_bound(grid: TorusGrid) -> float | np.ndarray:
     n*N*eps is the standard bound for the n length-N phase contractions and
     N*eps allows for evaluating terms of degree below N, both relative to the
     peak (floored at 1 for intermediates of unit size).  A mean of a product
-    of two samples is bounded by 4*k*max(peak, 1) times this, which also
-    covers the variance formed from the mean of |f|^2.  Rounding inside the
-    evaluator beyond that, as in the cancellation of (w + 1e8) - 1e8, is not
-    covered.
+    of two samples is bounded by 4*k*max(peak, 1) times this (see
+    _grid_mean), which also covers the variance formed from the mean of
+    |f|^2.  Rounding inside the evaluator beyond that, as in the cancellation
+    of (w + 1e8) - 1e8, is not covered.
     """
     return (grid.n + 1) * grid.N * np.finfo(float).eps * np.maximum(grid.peak, 1.0)
 
 
+def _grid_mean(products: np.ndarray, grid: TorusGrid, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid mean of k products of two samples (|f|^2 or conj(f).g), summed
+    over the k, and its bound 4*k*max(peak, 1)*_rounding_bound(grid), each
+    in a last axis of length one.  The sum is pairwise in the memory order of
+    one scale's grid, so its rounding is logarithmic in N^n."""
+    total = products.sum(axis=tuple(range(-grid.n - 1, 0)))
+    est = 4 * k * np.maximum(grid.peak, 1.0) * _rounding_bound(grid)
+    return total[..., None] / grid.N**grid.n, np.asarray(est)[..., None]
+
+
 def _refine(
-    sample: Callable[..., TorusGrid],
+    f,
     read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
     width: int | None,
     lams: Sequence[float],
-    dims: tuple[int, int],
     tol: float,
-    n_start: int,
     max_n: int,
+    max_points: int,
 ) -> list[tuple[np.ndarray, float, int]]:
-    """One refinement per scale in lams: the exact grid when the exponent
-    width is known, else the doubling loop (see _adaptive).
+    """One refinement of f per scale in lams: the exact grid when the
+    exponent width is known, else the doubling loop from DEFAULT_START_N
+    (see _adaptive).
 
-    ``sample(lam, N, shift=None)`` samples one scale or a list of scales as
-    a block, and ``read`` returns the statistic with a per-entry rounding
+    ``read`` returns the statistic on a grid with a per-entry rounding
     bound, the block's scale axis leading.  The exact grid is the smallest
-    power of two N >= n_start above ``width``, the widest per-axis spread of
-    the exponents the statistic involves, so no term aliases onto a read
-    one.  Its scales are sampled in blocks of at most BLOCK_VALUES values,
-    for an evaluator of dims = (n, k).  A scale is accepted when every entry
-    of its row meets the acceptance rule of _adaptive, with the largest bound
-    as its error estimate.  The bound uses worst-case constants, so at
-    extreme scales it can miss the tolerance while the values are accurate:
-    the doubling loop then compares the exact grids N and 2N of that scale,
-    both alias-free.  A block that raises a pole or an invalid scale is
-    sampled again one scale at a time, so the error is the one a one-scale
-    call raises.
+    power of two N >= DEFAULT_START_N above ``width``, the widest per-axis
+    spread of the exponents the statistic involves, so no term aliases onto
+    a read one.  Its scales are sampled in blocks of at most BLOCK_VALUES
+    values.  A scale is accepted when every entry of its row meets the
+    acceptance rule of _adaptive, with the largest bound as its error
+    estimate.  The bound uses worst-case constants, so at extreme scales it
+    can miss the tolerance while the values are accurate: the doubling loop
+    then compares the exact grids N and 2N of that scale, both alias-free.
+    A block that raises a pole or an invalid scale is sampled again one
+    scale at a time, so the error is the one a one-scale call raises.
     """
     if width is None:
         return [
-            _adaptive(functools.partial(sample, lam), read, tol, n_start, max_n)
+            _adaptive(f, lam, read, tol, DEFAULT_START_N, max_n, max_points)
             for lam in lams
         ]
-    if n_start < 4:
-        raise ValueError("need at least 4 points per dimension")
-    N = 1 << (n_start - 1).bit_length()
+    N = DEFAULT_START_N
     while N <= width:
         N *= 2
     if N > max_n:
         raise NonConvergent(
             f"exponent width {width} needs an exact grid of N={N}, above the cap {max_n}"
         )
-    n, k = dims
-    step = max(1, BLOCK_VALUES // (N**n * k))
+    step = max(1, BLOCK_VALUES // (N**f.n * f.k))
     pending = [lams[i : i + step] for i in range(0, len(lams), step)]
     results = []
     while pending:
         block = pending.pop(0)
         try:
-            values, ests = read(sample(block, N))
+            values, ests = read(sample_torus(f, block, N, max_points))
         except (PoleOnTorus, ValueError):
             if len(block) == 1:
                 raise
@@ -525,9 +525,7 @@ def _refine(
             if ok:
                 results.append((value, float(err), N))
             else:
-                results.append(
-                    _adaptive(functools.partial(sample, lam), read, tol, N, max_n)
-                )
+                results.append(_adaptive(f, lam, read, tol, N, max_n, max_points))
     return results
 
 
@@ -554,7 +552,6 @@ def _coefficients(
     indices: Sequence[Sequence[int]],
     tol: float = DEFAULT_TOL,
     with_power: bool = False,
-    n_start: int = DEFAULT_START_N,
     max_n: int = DEFAULT_MAX_N,
     max_points: int = MAX_TOTAL_POINTS,
 ) -> list[tuple[dict[tuple[int, ...], np.ndarray], float | None, float, int]]:
@@ -563,9 +560,6 @@ def _coefficients(
     idx = [tuple(int(x) for x in a) for a in indices]
     powers = -np.array([sum(a) for a in idx], dtype=float)  # of lam in each scale
 
-    def sample(lam, N: int, shift: tuple[float, ...] | None = None) -> TorusGrid:
-        return sample_torus(f, lam, N, max_points, shift)
-
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         lead = np.shape(grid.lam)
         vec = laurent_coefficients(grid, idx).reshape(lead + (-1,))
@@ -573,11 +567,9 @@ def _coefficients(
         scales = np.asarray(grid.lam)[..., None] ** powers
         est = (unit * scales).repeat(f.k, axis=-1)
         if with_power:
-            # pairwise summation keeps the sum's rounding logarithmic in N^n
-            power = (np.abs(grid.values) ** 2).sum(axis=_grid_axes(grid))
-            peak = np.maximum(np.asarray(grid.peak)[..., None], 1.0)
-            vec = np.concatenate([vec, power[..., None] / grid.N**grid.n], axis=-1)
-            est = np.concatenate([est, 4 * f.k * peak * unit], axis=-1)
+            power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, f.k)
+            vec = np.concatenate([vec, power], axis=-1)
+            est = np.concatenate([est, bound], axis=-1)
         return vec, est
 
     bounds = _exponent_bounds(f)
@@ -586,9 +578,7 @@ def _coefficients(
         for j, (lo, hi) in enumerate(bounds)
     )
     results = []
-    for vec, err, n_used in _refine(
-        sample, read, width, lams, (f.n, f.k), tol, n_start, max_n
-    ):
+    for vec, err, n_used in _refine(f, read, width, lams, tol, max_n, max_points):
         coeffs = {a: vec[i * f.k : (i + 1) * f.k] for i, a in enumerate(idx)}
         power = float(vec[-1].real) if with_power else None
         results.append((coeffs, power, err, n_used))
@@ -600,20 +590,15 @@ def adaptive_coefficients(
     lam: float,
     indices: Sequence[Sequence[int]],
     tol: float = DEFAULT_TOL,
-    with_power: bool = False,
-    n_start: int = DEFAULT_START_N,
     max_n: int = DEFAULT_MAX_N,
-    max_points: int = MAX_TOTAL_POINTS,
-) -> tuple[dict[tuple[int, ...], np.ndarray], float | None, float, int]:
-    """Laurent coefficients at the given indices (and optionally the mean of
-    |f|^2): from the exact grid when f has an exponent range, else refined by
-    grid doubling until stable.
+) -> tuple[dict[tuple[int, ...], np.ndarray], None, float, int]:
+    """Laurent coefficients at the given indices: from the exact grid when f
+    has an exponent range, else refined by grid doubling until stable.
 
-    Returns (coefficients, mean_power, est_error, N_used).
+    Returns (coefficients, None, est_error, N_used); the second entry is the
+    place of the mean of |f|^2, which only spectral_summary reads.
     """
-    return _coefficients(
-        f, [lam], indices, tol, with_power, n_start, max_n, max_points
-    )[0]
+    return _coefficients(f, [lam], indices, tol, max_n=max_n)[0]
 
 
 def _first_order(
@@ -643,7 +628,6 @@ def spectral_summaries(
     f,
     lams: Sequence[float],
     tol: float = DEFAULT_TOL,
-    n_start: int = DEFAULT_START_N,
     max_n: int = DEFAULT_MAX_N,
     max_points: int = MAX_TOTAL_POINTS,
 ) -> list[SpectralSummary]:
@@ -656,8 +640,7 @@ def spectral_summaries(
     """
     lams = list(lams)
     results = _first_order(
-        f, lams, tol=tol, with_power=True,
-        n_start=n_start, max_n=max_n, max_points=max_points,
+        f, lams, tol=tol, with_power=True, max_n=max_n, max_points=max_points
     )
     summaries = []
     for lam, (core, eta, jac, power, err, n_used) in zip(lams, results):
@@ -674,7 +657,6 @@ def spectral_summary(
     f,
     lam: float,
     tol: float = DEFAULT_TOL,
-    n_start: int = DEFAULT_START_N,
     max_n: int = DEFAULT_MAX_N,
     max_points: int = MAX_TOTAL_POINTS,
 ) -> SpectralSummary:
@@ -685,7 +667,7 @@ def spectral_summary(
     of |f|^2 equals <f,f>); the tail energy is whatever part of it the
     two-term closed form does not account for.
     """
-    return spectral_summaries(f, [lam], tol, n_start, max_n, max_points)[0]
+    return spectral_summaries(f, [lam], tol, max_n, max_points)[0]
 
 
 def first_order_summary(
@@ -719,7 +701,6 @@ def inner_product_numeric(
     g,
     lam: float,
     tol: float = DEFAULT_TOL,
-    n_start: int = DEFAULT_START_N,
     max_n: int = DEFAULT_MAX_N,
     max_points: int = MAX_TOTAL_POINTS,
 ) -> complex:
@@ -735,20 +716,14 @@ def inner_product_numeric(
     k = f.k
     pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
 
-    def sample(lam, N: int, shift: tuple[float, ...] | None = None) -> TorusGrid:
-        return sample_torus(pair, lam, N, max_points, shift)
-
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         values = grid.values
-        # pairwise summation, as for the mean power in _coefficients
-        total = np.sum(np.conj(values[..., :k]) * values[..., k:], axis=_grid_axes(grid))
-        est = 4 * k * np.maximum(grid.peak, 1.0) * _rounding_bound(grid)
-        return total[..., None] / grid.N**grid.n, np.asarray(est)[..., None]
+        return _grid_mean(np.conj(values[..., :k]) * values[..., k:], grid, k)
 
     f_bounds, g_bounds = _exponent_bounds(f), _exponent_bounds(g)
     width = None if f_bounds is None or g_bounds is None else max(
         max(g_hi - f_lo, f_hi - g_lo)
         for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
     )
-    [(vec, _, _)] = _refine(sample, read, width, [lam], (f.n, 2 * k), tol, n_start, max_n)
+    [(vec, _, _)] = _refine(pair, read, width, [lam], tol, max_n, max_points)
     return complex(vec[0])

@@ -15,12 +15,14 @@ structurally but never affect measure values.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ParseError, ScaleMismatch
 
 TWO_PI = 2.0 * math.pi
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]*)?|\.[0-9]+")  # ASCII digits, one point at most
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,6 @@ class SliceSet:
 
     def measure(self) -> float:
         return sum(c.width for c in self.components) / TWO_PI
-
-    def slices(self) -> tuple[Slice, ...]:
-        return tuple(Slice(self.lam, c) for c in self.components)
 
 
 MeasurableFactor = Union[Slice, SliceSet]
@@ -170,43 +169,47 @@ def arc_integral_check(s: Slice, N: int) -> complex:
 
 def _parse_angle(text: str, base_offset: int) -> float:
     """Parse one endpoint: optional sign, then a number or [number*]pi,
-    optionally divided by a number."""
-    s = text.strip()
+    optionally divided by a number.  A number is ASCII digits with at most one
+    decimal point; an error names the offset of the character it stops at."""
+    s = text.rstrip()
     if not s:
         raise ParseError(base_offset, "an angle", "empty string")
-    work = s
+
+    def at(u: str) -> int:  # the input offset of u, a suffix of s
+        return base_offset + len(s) - len(u)
+
+    work = s.lstrip()
     sign = 1.0
     if work.startswith("-"):
         sign = -1.0
-        work = work[1:].strip()
+        work = work[1:].lstrip()
     elif work.startswith("+"):
-        work = work[1:].strip()
+        work = work[1:].lstrip()
 
     def read_number(u: str) -> tuple[float, str]:
-        i = 0
-        while i < len(u) and (u[i].isdigit() or u[i] == "."):
-            i += 1
-        if i == 0:
-            raise ParseError(base_offset, "a number or 'pi'", repr(u[:1]))
-        return float(u[:i]), u[i:].strip()
+        number = _NUMBER.match(u)
+        if number is None:
+            raise ParseError(at(u), "a number or 'pi'", repr(u[:1]))
+        return float(number.group()), u[number.end():].lstrip()
 
     if work.startswith("pi"):
-        value, rest = math.pi, work[2:].strip()
+        value, rest = math.pi, work[2:].lstrip()
     else:
         value, rest = read_number(work)
         if rest.startswith("*"):
-            rest = rest[1:].strip()
+            rest = rest[1:].lstrip()
             if not rest.startswith("pi"):
-                raise ParseError(base_offset, "'pi' after '*'", repr(rest[:2]))
+                raise ParseError(at(rest), "'pi' after '*'", repr(rest[:2]))
             value *= math.pi
-            rest = rest[2:].strip()
+            rest = rest[2:].lstrip()
     if rest.startswith("/"):
-        denom, rest = read_number(rest[1:].strip())
+        divisor = rest[1:].lstrip()
+        denom, rest = read_number(divisor)
         if denom == 0:
-            raise ParseError(base_offset, "nonzero divisor", "0")
+            raise ParseError(at(divisor), "nonzero divisor", "0")
         value /= denom
     if rest:
-        raise ParseError(base_offset, "end of angle", repr(rest))
+        raise ParseError(at(rest), "end of angle", repr(rest))
     return sign * value
 
 

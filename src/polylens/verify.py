@@ -142,11 +142,12 @@ def random_tail(rng, n=None, k=None) -> LaurentPoly:
     return LaurentPoly.from_components(components)
 
 
-def random_matrices(rng, n: int, k: int, bound: int = 2):
-    """Random exact (eta, jacobian) pair, both with nonzero trace norms."""
+def random_matrices(rng, n: int, k: int):
+    """Random exact (eta, jacobian) pair, both with nonzero trace norms and
+    entries of real and imaginary parts in [-2, 2]."""
     while True:
-        eta = tuple(tuple(_rand_cr(rng, bound) for _ in range(n)) for _ in range(k))
-        jac = tuple(tuple(_rand_cr(rng, bound) for _ in range(n)) for _ in range(k))
+        eta = tuple(tuple(_rand_cr(rng, 2) for _ in range(n)) for _ in range(k))
+        jac = tuple(tuple(_rand_cr(rng, 2) for _ in range(n)) for _ in range(k))
         if trace_norm_sq_exact(eta) and trace_norm_sq_exact(jac):
             return eta, jac
 

@@ -2,10 +2,13 @@
 
 VALID_CASES holds (text, n) pairs that must parse and round-trip through the
 canonical printer; MALFORMED_CASES holds (text, n, offset) triples where
-offset is the byte position of the first invalid token.
+offset is the byte position of the first invalid token; NESTED_SHAPES builds
+inputs at and over the parser's nesting cap.
 """
 
 from __future__ import annotations
+
+from polylens.expr import MAX_NESTING
 
 
 def build_valid_cases() -> list[tuple[str, int]]:
@@ -83,4 +86,19 @@ MALFORMED_CASES = [
     # would fail lexically for n = 2
     ("+ w3", 2, 0),
     ("1 $", 1, 2),
+    # digits are ASCII only: str.isdigit also accepts these
+    ("²*w", 1, 0),
+    ("١٢*w + 1/w", 1, 0),
+    ("w١", 1, 1),
+    ("w1²", 2, 2),
+    ("1.٢", 1, 1),
 ]
+
+# The four shapes the nesting cap counts, each m levels deep, with the offset
+# of the token that crosses the cap when m = MAX_NESTING + 1.
+NESTED_SHAPES = {
+    "parentheses": (lambda m: "(" * m + "w" + ")" * m, MAX_NESTING),
+    "unary minus": (lambda m: "-" * m + "w", MAX_NESTING),
+    "sum": (lambda m: "+".join(["w"] * (m + 1)), 2 * MAX_NESTING + 1),
+    "product": (lambda m: "*".join(["w"] * (m + 1)), 2 * MAX_NESTING + 1),
+}

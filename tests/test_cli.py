@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import polylens.verify as verify_mod
 from gen_goldens import COMMANDS, GOLDEN_DIR, run_command
 from polylens.cli import canonical_json, fmt_complex, fmt_float, main
+from _corpus import NESTED_SHAPES
+from polylens.expr import MAX_NESTING
 from polylens.verify import CheckResult
 
 
@@ -55,6 +57,33 @@ class TestExitCodes:
     def test_parse_error_bad_interval(self, capsys):
         assert main(["measure", "--interval", "0:frog"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("interval,offset", [("0:²", 2), ("0:pi/٢", 5)])
+    def test_non_ascii_digit_in_interval(self, interval, offset, capsys):
+        assert main(["measure", "--interval", interval]) == 2
+        assert f"offset {offset}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["²*w", "١٢*w + 1/w"])
+    def test_non_ascii_digit_in_expression(self, text, capsys):
+        assert main(["analyze", "--expr", text, "--n", "1", "--lambda", "1"]) == 2
+        assert "offset 0:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", ["parentheses", "unary minus", "sum", "product"])
+    def test_nesting_cap(self, shape, capsys):
+        make, offset = NESTED_SHAPES[shape]
+        argv = ["analyze", "--n", "1", "--lambda", "1", "--expr"]
+        assert main(argv + [make(MAX_NESTING)]) == 0
+        capsys.readouterr()
+        assert main(argv + [make(MAX_NESTING + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"offset {offset}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "w+" * 1199 + "w", "(" * 200 + "w" + ")" * 200, "-" * 1000 + "w",
+    ])
+    def test_far_over_the_nesting_cap(self, text, capsys):
+        assert main(["analyze", "--expr", text, "--n", "1", "--lambda", "1"]) == 2
+        assert "levels of nesting" in capsys.readouterr().err
 
     def test_precondition_pole_on_torus(self, capsys):
         code = main(["analyze", "--expr", "1/(w1+w2)", "--n", "2", "--lambda", "1"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import MALFORMED_CASES, VALID_CASES
+from _corpus import MALFORMED_CASES, NESTED_SHAPES, VALID_CASES
 from polylens.errors import (
     AdmissibilityViolation,
     DivisionNearZero,
@@ -19,6 +19,7 @@ from polylens.errors import (
     UnknownVariable,
 )
 from polylens.expr import (
+    MAX_NESTING,
     BinOp,
     Lit,
     MeroExpr,
@@ -103,6 +104,41 @@ def test_error_offsets(text, n, offset):
 
 def test_malformed_corpus_size():
     assert len(MALFORMED_CASES) >= 30
+
+
+class TestNestingCap:
+    @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+    def test_at_the_cap(self, shape):
+        make, _ = NESTED_SHAPES[shape]
+        e = parse(make(MAX_NESTING), 1)
+        assert to_laurent(e).terms  # every reader folds the whole tree
+        assert e.eval_at([0.5])
+
+    @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+    def test_over_the_cap(self, shape):
+        make, offset = NESTED_SHAPES[shape]
+        with pytest.raises(ParseError, match="levels of nesting") as excinfo:
+            parse(make(MAX_NESTING + 1), 1)
+        assert excinfo.value.offset == offset
+
+    @pytest.mark.parametrize("text", [
+        "w+" * 1199 + "w", "(" * 200 + "w" + ")" * 200, "-" * 1000 + "w", "*".join(["w"] * 1200),
+    ])
+    def test_far_over_the_cap(self, text):
+        with pytest.raises(ParseError, match="levels of nesting"):
+            parse(text, 1)
+
+    def test_levels_add_up(self):
+        # a chain inside parentheses inside a chain: 1 + 1 + 98 levels
+        inner = "*".join(["w"] * 99)
+        parse(f"w + ({inner})", 1)
+        with pytest.raises(ParseError, match="levels of nesting"):
+            parse(f"w + ({inner}*w)", 1)
+        # the left operand of a chain goes one level down per operator
+        parse("-" * 99 + "w + w", 1)
+        with pytest.raises(ParseError, match="levels of nesting") as excinfo:
+            parse("-" * 99 + "w + w + w", 1)
+        assert excinfo.value.offset == 105
 
 
 def test_unknown_variable_example():

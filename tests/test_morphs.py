@@ -11,7 +11,7 @@ from polylens.errors import (
     SingularJacobian,
     VanishesOnTorus,
 )
-from polylens import morphs
+from polylens import morphs, quadrature
 from polylens.expr import parse, to_text
 from polylens.morphs import (
     compose,
@@ -105,22 +105,40 @@ class TestPullback:
 class TestTransform:
     def test_linear_residue(self):
         g = morph_validate(parse("2*w", 1), 0.5)
-        report = verify_transform(parse("1/u", 1, var_letter="u"), g, 0.5)
+        report = verify_transform(parse("1/u", 1, var_letter="u"), g)
         assert report.eta_direct[0, 0] == pytest.approx(0.5, abs=1e-10)
         assert report.eta_predicted[0, 0] == pytest.approx(0.5, abs=1e-10)
         assert report.max_residual <= 1e-10
 
     def test_quadratic_morph_residue(self):
         g = morph_validate(parse("w + w^2/4", 1), 0.5)
-        report = verify_transform(parse("1/u", 1, var_letter="u"), g, 0.5)
+        report = verify_transform(parse("1/u", 1, var_letter="u"), g)
         assert report.eta_direct[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert report.eta_residual <= 1e-8
 
     def test_linear_derivative(self):
         g = morph_validate(parse("2*w", 1), 0.5)
-        report = verify_transform(parse("u", 1, var_letter="u"), g, 0.5)
+        report = verify_transform(parse("u", 1, var_letter="u"), g)
         assert report.jac_direct[0, 0] == pytest.approx(2.0, abs=1e-10)
         assert report.jac_predicted[0, 0] == pytest.approx(2.0, abs=1e-10)
+
+    def test_measured_at_the_validated_radius(self, monkeypatch):
+        g = morph_validate(parse("w + w^2/4", 1), 0.5)
+        psi = parse("1/u + u", 1, var_letter="u")
+        _, eta, _, _, _ = quadrature.first_order_summary(pullback(psi, g), 0.5)
+        radii = []
+        sample = quadrature.sample_torus
+
+        def counted(f, lam, *args, **kwargs):
+            radii.extend(np.ravel(lam))  # one scale, or a block of scales
+            return sample(f, lam, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "sample_torus", counted)
+        report = verify_transform(psi, g)
+        assert np.array_equal(report.eta_direct, eta)
+        assert radii and set(radii) == {0.5}
+        with pytest.raises(TypeError):
+            verify_transform(psi, g, 0.5)  # the radius is g.lam, not an argument
 
     def test_default_radius_from_validation(self):
         g = morph_validate(parse("w + w^2/4", 1))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polylens import quadrature
 from polylens.errors import (
     AliasingRisk,
     DimensionMismatch,
@@ -439,7 +440,33 @@ class TestSpectralSummary:
         assert abs(s.jacobian[1, 0] - 1.0) < 1e-10
 
 
+def _record_grids(monkeypatch) -> list:
+    """Record (N, shift) of every grid quadrature samples from now on."""
+    grids = []
+    sample = quadrature.sample_torus
+
+    def counted(f, lam, N, max_points=quadrature.MAX_TOTAL_POINTS, shift=None):
+        grids.append((N, shift))
+        return sample(f, lam, N, max_points, shift)
+
+    monkeypatch.setattr(quadrature, "sample_torus", counted)
+    return grids
+
+
 class TestInnerProduct:
+    def test_ranges_sample_one_exact_grid(self, monkeypatch):
+        # conj(f).g spans exponents -1..3 on the axis, so the exact grid is 16
+        grids = _record_grids(monkeypatch)
+        f, g = parse("1/w + 2*w", 1), parse("w + 3*w^2 + 1/w", 1)
+        assert abs(inner_product_numeric(f, g, 1.0) - 3.0) < 1e-12
+        assert grids == [(16, None)]
+
+    def test_no_range_samples_the_doubling_levels(self, monkeypatch):
+        grids = _record_grids(monkeypatch)
+        f = parse("1/(w-2)", 1)
+        assert abs(inner_product_numeric(f, f, 1.0) - 1 / 3) < 1e-12
+        assert grids == [(32, None), (64, None), (64, GRID_SHIFT[:1])]
+
     def test_conjugate_coordinate_against_pole(self):
         zbar = GridFunction(1, 1, lambda c: [np.conj(c[0])])
         value = inner_product_numeric(zbar, parse("1/w", 1), 1.0)

@@ -180,7 +180,19 @@ class TestIntervalStrings:
         assert iv.lo == pytest.approx(lo)
         assert iv.hi == pytest.approx(hi)
 
-    @pytest.mark.parametrize("text", ["", "0", "0:pi:2", "a:b", "0:4", "-4:0", "pi:0"])
+    @pytest.mark.parametrize(
+        "text", ["", "0", "0:pi:2", "a:b", "0:4", "-4:0", "pi:0", "0:²", "0:pi/٢", "0:1.2.3"]
+    )
     def test_malformed(self, text):
         with pytest.raises(ParseError):
             parse_interval(text)
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [("0:²", 2), ("0:pi/٢", 5), ("²:pi", 0), ("0: pi / ٢", 8), ("0:1.2.3", 5),
+         ("0:2*x", 4), ("0:pi/0", 5), ("-pi/3:pi/3 x", 11)],
+    )
+    def test_error_names_the_offending_character(self, text, offset):
+        with pytest.raises(ParseError) as excinfo:
+            parse_interval(text)
+        assert excinfo.value.offset == offset
