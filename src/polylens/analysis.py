@@ -201,11 +201,7 @@ def detectability_check(
     if len(probes) < 2:
         raise ValueError("need at least 2 probe scales")
     class_tol = max(1e-8, 100.0 * quad_tol)
-    deep = []
-    for beta in range(f.n):
-        vec = [0] * f.n
-        vec[beta] = -2
-        deep.append(tuple(vec))
+    deep = [tuple(-2 * (i == beta) for i in range(f.n)) for beta in range(f.n)]
     cores = []
     max_variance = 0.0
     try:
@@ -213,7 +209,7 @@ def detectability_check(
             s = spectral_summary(f, lam, tol=quad_tol, max_n=max_n)
             cores.append(s.core)
             max_variance = max(max_variance, s.variance)
-            coeffs, _, _, _ = adaptive_coefficients(f, lam, deep, tol=quad_tol, max_n=max_n)
+            coeffs, _, _ = adaptive_coefficients(f, lam, deep, tol=quad_tol, max_n=max_n)
             worst = max(float(np.max(np.abs(coeffs[a]))) for a in deep)
             if worst > class_tol:
                 return DetectabilityReport(

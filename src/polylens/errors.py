@@ -47,7 +47,7 @@ class DivisionNearZero(LensError):
 
 
 class GridTooLarge(LensError):
-    """Requested sample grid exceeds the configured point budget."""
+    """Requested sample grid exceeds the point budget (quadrature.MAX_TOTAL_POINTS)."""
 
 
 class AliasingRisk(LensError):

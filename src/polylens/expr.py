@@ -586,31 +586,35 @@ def _render_lit(node: Lit) -> str:
     return f"({_frac_to_decimal(node.re)}+{_frac_to_decimal(node.im)}i)"
 
 
-def _operand(rendered: tuple[str, bool]) -> str:
-    """A rendered subtree as an operand: parenthesized unless it is bare."""
-    text, bare = rendered
-    return text if bare else f"({text})"
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}  # grammar level of an operator; a base is 4
+
+
+def _operand(rendered: tuple[str, int], level: int) -> str:
+    """A rendered subtree, (text, grammar level), where the grammar expects
+    the given level: parenthesized only when the subtree sits below it."""
+    text, own = rendered
+    return text if own >= level else f"({text})"
 
 
 def render_node(node: Node, letter: str = "w") -> str:
-    # each step gives (text, whether it is a bare literal or variable)
+    def binop(node: BinOp, left, right) -> tuple[str, int]:
+        # operators associate left: a right operand of their own level needs parentheses
+        level = _LEVEL[node.op]
+        return f"{_operand(left, level)}{node.op}{_operand(right, level + 1)}", level
+
     return fold(node, {
-        Lit: lambda node: (_render_lit(node), True),
-        Var: lambda node: (f"{letter}{node.index + 1}", True),
-        Neg: lambda node, operand: (f"-{_operand(operand)}", False),
-        BinOp: lambda node, left, right: (f"{_operand(left)}{node.op}{_operand(right)}", False),
-        Pow: lambda node, base: (f"{_operand(base)}^{node.exponent}", False),
+        Lit: lambda node: (_render_lit(node), 4),
+        Var: lambda node: (f"{letter}{node.index + 1}", 4),
+        Neg: lambda node, operand: (f"-{_operand(operand, 4)}", 4),
+        BinOp: binop,
+        Pow: lambda node, base: (f"{_operand(base, 4)}^{node.exponent}", _LEVEL["^"]),
     })[0]
 
 
 def to_text(e: MeroExpr) -> str:
-    """Canonical printed form: explicit '*', parenthesized subexpressions.
-
-    parse(to_text(parse(s))) is structurally identical to parse(s) while the
-    printed form stays within the nesting cap: it parenthesizes the left
-    operand of every chained operator, which nests a chain of m operators
-    2m - 1 levels deep.
-    """
+    """Canonical printed form: explicit '*', and parentheses only where the
+    grammar needs them, so parse(to_text(parse(s))) is structurally identical
+    to parse(s)."""
     return ", ".join(render_node(node, e.var_letter) for node in e.components)
 
 

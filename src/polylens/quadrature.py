@@ -98,7 +98,7 @@ from .laurent import trace_norm_sq, variance_model
 DEFAULT_TOL = 1e-10
 DEFAULT_START_N = 16
 DEFAULT_MAX_N = 4096          # per-dimension cap; env LENS_MAX_GRID overrides via CLI
-MAX_TOTAL_POINTS = 2**24      # budget on N**n
+MAX_TOTAL_POINTS = 2**24      # budget on N**n per scale, read by sample_torus at each call
 MAX_DIMENSION = 4
 BLOWUP_THRESHOLD = 1e12       # |f| beyond this counts as a pole on the torus
 BLOCK_VALUES = 2**14          # most values (scales x N^n x k) in one block of scales
@@ -234,7 +234,6 @@ def sample_torus(
     f,
     lam,
     N: int,
-    max_points: int = MAX_TOTAL_POINTS,
     shift: tuple[float, ...] | None = None,
 ) -> TorusGrid:
     """Evaluate f on the N^n torus grid, turned by shift[j] grid steps along
@@ -248,7 +247,7 @@ def sample_torus(
     divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
     blow-up threshold, and GridTooLarge when the point count per scale
-    exceeds the budget (or n > 4).
+    exceeds MAX_TOTAL_POINTS (or n > 4).
     """
     n, k = f.n, f.k
     lams = np.asarray(lam, dtype=float)
@@ -263,8 +262,8 @@ def sample_torus(
         raise ValueError("need at least 4 points per dimension")
     if n > MAX_DIMENSION:
         raise GridTooLarge(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
-    if N**n > max_points:
-        raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {max_points}")
+    if N**n > MAX_TOTAL_POINTS:
+        raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
     if shift is not None and len(shift) != n:
         raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
     coords = torus_coords(n, lams, N, shift)
@@ -397,7 +396,6 @@ def _adaptive(
     tol: float,
     n_start: int,
     max_n: int,
-    max_points: int,
 ) -> tuple[np.ndarray, float, int]:
     """Refine N at one scale until the statistic is resolved within tol.
 
@@ -419,7 +417,7 @@ def _adaptive(
             f"grid cap N={max_n} leaves no room for two grids "
             f"(N={n_start} and N={N})"
         )
-    grid = sample_torus(f, lam, N, max_points)
+    grid = sample_torus(f, lam, N)
     shift = GRID_SHIFT[: grid.n]
     prev, _ = read(grid.even_subgrid())
     cur, floor = read(grid)
@@ -430,7 +428,7 @@ def _adaptive(
         if np.all(delta <= bound):
             return cur, float(np.max(np.maximum(delta, floor))), N
         if np.all(delta <= np.sqrt(bound)):
-            turned, _ = read(sample_torus(f, lam, N, max_points, shift))
+            turned, _ = read(sample_torus(f, lam, N, shift))
             alias = SHIFT_MARGIN * np.abs(turned - cur) / _alias_floor(len(shift))
             if np.all(alias <= bound):
                 return cur, float(np.max(np.maximum(alias, floor))), N
@@ -438,7 +436,7 @@ def _adaptive(
             break
         prev = cur
         N *= 2
-        cur, floor = read(sample_torus(f, lam, N, max_points))
+        cur, floor = read(sample_torus(f, lam, N))
     raise NonConvergent(
         f"refinement reached N={N} (cap {max_n}) without two grids agreeing within {tol:g}"
     )
@@ -477,7 +475,6 @@ def _refine(
     lams: Sequence[float],
     tol: float,
     max_n: int,
-    max_points: int,
 ) -> list[tuple[np.ndarray, float, int]]:
     """One refinement of f per scale in lams: the exact grid when the
     exponent width is known, else the doubling loop from DEFAULT_START_N
@@ -497,10 +494,7 @@ def _refine(
     scale at a time, so the error is the one a one-scale call raises.
     """
     if width is None:
-        return [
-            _adaptive(f, lam, read, tol, DEFAULT_START_N, max_n, max_points)
-            for lam in lams
-        ]
+        return [_adaptive(f, lam, read, tol, DEFAULT_START_N, max_n) for lam in lams]
     N = DEFAULT_START_N
     while N <= width:
         N *= 2
@@ -514,7 +508,7 @@ def _refine(
     while pending:
         block = pending.pop(0)
         try:
-            values, ests = read(sample_torus(f, block, N, max_points))
+            values, ests = read(sample_torus(f, block, N))
         except (PoleOnTorus, ValueError):
             if len(block) == 1:
                 raise
@@ -525,7 +519,7 @@ def _refine(
             if ok:
                 results.append((value, float(err), N))
             else:
-                results.append(_adaptive(f, lam, read, tol, N, max_n, max_points))
+                results.append(_adaptive(f, lam, read, tol, N, max_n))
     return results
 
 
@@ -535,17 +529,6 @@ def _exponent_bounds(f) -> list[tuple[int, int]] | None:
     return None if method is None else method()
 
 
-def _index_set(n: int, orders: Sequence[int]) -> list[tuple[int, ...]]:
-    """Zero vector plus each +-order unit vector for the requested orders."""
-    out = [(0,) * n]
-    for order in orders:
-        for beta in range(n):
-            vec = [0] * n
-            vec[beta] = order
-            out.append(tuple(vec))
-    return out
-
-
 def _coefficients(
     f,
     lams: Sequence[float],
@@ -553,16 +536,15 @@ def _coefficients(
     tol: float = DEFAULT_TOL,
     with_power: bool = False,
     max_n: int = DEFAULT_MAX_N,
-    max_points: int = MAX_TOTAL_POINTS,
-) -> list[tuple[dict[tuple[int, ...], np.ndarray], float | None, float, int]]:
-    """adaptive_coefficients at each scale in lams, the scales of an
-    evaluator with an exponent range sampled together in blocks."""
-    idx = [tuple(int(x) for x in a) for a in indices]
-    powers = -np.array([sum(a) for a in idx], dtype=float)  # of lam in each scale
+) -> list[tuple[np.ndarray, float | None, float, int]]:
+    """The one coefficient reader: at each scale in lams, (rows, mean |f|^2
+    if with_power else None, est_error, N_used), rows[i] the k components of
+    the coefficient at indices[i], a tuple of ints (see _refine for blocks)."""
+    powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         lead = np.shape(grid.lam)
-        vec = laurent_coefficients(grid, idx).reshape(lead + (-1,))
+        vec = laurent_coefficients(grid, indices).reshape(lead + (-1,))
         unit = np.asarray(_rounding_bound(grid))[..., None]
         scales = np.asarray(grid.lam)[..., None] ** powers
         est = (unit * scales).repeat(f.k, axis=-1)
@@ -574,14 +556,13 @@ def _coefficients(
 
     bounds = _exponent_bounds(f)
     width = None if bounds is None else max(
-        max(hi, *(a[j] for a in idx)) - min(lo, *(a[j] for a in idx))
+        max(hi, *(a[j] for a in indices)) - min(lo, *(a[j] for a in indices))
         for j, (lo, hi) in enumerate(bounds)
     )
     results = []
-    for vec, err, n_used in _refine(f, read, width, lams, tol, max_n, max_points):
-        coeffs = {a: vec[i * f.k : (i + 1) * f.k] for i, a in enumerate(idx)}
+    for vec, err, n_used in _refine(f, read, width, lams, tol, max_n):
         power = float(vec[-1].real) if with_power else None
-        results.append((coeffs, power, err, n_used))
+        results.append((vec[: len(indices) * f.k].reshape(len(indices), f.k), power, err, n_used))
     return results
 
 
@@ -591,37 +572,31 @@ def adaptive_coefficients(
     indices: Sequence[Sequence[int]],
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
-) -> tuple[dict[tuple[int, ...], np.ndarray], None, float, int]:
+) -> tuple[dict[tuple[int, ...], np.ndarray], float, int]:
     """Laurent coefficients at the given indices: from the exact grid when f
     has an exponent range, else refined by grid doubling until stable.
 
-    Returns (coefficients, None, est_error, N_used); the second entry is the
-    place of the mean of |f|^2, which only spectral_summary reads.
+    Returns (coefficients, est_error, N_used), the coefficients keyed by
+    index as a tuple of ints.
     """
-    return _coefficients(f, [lam], indices, tol, max_n=max_n)[0]
+    idx = [tuple(int(x) for x in a) for a in indices]
+    rows, _, err, n_used = _coefficients(f, [lam], idx, tol, max_n=max_n)[0]
+    return dict(zip(idx, rows)), err, n_used
 
 
 def _first_order(
     f, lams: Sequence[float], **options
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float | None, float, int]]:
     """Constant term, residue matrix eta and derivative matrix D of f at each
-    scale, as (core, eta, D, mean_power, est_error, N_used); options go to
-    _coefficients."""
-    n, k = f.n, f.k
-    results = []
-    for coeffs, power, err, n_used in _coefficients(
-        f, lams, _index_set(n, (-1, 1)), **options
-    ):
-        eta = np.empty((k, n), dtype=complex)
-        jac = np.empty((k, n), dtype=complex)
-        for beta in range(n):
-            vec = [0] * n
-            vec[beta] = -1
-            eta[:, beta] = coeffs[tuple(vec)]
-            vec[beta] = 1
-            jac[:, beta] = coeffs[tuple(vec)]
-        results.append((coeffs[(0,) * n], eta, jac, power, err, n_used))
-    return results
+    scale, as (core, eta, D, mean_power, est_error, N_used), read at the
+    orders 0, -e_0..-e_{n-1}, +e_0..+e_{n-1}; options go to _coefficients."""
+    n = f.n
+    unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
+    indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit]
+    return [
+        (rows[0], rows[1 : n + 1].T.copy(), rows[n + 1 :].T.copy(), power, err, n_used)
+        for rows, power, err, n_used in _coefficients(f, lams, indices, **options)
+    ]
 
 
 def spectral_summaries(
@@ -629,7 +604,6 @@ def spectral_summaries(
     lams: Sequence[float],
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
-    max_points: int = MAX_TOTAL_POINTS,
 ) -> list[SpectralSummary]:
     """spectral_summary at each scale in lams, in order.
 
@@ -639,9 +613,7 @@ def spectral_summaries(
     at its scale, and an error is the one the first failing scale raises.
     """
     lams = list(lams)
-    results = _first_order(
-        f, lams, tol=tol, with_power=True, max_n=max_n, max_points=max_points
-    )
+    results = _first_order(f, lams, tol=tol, with_power=True, max_n=max_n)
     summaries = []
     for lam, (core, eta, jac, power, err, n_used) in zip(lams, results):
         variance = max(power - trace_norm_sq(core), 0.0)
@@ -658,7 +630,6 @@ def spectral_summary(
     lam: float,
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
-    max_points: int = MAX_TOTAL_POINTS,
 ) -> SpectralSummary:
     """Full one-scale summary of an evaluator whose only possible pole on the
     closed poly-disc is at the origin.
@@ -667,7 +638,7 @@ def spectral_summary(
     of |f|^2 equals <f,f>); the tail energy is whatever part of it the
     two-term closed form does not account for.
     """
-    return spectral_summaries(f, [lam], tol, max_n, max_points)[0]
+    return spectral_summaries(f, [lam], tol, max_n)[0]
 
 
 def first_order_summary(
@@ -692,7 +663,7 @@ def expectation_numeric(
     max_n: int = DEFAULT_MAX_N,
 ) -> np.ndarray:
     """Boundary-measure expectation of f (its constant Laurent coefficient)."""
-    coeffs, _, _, _ = adaptive_coefficients(f, lam, [(0,) * f.n], tol=tol, max_n=max_n)
+    coeffs, _, _ = adaptive_coefficients(f, lam, [(0,) * f.n], tol=tol, max_n=max_n)
     return coeffs[(0,) * f.n]
 
 
@@ -702,16 +673,13 @@ def inner_product_numeric(
     lam: float,
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
-    max_points: int = MAX_TOTAL_POINTS,
 ) -> complex:
     """<f, g> as the grid mean of conj(f).g, conjugate-linear in f.  When both
     have an exponent range, the exact grid must exceed the widest exponent
     difference of conj(f).g on every axis.  Raises GridTooLarge when a grid
-    exceeds max_points."""
+    exceeds MAX_TOTAL_POINTS points."""
     if f.n != g.n or f.k != g.k:
-        raise DimensionMismatch(
-            f"shape ({f.n},{f.k}) vs ({g.n},{g.k})"
-        )
+        raise DimensionMismatch(f"shape ({f.n},{f.k}) vs ({g.n},{g.k})")
 
     k = f.k
     pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
@@ -725,5 +693,5 @@ def inner_product_numeric(
         max(g_hi - f_lo, f_hi - g_lo)
         for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
     )
-    [(vec, _, _)] = _refine(pair, read, width, [lam], tol, max_n, max_points)
+    [(vec, _, _)] = _refine(pair, read, width, [lam], tol, max_n)
     return complex(vec[0])

@@ -45,6 +45,7 @@ def build_valid_cases() -> list[tuple[str, int]]:
     cases.append(("i, 2i", 1))
     cases.append(("  1   +   w  ", 1))
     cases.append(("1/w + w", 1))
+    cases.append((" + ".join(["1/w"] * 60), 1))  # printed within the nesting cap
     return cases
 
 

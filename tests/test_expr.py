@@ -113,6 +113,7 @@ class TestNestingCap:
         e = parse(make(MAX_NESTING), 1)
         assert to_laurent(e).terms  # every reader folds the whole tree
         assert e.eval_at([0.5])
+        assert parse(to_text(e), 1).components == e.components
 
     @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
     def test_over_the_cap(self, shape):
@@ -316,9 +317,9 @@ def test_substitute():
 
 
 def test_to_text_explicit_form():
-    assert to_text(parse("1/w + w", 1)) == "(1/w1)+w1"
+    assert to_text(parse("1/w + w", 1)) == "1/w1+w1"
     # unary minus is part of `base`, so the power applies to the negated base
-    assert to_text(parse("-w^2", 1)) == "(-w1)^2"
+    assert to_text(parse("-w^2", 1)) == "-w1^2"
 
 
 def test_pickle_round_trip():

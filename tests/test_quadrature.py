@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -199,7 +200,8 @@ class TestBatchedCoefficients:
 
 
 # Accepted grid sizes and raised errors of the refinement loop:
-# (expression, n, scale, keyword arguments, grid_n or error type).  Laurent
+# (expression, n, scale, keyword arguments, grid_n or error type); the
+# argument max_points sets quadrature.MAX_TOTAL_POINTS instead.  Laurent
 # expressions take the single exact grid; expressions that divide by a
 # non-monomial (here 1/(w - 10) and the like) double N, and a grid whose
 # nested delta squared meets the tolerance is confirmed on the shifted grid
@@ -235,12 +237,17 @@ _REFINEMENT_CORPUS = [
     ("1/(w - 1.25)", 1, 1.0, {}, 128),
     ("1/(w - 1.25)", 1, 1.0, {"max_n": 64}, NonConvergent),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3}, 64),
+    # the exact grid of a range checks the budget too
+    ("1/w1 + w2*w3", 3, 1.0, {"max_points": 16**3 - 1}, GridTooLarge),
 ]
 
 
 class TestRefinement:
     @pytest.mark.parametrize("text,n,lam,kwargs,outcome", _REFINEMENT_CORPUS)
-    def test_outcome_pinned(self, text, n, lam, kwargs, outcome):
+    def test_outcome_pinned(self, text, n, lam, kwargs, outcome, monkeypatch):
+        kwargs = dict(kwargs)
+        budget = kwargs.pop("max_points", quadrature.MAX_TOTAL_POINTS)
+        monkeypatch.setattr(quadrature, "MAX_TOTAL_POINTS", budget)
         f = parse(text, n)
         if isinstance(outcome, int):
             assert spectral_summary(f, lam, **kwargs).grid_n == outcome
@@ -312,7 +319,7 @@ class TestExactGrid:
 
     def test_requested_orders_widen_the_grid(self):
         # w^-10 aliases onto order 6 of a 16-grid; the spread -10..6 needs N=32
-        coeffs, _, _, n_used = adaptive_coefficients(parse("w^-10", 1), 1.0, [(6,)])
+        coeffs, _, n_used = adaptive_coefficients(parse("w^-10", 1), 1.0, [(6,)])
         assert n_used == 32 and abs(coeffs[(6,)][0]) < 1e-12
         # orders above N/2 - 1 of the exact grid still raise, as on the first
         # level of the doubling loop
@@ -445,9 +452,9 @@ def _record_grids(monkeypatch) -> list:
     grids = []
     sample = quadrature.sample_torus
 
-    def counted(f, lam, N, max_points=quadrature.MAX_TOTAL_POINTS, shift=None):
+    def counted(f, lam, N, shift=None):
         grids.append((N, shift))
-        return sample(f, lam, N, max_points, shift)
+        return sample(f, lam, N, shift)
 
     monkeypatch.setattr(quadrature, "sample_torus", counted)
     return grids
@@ -494,12 +501,14 @@ class TestInnerProduct:
         with pytest.raises(DimensionMismatch):
             inner_product_numeric(parse("w", 1), parse("w1, w2", 2), 1.0)
 
-    def test_point_budget(self):
+    def test_point_budget(self, monkeypatch):
         # no exponent range: the first level samples 32^2 points
         f = GridFunction(2, 1, lambda c: [c[0] * c[1]])
-        assert abs(inner_product_numeric(f, f, 1.0, max_points=32**2) - 1) < 1e-12
+        monkeypatch.setattr(quadrature, "MAX_TOTAL_POINTS", 32**2)
+        assert abs(inner_product_numeric(f, f, 1.0) - 1) < 1e-12
+        monkeypatch.setattr(quadrature, "MAX_TOTAL_POINTS", 32**2 - 1)
         with pytest.raises(GridTooLarge):
-            inner_product_numeric(f, f, 1.0, max_points=32**2 - 1)
+            inner_product_numeric(f, f, 1.0)
 
 
 class TestOracleAgreement:
@@ -631,7 +640,8 @@ class TestShiftedGrid:
     def test_error_estimate_bounds_the_closed_form_gap(self, seed, shape):
         n, (rho_band, grid_n) = shape
         f, lam, core, eta, jac = _deep_case(np.random.default_rng(seed), n, rho_band)
-        s = spectral_summary(f, lam, max_points=32**4)
+        with mock.patch.object(quadrature, "MAX_TOTAL_POINTS", 32**4):
+            s = spectral_summary(f, lam)
         assert s.grid_n == grid_n
         gaps = [abs(s.core[0] - core), *np.abs(s.eta[0] - eta),
                 *np.abs(s.jacobian[0] - jac)]
@@ -709,6 +719,21 @@ class TestScaleBlocks:
     def test_invalid_scale_in_a_block_names_itself(self):
         with pytest.raises(ValueError, match="got nan"):
             spectral_summaries(parse("1/w + w", 1), [1.0, float("nan"), 2.0])
+
+    @pytest.mark.parametrize("f", [
+        LaurentPoly.scalar(2, {(-1, 0): 1, (0, 1): 2, (3, 1): 1}),
+        parse("2/w1 + 3*w2^2 + w1*w2/w3, 1/w2 - 0.5*w1*w3", 3),
+    ])
+    def test_first_order_summary_reads_what_summaries_read(self, f):
+        # the front ends share one coefficient reader: the same bits at one
+        # scale and in a block of scales
+        lams = [0.5, 0.8, 1.3]
+        for lam, in_block in zip(lams, spectral_summaries(f, lams)):
+            core, eta, jac, _, grid_n = first_order_summary(f, lam)
+            for s in (spectral_summary(f, lam), in_block):
+                assert s.grid_n == grid_n
+                assert np.array_equal(s.core, core)
+                assert np.array_equal(s.eta, eta) and np.array_equal(s.jacobian, jac)
 
     def test_extreme_scales_take_the_doubling_fallback(self):
         f = parse("1/w + w", 1)
