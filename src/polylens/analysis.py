@@ -21,7 +21,7 @@ from .laurent import trace_norm_sq
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
-    adaptive_coefficients,
+    _summaries,
     spectral_summaries,
     spectral_summary,
 )
@@ -195,7 +195,8 @@ def detectability_check(
     Class membership is probed alongside: a pole on a sampled torus, or a
     nonvanishing coefficient at order -2 in some coordinate (the signature of
     a higher-order pole at the origin or of an off-centre pole inside the
-    probed annulus), is reported as NotInClass.
+    probed annulus), is reported as NotInClass.  Each probe scale samples
+    one grid, read at the summary's orders and at -2 e_beta together.
     """
     probes = [float(x) for x in lam_probe]
     if len(probes) < 2:
@@ -206,12 +207,10 @@ def detectability_check(
     max_variance = 0.0
     try:
         for lam in probes:
-            s = spectral_summary(f, lam, tol=quad_tol, max_n=max_n)
+            [(s, rows)] = _summaries(f, [lam], quad_tol, max_n, deep)
             cores.append(s.core)
             max_variance = max(max_variance, s.variance)
-            coeffs, _, _ = adaptive_coefficients(f, lam, deep, tol=quad_tol, max_n=max_n)
-            worst = max(float(np.max(np.abs(coeffs[a]))) for a in deep)
-            if worst > class_tol:
+            if float(np.max(np.abs(rows))) > class_tol:
                 return DetectabilityReport(
                     is_detectable=False,
                     expectation_drift=math.nan,

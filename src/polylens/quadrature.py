@@ -10,20 +10,24 @@ per dimension is narrower than the grid.
 
 Evaluators that know their exponent range (an ``exponent_bounds()`` method
 returning per-axis ``(lo, hi)`` pairs, or None) are sampled once, on the
-exact grid: the smallest power of two N >= DEFAULT_START_N greater than
+exact grid: the smallest power of two N >= MIN_N greater than the spread
 max(hi, max a_j) - min(lo, min a_j) on every axis, where a runs over the
-requested coefficient orders.  On that grid every requested coefficient and
-the mean of |f|^2 are exact up to rounding (discrete orthogonality), so no
-second grid is sampled; the reported error is an a-priori rounding bound (see
+requested coefficient orders.  N must also hold every requested order,
+N/2 - 1 >= max |a_j|, but that floor stops at DEFAULT_START_N, so an order
+too high for the DEFAULT_START_N grid raises AliasingRisk unless the spread
+alone widens the grid.  A case of spread 2..7 is thus sampled on 4^n or 8^n
+points, not 16^n.  On that grid every requested coefficient and the mean of
+|f|^2 are exact up to rounding (discrete orthogonality), so no second grid
+is sampled; the reported error is an a-priori rounding bound (see
 _rounding_bound), which must meet the tolerance.  Where it does not (its
-constants are worst-case, so this happens at extreme scales), the exact grids
-N and 2N are compared as in the doubling loop.  For inner products N must
-exceed the widest exponent difference of conj(f)*g.  ``laurent.LaurentPoly``
-and ``expr.MeroExpr`` provide the method; a MeroExpr has a range when it
-divides only by monomials.  A :class:`GridFunction` has the range of its
-``bounds`` field, which its maker declares: on the radius-lam torus
-conj(w^a) = lam^(2a) w^(-a), so conjugation negates a range, and a factor
-w_d or 1/w_d shifts axis d by +1 or -1.
+constants are worst-case, so this happens at extreme scales), the exact
+grids N and 2N are compared as in the doubling loop.  For inner products N
+must exceed the widest exponent difference of conj(f)*g.
+``laurent.LaurentPoly`` and ``expr.MeroExpr`` provide the method; a MeroExpr
+has a range when it divides only by monomials.  A :class:`GridFunction` has
+the range of its ``bounds`` field, which its maker declares: on the
+radius-lam torus conj(w^a) = lam^(2a) w^(-a), so conjugation negates a
+range, and a factor w_d or 1/w_d shifts axis d by +1 or -1.
 
 The exact grid does not depend on the scale, so a sweep over several scales
 (:func:`spectral_summaries`) samples them together in blocks: one evaluation
@@ -96,7 +100,8 @@ from .errors import (
 from .laurent import trace_norm_sq, variance_model
 
 DEFAULT_TOL = 1e-10
-DEFAULT_START_N = 16
+DEFAULT_START_N = 16          # first grid of the doubling loop
+MIN_N = 4                     # smallest grid per dimension, and the smallest exact grid
 DEFAULT_MAX_N = 4096          # per-dimension cap; env LENS_MAX_GRID overrides via CLI
 MAX_TOTAL_POINTS = 2**24      # budget on N**n per scale, read by sample_torus at each call
 MAX_DIMENSION = 4
@@ -120,9 +125,11 @@ class GridFunction:
 
     ``bounds``, when given, holds one (lo, hi) pair of integers per axis: a
     range holding every exponent of every component's Laurent expansion on
-    the sampled tori.  The evaluator is then sampled on its exact grid (see
-    the module docstring), so a range that misses an exponent gives wrong
-    numbers; without it N doubles until two grids agree."""
+    the sampled tori.  The evaluator is then sampled once, on the smallest
+    power-of-two grid (at least MIN_N) wider than that range and the
+    requested orders (see the module docstring), so a range that misses an
+    exponent gives wrong numbers; without it N doubles from DEFAULT_START_N
+    until two grids agree."""
 
     n: int
     k: int
@@ -258,8 +265,8 @@ def sample_torus(
             raise ValueError(
                 f"radius must be positive and finite, within 2^-511..2^511, got {value!r}"
             )
-    if N < 4:
-        raise ValueError("need at least 4 points per dimension")
+    if N < MIN_N:
+        raise ValueError(f"need at least {MIN_N} points per dimension")
     if n > MAX_DIMENSION:
         raise GridTooLarge(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
     if N**n > MAX_TOTAL_POINTS:
@@ -482,20 +489,22 @@ def _refine(
 
     ``read`` returns the statistic on a grid with a per-entry rounding
     bound, the block's scale axis leading.  The exact grid is the smallest
-    power of two N >= DEFAULT_START_N above ``width``, the widest per-axis
-    spread of the exponents the statistic involves, so no term aliases onto
-    a read one.  Its scales are sampled in blocks of at most BLOCK_VALUES
-    values.  A scale is accepted when every entry of its row meets the
-    acceptance rule of _adaptive, with the largest bound as its error
-    estimate.  The bound uses worst-case constants, so at extreme scales it
-    can miss the tolerance while the values are accurate: the doubling loop
-    then compares the exact grids N and 2N of that scale, both alias-free.
+    power of two N >= MIN_N above ``width``, the widest per-axis spread of
+    the exponents the statistic involves (for coefficients, at least the
+    window -m..m of the highest order m read, up to DEFAULT_START_N), so no
+    term aliases onto a read one.  Its scales are sampled in blocks of at
+    most BLOCK_VALUES values.  A scale is accepted when every entry of its
+    row meets the acceptance rule of _adaptive, with the largest bound as
+    its error estimate.  The bound uses worst-case constants, so at extreme
+    scales it can miss the tolerance while the values are accurate: the
+    doubling loop then compares the exact grids N and 2N of that scale, both
+    alias-free.
     A block that raises a pole or an invalid scale is sampled again one
     scale at a time, so the error is the one a one-scale call raises.
     """
     if width is None:
         return [_adaptive(f, lam, read, tol, DEFAULT_START_N, max_n) for lam in lams]
-    N = DEFAULT_START_N
+    N = MIN_N
     while N <= width:
         N *= 2
     if N > max_n:
@@ -559,6 +568,11 @@ def _coefficients(
         max(hi, *(a[j] for a in indices)) - min(lo, *(a[j] for a in indices))
         for j, (lo, hi) in enumerate(bounds)
     )
+    if width is not None:
+        # N above the window -m..m meets |a_j| <= N/2 - 1; the floor stops at
+        # DEFAULT_START_N, so an order too high for that grid still aliases
+        reach = max(abs(x) for a in indices for x in a)
+        width = max(width, 2 * min(reach, DEFAULT_START_N // 2 - 1))
     results = []
     for vec, err, n_used in _refine(f, read, width, lams, tol, max_n):
         power = float(vec[-1].real) if with_power else None
@@ -585,18 +599,44 @@ def adaptive_coefficients(
 
 
 def _first_order(
-    f, lams: Sequence[float], **options
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float | None, float, int]]:
+    f, lams: Sequence[float], extra: Sequence[Sequence[int]] = (), **options
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None, float, int]]:
     """Constant term, residue matrix eta and derivative matrix D of f at each
-    scale, as (core, eta, D, mean_power, est_error, N_used), read at the
-    orders 0, -e_0..-e_{n-1}, +e_0..+e_{n-1}; options go to _coefficients."""
+    scale, as (core, eta, D, extra_rows, mean_power, est_error, N_used), read
+    at the orders 0, -e_0..-e_{n-1}, +e_0..+e_{n-1} and then the orders in
+    extra, whose coefficient rows come last, from the same grid; options go
+    to _coefficients."""
     n = f.n
     unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
-    indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit]
+    indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
     return [
-        (rows[0], rows[1 : n + 1].T.copy(), rows[n + 1 :].T.copy(), power, err, n_used)
+        (rows[0], rows[1 : n + 1].T.copy(), rows[n + 1 : 2 * n + 1].T.copy(),
+         rows[2 * n + 1 :], power, err, n_used)
         for rows, power, err, n_used in _coefficients(f, lams, indices, **options)
     ]
+
+
+def _summaries(
+    f,
+    lams: Sequence[float],
+    tol: float,
+    max_n: int,
+    extra: Sequence[Sequence[int]] = (),
+) -> list[tuple[SpectralSummary, np.ndarray]]:
+    """spectral_summaries, each summary paired with the coefficient rows of
+    its grid at the orders in extra (see _first_order)."""
+    lams = list(lams)
+    results = _first_order(f, lams, extra, tol=tol, with_power=True, max_n=max_n)
+    pairs = []
+    for lam, (core, eta, jac, rows, power, err, n_used) in zip(lams, results):
+        variance = max(power - trace_norm_sq(core), 0.0)
+        summary = SpectralSummary(
+            lam=lam, core=core, eta=eta, jacobian=jac, variance=variance,
+            tail_energy=variance - variance_model(eta, jac, lam),
+            est_error=err, grid_n=n_used,
+        )
+        pairs.append((summary, rows))
+    return pairs
 
 
 def spectral_summaries(
@@ -612,17 +652,7 @@ def spectral_summaries(
     the module docstring); each summary is the one spectral_summary returns
     at its scale, and an error is the one the first failing scale raises.
     """
-    lams = list(lams)
-    results = _first_order(f, lams, tol=tol, with_power=True, max_n=max_n)
-    summaries = []
-    for lam, (core, eta, jac, power, err, n_used) in zip(lams, results):
-        variance = max(power - trace_norm_sq(core), 0.0)
-        summaries.append(SpectralSummary(
-            lam=lam, core=core, eta=eta, jacobian=jac, variance=variance,
-            tail_energy=variance - variance_model(eta, jac, lam),
-            est_error=err, grid_n=n_used,
-        ))
-    return summaries
+    return [summary for summary, _ in _summaries(f, lams, tol, max_n)]
 
 
 def spectral_summary(
@@ -652,7 +682,7 @@ def first_order_summary(
     Unlike spectral_summary this stays meaningful for functions whose pole
     structure mixes coordinates, e.g. pullbacks under coordinate changes.
     """
-    core, eta, jac, _, err, n_used = _first_order(f, [lam], tol=tol, max_n=max_n)[0]
+    core, eta, jac, _, _, err, n_used = _first_order(f, [lam], tol=tol, max_n=max_n)[0]
     return core, eta, jac, err, n_used
 
 

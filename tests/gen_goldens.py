@@ -2,17 +2,23 @@
 
 Run from the repository root::
 
-    python tests/gen_goldens.py
+    python tests/gen_goldens.py            # rewrite every golden file
+    python tests/gen_goldens.py --check    # write nothing; diff and exit 1 on drift
 
 Outputs are deterministic for a fixed environment; regenerate after any
-intentional change to CLI formatting and review the diff.
+intentional change to CLI formatting and review the diff.  ``--check`` prints
+a unified diff for each golden whose output drifted and a one-line summary,
+and exits 1 when any did.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
 import pathlib
+import sys
 
 from polylens.cli import main
 
@@ -46,15 +52,42 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     return code, buffer.getvalue()
 
 
-def regenerate() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+def _outputs():
     for name, argv in COMMANDS.items():
         code, text = run_command(argv)
         if code != 0:
             raise SystemExit(f"{name}: exit code {code}")
+        yield name, text
+
+
+def regenerate() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, text in _outputs():
         (GOLDEN_DIR / name).write_text(text)
         print(f"wrote {name} ({len(text)} bytes)")
 
 
+def check() -> int:
+    """Print a unified diff per drifted golden; 1 if any drifted, else 0."""
+    drifted = []
+    for name, text in _outputs():
+        path = GOLDEN_DIR / name
+        old = path.read_text() if path.exists() else ""
+        if old != text:
+            drifted.append(name)
+            sys.stdout.writelines(difflib.unified_diff(
+                old.splitlines(keepends=True), text.splitlines(keepends=True),
+                f"goldens/{name}", f"goldens/{name} (now)",
+            ))
+    print(f"{len(drifted)} of {len(COMMANDS)} goldens drifted"
+          + (f": {', '.join(drifted)}" if drifted else ""))
+    return 1 if drifted else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Regenerate or check the CLI golden files.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; print a diff per drifted golden, exit 1 on drift")
+    if parser.parse_args().check:
+        sys.exit(check())
     regenerate()

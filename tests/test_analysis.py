@@ -2,6 +2,7 @@
 
 import pytest
 
+from polylens import quadrature
 from polylens.analysis import (
     Degenerate,
     ZERO_JACOBIAN,
@@ -121,6 +122,22 @@ class TestDetectability:
         report = detectability_check(parse("1/(w-2)", 1), [0.5, 1.0])
         assert report.is_detectable
         assert report.in_class
+
+    def test_each_probe_scale_samples_its_grid_once(self, monkeypatch):
+        # the order -2 probe is read from the summary's grid; the only other
+        # grid of a scale is the doubling loop's shifted confirmation
+        grids = []
+        sample = quadrature.sample_torus
+
+        def counted(f, lam, N, shift=None):
+            grids.append((lam, N, shift))
+            return sample(f, lam, N, shift)
+
+        monkeypatch.setattr(quadrature, "sample_torus", counted)
+        report = detectability_check(parse("1/w1 + 2*w2 + 1/(3 - w1*w2)", 2), [0.5, 0.9])
+        assert report.is_detectable and report.in_class
+        assert {lam for lam, _, _ in grids} == {0.5, 0.9}
+        assert len(grids) == len(set(grids))
 
     def test_needs_two_probes(self):
         with pytest.raises(ValueError):

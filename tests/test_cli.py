@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import polylens.verify as verify_mod
+import gen_goldens
 from gen_goldens import COMMANDS, GOLDEN_DIR, run_command
 from polylens.cli import canonical_json, fmt_complex, fmt_float, main
 from _corpus import NESTED_SHAPES
@@ -23,6 +24,21 @@ def test_golden_byte_equality(name):
     code, text = run_command(COMMANDS[name])
     assert code == 0
     assert text == (GOLDEN_DIR / name).read_text()
+
+
+def test_golden_check_reports_drift_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    for name in COMMANDS:
+        (tmp_path / name).write_text((GOLDEN_DIR / name).read_text())
+    monkeypatch.setattr(gen_goldens, "GOLDEN_DIR", tmp_path)
+    assert gen_goldens.check() == 0
+    assert capsys.readouterr().out == f"0 of {len(COMMANDS)} goldens drifted\n"
+    stale = (tmp_path / "transform.txt").read_text().replace("lambda ", "lambda_", 1)
+    (tmp_path / "transform.txt").write_text(stale)
+    assert gen_goldens.check() == 1
+    out = capsys.readouterr().out
+    assert "--- goldens/transform.txt\n" in out and "\n-lambda_" in out and "\n+lambda " in out
+    assert out.endswith(f"1 of {len(COMMANDS)} goldens drifted: transform.txt\n")
+    assert (tmp_path / "transform.txt").read_text() == stale
 
 
 class TestExitCodes:
@@ -136,7 +152,8 @@ class TestJsonOutput:
         assert doc["eta"][0][0][0] == pytest.approx(2.0, abs=1e-9)
         # 2/w at 0.5 contributes 16, w^2 contributes 0.5^4
         assert doc["variance"] == pytest.approx(16 + 0.5**4, abs=1e-9)
-        assert doc["grid_n"] >= 16
+        # the exact grid: a power of two, at least 4 points per axis
+        assert doc["grid_n"] >= 4 and doc["grid_n"] & (doc["grid_n"] - 1) == 0
         rendered = canonical_json(doc)
         assert json.loads(rendered) == doc
 
@@ -208,9 +225,12 @@ class TestInputBoundary:
         assert "NonConvergent" in err and "no room for two grids" in err
 
     def test_cap_below_the_exact_grid(self, capsys):
-        assert main(self.ANALYZE + ["--max-grid", "8"]) == 3
-        err = capsys.readouterr().err
-        assert "NonConvergent" in err and "exact grid of N=16" in err
+        # the range -1..8 of 1/w + w^8 needs the exact grid N=16
+        argv = ["analyze", "--expr", "1/w + w^8", "--n", "1", "--lambda", "1"]
+        for cap in ("8", "15"):
+            assert main(argv + ["--max-grid", cap]) == 3
+            err = capsys.readouterr().err
+            assert "NonConvergent" in err and "exact grid of N=16" in err
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-nan", "1e300", "1e-300"])
     def test_non_finite_scale(self, lam, capsys):

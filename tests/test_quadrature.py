@@ -207,16 +207,16 @@ class TestBatchedCoefficients:
 # nested delta squared meets the tolerance is confirmed on the shifted grid
 # of the same N (1/(w-2): the N=32 confirmation misses 1e-10, N=64 passes).
 _REFINEMENT_CORPUS = [
-    ("1/w + w", 1, 1.0, {}, 16),
-    ("1/w", 1, 0.5, {}, 16),
-    ("1/w + 3*w + w^2", 1, 0.8, {}, 16),
+    ("1/w + w", 1, 1.0, {}, 4),
+    ("1/w", 1, 0.5, {}, 4),
+    ("1/w + 3*w + w^2", 1, 0.8, {}, 4),
     ("1/(w-2)", 1, 1.0, {}, 64),
     ("2/w1 + w2/(1.5 - w2)", 2, 0.9, {}, 64),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {}, 64),
     ("1/(w-2)", 1, 1.0, {"max_n": 32}, NonConvergent),
     ("1/(w-2)", 1, 1.0, {"max_n": 64}, 64),
-    ("1/w", 1, 1.0, {"max_n": 8}, NonConvergent),
-    ("1/w", 1, 1.0, {"max_n": 16}, 16),
+    ("1/w", 1, 1.0, {"max_n": 2}, NonConvergent),
+    ("1/w", 1, 1.0, {"max_n": 4}, 4),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 32**3 - 1}, GridTooLarge),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3 - 1}, GridTooLarge),
     ("1/(w - 1)", 1, 1.0, {}, PoleOnTorus),
@@ -231,14 +231,14 @@ _REFINEMENT_CORPUS = [
     ("w^33", 1, 1.0, {}, 64),
     ("w^33", 1, 1.0, {"max_n": 32}, NonConvergent),
     ("1/w + w^-31", 1, 1.0, {}, 64),
-    ("2/w1 + 3*w2^2 + w1*w2/w3", 3, 0.7, {}, 16),
+    ("2/w1 + 3*w2^2 + w1*w2/w3", 3, 0.7, {}, 4),
     # rho = 0.8: levels 32 and 64 miss, the shifted 128 grid confirms; a cap
     # of 64 refuses after two levels
     ("1/(w - 1.25)", 1, 1.0, {}, 128),
     ("1/(w - 1.25)", 1, 1.0, {"max_n": 64}, NonConvergent),
     ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3}, 64),
     # the exact grid of a range checks the budget too
-    ("1/w1 + w2*w3", 3, 1.0, {"max_points": 16**3 - 1}, GridTooLarge),
+    ("1/w1 + w2*w3", 3, 1.0, {"max_points": 4**3 - 1}, GridTooLarge),
 ]
 
 
@@ -281,6 +281,17 @@ class TestRefinement:
         assert sizes == []
 
 
+def _exact_grid(bounds) -> int:
+    """The exact grid of a summary for a range: the smallest power of two,
+    at least 4, above the spread of the range and the orders -1..1 on every
+    axis."""
+    width = max(max(hi, 1) - min(lo, -1) for lo, hi in bounds)
+    N = 4
+    while N <= width:
+        N *= 2
+    return N
+
+
 class _Counted:
     """A pointwise evaluator with an exponent range that records its grid
     sizes."""
@@ -304,15 +315,17 @@ class TestExactGrid:
         LaurentPoly.scalar(2, {(-1, 0): 1, (0, 1): 2, (3, 1): 1}),
     ])
     def test_one_evaluation_on_the_exact_grid(self, f):
+        # w1^3 against 1/w1: the spread 4 of axis 0 needs N=8
         counted = _Counted(f)
         s = spectral_summary(counted, 1.0)
-        assert s.grid_n == 16
-        assert counted.sizes == [16]
+        assert s.grid_n == 8
+        assert counted.sizes == [8]
         assert 0 < s.est_error <= 1e-12
 
     @pytest.mark.parametrize("max_n", [8, 15])
     def test_cap_below_the_exact_grid(self, max_n):
-        counted = _Counted(parse("1/w + w", 1))
+        # the range -1..8 needs the exact grid N=16
+        counted = _Counted(parse("1/w + w^8", 1))
         with pytest.raises(NonConvergent, match="exact grid of N=16"):
             spectral_summary(counted, 1.0, max_n=max_n)
         assert counted.sizes == []
@@ -325,6 +338,50 @@ class TestExactGrid:
         # level of the doubling loop
         with pytest.raises(AliasingRisk):
             adaptive_coefficients(parse("1/w", 1), 1.0, [(9,)])
+
+    def test_the_grid_is_sized_by_the_spread(self):
+        # spread 4: a 4-grid would read w^3 as 1/w, so N=8 reads c_-1 = 1
+        f = parse("w^3 + 1/w", 1)
+        assert laurent_coefficient(sample_torus(f, 1.0, 4), (-1,))[0] == pytest.approx(2)
+        s = spectral_summary(f, 1.0)
+        assert s.grid_n == 8 and abs(s.eta[0, 0] - 1) < 1e-12
+        assert abs(s.jacobian[0, 0]) < 1e-12 and abs(s.tail_energy - 1) < 1e-12
+        # spread 3 fits the smallest grid
+        s = spectral_summary(parse("w^2 + 1/w", 1), 1.0)
+        assert s.grid_n == 4 and abs(s.eta[0, 0] - 1) < 1e-12
+        assert abs(s.jacobian[0, 0]) < 1e-12 and abs(s.tail_energy - 1) < 1e-12
+
+    @pytest.mark.parametrize("order,grid_n", [((-2,), 8), ((3,), 8), ((7,), 16)])
+    def test_the_grid_holds_every_requested_order(self, order, grid_n):
+        # the spread of 1/w and order -2 is 1, but |a| <= N/2 - 1 needs N=8
+        coeffs, _, n_used = adaptive_coefficients(parse("1/w", 1), 1.0, [order])
+        assert n_used == grid_n and abs(coeffs[order][0]) < 1e-12
+
+    @pytest.mark.parametrize("order", [(8,), (9,)])
+    def test_orders_beyond_the_start_grid_still_raise(self, order):
+        # the order floor stops at DEFAULT_START_N: 1/w read at order 8 or 9
+        # takes the 16-grid, which cannot read them, as on the doubling
+        # loop's first level
+        with pytest.raises(AliasingRisk, match="too high for N=16"):
+            adaptive_coefficients(parse("1/w", 1), 1.0, [order])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((0.05, 0.3, 1.0, 1.7, 6.0)))
+    def test_error_estimate_bounds_the_oracle_gap_at_every_scale(self, seed, lam):
+        # at extreme scales the rounding bound of the small exact grid may
+        # miss the tolerance, and the grids N and 2N are compared instead
+        f = random_decomposable(np.random.default_rng(seed))
+        s = spectral_summary(f, lam)
+        d = decompose(f)
+        N = _exact_grid(f.exponent_bounds())
+        assert s.grid_n in (N, 2 * N)
+        gaps = [
+            np.max(np.abs(s.core - matrix_to_complex([d.core]).ravel())),
+            np.max(np.abs(s.eta - matrix_to_complex(d.eta))),
+            np.max(np.abs(s.jacobian - matrix_to_complex(d.jacobian))),
+            abs(s.variance - float(variance_exact(f, Fraction(lam)))),
+        ]
+        assert max(gaps) <= s.est_error
 
     def test_zero_function_has_a_nonzero_bound(self):
         s = spectral_summary(parse("0", 2), 0.5)
@@ -349,7 +406,7 @@ class TestExactGrid:
         f = random_decomposable(np.random.default_rng(seed))
         s = spectral_summary(f, lam)
         d = decompose(f)
-        assert s.grid_n == 16 and s.est_error > 0
+        assert s.grid_n == _exact_grid(f.exponent_bounds()) and s.est_error > 0
         gaps = [
             np.max(np.abs(s.core - matrix_to_complex([d.core]).ravel())),
             np.max(np.abs(s.eta - matrix_to_complex(d.eta))),
@@ -368,7 +425,7 @@ class TestGridFunctionBounds:
         sizes = []
         f = GridFunction(1, 1, lambda c: sizes.append(c[0].size) or self._fn(c), ((-1, 3),))
         s = spectral_summary(f, 0.7)
-        assert s.grid_n == 16 and sizes == [16]
+        assert s.grid_n == 8 and sizes == [8]
         assert abs(s.eta[0, 0] - 1) < 1e-12 and abs(s.jacobian[0, 0]) < 1e-12
 
     def test_bounds_are_normalized_to_integer_pairs(self):
@@ -462,11 +519,12 @@ def _record_grids(monkeypatch) -> list:
 
 class TestInnerProduct:
     def test_ranges_sample_one_exact_grid(self, monkeypatch):
-        # conj(f).g spans exponents -1..3 on the axis, so the exact grid is 16
+        # the exponents of conj(f).g, differences of those of g and f, lie
+        # in -2..3, so no term but the constant lands on order 0 of a 4-grid
         grids = _record_grids(monkeypatch)
         f, g = parse("1/w + 2*w", 1), parse("w + 3*w^2 + 1/w", 1)
         assert abs(inner_product_numeric(f, g, 1.0) - 3.0) < 1e-12
-        assert grids == [(16, None)]
+        assert grids == [(4, None)]
 
     def test_no_range_samples_the_doubling_levels(self, monkeypatch):
         grids = _record_grids(monkeypatch)
@@ -682,14 +740,16 @@ class TestScaleBlocks:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_one_evaluation_per_block(self, extra):
-        # n = 3, k = 1 on the exact 16-grid: 4096 values per scale
+        # n = 3, k = 1, orders -1..4 on the last axis: the exact 8-grid, 512
+        # values per scale
         f = random_decomposable(np.random.default_rng(3), n=3, k=1)
-        block = BLOCK_VALUES // 16**3
-        lams = [0.4 + 0.1 * i for i in range(block + extra)]
+        assert _exact_grid(f.exponent_bounds()) == 8
+        block = BLOCK_VALUES // 8**3
+        lams = [0.4 + 0.4 * i / block for i in range(block + extra)]
         counted = _Counted(f)
         batched = spectral_summaries(counted, lams)
         blocks = [lams[i : i + block] for i in range(0, len(lams), block)]
-        assert counted.sizes == [16 * len(b) for b in blocks]
+        assert counted.sizes == [8 * len(b) for b in blocks]
         for lam, s in zip(lams, batched):
             _assert_same_summary(s, spectral_summary(f, lam))
 
@@ -698,8 +758,8 @@ class TestScaleBlocks:
         sweep = variance_sweep(counted, [0.25 * 2 ** (i / 8) for i in range(33)])
         # the sweep grid is one block; golden section then samples one scale
         # at a time
-        assert counted.sizes[0] == 33 * 16
-        assert set(counted.sizes[1:]) == {16}
+        assert counted.sizes[0] == 33 * 4
+        assert set(counted.sizes[1:]) == {4}
         assert abs(sweep.lambda_star_empirical - 1) < 1e-3
 
     @pytest.mark.parametrize("text,lams,bad", [
@@ -740,9 +800,9 @@ class TestScaleBlocks:
         lams = [0.001, 1.0, 1000.0]
         counted = _Counted(f)
         batched = spectral_summaries(counted, lams)
-        # one block on the exact 16-grid; the rounding bound misses the
-        # tolerance at both extremes, which compare the grids 16 and 32 alone
-        assert counted.sizes == [3 * 16, 32, 32]
-        assert [s.grid_n for s in batched] == [32, 16, 32]
+        # one block on the exact 4-grid; the rounding bound misses the
+        # tolerance at both extremes, which compare the grids 4 and 8 alone
+        assert counted.sizes == [3 * 4, 8, 8]
+        assert [s.grid_n for s in batched] == [8, 4, 8]
         for lam, s in zip(lams, batched):
             _assert_same_summary(s, spectral_summary(f, lam))

@@ -23,7 +23,7 @@ from polylens.verify import (
 def _exact_n(bounds) -> int:
     """The exact grid expectation_numeric samples for a range."""
     width = max(max(hi, 0) - min(lo, 0) for lo, hi in bounds)
-    N = quadrature.DEFAULT_START_N
+    N = quadrature.MIN_N
     while N <= width:
         N *= 2
     return N
@@ -31,9 +31,11 @@ def _exact_n(bounds) -> int:
 
 def _assert_range_holds(fn, lam):
     """Every coefficient outside the declared range vanishes on a grid twice
-    the exact one, relative to the peak of the samples."""
+    the exact one and of at least 32 points, so that no stray term of
+    degree below 16 aliases inside the range, relative to the peak of the
+    samples."""
     bounds = fn.exponent_bounds()
-    M = 2 * _exact_n(bounds)
+    M = max(32, 2 * _exact_n(bounds))
     grid = sample_torus(fn, lam, M)
     # entry a (mod M) is lam^(sum a) times the coefficient of order a
     spectrum = np.fft.fftn(grid.values, axes=tuple(range(fn.n))) / M**fn.n
@@ -85,7 +87,7 @@ def test_a_tail_case_samples_one_exact_grid(seed, monkeypatch):
     sample = quadrature.sample_torus
 
     def counted(f, lam, N, *args, **kwargs):
-        grids.append(N)
+        grids.append((N, _exact_n(f.exponent_bounds())))
         return sample(f, lam, N, *args, **kwargs)
 
     def doubling(*args, **kwargs):
@@ -95,4 +97,4 @@ def test_a_tail_case_samples_one_exact_grid(seed, monkeypatch):
     monkeypatch.setattr(quadrature, "_adaptive", doubling)
     result = check_tail_integrals_vanish(seed, 10)
     assert result.passed and result.cases == 10
-    assert grids == [16] * 10
+    assert len(grids) == 10 and all(N == exact for N, exact in grids)
