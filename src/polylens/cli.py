@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except LensError as exc:  # every other library error is a precondition failure
         print(f"polylens: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # invalid parameter values (ranges, counts)
+    except (ValueError, OSError) as exc:  # invalid parameter values, unwritable --out
         print(f"polylens: error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,7 +45,7 @@ from .errors import (
     VanishesOnTorus,
 )
 from .expr import MeroExpr, substitute, to_laurent
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, decompose, matrix_to_complex
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
@@ -92,15 +92,11 @@ def morph_validate(g: MeroExpr, lam: float = DEFAULT_MORPH_LAMBDA) -> Morph:
     if any(e < 0 for exps in exact.terms for e in exps):
         raise NotPolynomial("components must have no poles")
 
-    zero = (0,) * n
-    if any(exact.coefficient(zero)):
+    split = decompose(exact)
+    if any(split.core):
         raise NotFixingOrigin("constant term must vanish in every component")
 
-    jac = np.empty((n, n), dtype=complex)
-    for beta in range(n):
-        e = [0] * n
-        e[beta] = 1
-        jac[:, beta] = [complex(c) for c in exact.coefficient(tuple(e))]
+    jac = matrix_to_complex(split.jacobian)
     if abs(np.linalg.det(jac)) <= DET_THRESHOLD:
         raise SingularJacobian("derivative at the origin is not invertible")
 

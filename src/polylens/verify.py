@@ -15,6 +15,13 @@ contract:
   subclass, a lower bound with tail energy in general; the uncertainty floor;
   oracle/quadrature equivalence; pairing identities; the optimal scale.
 * ``morph``    - tensor transformation laws under coordinate changes.
+
+Each check is a generator body(rng, cases) under the ``_check(name, cases)``
+decorator, which states the check's result name and fixed case count once.
+The decorated ``check_*(seed=0)`` seeds ``rng`` with ``seed``, runs the body
+and returns a CheckResult: passed when the body yields nothing, else failed
+with the first yielded message as its detail.  ``SUITES`` gives each suite's
+checks with the offset each adds to the suite seed.
 """
 
 from __future__ import annotations
@@ -70,9 +77,19 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, failures: list[str], cases: int) -> CheckResult:
-    detail = "" if not failures else failures[0]
-    return CheckResult(name=name, passed=not failures, cases=cases, detail=detail)
+def _check(name: str, cases: int):
+    """Turn a body(rng, cases) that yields one message per failure into a
+    check(seed=0) -> CheckResult named ``name`` over ``cases`` cases."""
+
+    def decorate(body):
+        def check(seed: int = 0) -> CheckResult:
+            failures = list(body(np.random.default_rng(seed), cases))
+            return CheckResult(name, not failures, cases, failures[0] if failures else "")
+
+        check.__name__, check.__doc__ = body.__name__, body.__doc__
+        return check
+
+    return decorate
 
 
 # ------------------------------------------------------------ random inputs
@@ -84,9 +101,9 @@ def _rand_cr(rng, bound: int = 3) -> ComplexRational:
     )
 
 
-def _rand_nonzero_cr(rng, bound: int = 3) -> ComplexRational:
+def _rand_nonzero_cr(rng) -> ComplexRational:
     while True:
-        c = _rand_cr(rng, bound)
+        c = _rand_cr(rng)
         if c:
             return c
 
@@ -165,18 +182,26 @@ def poly_from_matrices(core, eta, jacobian) -> LaurentPoly:
 
 # ------------------------------------------------------------- measure suite
 
+_DISC_RADII = (0.2, 1.0, 3.0)
 
-def check_full_disc(seed: int = 0) -> CheckResult:
-    failures = []
-    for lam in (0.2, 1.0, 3.0):
+# (arc, quadrature points, expected measure, tolerance), each at _ARC_RADII
+_ARCS = [
+    (AngularInterval(0.0, math.pi / 2), 1000, 0.25, 1e-6),
+    (FULL_CIRCLE, 64, 1.0, 1e-12),
+    (AngularInterval(-math.pi / 3, math.pi / 3), 1000, 1.0 / 3.0, 1e-6),
+]
+_ARC_RADII = (0.7, 1.0)
+
+
+@_check("full_disc_normalization", len(_DISC_RADII))
+def check_full_disc(rng, cases):
+    for lam in _DISC_RADII:
         if slice_measure(Slice(lam, FULL_CIRCLE)) != 1.0:
-            failures.append(f"full disc at radius {lam} != 1")
-    return _result("full_disc_normalization", failures, 3)
+            yield f"full disc at radius {lam} != 1"
 
 
-def check_partition_additivity(seed: int, cases: int = 1000) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("partition_additivity", 1000)
+def check_partition_additivity(rng, cases):
     for i in range(cases):
         m = int(rng.integers(0, 16))
         cuts = sorted(float(x) for x in rng.uniform(-math.pi, math.pi, size=m))
@@ -186,13 +211,11 @@ def check_partition_additivity(seed: int, cases: int = 1000) -> CheckResult:
             for a, b in zip(bounds, bounds[1:])
         )
         if abs(total - 1.0) > 1e-12:
-            failures.append(f"case {i}: partition sums to {total!r}")
-    return _result("partition_additivity", failures, cases)
+            yield f"case {i}: partition sums to {total!r}"
 
 
-def check_product_multiplicativity(seed: int, cases: int = 100) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("product_multiplicativity", 100)
+def check_product_multiplicativity(rng, cases):
     for i in range(cases):
         m = int(rng.integers(2, 4))
         factors = []
@@ -206,13 +229,11 @@ def check_product_multiplicativity(seed: int, cases: int = 100) -> CheckResult:
         for s in factors:
             via_arcs *= arc_integral_check(s, 256).real
         if abs(direct - via_arcs) > 1e-12:
-            failures.append(f"case {i}: {direct!r} vs {via_arcs!r}")
-    return _result("product_multiplicativity", failures, cases)
+            yield f"case {i}: {direct!r} vs {via_arcs!r}"
 
 
-def check_semiring_closure(seed: int, cases: int = 200) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("semiring_closure", 200)
+def check_semiring_closure(rng, cases):
     for i in range(cases):
         (a1, b1), (a2, b2) = (
             sorted(float(x) for x in rng.uniform(-math.pi, math.pi, size=2)),
@@ -223,44 +244,34 @@ def check_semiring_closure(seed: int, cases: int = 200) -> CheckResult:
         inter = slice_intersect(sa, sb)
         diff = slice_subtract(sa, sb)
         if len(inter.components) > 1 or len(diff.components) > 2:
-            failures.append(f"case {i}: closure shape violated")
+            yield f"case {i}: closure shape violated"
             continue
         recomposed = inter.measure() + diff.measure()
         if abs(recomposed - slice_measure(sa)) > 1e-12:
-            failures.append(f"case {i}: {recomposed!r} vs {slice_measure(sa)!r}")
-    return _result("semiring_closure", failures, cases)
+            yield f"case {i}: {recomposed!r} vs {slice_measure(sa)!r}"
 
 
-def check_arc_integrals(seed: int = 0) -> CheckResult:
-    failures = []
-    cases = [
-        (AngularInterval(0.0, math.pi / 2), 1000, 0.25, 1e-6),
-        (FULL_CIRCLE, 64, 1.0, 1e-12),
-        (AngularInterval(-math.pi / 3, math.pi / 3), 1000, 1.0 / 3.0, 1e-6),
-    ]
-    for iv, n_pts, expected, tol in cases:
-        for lam in (0.7, 1.0):
+@_check("arc_integral_convergence", len(_ARCS) * len(_ARC_RADII))
+def check_arc_integrals(rng, cases):
+    for iv, n_pts, expected, tol in _ARCS:
+        for lam in _ARC_RADII:
             value = arc_integral_check(Slice(lam, iv), n_pts)
             if abs(value.real - expected) > tol or abs(value.imag) > 1e-12:
-                failures.append(f"arc over {iv} at {lam}: {value!r}")
-    return _result("arc_integral_convergence", failures, len(cases) * 2)
+                yield f"arc over {iv} at {lam}: {value!r}"
 
 
-def check_scale_invariance(seed: int, cases: int = 100) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("measure_scale_invariance", 100)
+def check_scale_invariance(rng, cases):
     for i in range(cases):
         a, b = sorted(float(x) for x in rng.uniform(-math.pi, math.pi, size=2))
         iv = AngularInterval(a, b)
         values = {slice_measure(Slice(lam, iv)) for lam in (0.3, 1.0, 2.5)}
         if len(values) != 1:
-            failures.append(f"case {i}: measure depends on radius")
-    return _result("measure_scale_invariance", failures, cases)
+            yield f"case {i}: measure depends on radius"
 
 
-def check_monotonicity(seed: int, cases: int = 200) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("measure_monotonicity", 200)
+def check_monotonicity(rng, cases):
     for i in range(cases):
         a, b = sorted(float(x) for x in rng.uniform(-math.pi, math.pi, size=2))
         inner_a = float(rng.uniform(a, b))
@@ -268,46 +279,45 @@ def check_monotonicity(seed: int, cases: int = 200) -> CheckResult:
         outer = Slice(1.0, AngularInterval(a, b))
         inner = Slice(1.0, AngularInterval(inner_a, inner_b))
         if slice_measure(inner) > slice_measure(outer):
-            failures.append(f"case {i}: monotonicity violated")
-    return _result("measure_monotonicity", failures, cases)
+            yield f"case {i}: monotonicity violated"
 
 
 # --------------------------------------------------------------- tail suite
 
 
-def _tail_integral_shapes_exact(tail: LaurentPoly):
-    """The six weighted boundary integrals that must vanish for a tail."""
-    n = tail.n
-    base = (-1,) * n
-    yield "plain", exterior_integral(tail, base)
-    yield "conj", exterior_integral(tail, base, conjugate=True)
-    for delta in range(n):
-        up = tuple(-1 + (1 if j == delta else 0) for j in range(n))
-        down = tuple(-1 - (1 if j == delta else 0) for j in range(n))
-        yield f"times_w{delta + 1}", exterior_integral(tail, up)
-        yield f"conj_times_w{delta + 1}", exterior_integral(tail, up, conjugate=True)
-        yield f"over_w{delta + 1}", exterior_integral(tail, down)
-        yield f"conj_over_w{delta + 1}", exterior_integral(tail, down, conjugate=True)
-
-
-def _tail_integral_shapes_numeric(tail: LaurentPoly) -> tuple[list[str], GridFunction]:
-    """The integrands of _tail_integral_shapes_exact, in its order, as the
-    shape names and one evaluator holding k components per shape.
-
-    On the radius-lam torus conj(w^a) = lam^(2a) w^(-a), so a conjugate
-    negates the tail's exponent range [lo, hi], and a factor w_d or 1/w_d
-    shifts axis d by +1 or -1.  Every axis carries both shifts of the tail
-    and of its conjugate, so the evaluator declares the hull
-    [min(lo, -hi) - 1, max(hi, -lo) + 1] on each axis."""
-    # (name, conjugated, axis d of the factor w_d^step or None, step)
+def _tail_shapes(n: int) -> list[tuple[str, bool, int | None, int]]:
+    """The six families of weighted boundary integrals that must vanish for a
+    tail in n variables, as (name, conjugated, axis d of the factor w_d^step
+    or None, step): the tail or its conjugate, alone or times w_d or 1/w_d."""
     shapes = [("plain", False, None, 0), ("conj", True, None, 0)]
-    for d in range(tail.n):
+    for d in range(n):
         shapes += [
             (f"times_w{d + 1}", False, d, 1),
             (f"conj_times_w{d + 1}", True, d, 1),
             (f"over_w{d + 1}", False, d, -1),
             (f"conj_over_w{d + 1}", True, d, -1),
         ]
+    return shapes
+
+
+def _tail_integral_shapes_exact(tail: LaurentPoly):
+    """The integrals of _tail_shapes, by the exact oracle: the factor w_d^step
+    adds step to the weight -1 on axis d."""
+    for name, conj, d, step in _tail_shapes(tail.n):
+        weight = tuple(-1 + (step if j == d else 0) for j in range(tail.n))
+        yield name, exterior_integral(tail, weight, conjugate=conj)
+
+
+def _tail_integral_shapes_numeric(tail: LaurentPoly) -> tuple[list[str], GridFunction]:
+    """The integrands of _tail_shapes, in its order, as the shape names and
+    one evaluator holding k components per shape.
+
+    On the radius-lam torus conj(w^a) = lam^(2a) w^(-a), so a conjugate
+    negates the tail's exponent range [lo, hi], and a factor w_d or 1/w_d
+    shifts axis d by +1 or -1.  Every axis carries both shifts of the tail
+    and of its conjugate, so the evaluator declares the hull
+    [min(lo, -hi) - 1, max(hi, -lo) + 1] on each axis."""
+    shapes = _tail_shapes(tail.n)
 
     def fn(c):
         values = tail.eval_grid(c)
@@ -322,23 +332,21 @@ def _tail_integral_shapes_numeric(tail: LaurentPoly) -> tuple[list[str], GridFun
     return [shape[0] for shape in shapes], GridFunction(tail.n, tail.k * len(shapes), fn, hull)
 
 
-def check_tail_integrals_vanish(seed: int, cases: int = 100) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("tail_integrals_vanish", 100)
+def check_tail_integrals_vanish(rng, cases):
     lams = (0.8, 1.1)
     for i in range(cases):
         tail = random_tail(rng)
         for shape, value in _tail_integral_shapes_exact(tail):
             if any(value):
-                failures.append(f"case {i}: exact {shape} integral is nonzero")
+                yield f"case {i}: exact {shape} integral is nonzero"
         lam = lams[i % len(lams)]
         names, fn = _tail_integral_shapes_numeric(tail)
         values = expectation_numeric(fn, lam)
         for s, shape in enumerate(names):
             value = values[s * tail.k : (s + 1) * tail.k]
             if float(np.max(np.abs(value))) > 1e-9:
-                failures.append(f"case {i}: numeric {shape} integral = {value!r}")
-    return _result("tail_integrals_vanish", failures, cases)
+                yield f"case {i}: numeric {shape} integral = {value!r}"
 
 
 def _tail_self_energy_numeric(tail: LaurentPoly) -> GridFunction:
@@ -352,19 +360,18 @@ def _tail_self_energy_numeric(tail: LaurentPoly) -> GridFunction:
     )
 
 
-def check_tail_self_energy(seed: int, cases: int = 60) -> CheckResult:
+@_check("tail_self_energy_nonzero", 60)
+def check_tail_self_energy(rng, cases):
     """The conjugate-pairing tail integral equals the coefficient energy
     sum |c_a|^2 lam^(2 sum a) -- nonzero whenever the tail is, and exactly
     lam^4 for the one-variable square tail (documented erratum: the claimed
     universal vanishing does not hold)."""
-    rng = np.random.default_rng(seed)
-    failures = []
     for lam_exact in (Fraction(1, 2), Fraction(1), Fraction(17, 10)):
         sq = LaurentPoly.scalar(1, {(2,): 1})
         if component_norm_sq(sq, 0, lam_exact) != lam_exact**4:
-            failures.append(f"square tail energy at {lam_exact} != lam^4")
+            yield f"square tail energy at {lam_exact} != lam^4"
         if not component_norm_sq(sq, 0, lam_exact):
-            failures.append("square tail energy unexpectedly zero")
+            yield "square tail energy unexpectedly zero"
     for i in range(cases):
         tail = random_tail(rng)
         lam = 0.8 if i % 2 else 1.2
@@ -372,48 +379,40 @@ def check_tail_self_energy(seed: int, cases: int = 60) -> CheckResult:
         for alpha in range(tail.k):
             exact = float(component_norm_sq(tail, alpha, Fraction(lam)))
             if abs(float(numeric[alpha].real) - exact) > 1e-9 * max(1.0, exact):
-                failures.append(
-                    f"case {i} component {alpha}: {numeric[alpha]!r} vs {exact!r}"
-                )
-    return _result("tail_self_energy_nonzero", failures, cases)
+                yield f"case {i} component {alpha}: {numeric[alpha]!r} vs {exact!r}"
 
 
 # -------------------------------------------------------------- lemma suite
 
 
-def check_component_expectations(seed: int, cases: int = 150) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("component_expectations_vanish", 150)
+def check_component_expectations(rng, cases):
     for i in range(cases):
         f = random_decomposable(rng)
         d = decompose(f)
         base = (-1,) * f.n
         for part, name in ((d.principal, "principal"), (d.analytic, "analytic")):
             if any(exterior_integral(part, base)):
-                failures.append(f"case {i}: E({name}) != 0")
+                yield f"case {i}: E({name}) != 0"
             if any(exterior_integral(part, base, conjugate=True, lam=Fraction(1, 2))):
-                failures.append(f"case {i}: E(conj {name}) != 0")
-    return _result("component_expectations_vanish", failures, cases)
+                yield f"case {i}: E(conj {name}) != 0"
 
 
-def check_component_orthogonality(seed: int, cases: int = 150) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("component_orthogonality", 150)
+def check_component_orthogonality(rng, cases):
     lams = (Fraction(1, 2), Fraction(1), Fraction(2))
     for i in range(cases):
         f = random_decomposable(rng)
         d = decompose(f)
         lam = lams[i % 3]
         if inner_product_exact(d.principal, d.analytic, lam) != CR_ZERO:
-            failures.append(f"case {i}: <principal, analytic> != 0")
+            yield f"case {i}: <principal, analytic> != 0"
         if inner_product_exact(d.analytic, d.principal, lam) != CR_ZERO:
-            failures.append(f"case {i}: <analytic, principal> != 0")
-    return _result("component_orthogonality", failures, cases)
+            yield f"case {i}: <analytic, principal> != 0"
 
 
-def check_component_norms(seed: int, cases: int = 150) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("component_norms", 150)
+def check_component_norms(rng, cases):
     lams = (Fraction(1, 2), Fraction(1), Fraction(17, 10))
     for i in range(cases):
         f = random_decomposable(rng)
@@ -422,47 +421,43 @@ def check_component_norms(seed: int, cases: int = 150) -> CheckResult:
         lam2 = lam * lam
         pp = inner_product_exact(d.principal, d.principal, lam)
         if pp.im != 0 or pp.re != trace_norm_sq_exact(d.eta) / lam2:
-            failures.append(f"case {i}: principal norm mismatch")
+            yield f"case {i}: principal norm mismatch"
         aa = inner_product_exact(d.analytic, d.analytic, lam)
         tail_energy = sum(
             (component_norm_sq(d.analytic, alpha, lam) for alpha in range(f.k)),
             Fraction(0),
         ) - lam2 * trace_norm_sq_exact(d.jacobian)
         if aa.im != 0 or aa.re != lam2 * trace_norm_sq_exact(d.jacobian) + tail_energy:
-            failures.append(f"case {i}: analytic norm mismatch")
+            yield f"case {i}: analytic norm mismatch"
         if tail_energy < 0:
-            failures.append(f"case {i}: negative tail energy")
+            yield f"case {i}: negative tail energy"
         has_tail = any(sum(e) >= 2 for e in d.analytic.terms)
         if (tail_energy == 0) == has_tail:
-            failures.append(f"case {i}: tail energy zero iff tail absent violated")
-    return _result("component_norms", failures, cases)
+            yield f"case {i}: tail energy zero iff tail absent violated"
 
 
 # ------------------------------------------------------------- theorem suite
 
 
-def check_exact_subclass_variance(seed: int, cases: int = 200) -> CheckResult:
+@_check("exact_subclass_variance", 200)
+def check_exact_subclass_variance(rng, cases):
     """On functions with no degree->=2 tail the measured variance equals the
     two-term closed form at every scale."""
-    rng = np.random.default_rng(seed)
-    failures = []
     exact_lams = (Fraction(3, 10), Fraction(1), Fraction(17, 10))
     for i in range(cases):
         f = random_decomposable(rng, allow_tail=False)
         d = decompose(f)
         for lam in exact_lams:
             if variance_exact(f, lam) != variance_model_exact(d.eta, d.jacobian, lam):
-                failures.append(f"case {i}: exact equality fails at {lam}")
+                yield f"case {i}: exact equality fails at {lam}"
         for s in spectral_summaries(f, (0.3, 1.0, 1.7)):
             model = float(variance_model_exact(d.eta, d.jacobian, Fraction(s.lam)))
             if abs(s.variance - model) > 1e-9 * max(1.0, model):
-                failures.append(f"case {i}: measured {s.variance!r} vs model {model!r}")
-    return _result("exact_subclass_variance", failures, cases)
+                yield f"case {i}: measured {s.variance!r} vs model {model!r}"
 
 
-def check_variance_lower_bound_exact(seed: int, cases: int = 200) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("variance_lower_bound_exact", 200)
+def check_variance_lower_bound_exact(rng, cases):
     lams = (Fraction(3, 10), Fraction(1), Fraction(2))
     for i in range(cases):
         f = random_decomposable(rng)
@@ -471,36 +466,32 @@ def check_variance_lower_bound_exact(seed: int, cases: int = 200) -> CheckResult
         v = variance_exact(f, lam)
         model = variance_model_exact(d.eta, d.jacobian, lam)
         if v < model:
-            failures.append(f"case {i}: variance below the closed form")
+            yield f"case {i}: variance below the closed form"
         has_tail = any(sum(e) >= 2 for e in d.analytic.terms)
         if (v == model) == has_tail:
-            failures.append(f"case {i}: equality iff tail-free violated")
+            yield f"case {i}: equality iff tail-free violated"
         # uncertainty floor, exactly: lam^2 * variance >= Tr(eta* eta)
         if lam * lam * v < trace_norm_sq_exact(d.eta):
-            failures.append(f"case {i}: uncertainty floor violated")
-    return _result("variance_lower_bound_exact", failures, cases)
+            yield f"case {i}: uncertainty floor violated"
 
 
-def check_bound_sweep(seed: int, cases: int = 200, steps: int = 33) -> CheckResult:
+@_check("uncertainty_floor_sweep", 200)
+def check_bound_sweep(rng, cases):
     """lam^2 * measured variance stays above Tr(eta* eta) - 1e-9 across a
-    geometric sweep, tails included."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    grid = geometric_grid(0.3, 3.0, steps)
+    33-point geometric sweep, tails included."""
+    grid = geometric_grid(0.3, 3.0, 33)
     for i in range(cases):
         f = random_decomposable(rng)
         tr_eta = float(trace_norm_sq_exact(decompose(f).eta))
         for s in spectral_summaries(f, grid):
             if s.lam * s.lam * s.variance < tr_eta - 1e-9:
-                failures.append(f"case {i}: floor broken at scale {s.lam:g}")
+                yield f"case {i}: floor broken at scale {s.lam:g}"
                 break
-    return _result("uncertainty_floor_sweep", failures, cases)
 
 
-def check_oracle_equivalence(seed: int, cases: int = 200) -> CheckResult:
+@_check("oracle_equivalence", 200)
+def check_oracle_equivalence(rng, cases):
     """Every spectral-summary field agrees with the exact oracle within 1e-9."""
-    rng = np.random.default_rng(seed)
-    failures = []
     for i in range(cases):
         f = random_decomposable(rng)
         lam = (0.3, 1.0, 1.7)[i % 3]
@@ -513,23 +504,21 @@ def check_oracle_equivalence(seed: int, cases: int = 200) -> CheckResult:
         ]
         for name, got, want in checks:
             if float(np.max(np.abs(got - want))) > 1e-9:
-                failures.append(f"case {i}: {name} differs from oracle")
+                yield f"case {i}: {name} differs from oracle"
         v_exact = float(variance_exact(f, Fraction(lam)))
         if abs(s.variance - v_exact) > 1e-9 * max(1.0, v_exact):
-            failures.append(f"case {i}: variance differs from oracle")
+            yield f"case {i}: variance differs from oracle"
         tail_exact = v_exact - float(
             variance_model_exact(d.eta, d.jacobian, Fraction(lam))
         )
         if abs(s.tail_energy - tail_exact) > 1e-9 * max(1.0, abs(tail_exact)):
-            failures.append(f"case {i}: tail energy differs from oracle")
-    return _result("oracle_equivalence", failures, cases)
+            yield f"case {i}: tail energy differs from oracle"
 
 
-def check_dft_exactness(seed: int, cases: int = 100) -> CheckResult:
+@_check("dft_exactness", 100)
+def check_dft_exactness(rng, cases):
     """Grid coefficients are exact to 1e-12 once the per-dimension exponent
     width fits under the grid size."""
-    rng = np.random.default_rng(seed)
-    failures = []
     for i in range(cases):
         f = random_decomposable(rng)
         lam = (0.5, 1.0, 1.3)[i % 3]
@@ -538,29 +527,25 @@ def check_dft_exactness(seed: int, cases: int = 100) -> CheckResult:
             got = laurent_coefficient(grid, exps)
             want = matrix_to_complex([f.coefficient(exps)]).ravel()
             if float(np.max(np.abs(got - want))) > 1e-12:
-                failures.append(f"case {i}: coefficient {exps} off")
+                yield f"case {i}: coefficient {exps} off"
         absent = tuple([5] + [0] * (f.n - 1))
         if float(np.max(np.abs(laurent_coefficient(grid, absent)))) > 1e-12:
-            failures.append(f"case {i}: phantom coefficient at {absent}")
-    return _result("dft_exactness", failures, cases)
+            yield f"case {i}: phantom coefficient at {absent}"
 
 
-def check_expectation_scale_independence(seed: int, cases: int = 100) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    failures = []
+@_check("expectation_scale_independence", 100)
+def check_expectation_scale_independence(rng, cases):
     for i in range(cases):
         f = random_decomposable(rng)
         c_low = expectation_numeric(f, 0.3)
         c_high = expectation_numeric(f, 1.2)
         if float(np.max(np.abs(c_low - c_high))) > 1e-9:
-            failures.append(f"case {i}: expectation drifts with scale")
-    return _result("expectation_scale_independence", failures, cases)
+            yield f"case {i}: expectation drifts with scale"
 
 
-def check_matrix_scale_independence(seed: int, cases: int = 100) -> CheckResult:
+@_check("matrix_scale_independence", 100)
+def check_matrix_scale_independence(rng, cases):
     """Residue and derivative matrices agree across scales within 1e-9."""
-    rng = np.random.default_rng(seed)
-    failures = []
     for i in range(cases):
         f = random_decomposable(rng)
         low, high = spectral_summaries(f, (0.3, 1.2))
@@ -569,8 +554,7 @@ def check_matrix_scale_independence(seed: int, cases: int = 100) -> CheckResult:
             float(np.max(np.abs(low.jacobian - high.jacobian))),
         )
         if drift > 1e-9:
-            failures.append(f"case {i}: matrices drift by {drift:.3g}")
-    return _result("matrix_scale_independence", failures, cases)
+            yield f"case {i}: matrices drift by {drift:.3g}"
 
 
 def _coordinate_functions(n: int):
@@ -586,13 +570,12 @@ def _coordinate_functions(n: int):
     return zbar, inv_z, z, inv_zbar
 
 
-def check_pairing_identities(seed: int, cases: int = 50) -> CheckResult:
+@_check("pairing_identities", 50)
+def check_pairing_identities(rng, cases):
     """<zbar, f> = lam^2 <1/z, f> = Tr(eta) and <z, f> = lam^2 <1/zbar, f> =
     lam^2 Tr(D) for k = n.  Note the lam^2 on the derivative side: the
     unscaled version of the second chain is dimensionally inconsistent
     (documented erratum) and is checked to actually differ at lam != 1."""
-    rng = np.random.default_rng(seed)
-    failures = []
     for i in range(cases):
         n = int(rng.integers(1, 4))
         f = random_decomposable(rng, n=n, k=n)
@@ -613,23 +596,21 @@ def check_pairing_identities(seed: int, cases: int = 50) -> CheckResult:
             (lam**2 * p_invzbar, lam**2 * tr_jac, "lam^2 <1/zbar,f> = lam^2 Tr(D)"),
         ):
             if abs(got - want) > 1e-9 * scale:
-                failures.append(f"case {i}: {name} off by {abs(got - want):.3g}")
+                yield f"case {i}: {name} off by {abs(got - want):.3g}"
     # erratum subtest: without the lam^2 the derivative-side chain fails
     f = LaurentPoly.scalar(1, {(1,): 1})  # Tr(D) = 1
     z = _coordinate_functions(1)[2]
     p = inner_product_numeric(z, f, 2.0)
     if abs(p - 4.0) > 1e-9:
-        failures.append("erratum subtest: <z, w> at scale 2 should be 4")
+        yield "erratum subtest: <z, w> at scale 2 should be 4"
     if abs(p - 1.0) < 0.1:
-        failures.append("erratum subtest: unscaled pairing unexpectedly matched")
-    return _result("pairing_identities", failures, cases)
+        yield "erratum subtest: unscaled pairing unexpectedly matched"
 
 
-def check_model_symmetry(seed: int, cases: int = 100) -> CheckResult:
+@_check("model_symmetry", 100)
+def check_model_symmetry(rng, cases):
     """The two-term model is symmetric about the optimal scale on a log axis:
     V(lam) = V(lam*^2 / lam)."""
-    rng = np.random.default_rng(seed)
-    failures = []
     for i in range(cases):
         eta, jac = random_matrices(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
         tr_e = float(trace_norm_sq_exact(eta))
@@ -639,15 +620,13 @@ def check_model_symmetry(seed: int, cases: int = 100) -> CheckResult:
         v1 = tr_e / lam**2 + lam**2 * tr_d
         v2 = tr_e / mirrored**2 + mirrored**2 * tr_d
         if abs(v1 - v2) > 1e-9 * max(1.0, v1):
-            failures.append(f"case {i}: model not symmetric about the optimum")
-    return _result("model_symmetry", failures, cases)
+            yield f"case {i}: model not symmetric about the optimum"
 
 
-def check_optimal_scale_reproduction(seed: int, cases: int = 50) -> CheckResult:
+@_check("optimal_scale_reproduction", 50)
+def check_optimal_scale_reproduction(rng, cases):
     """Empirical sweep minimizer matches [Tr(eta* eta)/Tr(D* D)]^(1/4) within
     1e-3 on the tail-free subclass."""
-    rng = np.random.default_rng(seed)
-    failures = []
     grid = geometric_grid(0.2, 5.0, 21)
     for i in range(cases):
         n = int(rng.integers(1, 3))
@@ -658,10 +637,7 @@ def check_optimal_scale_reproduction(seed: int, cases: int = 50) -> CheckResult:
         closed = optimal_scale(matrix_to_complex(eta), matrix_to_complex(jac))
         sweep = variance_sweep(f, grid)
         if abs(sweep.lambda_star_empirical - closed) > 1e-3:
-            failures.append(
-                f"case {i}: empirical {sweep.lambda_star_empirical!r} vs closed {closed!r}"
-            )
-    return _result("optimal_scale_reproduction", failures, cases)
+            yield f"case {i}: empirical {sweep.lambda_star_empirical!r} vs closed {closed!r}"
 
 
 # --------------------------------------------------------------- morph suite
@@ -685,116 +661,109 @@ MORPHS_2D = [
 ]
 FUNCTIONS_2D = ["1/u1 + 1/u2 + u1 + 2*u2", "(1+i)/u1 + u2 + u1*u2"]
 
+# (c, a) of the one-dimensional quadratic changes g = c*w + a*w^2.
+_FEEDTHROUGH_MORPHS = [(0.5, 0.25), (1.0, 0.25), (2.0, -0.25), (1.0, 0.25j)]
 
-def _transform_laws(name: str, n: int, morphs, functions) -> CheckResult:
-    failures = []
-    cases = 0
+# (g, h) pairs whose composition h o g is checked.
+_COMPOSITIONS = [
+    ("2*w", "w + 0.25*w^2"),
+    ("i*w", "0.5*w - 0.25*w^2"),
+    ("w + 0.25i*w^2", "2*w"),
+]
+
+
+def _transform_laws(n: int, morphs, functions, tol: float):
+    """One case per (morph, function) pair: the transform laws hold within tol."""
     for text in morphs:
         morph = morph_validate(parse(text, n), 0.25)
         for fn_text in functions:
-            cases += 1
             report = verify_transform(parse(fn_text, n, var_letter="u"), morph)
-            if not report.passed(1e-8):
-                failures.append(
-                    f"{fn_text} under {text}: residual {report.max_residual:.3g}"
-                )
-    return _result(name, failures, cases)
+            if not report.passed(tol):
+                yield f"{fn_text} under {text}: residual {report.max_residual:.3g}"
 
 
-def check_transform_1d(seed: int = 0) -> CheckResult:
-    return _transform_laws("transform_laws_1d", 1, MORPHS_1D, FUNCTIONS_1D)
+@_check("transform_laws_1d", len(MORPHS_1D) * len(FUNCTIONS_1D))
+def check_transform_1d(rng, cases):
+    return _transform_laws(1, MORPHS_1D, FUNCTIONS_1D, 1e-8)
 
 
-def check_transform_2d(seed: int = 0) -> CheckResult:
-    return _transform_laws("transform_laws_2d", 2, MORPHS_2D, FUNCTIONS_2D)
+@_check("transform_laws_2d", len(MORPHS_2D) * len(FUNCTIONS_2D))
+def check_transform_2d(rng, cases):
+    return _transform_laws(2, MORPHS_2D, FUNCTIONS_2D, 1e-8)
 
 
-def check_identity_morph(seed: int = 0) -> CheckResult:
-    failures = []
-    morph = morph_validate(parse("w", 1), 0.25)
-    for fn_text in FUNCTIONS_1D:
-        report = verify_transform(parse(fn_text, 1, var_letter="u"), morph)
-        if report.max_residual > 1e-10:
-            failures.append(f"identity residual {report.max_residual:.3g}")
-    return _result("identity_morph", failures, len(FUNCTIONS_1D))
+@_check("identity_morph", len(FUNCTIONS_1D))
+def check_identity_morph(rng, cases):
+    return _transform_laws(1, ["w"], FUNCTIONS_1D, 1e-10)
 
 
-def check_pole_feedthrough(seed: int = 0) -> CheckResult:
+@_check("pole_feedthrough_quantified", len(_FEEDTHROUGH_MORPHS))
+def check_pole_feedthrough(rng, cases):
     """The raw first-order coefficient of a full pullback overshoots the
     covariance prediction by exactly eta' a^2 / c^3 for the one-dimensional
     quadratic family: documents why the derivative law lives on the analytic
     component."""
-    failures = []
-    cases = 0
-    for c, a in ((0.5, 0.25), (1.0, 0.25), (2.0, -0.25), (1.0, 0.25j)):
-        cases += 1
+    for c, a in _FEEDTHROUGH_MORPHS:
         text = f"{c}*w + {a.real}*w^2" if isinstance(a, float) else f"{c}*w + {a.imag}i*w^2"
         morph = morph_validate(parse(text, 1), 0.25)
         shed = pole_feedthrough(parse("1/u", 1, var_letter="u"), morph)
         expected = a * a / c**3
         if abs(complex(shed[0, 0]) - expected) > 1e-9:
-            failures.append(f"g={text}: shed {shed[0, 0]!r} vs {expected!r}")
+            yield f"g={text}: shed {shed[0, 0]!r} vs {expected!r}"
         if a and abs(complex(shed[0, 0])) < 1e-3:
-            failures.append(f"g={text}: feedthrough unexpectedly vanished")
-    return _result("pole_feedthrough_quantified", failures, cases)
+            yield f"g={text}: feedthrough unexpectedly vanished"
 
 
-def check_composition(seed: int = 0) -> CheckResult:
+@_check("composition_consistency", len(_COMPOSITIONS))
+def check_composition(rng, cases):
     """Derivatives multiply under composition and the transform check agrees
     with sequential application."""
-    failures = []
-    pairs = [
-        ("2*w", "w + 0.25*w^2"),
-        ("i*w", "0.5*w - 0.25*w^2"),
-        ("w + 0.25i*w^2", "2*w"),
-    ]
-    cases = 0
-    for g_text, h_text in pairs:
-        cases += 1
+    for g_text, h_text in _COMPOSITIONS:
         g = morph_validate(parse(g_text, 1), 0.25)
         h = morph_validate(parse(h_text, 1), 0.25)
         hg = morph_validate(compose(h.components, g.components), 0.25)
         if float(np.max(np.abs(hg.jac - h.jac @ g.jac))) > 1e-10:
-            failures.append(f"{h_text} o {g_text}: derivative product rule off")
+            yield f"{h_text} o {g_text}: derivative product rule off"
         psi = parse("1/u + u", 1, var_letter="u")
         combined = verify_transform(psi, hg)
         if not combined.passed(1e-8):
-            failures.append(f"{h_text} o {g_text}: combined residual")
-    return _result("composition_consistency", failures, cases)
+            yield f"{h_text} o {g_text}: combined residual"
 
 
 # ------------------------------------------------------------------- suites
 
+# Each check runs at the suite seed plus its offset.  check_bound_sweep is
+# reached through its module-level name, so a wrapper set on it applies.
 SUITES: dict[str, list] = {
     "measure": [
         check_full_disc,
-        lambda seed: check_partition_additivity(seed, 1000),
-        lambda seed: check_product_multiplicativity(seed + 1, 100),
-        lambda seed: check_semiring_closure(seed + 2, 200),
+        check_partition_additivity,
+        lambda seed: check_product_multiplicativity(seed + 1),
+        lambda seed: check_semiring_closure(seed + 2),
         check_arc_integrals,
-        lambda seed: check_scale_invariance(seed + 3, 100),
-        lambda seed: check_monotonicity(seed + 4, 200),
+        lambda seed: check_scale_invariance(seed + 3),
+        lambda seed: check_monotonicity(seed + 4),
     ],
     "prop1": [
-        lambda seed: check_tail_integrals_vanish(seed, 100),
-        lambda seed: check_tail_self_energy(seed + 1, 60),
+        check_tail_integrals_vanish,
+        lambda seed: check_tail_self_energy(seed + 1),
     ],
     "lemma": [
-        lambda seed: check_component_expectations(seed, 150),
-        lambda seed: check_component_orthogonality(seed + 1, 150),
-        lambda seed: check_component_norms(seed + 2, 150),
+        check_component_expectations,
+        lambda seed: check_component_orthogonality(seed + 1),
+        lambda seed: check_component_norms(seed + 2),
     ],
     "theorem": [
-        lambda seed: check_exact_subclass_variance(seed, 200),
-        lambda seed: check_variance_lower_bound_exact(seed + 1, 200),
-        lambda seed: check_bound_sweep(seed + 2, 200),
-        lambda seed: check_oracle_equivalence(seed + 3, 200),
-        lambda seed: check_dft_exactness(seed + 4, 100),
-        lambda seed: check_expectation_scale_independence(seed + 5, 100),
-        lambda seed: check_matrix_scale_independence(seed + 9, 100),
-        lambda seed: check_pairing_identities(seed + 6, 50),
-        lambda seed: check_model_symmetry(seed + 7, 100),
-        lambda seed: check_optimal_scale_reproduction(seed + 8, 50),
+        check_exact_subclass_variance,
+        lambda seed: check_variance_lower_bound_exact(seed + 1),
+        lambda seed: check_bound_sweep(seed + 2),
+        lambda seed: check_oracle_equivalence(seed + 3),
+        lambda seed: check_dft_exactness(seed + 4),
+        lambda seed: check_expectation_scale_independence(seed + 5),
+        lambda seed: check_matrix_scale_independence(seed + 9),
+        lambda seed: check_pairing_identities(seed + 6),
+        lambda seed: check_model_symmetry(seed + 7),
+        lambda seed: check_optimal_scale_reproduction(seed + 8),
     ],
     "morph": [
         check_transform_1d,

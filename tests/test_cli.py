@@ -177,6 +177,13 @@ class TestSweepOutput:
         assert lines[-2] == "# lambda_star_closed = Degenerate(ZeroResidue)"
         assert lines[-1].startswith("# lambda_star_empirical = ")
 
+    @pytest.mark.parametrize("out", ["missing/sweep.csv", ""], ids=["no-parent", "directory"])
+    def test_unwritable_out_exits_1(self, tmp_path, out, capsys):
+        code = main(["sweep", "--expr", "w", "--n", "1", "--lambda-min", "0.5",
+                     "--lambda-max", "2", "--steps", "5", "--out", str(tmp_path / out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("polylens: error: ")
+
     def test_pure_pole_is_monotone(self):
         code, text = run_command(
             ["sweep", "--expr", "1/w", "--n", "1", "--lambda-min", "0.5",

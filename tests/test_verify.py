@@ -1,5 +1,6 @@
 """The evaluators the verify checks build around LaurentPoly inputs: their
-declared exponent ranges, and the grids a tail case samples."""
+declared exponent ranges, and the grids a tail case samples; and the result
+a failing check reports."""
 
 import dataclasses
 
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylens import quadrature
+from polylens import quadrature, verify
 from polylens.quadrature import expectation_numeric, sample_torus
 from polylens.verify import (
+    CheckResult,
     _coordinate_functions,
     _tail_integral_shapes_exact,
     _tail_integral_shapes_numeric,
     _tail_self_energy_numeric,
+    check_full_disc,
     check_tail_integrals_vanish,
     random_tail,
 )
@@ -95,6 +98,16 @@ def test_a_tail_case_samples_one_exact_grid(seed, monkeypatch):
 
     monkeypatch.setattr(quadrature, "sample_torus", counted)
     monkeypatch.setattr(quadrature, "_adaptive", doubling)
-    result = check_tail_integrals_vanish(seed, 10)
-    assert result.passed and result.cases == 10
-    assert len(grids) == 10 and all(N == exact for N, exact in grids)
+    result = check_tail_integrals_vanish(seed)
+    assert result.passed and result.cases == 100
+    assert len(grids) == 100 and all(N == exact for N, exact in grids)
+
+
+def test_a_failing_check_reports_its_first_failure(monkeypatch):
+    monkeypatch.setattr(verify, "slice_measure", lambda s: 0.5)
+    assert check_full_disc(0) == CheckResult(
+        name="full_disc_normalization",
+        passed=False,
+        cases=3,
+        detail="full disc at radius 0.2 != 1",
+    )
