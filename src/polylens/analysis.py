@@ -22,6 +22,7 @@ from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
     _summaries,
+    check_dimension,
     spectral_summaries,
     spectral_summary,
 )
@@ -30,6 +31,9 @@ from .quadrature import (
 TRACE_ZERO_THRESHOLD = 1e-18
 
 GOLDEN_REL_TOL = 1e-4  # golden section stops at a bracket this fraction of its midpoint
+
+DRIFT_TOL = 1e-9  # most expectation drift across probe scales that is detectable
+CLASS_TOL = 1e-8  # largest order -2 coefficient of an input in the class
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -182,35 +186,29 @@ class DetectabilityReport:
     reason: str | None = None
 
 
-def detectability_check(
-    f,
-    lam_probe: Sequence[float],
-    tol: float = 1e-9,
-    quad_tol: float = DEFAULT_TOL,
-    max_n: int = DEFAULT_MAX_N,
-) -> DetectabilityReport:
-    """Detectable iff the expectation is the same at every probed scale (within
-    tol) and every variance is finite.
+def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
+    """Detectable iff the expectation is the same at every probed scale
+    (within DRIFT_TOL) and every variance is finite.
 
     Class membership is probed alongside: a pole on a sampled torus, or a
-    nonvanishing coefficient at order -2 in some coordinate (the signature of
-    a higher-order pole at the origin or of an off-centre pole inside the
+    coefficient above CLASS_TOL at order -2 in some coordinate (the signature
+    of a higher-order pole at the origin or of an off-centre pole inside the
     probed annulus), is reported as NotInClass.  Each probe scale samples
     one grid, read at the summary's orders and at -2 e_beta together.
     """
     probes = [float(x) for x in lam_probe]
     if len(probes) < 2:
         raise ValueError("need at least 2 probe scales")
-    class_tol = max(1e-8, 100.0 * quad_tol)
+    check_dimension(f.n)  # before the n orders of length n
     deep = [tuple(-2 * (i == beta) for i in range(f.n)) for beta in range(f.n)]
     cores = []
     max_variance = 0.0
     try:
         for lam in probes:
-            [(s, rows)] = _summaries(f, [lam], quad_tol, max_n, deep)
+            [(s, rows)] = _summaries(f, [lam], DEFAULT_TOL, DEFAULT_MAX_N, deep)
             cores.append(s.core)
             max_variance = max(max_variance, s.variance)
-            if float(np.max(np.abs(rows))) > class_tol:
+            if float(np.max(np.abs(rows))) > CLASS_TOL:
                 return DetectabilityReport(
                     is_detectable=False,
                     expectation_drift=math.nan,
@@ -230,7 +228,7 @@ def detectability_check(
     for i in range(len(cores)):
         for j in range(i + 1, len(cores)):
             drift = max(drift, float(np.max(np.abs(cores[i] - cores[j]))))
-    ok = drift <= tol and math.isfinite(max_variance)
+    ok = drift <= DRIFT_TOL and math.isfinite(max_variance)
     return DetectabilityReport(
         is_detectable=ok,
         expectation_drift=drift,

@@ -32,7 +32,7 @@ from .errors import LensError, ParseError
 from .expr import parse
 from .laurent import trace_norm_sq
 from .morphs import DEFAULT_MORPH_LAMBDA, morph_validate, verify_transform
-from .quadrature import DEFAULT_MAX_N, DEFAULT_TOL, spectral_summary
+from .quadrature import DEFAULT_MAX_N, DEFAULT_TOL, check_dimension, spectral_summary
 from .slices import Slice, parse_interval, product_measure, slice_measure
 
 
@@ -176,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
+    check_dimension(args.n)  # parse builds n entries per node
     expr = parse(args.expr, args.n)
     max_n = _max_grid(args)
     summary = spectral_summary(expr, args.lam, tol=args.tol, max_n=max_n)
@@ -200,6 +201,7 @@ def _star_text(value) -> str:
 
 
 def cmd_sweep(args) -> int:
+    check_dimension(args.n)
     expr = parse(args.expr, args.n)
     max_n = _max_grid(args)
     grid = geometric_grid(args.lam_min, args.lam_max, args.steps)
@@ -264,6 +266,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    check_dimension(args.n)
     psi = parse(args.expr, args.n, var_letter="u")
     change = parse(args.morph, args.n)
     max_n = _max_grid(args)

@@ -215,10 +215,7 @@ class LaurentPoly:
                     cur[alpha] = cur[alpha] + va[alpha] * vb[alpha]
         return LaurentPoly(self.n, self.k, {e: tuple(v) for e, v in acc.items()})
 
-    def __rmul__(self, other):
-        if isinstance(other, LaurentPoly):  # pragma: no cover - symmetric
-            return other * self
-        return self.scale(other)
+    __rmul__ = scale
 
     def __eq__(self, other) -> bool:
         return (

@@ -237,6 +237,12 @@ def _whole_grid_pole(
     return slab_error
 
 
+def check_dimension(n: int) -> None:
+    """Raise GridTooLarge for n > MAX_DIMENSION, before any work of size n."""
+    if n > MAX_DIMENSION:
+        raise GridTooLarge(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
+
+
 def sample_torus(
     f,
     lam,
@@ -254,7 +260,7 @@ def sample_torus(
     divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
     blow-up threshold, and GridTooLarge when the point count per scale
-    exceeds MAX_TOTAL_POINTS (or n > 4).
+    exceeds MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension).
     """
     n, k = f.n, f.k
     lams = np.asarray(lam, dtype=float)
@@ -267,8 +273,7 @@ def sample_torus(
             )
     if N < MIN_N:
         raise ValueError(f"need at least {MIN_N} points per dimension")
-    if n > MAX_DIMENSION:
-        raise GridTooLarge(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
+    check_dimension(n)
     if N**n > MAX_TOTAL_POINTS:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
     if shift is not None and len(shift) != n:
@@ -542,9 +547,9 @@ def _coefficients(
     f,
     lams: Sequence[float],
     indices: Sequence[Sequence[int]],
-    tol: float = DEFAULT_TOL,
+    tol: float,
+    max_n: int,
     with_power: bool = False,
-    max_n: int = DEFAULT_MAX_N,
 ) -> list[tuple[np.ndarray, float | None, float, int]]:
     """The one coefficient reader: at each scale in lams, (rows, mean |f|^2
     if with_power else None, est_error, N_used), rows[i] the k components of
@@ -581,11 +586,7 @@ def _coefficients(
 
 
 def adaptive_coefficients(
-    f,
-    lam: float,
-    indices: Sequence[Sequence[int]],
-    tol: float = DEFAULT_TOL,
-    max_n: int = DEFAULT_MAX_N,
+    f, lam: float, indices: Sequence[Sequence[int]]
 ) -> tuple[dict[tuple[int, ...], np.ndarray], float, int]:
     """Laurent coefficients at the given indices: from the exact grid when f
     has an exponent range, else refined by grid doubling until stable.
@@ -594,25 +595,27 @@ def adaptive_coefficients(
     index as a tuple of ints.
     """
     idx = [tuple(int(x) for x in a) for a in indices]
-    rows, _, err, n_used = _coefficients(f, [lam], idx, tol, max_n=max_n)[0]
+    rows, _, err, n_used = _coefficients(f, [lam], idx, DEFAULT_TOL, DEFAULT_MAX_N)[0]
     return dict(zip(idx, rows)), err, n_used
 
 
 def _first_order(
-    f, lams: Sequence[float], extra: Sequence[Sequence[int]] = (), **options
+    f, lams: Sequence[float], tol: float, max_n: int, with_power: bool = False,
+    extra: Sequence[Sequence[int]] = (),
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None, float, int]]:
     """Constant term, residue matrix eta and derivative matrix D of f at each
     scale, as (core, eta, D, extra_rows, mean_power, est_error, N_used), read
     at the orders 0, -e_0..-e_{n-1}, +e_0..+e_{n-1} and then the orders in
-    extra, whose coefficient rows come last, from the same grid; options go
-    to _coefficients."""
+    extra, whose coefficient rows come last, from the same grid (see
+    _coefficients)."""
     n = f.n
+    check_dimension(n)
     unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
     indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
     return [
         (rows[0], rows[1 : n + 1].T.copy(), rows[n + 1 : 2 * n + 1].T.copy(),
          rows[2 * n + 1 :], power, err, n_used)
-        for rows, power, err, n_used in _coefficients(f, lams, indices, **options)
+        for rows, power, err, n_used in _coefficients(f, lams, indices, tol, max_n, with_power)
     ]
 
 
@@ -626,7 +629,7 @@ def _summaries(
     """spectral_summaries, each summary paired with the coefficient rows of
     its grid at the orders in extra (see _first_order)."""
     lams = list(lams)
-    results = _first_order(f, lams, extra, tol=tol, with_power=True, max_n=max_n)
+    results = _first_order(f, lams, tol, max_n, with_power=True, extra=extra)
     pairs = []
     for lam, (core, eta, jac, rows, power, err, n_used) in zip(lams, results):
         variance = max(power - trace_norm_sq(core), 0.0)
@@ -682,28 +685,17 @@ def first_order_summary(
     Unlike spectral_summary this stays meaningful for functions whose pole
     structure mixes coordinates, e.g. pullbacks under coordinate changes.
     """
-    core, eta, jac, _, _, err, n_used = _first_order(f, [lam], tol=tol, max_n=max_n)[0]
+    core, eta, jac, _, _, err, n_used = _first_order(f, [lam], tol, max_n)[0]
     return core, eta, jac, err, n_used
 
 
-def expectation_numeric(
-    f,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-    max_n: int = DEFAULT_MAX_N,
-) -> np.ndarray:
+def expectation_numeric(f, lam: float) -> np.ndarray:
     """Boundary-measure expectation of f (its constant Laurent coefficient)."""
-    coeffs, _, _ = adaptive_coefficients(f, lam, [(0,) * f.n], tol=tol, max_n=max_n)
+    coeffs, _, _ = adaptive_coefficients(f, lam, [(0,) * f.n])
     return coeffs[(0,) * f.n]
 
 
-def inner_product_numeric(
-    f,
-    g,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-    max_n: int = DEFAULT_MAX_N,
-) -> complex:
+def inner_product_numeric(f, g, lam: float) -> complex:
     """<f, g> as the grid mean of conj(f).g, conjugate-linear in f.  When both
     have an exponent range, the exact grid must exceed the widest exponent
     difference of conj(f).g on every axis.  Raises GridTooLarge when a grid
@@ -723,5 +715,5 @@ def inner_product_numeric(
         max(g_hi - f_lo, f_hi - g_lo)
         for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
     )
-    [(vec, _, _)] = _refine(pair, read, width, [lam], tol, max_n)
+    [(vec, _, _)] = _refine(pair, read, width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
     return complex(vec[0])

@@ -675,7 +675,7 @@ _COMPOSITIONS = [
 def _transform_laws(n: int, morphs, functions, tol: float):
     """One case per (morph, function) pair: the transform laws hold within tol."""
     for text in morphs:
-        morph = morph_validate(parse(text, n), 0.25)
+        morph = morph_validate(parse(text, n))
         for fn_text in functions:
             report = verify_transform(parse(fn_text, n, var_letter="u"), morph)
             if not report.passed(tol):
@@ -705,7 +705,7 @@ def check_pole_feedthrough(rng, cases):
     component."""
     for c, a in _FEEDTHROUGH_MORPHS:
         text = f"{c}*w + {a.real}*w^2" if isinstance(a, float) else f"{c}*w + {a.imag}i*w^2"
-        morph = morph_validate(parse(text, 1), 0.25)
+        morph = morph_validate(parse(text, 1))
         shed = pole_feedthrough(parse("1/u", 1, var_letter="u"), morph)
         expected = a * a / c**3
         if abs(complex(shed[0, 0]) - expected) > 1e-9:
@@ -719,9 +719,9 @@ def check_composition(rng, cases):
     """Derivatives multiply under composition and the transform check agrees
     with sequential application."""
     for g_text, h_text in _COMPOSITIONS:
-        g = morph_validate(parse(g_text, 1), 0.25)
-        h = morph_validate(parse(h_text, 1), 0.25)
-        hg = morph_validate(compose(h.components, g.components), 0.25)
+        g = morph_validate(parse(g_text, 1))
+        h = morph_validate(parse(h_text, 1))
+        hg = morph_validate(compose(h.components, g.components))
         if float(np.max(np.abs(hg.jac - h.jac @ g.jac))) > 1e-10:
             yield f"{h_text} o {g_text}: derivative product rule off"
         psi = parse("1/u + u", 1, var_letter="u")

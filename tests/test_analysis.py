@@ -4,6 +4,8 @@ import pytest
 
 from polylens import quadrature
 from polylens.analysis import (
+    CLASS_TOL,
+    DRIFT_TOL,
     Degenerate,
     ZERO_JACOBIAN,
     ZERO_RESIDUE,
@@ -138,6 +140,26 @@ class TestDetectability:
         assert report.is_detectable and report.in_class
         assert {lam for lam, _, _ in grids} == {0.5, 0.9}
         assert len(grids) == len(set(grids))
+
+    @pytest.mark.parametrize("text,reason,drift", [
+        # order -2 coefficient 5e-9 and 2e-8 about CLASS_TOL = 1e-8
+        ("1/w + 0.000000005/w^2", None, 0.0),
+        ("1/w + 0.00000002/w^2", "NotInClass", None),
+        # c/(w - 0.7) has expectation 0 at 0.5 and c/(-0.7) at 1.0: drifts of
+        # 4.3e-9 and 4.3e-10 about DRIFT_TOL = 1e-9
+        ("0.000000003/(w - 0.7)", "ExpectationDrift", 3e-9 / 0.7),
+        ("0.0000000003/(w - 0.7)", None, 3e-10 / 0.7),
+    ])
+    def test_thresholds_at_their_boundaries(self, text, reason, drift):
+        assert (CLASS_TOL, DRIFT_TOL) == (1e-8, 1e-9)
+        report = detectability_check(parse(text, 1), [0.5, 1.0])
+        assert report.reason == reason
+        assert report.is_detectable == (reason is None)
+        assert report.in_class == (reason != "NotInClass")
+        if drift is not None:
+            # the tiny values meet the tolerance on the first grids, whose
+            # aliases leave a relative error of about 3e-5 in the drift
+            assert report.expectation_drift == pytest.approx(drift, rel=1e-3, abs=1e-15)
 
     def test_needs_two_probes(self):
         with pytest.raises(ValueError):

@@ -270,6 +270,19 @@ class TestInputBoundary:
         assert code == 3 and time.perf_counter() - start < 1.0
         assert "ExpansionTooLarge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--expr", "1 + w1", "--lambda", "1"],
+        ["sweep", "--expr", "1 + w1", "--lambda-min", "0.5", "--lambda-max", "2",
+         "--steps", "3"],
+        ["transform", "--expr", "1/u1", "--morph", "w1"],
+    ])
+    def test_dimension_cap_precedes_parsing(self, argv, capsys):
+        # parse builds n entries per node, so n is refused before it
+        start = time.perf_counter()
+        code = main(argv + ["--n", "3000"])
+        assert code == 3 and time.perf_counter() - start < 1.0
+        assert "GridTooLarge: dimension 3000 exceeds the cap of 4" in capsys.readouterr().err
+
     def test_alias_probes(self, capsys):
         assert main(["analyze", "--expr", "w^33", "--n", "1", "--lambda", "1",
                      "--json"]) == 0

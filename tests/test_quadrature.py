@@ -20,7 +20,7 @@ from polylens.errors import (
     NonConvergent,
     PoleOnTorus,
 )
-from polylens.analysis import variance_sweep
+from polylens.analysis import detectability_check, variance_sweep
 from polylens.expr import parse
 from polylens.laurent import LaurentPoly, decompose, matrix_to_complex, variance_exact
 from polylens.quadrature import (
@@ -66,6 +66,17 @@ class TestSampling:
         f = GridFunction(5, 1, lambda c: [c[0]])
         with pytest.raises(GridTooLarge):
             sample_torus(f, 1.0, 8)
+
+    def test_dimension_cap_precedes_the_coefficient_reader(self, monkeypatch):
+        # n > 4 is refused before the 2n + 1 orders of length n are built
+        def unreached(*args, **kwargs):
+            raise AssertionError("_coefficients reached")
+
+        monkeypatch.setattr(quadrature, "_coefficients", unreached)
+        with pytest.raises(GridTooLarge, match="dimension 5 exceeds the cap of 4"):
+            spectral_summary(LaurentPoly(5, 1, {}), 1.0)
+        with pytest.raises(GridTooLarge, match="dimension 5 exceeds the cap of 4"):
+            detectability_check(LaurentPoly(5, 1, {}), [0.5, 1.0])
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
