@@ -34,6 +34,7 @@ GOLDEN_REL_TOL = 1e-4  # golden section stops at a bracket this fraction of its 
 
 DRIFT_TOL = 1e-9  # most expectation drift across probe scales that is detectable
 CLASS_TOL = 1e-8  # largest order -2 coefficient of an input in the class
+MAX_SWEEP_STEPS = 4096  # most scales in a geometric grid, each one summary
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -242,7 +243,7 @@ def geometric_grid(lam_min: float, lam_max: float, steps: int) -> list[float]:
     """Geometric scale grid; log spacing resolves both variance branches."""
     if not (0 < lam_min < lam_max):
         raise ValueError("need 0 < lam_min < lam_max")
-    if steps < 3:
-        raise ValueError("need at least 3 steps")
+    if not 3 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"need 3 to {MAX_SWEEP_STEPS} steps, got {steps}")
     ratio = lam_max / lam_min
     return [lam_min * ratio ** (i / (steps - 1)) for i in range(steps)]

@@ -12,17 +12,16 @@ Evaluators that know their exponent range (an ``exponent_bounds()`` method
 returning per-axis ``(lo, hi)`` pairs, or None) are sampled once, on the
 exact grid: the smallest power of two N >= MIN_N greater than the spread
 max(hi, max a_j) - min(lo, min a_j) on every axis, where a runs over the
-requested coefficient orders.  N must also hold every requested order,
-N/2 - 1 >= max |a_j|, but that floor stops at DEFAULT_START_N, so an order
-too high for the DEFAULT_START_N grid raises AliasingRisk unless the spread
-alone widens the grid.  A case of spread 2..7 is thus sampled on 4^n or 8^n
-points, not 16^n.  On that grid every requested coefficient and the mean of
-|f|^2 are exact up to rounding (discrete orthogonality), so no second grid
-is sampled; the reported error is an a-priori rounding bound (see
-_rounding_bound), which must meet the tolerance.  Where it does not (its
-constants are worst-case, so this happens at extreme scales), the exact
-grids N and 2N are compared as in the doubling loop.  For inner products N
-must exceed the widest exponent difference of conj(f)*g.
+requested coefficient orders, and greater than the window -m..m of the
+highest order m read, so N/2 - 1 >= m.  A case of spread 2..7 is thus
+sampled on 4^n or 8^n points, not 16^n.  On that grid every requested
+coefficient and the mean of |f|^2 are exact up to rounding (discrete
+orthogonality), so no second grid is sampled; the reported error is an
+a-priori rounding bound (see _rounding_bound), which must meet the
+tolerance.  Where it does not (its constants are worst-case, so this
+happens at extreme scales), the exact grids N and 2N are compared as in the
+doubling loop.  For inner products N must exceed the widest exponent
+difference of conj(f)*g.
 ``laurent.LaurentPoly`` and ``expr.MeroExpr`` provide the method; a MeroExpr
 has a range when it divides only by monomials.  A :class:`GridFunction` has
 the range of its ``bounds`` field, which its maker declares: on the
@@ -67,8 +66,10 @@ the one array of the grid.  Its intermediates then stay arrays of a slab,
 not of the grid: an n = 4 expression summed term by term otherwise holds
 three grid-sized temporaries at once, and where the allocator placed them
 moved the peak memory of a process by one grid array from run to run.  The
-operations are elementwise, so the values are those of one evaluation.  A
-:class:`GridFunction` wraps an arbitrary callable, so it is evaluated whole.
+operations are elementwise, so the values are those of one evaluation; a
+pole found in a slab is reported at that slab's point, and no row is
+evaluated twice.  A :class:`GridFunction` wraps an arbitrary callable, so it
+is evaluated whole.
 
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
@@ -225,18 +226,6 @@ def _evaluate(f, coords: Sequence[np.ndarray]) -> list[np.ndarray]:
         return f.eval_grid(coords)
 
 
-def _whole_grid_pole(
-    f, coords: Sequence[np.ndarray], slab_error: DivisionNearZero
-) -> DivisionNearZero:
-    """The error an evaluation of f on the whole grid raises after one slab
-    raised: it names the smallest denominator of the grid, not of the slab."""
-    try:
-        _evaluate(f, coords)
-    except DivisionNearZero as exc:
-        return exc
-    return slab_error
-
-
 def check_dimension(n: int) -> None:
     """Raise GridTooLarge for n > MAX_DIMENSION, before any work of size n."""
     if n > MAX_DIMENSION:
@@ -291,10 +280,9 @@ def sample_torus(
         try:
             components = _evaluate(f, [coords[0][part], *coords[1:]])
         except DivisionNearZero as exc:
-            error = exc if rows == N else _whole_grid_pole(f, coords, exc)
             raise PoleOnTorus(
-                f"pole on the {_torus(lams)}: {error}", point=error.point
-            ) from error
+                f"pole on the {_torus(lams)}: {exc}", point=exc.point
+            ) from exc
         slab = values[part]
         for alpha, component in enumerate(components):
             slab[..., alpha] = component
@@ -490,23 +478,25 @@ def _refine(
 ) -> list[tuple[np.ndarray, float, int]]:
     """One refinement of f per scale in lams: the exact grid when the
     exponent width is known, else the doubling loop from DEFAULT_START_N
-    (see _adaptive).
+    (see _adaptive).  Raises ValueError unless tol is positive and finite.
 
     ``read`` returns the statistic on a grid with a per-entry rounding
     bound, the block's scale axis leading.  The exact grid is the smallest
     power of two N >= MIN_N above ``width``, the widest per-axis spread of
     the exponents the statistic involves (for coefficients, at least the
-    window -m..m of the highest order m read, up to DEFAULT_START_N), so no
-    term aliases onto a read one.  Its scales are sampled in blocks of at
-    most BLOCK_VALUES values.  A scale is accepted when every entry of its
-    row meets the acceptance rule of _adaptive, with the largest bound as
-    its error estimate.  The bound uses worst-case constants, so at extreme
+    window -m..m of the highest order m read), so no term aliases onto a
+    read one.  Its scales are sampled in blocks of at most BLOCK_VALUES
+    values.  A scale is accepted when every entry of its row meets the
+    acceptance rule of _adaptive, with the largest bound as its error
+    estimate.  The bound uses worst-case constants, so at extreme
     scales it can miss the tolerance while the values are accurate: the
     doubling loop then compares the exact grids N and 2N of that scale, both
     alias-free.
     A block that raises a pole or an invalid scale is sampled again one
     scale at a time, so the error is the one a one-scale call raises.
     """
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if width is None:
         return [_adaptive(f, lam, read, tol, DEFAULT_START_N, max_n) for lam in lams]
     N = MIN_N
@@ -549,11 +539,12 @@ def _coefficients(
     indices: Sequence[Sequence[int]],
     tol: float,
     max_n: int,
-    with_power: bool = False,
-) -> list[tuple[np.ndarray, float | None, float, int]]:
-    """The one coefficient reader: at each scale in lams, (rows, mean |f|^2
-    if with_power else None, est_error, N_used), rows[i] the k components of
-    the coefficient at indices[i], a tuple of ints (see _refine for blocks)."""
+) -> list[tuple[np.ndarray, float, float, int]]:
+    """The one coefficient reader: at each scale in lams, (rows, mean |f|^2,
+    est_error, N_used), rows[i] the k components of the coefficient at
+    indices[i], a tuple of ints, all read from one grid (see _refine for
+    blocks).  An exact grid is wider than the spread of the range and the
+    orders, and than the window -m..m of the highest order m read."""
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -561,12 +552,9 @@ def _coefficients(
         vec = laurent_coefficients(grid, indices).reshape(lead + (-1,))
         unit = np.asarray(_rounding_bound(grid))[..., None]
         scales = np.asarray(grid.lam)[..., None] ** powers
+        power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, f.k)
         est = (unit * scales).repeat(f.k, axis=-1)
-        if with_power:
-            power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, f.k)
-            vec = np.concatenate([vec, power], axis=-1)
-            est = np.concatenate([est, bound], axis=-1)
-        return vec, est
+        return np.concatenate([vec, power], axis=-1), np.concatenate([est, bound], axis=-1)
 
     bounds = _exponent_bounds(f)
     width = None if bounds is None else max(
@@ -574,15 +562,11 @@ def _coefficients(
         for j, (lo, hi) in enumerate(bounds)
     )
     if width is not None:
-        # N above the window -m..m meets |a_j| <= N/2 - 1; the floor stops at
-        # DEFAULT_START_N, so an order too high for that grid still aliases
-        reach = max(abs(x) for a in indices for x in a)
-        width = max(width, 2 * min(reach, DEFAULT_START_N // 2 - 1))
-    results = []
-    for vec, err, n_used in _refine(f, read, width, lams, tol, max_n):
-        power = float(vec[-1].real) if with_power else None
-        results.append((vec[: len(indices) * f.k].reshape(len(indices), f.k), power, err, n_used))
-    return results
+        width = max(width, 2 * max(abs(x) for a in indices for x in a))
+    return [
+        (vec[:-1].reshape(len(indices), f.k), float(vec[-1].real), err, n_used)
+        for vec, err, n_used in _refine(f, read, width, lams, tol, max_n)
+    ]
 
 
 def adaptive_coefficients(
@@ -599,26 +583,6 @@ def adaptive_coefficients(
     return dict(zip(idx, rows)), err, n_used
 
 
-def _first_order(
-    f, lams: Sequence[float], tol: float, max_n: int, with_power: bool = False,
-    extra: Sequence[Sequence[int]] = (),
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float | None, float, int]]:
-    """Constant term, residue matrix eta and derivative matrix D of f at each
-    scale, as (core, eta, D, extra_rows, mean_power, est_error, N_used), read
-    at the orders 0, -e_0..-e_{n-1}, +e_0..+e_{n-1} and then the orders in
-    extra, whose coefficient rows come last, from the same grid (see
-    _coefficients)."""
-    n = f.n
-    check_dimension(n)
-    unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
-    indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
-    return [
-        (rows[0], rows[1 : n + 1].T.copy(), rows[n + 1 : 2 * n + 1].T.copy(),
-         rows[2 * n + 1 :], power, err, n_used)
-        for rows, power, err, n_used in _coefficients(f, lams, indices, tol, max_n, with_power)
-    ]
-
-
 def _summaries(
     f,
     lams: Sequence[float],
@@ -627,18 +591,24 @@ def _summaries(
     extra: Sequence[Sequence[int]] = (),
 ) -> list[tuple[SpectralSummary, np.ndarray]]:
     """spectral_summaries, each summary paired with the coefficient rows of
-    its grid at the orders in extra (see _first_order)."""
+    its grid at the orders in extra.  One grid per scale is read at the
+    orders 0, -e_0..-e_{n-1}, +e_0..+e_{n-1} and then extra (see
+    _coefficients)."""
+    n = f.n
+    check_dimension(n)
+    unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
+    indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
     lams = list(lams)
-    results = _first_order(f, lams, tol, max_n, with_power=True, extra=extra)
     pairs = []
-    for lam, (core, eta, jac, rows, power, err, n_used) in zip(lams, results):
+    for lam, (rows, power, err, n_used) in zip(lams, _coefficients(f, lams, indices, tol, max_n)):
+        core, eta, jac = rows[0], rows[1 : n + 1].T.copy(), rows[n + 1 : 2 * n + 1].T.copy()
         variance = max(power - trace_norm_sq(core), 0.0)
         summary = SpectralSummary(
             lam=lam, core=core, eta=eta, jacobian=jac, variance=variance,
             tail_energy=variance - variance_model(eta, jac, lam),
             est_error=err, grid_n=n_used,
         )
-        pairs.append((summary, rows))
+        pairs.append((summary, rows[2 * n + 1 :]))
     return pairs
 
 
@@ -685,8 +655,8 @@ def first_order_summary(
     Unlike spectral_summary this stays meaningful for functions whose pole
     structure mixes coordinates, e.g. pullbacks under coordinate changes.
     """
-    core, eta, jac, _, _, err, n_used = _first_order(f, [lam], tol, max_n)[0]
-    return core, eta, jac, err, n_used
+    [(s, _)] = _summaries(f, [lam], tol, max_n)
+    return s.core, s.eta, s.jacobian, s.est_error, s.grid_n
 
 
 def expectation_numeric(f, lam: float) -> np.ndarray:

@@ -263,6 +263,25 @@ class TestInputBoundary:
         assert main(argv) == 1
         assert "need 0 < lam_min < lam_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, tol, capsys):
+        argv = ["analyze", "--expr", "1/w1 + w2 + 1/(3 - w1*w2*w3)", "--n", "3",
+                "--lambda", "1", "--tol", tol]
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == 1 and time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "tolerance must be positive and finite" in err and "Warning" not in err
+
+    def test_sweep_steps_are_capped(self, capsys):
+        start = time.perf_counter()
+        code = main(["sweep", "--expr", "1/w1 + w2 + w1*w2^2", "--n", "2",
+                     "--lambda-min", "0.5", "--lambda-max", "2", "--steps", "100000"])
+        assert code == 1 and time.perf_counter() - start < 1.0
+        assert "need 3 to 4096 steps, got 100000" in capsys.readouterr().err
+
     def test_expansion_cap_bounds_transform(self, capsys):
         start = time.perf_counter()
         code = main(["transform", "--expr", "1/u", "--morph", "w + 0.25*w^99999999",
@@ -370,7 +389,7 @@ def _argv(draw) -> list[str]:
                 "--n", draw(st.sampled_from([str(n)] * 6 + ["0", "-1", "x"])),
                 "--max-grid", draw(st.sampled_from(["16", "32", "64"] * 2 + ["8", "0"]))]
         if draw(st.booleans()):
-            argv += ["--tol", draw(st.sampled_from(["1e-10", "1e-6"] * 2 + ["0", "nan"]))]
+            argv += ["--tol", draw(st.sampled_from(["1e-10", "1e-6"] * 2 + ["0", "nan", "-1", "inf"]))]
         if command == "analyze":
             argv += ["--lambda", draw(st.sampled_from(_SCALES))]
             if draw(st.booleans()):

@@ -21,7 +21,7 @@ from polylens.errors import (
     PoleOnTorus,
 )
 from polylens.analysis import detectability_check, variance_sweep
-from polylens.expr import parse
+from polylens.expr import EPS_POLE, parse
 from polylens.laurent import LaurentPoly, decompose, matrix_to_complex, variance_exact
 from polylens.quadrature import (
     BLOCK_VALUES,
@@ -115,18 +115,19 @@ class TestSampling:
         assert sizes == [64]
         assert np.array_equal(grid.values, whole.values) and grid.peak == whole.peak
 
-    def test_pole_found_in_a_slab_is_named_as_on_the_whole_grid(self):
-        # |den| is 2e-10 at w1 = 1, in the first slab, and about 2e-16 at
-        # w1 = -1, in the third: the error names the smallest, as one
-        # evaluation of the whole grid does
+    def test_pole_found_in_a_slab_is_named_at_that_slab(self):
+        # |den| is 2e-10 at w1 = 1, in the first slab of 128 rows, and about
+        # 2e-16 at w1 = -1, in the third: the error names a point of the
+        # first slab, and no row is evaluated again to look for a smaller one
         f = parse("1/((w1 - 1.0000000001)*(w1 + 1))", 2)
-        errors = []
-        for g in (f, GridFunction(2, 1, f.eval_grid)):
-            with pytest.raises(PoleOnTorus) as excinfo:
-                sample_torus(g, 1.0, 512)
-            errors.append(excinfo.value)
-        assert str(errors[0]) == str(errors[1])
-        assert errors[0].point == errors[1].point and errors[0].point[0].real < 0
+        counted = _Counted(f)
+        with pytest.raises(PoleOnTorus, match="pole on the radius-1 torus") as excinfo:
+            sample_torus(counted, 1.0, 512)
+        assert counted.sizes == [SLAB_VALUES // 512]
+        w1, _ = excinfo.value.point
+        row = round(cmath.phase(w1) / (2 * math.pi) * 512) % 512
+        assert 0 <= row < SLAB_VALUES // 512
+        assert abs((w1 - 1.0000000001) * (w1 + 1)) < EPS_POLE
 
 
 class TestCoefficients:
@@ -267,9 +268,11 @@ class TestRefinement:
                 spectral_summary(f, lam, **kwargs)
 
     def test_aliasing_at_the_first_level(self):
-        # order 8 fits the 32-grid but not the 16-grid of the first level
-        with pytest.raises(AliasingRisk):
-            adaptive_coefficients(parse("w^8", 1), 1.0, [(8,)])
+        # without a range, w^8 takes the doubling loop: order 8 fits the
+        # 32-grid but not the 16-grid its first level reads
+        f = GridFunction(1, 1, parse("w^8", 1).eval_grid)
+        with pytest.raises(AliasingRisk, match="too high for N=16"):
+            adaptive_coefficients(f, 1.0, [(8,)])
 
     def test_second_level_acceptance_samples_once(self):
         f = parse("1/w1 + 2*w2", 2)
@@ -345,10 +348,9 @@ class TestExactGrid:
         # w^-10 aliases onto order 6 of a 16-grid; the spread -10..6 needs N=32
         coeffs, _, n_used = adaptive_coefficients(parse("w^-10", 1), 1.0, [(6,)])
         assert n_used == 32 and abs(coeffs[(6,)][0]) < 1e-12
-        # orders above N/2 - 1 of the exact grid still raise, as on the first
-        # level of the doubling loop
-        with pytest.raises(AliasingRisk):
-            adaptive_coefficients(parse("1/w", 1), 1.0, [(9,)])
+        # the window -9..9 of order 9 needs N=32, which reads it as 0
+        coeffs, _, n_used = adaptive_coefficients(parse("1/w", 1), 1.0, [(9,)])
+        assert n_used == 32 and abs(coeffs[(9,)][0]) < 1e-12
 
     def test_the_grid_is_sized_by_the_spread(self):
         # spread 4: a 4-grid would read w^3 as 1/w, so N=8 reads c_-1 = 1
@@ -362,19 +364,13 @@ class TestExactGrid:
         assert s.grid_n == 4 and abs(s.eta[0, 0] - 1) < 1e-12
         assert abs(s.jacobian[0, 0]) < 1e-12 and abs(s.tail_energy - 1) < 1e-12
 
-    @pytest.mark.parametrize("order,grid_n", [((-2,), 8), ((3,), 8), ((7,), 16)])
+    @pytest.mark.parametrize("order,grid_n", [
+        ((-2,), 8), ((3,), 8), ((7,), 16), ((8,), 32), ((9,), 32),
+    ])
     def test_the_grid_holds_every_requested_order(self, order, grid_n):
         # the spread of 1/w and order -2 is 1, but |a| <= N/2 - 1 needs N=8
         coeffs, _, n_used = adaptive_coefficients(parse("1/w", 1), 1.0, [order])
         assert n_used == grid_n and abs(coeffs[order][0]) < 1e-12
-
-    @pytest.mark.parametrize("order", [(8,), (9,)])
-    def test_orders_beyond_the_start_grid_still_raise(self, order):
-        # the order floor stops at DEFAULT_START_N: 1/w read at order 8 or 9
-        # takes the 16-grid, which cannot read them, as on the doubling
-        # loop's first level
-        with pytest.raises(AliasingRisk, match="too high for N=16"):
-            adaptive_coefficients(parse("1/w", 1), 1.0, [order])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from((0.05, 0.3, 1.0, 1.7, 6.0)))
@@ -794,6 +790,9 @@ class TestScaleBlocks:
     @pytest.mark.parametrize("f", [
         LaurentPoly.scalar(2, {(-1, 0): 1, (0, 1): 2, (3, 1): 1}),
         parse("2/w1 + 3*w2^2 + w1*w2/w3, 1/w2 - 0.5*w1*w3", 3),
+        # the doubling loop, where the mean of |f|^2 takes part in acceptance
+        parse("1/(2*w + 0.25*w^2)", 1),
+        GridFunction(2, 1, parse("1/w1 + 2*w2 + 0.5/(3 - w1*w2)", 2).eval_grid),
     ])
     def test_first_order_summary_reads_what_summaries_read(self, f):
         # the front ends share one coefficient reader: the same bits at one
