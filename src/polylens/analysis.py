@@ -6,23 +6,34 @@ measured variance at scale lam decomposes as Tr(eta* eta)/lam^2 +
 lam^2 Tr(D* D) plus a nonnegative tail energy, so lam^2 * variance never
 drops below Tr(eta* eta), and the two-term model is minimized at
 lam* = [Tr(eta* eta)/Tr(D* D)]^(1/4).
+
+A sweep samples each of its scales.  Golden section refines the minimum
+lam_i of a sweep between its neighbours; each probe reads the variance as
+sum_s E_s (lam/lam_i)^(2s) from the energies E_s by total degree of one exact
+grid at lam_i (quadrature.degree_energies), with that grid's error bound
+times max_s (lam/lam_i)^(2s) as its certified error.  A probe whose bound
+misses tol * max(1, V), and each probe of an input without an exponent range
+or whose read at lam_i does not converge, is sampled with spectral_summary
+instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import InconsistentScales, PoleOnTorus
+from .errors import InconsistentScales, NonConvergent, PoleOnTorus
 from .laurent import trace_norm_sq
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
     _summaries,
     check_dimension,
+    degree_energies,
     spectral_summaries,
     spectral_summary,
 )
@@ -75,7 +86,9 @@ def optimal_scale(eta, jacobian) -> OptimalScale:
 @dataclass
 class LensSweep:
     """Per-scale variances with the model curve and bound gap, plus the
-    scale-independent matrices (reported from the smallest scale)."""
+    scale-independent matrices (reported from the smallest scale).
+    ``variance_fn`` is the variance at any scale, read as golden section's
+    probes are: certified closed form or sampled (see the module docstring)."""
 
     lambdas: list[float]
     variance: list[float]
@@ -124,7 +137,24 @@ def variance_sweep(
 
     tr_eta = trace_norm_sq(eta)
 
+    @functools.cache
+    def spectrum():  # read on the first probe, at the scale golden section brackets
+        anchor = sweep.lambdas[int(np.argmin(sweep.variance))]
+        try:
+            return anchor, degree_energies(f, anchor, tol, max_n)
+        except NonConvergent:  # its grids disagree per degree: sample every probe
+            return anchor, None
+
     def variance_at(lam: float) -> float:
+        anchor, read = spectrum()
+        if read is not None:
+            degrees, energies, err = read
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = (lam / anchor) ** (2.0 * degrees)
+                value = float((energies * weights).sum())  # not @: a BLAS dot pages in a kernel
+                bound = err * float(weights.max())
+            if bound <= tol * max(1.0, value) and bound < math.inf:
+                return value
         return spectral_summary(f, lam, tol=tol, max_n=max_n).variance
 
     sweep = LensSweep(

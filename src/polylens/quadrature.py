@@ -39,6 +39,14 @@ alone.  A block that raises (a pole on one of its tori, an invalid scale) is
 sampled again one scale at a time, so the error names the scale and point
 that a one-scale call names.  One scale is the block of one.
 
+The exact grid holds every exponent of the range, so :func:`degree_energies`
+reads every coefficient of the range box from it in one separable
+contraction, c^_a = c_a lam^(sum a) to rounding, and sums the energies
+E_s = sum |c^_a|^2 over the a != 0 of total degree s: the variance at any
+scale mu is sum_s E_s (mu/lam)^(2s).  The read runs through _refine like
+every other, accepted on the mean of |f|^2; a sweep's golden section probes
+with it.
+
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
 without ``bounds``) is refined by doubling N.  Each level samples its grid
 once and extracts every requested coefficient in one separable contraction
@@ -312,10 +320,7 @@ def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> n
     Laurent polynomials whose per-dimension exponent width is below N.
     Requires |a_j| <= N/2 - 1 against aliasing.
 
-    The sum is separable: axis j is contracted against one phase matrix with a
-    row per distinct order requested on that axis.  Axis 0 goes first, from
-    the left, so the full grid is read in place; the remaining axes are
-    contracted on the small result.  A block's scale axis leads throughout.
+    The sum is separable (see _contract).
     """
     n, N = grid.n, grid.N
     idx = [tuple(int(x) for x in a) for a in indices]
@@ -326,22 +331,33 @@ def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> n
             raise AliasingRisk(
                 f"coefficient order {avec} too high for N={N} (need |a_j| <= N/2 - 1)"
             )
-    rows = []
-    out = grid.values
-    lead = np.ndim(grid.lam)
-    for j in range(n):
-        orders = sorted({a[j] for a in idx})
-        rows.append([orders.index(a[j]) for a in idx])
-        m = _steps(N, grid.shift, j)
-        phases = np.exp(-2j * np.pi * np.array(orders)[:, None] * m / N)
-        # (r_j, N) @ (lead, r_0, ..., r_{j-1}, N, rest): contracts grid axis
-        # j; the first step reads the full grid in place
-        out = phases @ out.reshape(out.shape[: lead + j] + (N, -1))
-    # out has shape lead + (r_0, ..., r_{n-1}, k)
-    coeffs = out[(..., *rows, slice(None))]
+    orders = [sorted({a[j] for a in idx}) for j in range(n)]
+    rows = [[orders[j].index(a[j]) for a in idx] for j in range(n)]
+    coeffs = _contract(grid, orders)[(..., *rows, slice(None))]
     sums = np.array([sum(a) for a in idx], dtype=float)
     scale = np.asarray(grid.lam)[..., None] ** -sums / N**n
     return coeffs * scale[..., None]
+
+
+def _contract(grid: TorusGrid, orders: Sequence[Sequence[int]]) -> np.ndarray:
+    """sum_m values(m) exp(-2*pi*i*a.(m + s)/N) for every a in the product of
+    the per-axis ``orders``, of shape lead + (r_0, ..., r_{n-1}, k) with r_j
+    the length of orders[j] and a block's scale axis leading.
+
+    The sum is separable: axis j is contracted against one phase matrix with a
+    row per order on that axis.  Axis 0 goes first, from the left, so the full
+    grid is read in place; the remaining axes are contracted on the small
+    result.
+    """
+    out = grid.values
+    lead = np.ndim(grid.lam)
+    for j, axis in enumerate(orders):
+        m = _steps(grid.N, grid.shift, j)
+        phases = np.exp(-2j * np.pi * np.array(axis)[:, None] * m / grid.N)
+        # (r_j, N) @ (lead, r_0, ..., r_{j-1}, N, rest): contracts grid axis
+        # j; the first step reads the full grid in place
+        out = phases @ out.reshape(out.shape[: lead + j] + (grid.N, -1))
+    return out
 
 
 def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
@@ -442,29 +458,40 @@ def _adaptive(
     )
 
 
-def _rounding_bound(grid: TorusGrid) -> float | np.ndarray:
+def _degree(bounds) -> int:
+    """Highest total degree sum_j max(|lo_j|, |hi_j|) of a range; 0 for none."""
+    return 0 if bounds is None else sum(max(abs(lo), abs(hi)) for lo, hi in bounds)
+
+
+def _rounding_bound(grid: TorusGrid, degree: int) -> float | np.ndarray:
     """A-priori rounding bound on a coefficient read from an exact grid,
-    before its lam^(-sum a) scale: (n + 1) * N * eps * max(peak |f|, 1), one
-    per scale of a block.
+    before its lam^(-sum a) scale: (n + 1) * M * eps * max(peak |f|, 1) with
+    M = max(N, degree), one per scale of a block; degree is the _degree of
+    the evaluator's range, so w^9 read on a 4-grid is covered.
 
-    n*N*eps is the standard bound for the n length-N phase contractions and
-    N*eps allows for evaluating terms of degree below N, both relative to the
-    peak (floored at 1 for intermediates of unit size).  A mean of a product
-    of two samples is bounded by 4*k*max(peak, 1) times this (see
-    _grid_mean), which also covers the variance formed from the mean of
-    |f|^2.  Rounding inside the evaluator beyond that, as in the cancellation
-    of (w + 1e8) - 1e8, is not covered.
+    n*M*eps covers the n length-N phase contractions (a sum of N terms errs
+    by gamma_(N-1) times the sum of their moduli) and M*eps the evaluation
+    of a term of total degree d, d products with relative error gamma_d
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    Secs. 3.1 and 4.2), both relative to the peak (floored at 1 for
+    intermediates of unit size).  A mean of a product of two samples is
+    bounded by 4*k*max(peak, 1) times this (see _grid_mean), which also
+    covers the variance formed from the mean of |f|^2.  Rounding inside the
+    evaluator beyond that, as in (w + 1e8) - 1e8, is not covered.
     """
-    return (grid.n + 1) * grid.N * np.finfo(float).eps * np.maximum(grid.peak, 1.0)
+    eps = np.finfo(float).eps
+    return (grid.n + 1) * max(grid.N, degree) * eps * np.maximum(grid.peak, 1.0)
 
 
-def _grid_mean(products: np.ndarray, grid: TorusGrid, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_mean(
+    products: np.ndarray, grid: TorusGrid, k: int, degree: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Grid mean of k products of two samples (|f|^2 or conj(f).g), summed
-    over the k, and its bound 4*k*max(peak, 1)*_rounding_bound(grid), each
-    in a last axis of length one.  The sum is pairwise in the memory order of
-    one scale's grid, so its rounding is logarithmic in N^n."""
+    over the k, and its bound 4*k*max(peak, 1)*_rounding_bound(grid, degree),
+    each in a last axis of length one.  The sum is pairwise in the memory
+    order of one scale's grid, so its rounding is logarithmic in N^n."""
     total = products.sum(axis=tuple(range(-grid.n - 1, 0)))
-    est = 4 * k * np.maximum(grid.peak, 1.0) * _rounding_bound(grid)
+    est = 4 * k * np.maximum(grid.peak, 1.0) * _rounding_bound(grid, degree)
     return total[..., None] / grid.N**grid.n, np.asarray(est)[..., None]
 
 
@@ -546,17 +573,18 @@ def _coefficients(
     blocks).  An exact grid is wider than the spread of the range and the
     orders, and than the window -m..m of the highest order m read."""
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
+    bounds = _exponent_bounds(f)
+    degree = _degree(bounds)
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         lead = np.shape(grid.lam)
         vec = laurent_coefficients(grid, indices).reshape(lead + (-1,))
-        unit = np.asarray(_rounding_bound(grid))[..., None]
+        unit = np.asarray(_rounding_bound(grid, degree))[..., None]
         scales = np.asarray(grid.lam)[..., None] ** powers
-        power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, f.k)
+        power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, f.k, degree)
         est = (unit * scales).repeat(f.k, axis=-1)
         return np.concatenate([vec, power], axis=-1), np.concatenate([est, bound], axis=-1)
 
-    bounds = _exponent_bounds(f)
     width = None if bounds is None else max(
         max(hi, *(a[j] for a in indices)) - min(lo, *(a[j] for a in indices))
         for j, (lo, hi) in enumerate(bounds)
@@ -659,6 +687,39 @@ def first_order_summary(
     return s.core, s.eta, s.jacobian, s.est_error, s.grid_n
 
 
+def degree_energies(
+    f, lam: float, tol: float, max_n: int
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """(degrees, energies, est_error) of f at scale lam, or None when f has
+    no exponent range: energies[i] sums |c_a lam^s|^2 over the components and
+    the a != 0 of total degree s = degrees[i] (see the module docstring), and
+    est_error bounds the summed error of all the energies."""
+    bounds = _exponent_bounds(f)
+    if bounds is None:
+        return None
+    check_dimension(f.n)
+    axes = [np.arange(lo, hi + 1) for lo, hi in bounds]
+    total = sum(np.ix_(*axes))  # total degree of each exponent
+    degrees = np.arange(total.min(), total.max() + 1)
+    degree = _degree(bounds)
+
+    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+        power = (np.abs(_contract(grid, axes) / grid.N**f.n) ** 2).sum(axis=-1)
+        if all(lo <= 0 <= hi for lo, hi in bounds):  # a = 0 is the mean
+            power[(..., *(-lo for lo, _ in bounds))] = 0.0
+        energies = np.zeros(power.shape[: np.ndim(grid.lam)] + degrees.shape)
+        np.add.at(energies, (..., total - degrees[0]), power)
+        # accepted on the mean of |f|^2, as a summary's read is; its bound
+        # covers the sum of the energies (Parseval)
+        mean, est = _grid_mean(np.abs(grid.values) ** 2, grid, f.k, degree)
+        zeros = np.zeros_like(energies)
+        return np.concatenate([energies, mean], axis=-1), np.concatenate([zeros, est], axis=-1)
+
+    width = max(hi - lo for lo, hi in bounds)
+    [(values, err, _)] = _refine(f, read, width, [lam], tol, max_n)
+    return degrees, values[:-1], err
+
+
 def expectation_numeric(f, lam: float) -> np.ndarray:
     """Boundary-measure expectation of f (its constant Laurent coefficient)."""
     coeffs, _, _ = adaptive_coefficients(f, lam, [(0,) * f.n])
@@ -675,15 +736,16 @@ def inner_product_numeric(f, g, lam: float) -> complex:
 
     k = f.k
     pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
-
-    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-        values = grid.values
-        return _grid_mean(np.conj(values[..., :k]) * values[..., k:], grid, k)
-
     f_bounds, g_bounds = _exponent_bounds(f), _exponent_bounds(g)
     width = None if f_bounds is None or g_bounds is None else max(
         max(g_hi - f_lo, f_hi - g_lo)
         for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
     )
+    degree = 0 if width is None else max(_degree(f_bounds), _degree(g_bounds))
+
+    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+        values = grid.values
+        return _grid_mean(np.conj(values[..., :k]) * values[..., k:], grid, k, degree)
+
     [(vec, _, _)] = _refine(pair, read, width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
     return complex(vec[0])

@@ -282,6 +282,22 @@ class TestInputBoundary:
         assert code == 1 and time.perf_counter() - start < 1.0
         assert "need 3 to 4096 steps, got 100000" in capsys.readouterr().err
 
+    def test_sweep_probes_at_the_grid_cap_of_its_scales(self, capsys):
+        # the anchor's bound (2.9e-10, from the peak 202) misses 1e-10 per
+        # degree but not on the mean of |f|^2, which the sweep's own read of
+        # the same 4-grid is accepted on
+        code = main(["sweep", "--expr", "200 + w + 1/w", "--n", "1", "--lambda-min", "0.5",
+                     "--lambda-max", "2", "--steps", "3", "--max-grid", "4"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "lambda,variance,variance_model,bound_gap,est_error\n"
+            "0.5,4.25,4.2499999999999689,0.062500000000006217,2.9136693058262608e-10\n"
+            "1,2,1.9999999999999756,1.0000000000000062,2.8992985789955128e-10\n"
+            "2,4.25,4.2499999999999689,16.000000000000007,2.9136693058262608e-10\n"
+            "# lambda_star_closed = 1.0000000000000044\n"
+            "# lambda_star_empirical = 0.99998347325966197\n"
+        )
+
     def test_expansion_cap_bounds_transform(self, capsys):
         start = time.perf_counter()
         code = main(["transform", "--expr", "1/u", "--morph", "w + 0.25*w^99999999",

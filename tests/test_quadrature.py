@@ -20,17 +20,32 @@ from polylens.errors import (
     NonConvergent,
     PoleOnTorus,
 )
-from polylens.analysis import detectability_check, variance_sweep
+from polylens import analysis
+from polylens.analysis import (
+    detectability_check,
+    empirical_optimal_scale,
+    geometric_grid,
+    variance_sweep,
+)
 from polylens.expr import EPS_POLE, parse
-from polylens.laurent import LaurentPoly, decompose, matrix_to_complex, variance_exact
+from polylens.laurent import (
+    LaurentPoly,
+    decompose,
+    inner_product_exact,
+    matrix_to_complex,
+    variance_exact,
+)
 from polylens.quadrature import (
     BLOCK_VALUES,
+    DEFAULT_MAX_N,
+    DEFAULT_TOL,
     GRID_SHIFT,
     SLAB_VALUES,
     GridFunction,
     TorusGrid,
     _alias_floor,
     adaptive_coefficients,
+    degree_energies,
     expectation_numeric,
     first_order_summary,
     inner_product_numeric,
@@ -566,6 +581,31 @@ class TestInnerProduct:
         with pytest.raises(DimensionMismatch):
             inner_product_numeric(parse("w", 1), parse("w1, w2", 2), 1.0)
 
+    @pytest.mark.parametrize("degree,lam", [(9, 1.05), (9, 1.3), (300, 1.05)])
+    def test_high_degree_terms_stay_within_the_bound(self, monkeypatch, degree, lam):
+        # the difference of conj(w^d).w^d is 0, so a 4-grid holds it, but
+        # each value is a product of d factors: the bound counts d, not N
+        refined = []
+        refine = quadrature._refine
+
+        def recorded(*args):
+            refined.extend(refine(*args))
+            return refined
+
+        monkeypatch.setattr(quadrature, "_refine", recorded)
+        f = LaurentPoly.scalar(1, {(degree,): 1})
+        value = inner_product_numeric(f, f, lam)
+        [(_, est, N)] = refined
+        exact = inner_product_exact(f, f, Fraction(lam))
+        assert N == 4
+        assert abs(value - complex(exact)) <= est
+
+    def test_high_degree_beyond_the_blowup_threshold(self):
+        # |w^300| = 1.3^300 = 2e34 on the radius-1.3 torus
+        f = LaurentPoly.scalar(1, {(300,): 1})
+        with pytest.raises(PoleOnTorus):
+            inner_product_numeric(f, f, 1.3)
+
     def test_point_budget(self, monkeypatch):
         # no exponent range: the first level samples 32^2 points
         f = GridFunction(2, 1, lambda c: [c[0] * c[1]])
@@ -763,10 +803,9 @@ class TestScaleBlocks:
     def test_sweep_samples_its_grid_in_one_block(self):
         counted = _Counted(parse("1/w + w", 1))
         sweep = variance_sweep(counted, [0.25 * 2 ** (i / 8) for i in range(33)])
-        # the sweep grid is one block; golden section then samples one scale
-        # at a time
-        assert counted.sizes[0] == 33 * 4
-        assert set(counted.sizes[1:]) == {4}
+        # the sweep grid is one block; golden section then reads every probe
+        # from one anchor grid at the sweep minimum
+        assert counted.sizes == [33 * 4, 4]
         assert abs(sweep.lambda_star_empirical - 1) < 1e-3
 
     @pytest.mark.parametrize("text,lams,bad", [
@@ -816,3 +855,96 @@ class TestScaleBlocks:
         assert [s.grid_n for s in batched] == [8, 4, 8]
         for lam, s in zip(lams, batched):
             _assert_same_summary(s, spectral_summary(f, lam))
+
+
+class TestSweepProbes:
+    """Golden-section probes read from the degree energies of one anchor grid."""
+
+    def test_energies_give_the_variance_at_every_scale(self):
+        f = random_decomposable(np.random.default_rng(11), n=2, k=2)
+        degrees, energies, err = degree_energies(f, 0.9, DEFAULT_TOL, DEFAULT_MAX_N)
+        for lam in (0.3, 0.9, 2.0):
+            value = float(energies @ (lam / 0.9) ** (2.0 * degrees))
+            exact = float(variance_exact(f, Fraction(lam)))
+            assert abs(value - exact) <= err * max((lam / 0.9) ** (2.0 * degrees))
+
+    def test_no_range_reads_no_energies(self):
+        f = GridFunction(1, 1, parse("1/w + w", 1).eval_grid)
+        assert degree_energies(f, 1.0, DEFAULT_TOL, DEFAULT_MAX_N) is None
+
+    def test_no_range_samples_every_probe(self, monkeypatch):
+        f = GridFunction(1, 1, parse("1/w + w", 1).eval_grid)
+        sampled = []
+        summary = analysis.spectral_summary
+        monkeypatch.setattr(analysis, "spectral_summary",
+                            lambda g, lam, **kw: sampled.append(lam) or summary(g, lam, **kw))
+        sweep = variance_sweep(f, geometric_grid(0.25, 4.0, 17))
+        during = list(sampled)
+        probes = _probes(sweep)
+        assert len(probes) > 10 and during == probes
+
+    def test_uncertified_probe_is_sampled(self, monkeypatch):
+        # degrees -1..2 on the box of the range, the top one empty: at 100
+        # times the anchor its factor 100^4 leaves the certificate above tol
+        f = parse("1/w1 + w2, w1", 2)
+        sweep = variance_sweep(f, geometric_grid(0.25, 4.0, 17))
+        anchor = sweep.lambdas[int(np.argmin(sweep.variance))]
+        sampled = []
+        summary = analysis.spectral_summary
+        monkeypatch.setattr(analysis, "spectral_summary",
+                            lambda g, lam, **kw: sampled.append(lam) or summary(g, lam, **kw))
+        assert sweep.variance_fn(100 * anchor) == summary(f, 100 * anchor).variance
+        assert sampled == [100 * anchor]
+
+    def test_read_is_accepted_on_the_mean(self):
+        # at peak 202 the bound misses 1e-10 for the energies of size 1
+        # and 0, not for the mean of |f|^2 = 40002
+        degrees, energies, err = degree_energies(parse("200 + w + 1/w", 1), 1.0, 1e-10, 4)
+        assert list(degrees) == [-1, 0, 1] and 1e-10 < err <= 1e-10 * 40002
+        assert np.allclose(energies, [1, 0, 1], rtol=0, atol=err)
+
+    def test_unconverged_read_samples_every_probe(self, monkeypatch):
+        def unconverged(*args):
+            raise NonConvergent("grids disagree")
+
+        monkeypatch.setattr(analysis, "degree_energies", unconverged)
+        counted = _Counted(parse("1/w + w", 1))
+        sweep = variance_sweep(counted, geometric_grid(0.25, 4.0, 17))
+        assert counted.sizes[0] == 17 * 4 and len(counted.sizes) > 10
+        assert abs(sweep.lambda_star_empirical - 1) < 1e-3
+
+    def test_two_point_sweep_samples_no_anchor(self):
+        counted = _Counted(parse("1/w + w", 1))
+        variance_sweep(counted, [0.5, 2.0])
+        assert counted.sizes == [2 * 4]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 2),
+           st.sampled_from([9, 17, 33]))
+    def test_every_probe_within_its_certificate(self, seed, n, k, steps):
+        f = random_decomposable(np.random.default_rng(seed), n=n, k=k)
+        sweep = variance_sweep(f, geometric_grid(0.3, 3.0, steps))
+        i = int(np.argmin(sweep.variance))
+        anchor = sweep.lambdas[i]
+        degrees, _, err = degree_energies(f, anchor, DEFAULT_TOL, DEFAULT_MAX_N)
+        for lam in _probes(sweep):
+            value = sweep.variance_fn(lam)
+            bound = err * max((lam / anchor) ** (2.0 * degrees))
+            if bound > DEFAULT_TOL * max(1.0, value):  # sampled
+                bound = spectral_summary(f, lam).est_error
+            assert abs(value - float(variance_exact(f, Fraction(lam)))) <= bound
+        assert abs(sweep.variance_fn(anchor) - sweep.variance[i]) <= sweep.est_error[i]
+
+
+def _probes(sweep) -> list[float]:
+    """The scales golden section probes on a finished sweep, in order; the
+    refined optimum comes out as the sweep reported it."""
+    probes = []
+    read = sweep.variance_fn
+    sweep.variance_fn = lambda lam: probes.append(lam) or read(lam)
+    try:
+        if len(sweep.lambdas) >= 3:
+            assert empirical_optimal_scale(sweep) == sweep.lambda_star_empirical
+    finally:
+        sweep.variance_fn = read
+    return probes
