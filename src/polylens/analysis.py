@@ -234,27 +234,22 @@ def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
     deep = [tuple(-2 * (i == beta) for i in range(f.n)) for beta in range(f.n)]
     cores = []
     max_variance = 0.0
-    try:
-        for lam in probes:
+    for lam in probes:  # the first probe out of the class ends the loop
+        try:
             [(s, rows)] = _summaries(f, [lam], DEFAULT_TOL, DEFAULT_MAX_N, deep)
-            cores.append(s.core)
             max_variance = max(max_variance, s.variance)
-            if float(np.max(np.abs(rows))) > CLASS_TOL:
-                return DetectabilityReport(
-                    is_detectable=False,
-                    expectation_drift=math.nan,
-                    max_variance=max_variance,
-                    in_class=False,
-                    reason="NotInClass",
-                )
-    except PoleOnTorus:
-        return DetectabilityReport(
-            is_detectable=False,
-            expectation_drift=math.nan,
-            max_variance=math.inf,
-            in_class=False,
-            reason="NotInClass",
-        )
+            in_class = float(np.max(np.abs(rows))) <= CLASS_TOL
+        except PoleOnTorus:
+            max_variance, in_class = math.inf, False
+        if not in_class:
+            return DetectabilityReport(
+                is_detectable=False,
+                expectation_drift=math.nan,
+                max_variance=max_variance,
+                in_class=False,
+                reason="NotInClass",
+            )
+        cores.append(s.core)
     drift = 0.0
     for i in range(len(cores)):
         for j in range(i + 1, len(cores)):

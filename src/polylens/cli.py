@@ -95,7 +95,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for grid caps: a positive integer."""
+    """argparse type for grid caps and dimensions: a positive integer."""
     try:
         value = int(text)
     except ValueError:
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="one-scale summary of an expression")
     p.add_argument("--expr", required=True, help="expression in w1..wn")
-    p.add_argument("--n", type=int, required=True, help="number of variables")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of variables")
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="scale")
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
     common(p)
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="variance across a geometric scale grid")
     p.add_argument("--expr", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--lambda-min", dest="lam_min", type=float, required=True)
     p.add_argument("--lambda-max", dest="lam_max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="slice or product measure")
     p.add_argument("--interval", action="append", required=True,
                    help="'lo:hi' in radians; 'pi' arithmetic allowed (repeatable)")
-    p.add_argument("--dims", type=int, default=None,
+    p.add_argument("--dims", type=_positive_int, default=None,
                    help="number of coordinates for a product measure")
     p.set_defaults(func=cmd_measure)
 
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True, help="expression in u1..un")
     p.add_argument("--morph", required=True,
                    help="comma-separated coordinate-change components in w1..wn")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_MORPH_LAMBDA)
     common(p)
     p.set_defaults(func=cmd_transform)

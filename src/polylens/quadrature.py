@@ -10,18 +10,15 @@ per dimension is narrower than the grid.
 
 Evaluators that know their exponent range (an ``exponent_bounds()`` method
 returning per-axis ``(lo, hi)`` pairs, or None) are sampled once, on the
-exact grid: the smallest power of two N >= MIN_N greater than the spread
-max(hi, max a_j) - min(lo, min a_j) on every axis, where a runs over the
-requested coefficient orders, and greater than the window -m..m of the
-highest order m read, so N/2 - 1 >= m.  A case of spread 2..7 is thus
-sampled on 4^n or 8^n points, not 16^n.  On that grid every requested
-coefficient and the mean of |f|^2 are exact up to rounding (discrete
-orthogonality), so no second grid is sampled; the reported error is an
-a-priori rounding bound (see _rounding_bound), which must meet the
-tolerance.  Where it does not (its constants are worst-case, so this
-happens at extreme scales), the exact grids N and 2N are compared as in the
-doubling loop.  For inner products N must exceed the widest exponent
-difference of conj(f)*g.
+exact grid: the smallest power of two N >= MIN_N above the widest exponent
+gap of every product the read pairs (see _gap).  A case of spread 2..7 is
+thus sampled on 4^n or 8^n points, not 16^n.  On that grid every requested
+coefficient, the mean of |f|^2 and an inner product are exact up to
+rounding (discrete orthogonality), so no second grid is sampled; the
+reported error is an a-priori rounding bound (see _rounding_bound), which
+must meet the tolerance.  Where it does not (its constants are worst-case,
+so this happens at extreme scales), the exact grids N and 2N are compared
+as in the doubling loop.
 ``laurent.LaurentPoly`` and ``expr.MeroExpr`` provide the method; a MeroExpr
 has a range when it divides only by monomials.  A :class:`GridFunction` has
 the range of its ``bounds`` field, which its maker declares: on the
@@ -134,11 +131,10 @@ class GridFunction:
 
     ``bounds``, when given, holds one (lo, hi) pair of integers per axis: a
     range holding every exponent of every component's Laurent expansion on
-    the sampled tori.  The evaluator is then sampled once, on the smallest
-    power-of-two grid (at least MIN_N) wider than that range and the
-    requested orders (see the module docstring), so a range that misses an
-    exponent gives wrong numbers; without it N doubles from DEFAULT_START_N
-    until two grids agree."""
+    the sampled tori.  The evaluator is then sampled once, on the exact grid
+    of that range (see _gap), so a range that misses an exponent gives wrong
+    numbers; without it N doubles from DEFAULT_START_N until two grids
+    agree."""
 
     n: int
     k: int
@@ -227,13 +223,6 @@ def _torus(lams: np.ndarray) -> str:
     return f"radius-{radii} torus" if lams.size == 1 else f"tori of radii {radii}"
 
 
-def _evaluate(f, coords: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """f on the given coordinates; overflow and 0/0 leave non-finite values,
-    which sample_torus refuses."""
-    with np.errstate(all="ignore"):
-        return f.eval_grid(coords)
-
-
 def check_dimension(n: int) -> None:
     """Raise GridTooLarge for n > MAX_DIMENSION, before any work of size n."""
     if n > MAX_DIMENSION:
@@ -286,7 +275,9 @@ def sample_torus(
     for start in range(0, N, rows):
         part = lead + (slice(start, start + rows),)
         try:
-            components = _evaluate(f, [coords[0][part], *coords[1:]])
+            # overflow and 0/0 leave non-finite values, refused below
+            with np.errstate(all="ignore"):
+                components = f.eval_grid([coords[0][part], *coords[1:]])
         except DivisionNearZero as exc:
             raise PoleOnTorus(
                 f"pole on the {_torus(lams)}: {exc}", point=exc.point
@@ -316,9 +307,9 @@ def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> n
     L scales.
 
     c_a = lam^(-sum a) * (1/N^n) * sum_m values(m) exp(-2*pi*i*a.(m + s)/N),
-    with s the grid's shift (zero when it has none); exact to rounding for
-    Laurent polynomials whose per-dimension exponent width is below N.
-    Requires |a_j| <= N/2 - 1 against aliasing.
+    with s the grid's shift (zero when it has none); exact to rounding when
+    N exceeds the exponent gaps of _gap.  Requires |a_j| <= N/2 - 1 against
+    aliasing.
 
     The sum is separable (see _contract).
     """
@@ -509,13 +500,11 @@ def _refine(
 
     ``read`` returns the statistic on a grid with a per-entry rounding
     bound, the block's scale axis leading.  The exact grid is the smallest
-    power of two N >= MIN_N above ``width``, the widest per-axis spread of
-    the exponents the statistic involves (for coefficients, at least the
-    window -m..m of the highest order m read), so no term aliases onto a
-    read one.  Its scales are sampled in blocks of at most BLOCK_VALUES
-    values.  A scale is accepted when every entry of its row meets the
-    acceptance rule of _adaptive, with the largest bound as its error
-    estimate.  The bound uses worst-case constants, so at extreme
+    power of two N >= MIN_N above ``width``, the widest exponent gap the
+    statistic pairs (see _gap).  Its scales are sampled in blocks of at most
+    BLOCK_VALUES values.  A scale is accepted when every entry of its row
+    meets the acceptance rule of _adaptive, with the largest bound as its
+    error estimate.  The bound uses worst-case constants, so at extreme
     scales it can miss the tolerance while the values are accurate: the
     doubling loop then compares the exact grids N and 2N of that scale, both
     alias-free.
@@ -560,6 +549,22 @@ def _exponent_bounds(f) -> list[tuple[int, int]] | None:
     return None if method is None else method()
 
 
+def _gap(u, v) -> int:
+    """Widest |e_v - e_u| over the axes, for exponents e_u and e_v in the
+    per-axis (lo, hi) ranges u and v.
+
+    This is the one alias rule of the exact grids.  Every exact read is a
+    grid mean of a product conj(u).v: a coefficient c_a is the mean of
+    conj(w^a).f up to lam^(2 sum a), the variance starts from the mean of
+    |f|^2, and <f, g> is the mean of conj(f).g.  On the torus
+    conj(w^e) = lam^(2e) w^(-e), so the product's exponents are the gaps
+    e_v - e_u, and its N-point mean is the term of gap 0 alone unless a
+    nonzero gap is a multiple of N on every axis.  N > _gap(u, v) rules
+    that out.
+    """
+    return max(max(v_hi - u_lo, u_hi - v_lo) for (u_lo, u_hi), (v_lo, v_hi) in zip(u, v))
+
+
 def _coefficients(
     f,
     lams: Sequence[float],
@@ -570,8 +575,9 @@ def _coefficients(
     """The one coefficient reader: at each scale in lams, (rows, mean |f|^2,
     est_error, N_used), rows[i] the k components of the coefficient at
     indices[i], a tuple of ints, all read from one grid (see _refine for
-    blocks).  An exact grid is wider than the spread of the range and the
-    orders, and than the window -m..m of the highest order m read."""
+    blocks).  An exact grid exceeds the gaps (see _gap) of |f|^2 and of the
+    box A of the orders against f, and the window -m..m of the highest order
+    m read, _gap(A, -A), that laurent_coefficients requires."""
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
     bounds = _exponent_bounds(f)
     degree = _degree(bounds)
@@ -585,12 +591,10 @@ def _coefficients(
         est = (unit * scales).repeat(f.k, axis=-1)
         return np.concatenate([vec, power], axis=-1), np.concatenate([est, bound], axis=-1)
 
+    box = [(min(axis), max(axis)) for axis in zip(*indices)]
     width = None if bounds is None else max(
-        max(hi, *(a[j] for a in indices)) - min(lo, *(a[j] for a in indices))
-        for j, (lo, hi) in enumerate(bounds)
+        _gap(bounds, bounds), _gap(box, bounds), _gap(box, [(-hi, -lo) for lo, hi in box])
     )
-    if width is not None:
-        width = max(width, 2 * max(abs(x) for a in indices for x in a))
     return [
         (vec[:-1].reshape(len(indices), f.k), float(vec[-1].real), err, n_used)
         for vec, err, n_used in _refine(f, read, width, lams, tol, max_n)
@@ -678,11 +682,8 @@ def first_order_summary(
     tol: float = DEFAULT_TOL,
     max_n: int = DEFAULT_MAX_N,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """Constant term plus residue and derivative matrices only (no variance).
-
-    Unlike spectral_summary this stays meaningful for functions whose pole
-    structure mixes coordinates, e.g. pullbacks under coordinate changes.
-    """
+    """(core, eta, jacobian, est_error, grid_n) of spectral_summary(f, lam,
+    tol, max_n): the same reads of the same grid, without the variance."""
     [(s, _)] = _summaries(f, [lam], tol, max_n)
     return s.core, s.eta, s.jacobian, s.est_error, s.grid_n
 
@@ -715,8 +716,7 @@ def degree_energies(
         zeros = np.zeros_like(energies)
         return np.concatenate([energies, mean], axis=-1), np.concatenate([zeros, est], axis=-1)
 
-    width = max(hi - lo for lo, hi in bounds)
-    [(values, err, _)] = _refine(f, read, width, [lam], tol, max_n)
+    [(values, err, _)] = _refine(f, read, _gap(bounds, bounds), [lam], tol, max_n)
     return degrees, values[:-1], err
 
 
@@ -727,20 +727,16 @@ def expectation_numeric(f, lam: float) -> np.ndarray:
 
 
 def inner_product_numeric(f, g, lam: float) -> complex:
-    """<f, g> as the grid mean of conj(f).g, conjugate-linear in f.  When both
-    have an exponent range, the exact grid must exceed the widest exponent
-    difference of conj(f).g on every axis.  Raises GridTooLarge when a grid
-    exceeds MAX_TOTAL_POINTS points."""
+    """<f, g> as the grid mean of conj(f).g, conjugate-linear in f, on the
+    exact grid of the two ranges (see _gap) when both have one.  Raises
+    GridTooLarge when a grid exceeds MAX_TOTAL_POINTS points."""
     if f.n != g.n or f.k != g.k:
         raise DimensionMismatch(f"shape ({f.n},{f.k}) vs ({g.n},{g.k})")
 
     k = f.k
     pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
     f_bounds, g_bounds = _exponent_bounds(f), _exponent_bounds(g)
-    width = None if f_bounds is None or g_bounds is None else max(
-        max(g_hi - f_lo, f_hi - g_lo)
-        for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
-    )
+    width = None if f_bounds is None or g_bounds is None else _gap(f_bounds, g_bounds)
     degree = 0 if width is None else max(_degree(f_bounds), _degree(g_bounds))
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:

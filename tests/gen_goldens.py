@@ -42,6 +42,7 @@ COMMANDS = {
         "transform", "--expr", "1/u1", "--morph", "2*w1", "--n", "1",
         "--lambda", "0.5",
     ],
+    "verify_all.txt": ["verify", "--suite", "all", "--seed", "7"],
 }
 
 

@@ -141,6 +141,27 @@ class TestDetectability:
         assert {lam for lam, _, _ in grids} == {0.5, 0.9}
         assert len(grids) == len(set(grids))
 
+    def test_out_of_class_first_probe_samples_no_later_probe(self, monkeypatch):
+        # 1/(w - 0.4) has order -2 coefficient 0.4 on the radius-0.5 torus
+        scales = []
+        sample = quadrature.sample_torus
+
+        def counted(f, lam, N, shift=None):
+            scales.append(lam)
+            return sample(f, lam, N, shift)
+
+        monkeypatch.setattr(quadrature, "sample_torus", counted)
+        report = detectability_check(parse("1/(w-0.4)", 1), [0.5, 1.0, 2.0])
+        assert report.reason == "NotInClass" and not report.in_class
+        assert scales and set(scales) == {0.5}
+
+    def test_pole_on_the_second_probe_torus(self):
+        # 1/(w - 1) is in the class on the radius-0.5 torus, and has its pole
+        # on the unit one
+        report = detectability_check(parse("1/(w-1)", 1), [0.5, 1.0])
+        assert report.reason == "NotInClass" and not report.in_class
+        assert not report.is_detectable and report.max_variance == float("inf")
+
     @pytest.mark.parametrize("text,reason,drift", [
         # order -2 coefficient 5e-9 and 2e-8 about CLASS_TOL = 1e-8
         ("1/w + 0.000000005/w^2", None, 0.0),

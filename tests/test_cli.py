@@ -305,18 +305,34 @@ class TestInputBoundary:
         assert code == 3 and time.perf_counter() - start < 1.0
         assert "ExpansionTooLarge" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
+    # the commands that take --n, without it
+    WITHOUT_N = [
         ["analyze", "--expr", "1 + w1", "--lambda", "1"],
         ["sweep", "--expr", "1 + w1", "--lambda-min", "0.5", "--lambda-max", "2",
          "--steps", "3"],
         ["transform", "--expr", "1/u1", "--morph", "w1"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", WITHOUT_N)
     def test_dimension_cap_precedes_parsing(self, argv, capsys):
         # parse builds n entries per node, so n is refused before it
         start = time.perf_counter()
         code = main(argv + ["--n", "3000"])
         assert code == 3 and time.perf_counter() - start < 1.0
         assert "GridTooLarge: dimension 3000 exceeds the cap of 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", WITHOUT_N)
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_dimension_below_one_is_a_usage_error(self, argv, n, capsys):
+        assert main(argv + ["--n", n]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --n: expected a positive integer, got '{n}'" in err
+
+    @pytest.mark.parametrize("dims", ["0", "-2"])
+    def test_measure_dims_below_one_is_a_usage_error(self, dims, capsys):
+        assert main(["measure", "--dims", dims, "--interval", "0:pi"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --dims: expected a positive integer, got '{dims}'" in err
 
     def test_alias_probes(self, capsys):
         assert main(["analyze", "--expr", "w^33", "--n", "1", "--lambda", "1",

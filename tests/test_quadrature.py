@@ -40,6 +40,7 @@ from polylens.quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
     GRID_SHIFT,
+    MIN_N,
     SLAB_VALUES,
     GridFunction,
     TorusGrid,
@@ -310,15 +311,19 @@ class TestRefinement:
         assert sizes == []
 
 
+def _grid_above(width: int) -> int:
+    """The smallest power of two, at least MIN_N, above width."""
+    N = MIN_N
+    while N <= width:
+        N *= 2
+    return N
+
+
 def _exact_grid(bounds) -> int:
     """The exact grid of a summary for a range: the smallest power of two,
     at least 4, above the spread of the range and the orders -1..1 on every
     axis."""
-    width = max(max(hi, 1) - min(lo, -1) for lo, hi in bounds)
-    N = 4
-    while N <= width:
-        N *= 2
-    return N
+    return _grid_above(max(max(hi, 1) - min(lo, -1) for lo, hi in bounds))
 
 
 class _Counted:
@@ -480,6 +485,101 @@ class TestGridFunctionBounds:
         )
         grid = sample_torus(g, 1.1, 64)
         assert grid.values.size > SLAB_VALUES and sizes == [64]
+
+
+# The exact-grid widths of the three readers as each stated its own rule
+# before they shared one; every exact grid must keep these sizes.
+def _coefficient_width(bounds, indices) -> int:
+    width = max(
+        max(hi, *(a[j] for a in indices)) - min(lo, *(a[j] for a in indices))
+        for j, (lo, hi) in enumerate(bounds)
+    )
+    return max(width, 2 * max(abs(x) for a in indices for x in a))
+
+
+def _energy_width(bounds) -> int:
+    return max(hi - lo for lo, hi in bounds)
+
+
+def _inner_product_width(f_bounds, g_bounds) -> int:
+    return max(
+        max(g_hi - f_lo, f_hi - g_lo)
+        for (f_lo, f_hi), (g_lo, g_hi) in zip(f_bounds, g_bounds)
+    )
+
+
+@st.composite
+def _ranged(draw, n):
+    """(terms, bounds): a few unit-size Gaussian-integer terms inside a drawn
+    per-axis range, which may reach below -1 and need not be attained."""
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.integers(-4, 3))
+        bounds.append((lo, lo + draw(st.integers(0, 4))))
+    exps = st.tuples(*[st.integers(lo, hi) for lo, hi in bounds])
+    coeff = st.builds(complex, st.integers(-1, 1), st.integers(-1, 1))
+    return draw(st.dictionaries(exps, coeff, max_size=4)), tuple(bounds)
+
+
+def _ranged_function(terms, bounds) -> GridFunction:
+    """A GridFunction of the terms {exponents: coefficient} with the bounds."""
+    def fn(coords):
+        total = np.zeros(np.broadcast(*coords).shape, dtype=complex)
+        for exps, c in terms.items():
+            total = total + c * math.prod(w**e for w, e in zip(coords, exps))
+        return [total]
+
+    return GridFunction(len(bounds), 1, fn, bounds)
+
+
+class TestOneAliasRule:
+    """Each reader samples one grid, sized as before the readers shared
+    _gap, and reads the oracle's values from it."""
+
+    @staticmethod
+    def _sizes(call):
+        with mock.patch.object(quadrature, "sample_torus",
+                               wraps=quadrature.sample_torus) as spy:
+            result = call()
+        return result, [c.args[2] for c in spy.call_args_list]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3))
+    def test_coefficients(self, data, n):
+        terms, bounds = data.draw(_ranged(n))
+        order = st.tuples(*[st.integers(-5, 5)] * n)
+        indices = data.draw(st.lists(order, min_size=1, max_size=5, unique=True))
+        f = _ranged_function(terms, bounds)
+        (coeffs, err, n_used), sizes = self._sizes(
+            lambda: adaptive_coefficients(f, 1.0, indices))
+        N = _grid_above(_coefficient_width(bounds, indices))
+        assert sizes == [N] and n_used == N
+        for a in indices:
+            assert abs(coeffs[a][0] - terms.get(a, 0)) <= err
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(1, 3))
+    def test_degree_energies(self, data, n):
+        terms, bounds = data.draw(_ranged(n))
+        f = _ranged_function(terms, bounds)
+        (degrees, energies, err), sizes = self._sizes(
+            lambda: degree_energies(f, 1.0, DEFAULT_TOL, DEFAULT_MAX_N))
+        assert sizes == [_grid_above(_energy_width(bounds))]
+        want = np.zeros(len(degrees))
+        for exps, c in terms.items():
+            if any(exps):
+                want[sum(exps) - degrees[0]] += abs(c) ** 2
+        assert np.abs(energies - want).sum() <= err
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3))
+    def test_inner_product(self, data, n):
+        (f_terms, f_bounds), (g_terms, g_bounds) = data.draw(_ranged(n)), data.draw(_ranged(n))
+        f, g = _ranged_function(f_terms, f_bounds), _ranged_function(g_terms, g_bounds)
+        value, sizes = self._sizes(lambda: inner_product_numeric(f, g, 1.0))
+        assert sizes == [_grid_above(_inner_product_width(f_bounds, g_bounds))]
+        want = sum(np.conj(c) * g_terms.get(a, 0) for a, c in f_terms.items())
+        assert abs(value - want) <= 1e-12
 
 
 class TestSpectralSummary:
