@@ -1,12 +1,14 @@
 """Exact arithmetic for vector-valued Laurent polynomials with a pole of
 order at most one in each coordinate.
 
-Coefficients are complex numbers with rational real and imaginary parts, so
-every operation here is exact; the numerical torus engine is validated against
-the values computed in this module.  A polynomial f : C^n -> C^k is stored
-sparsely as a map from exponent vectors (tuples of ints, each >= -1) to
-length-k coefficient vectors.  An exponent of -1 in coordinate j encodes a
-first-order pole in w_j; anything below -1 is rejected at construction.
+Coefficients are complex numbers with rational real and imaginary parts,
+each an int when integral and a Fraction otherwise, never a float (every
+division goes through Fraction), so every operation here is exact; the
+numerical torus engine is validated against the values computed in this
+module.  A polynomial f : C^n -> C^k is stored sparsely as a map from
+exponent vectors (tuples of ints, each >= -1) to length-k coefficient
+vectors.  An exponent of -1 in coordinate j encodes a first-order pole in
+w_j; anything below -1 is rejected at construction.
 
 The boundary-circle integrals implemented here reduce to coefficient reads:
 on |w| = r the only monomial with nonzero circle average is the constant, and
@@ -17,7 +19,7 @@ rational and the whole computation stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -28,64 +30,76 @@ from .errors import AdmissibilityViolation, DimensionMismatch, MixedPoleTerm
 Exponents = tuple[int, ...]
 
 
-def _frac(x) -> Fraction:
-    """Coerce ints, floats (exact binary value) and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def _exact(x) -> int | Fraction:
+    """x as an int when integral, else a Fraction (a float by its exact value)."""
+    x = x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
+    return x if type(x) is int or x.denominator != 1 else int(x.numerator)
 
 
 def _scale_sq(lam) -> Fraction:
-    """Exact squared scale; scales must be positive."""
-    value = _frac(lam)
+    """Exact squared scale, a Fraction so its negative powers stay exact."""
+    value = Fraction(lam)
     if value <= 0:
         raise ValueError("scale must be positive")
     return value * value
 
 
-@dataclass(frozen=True)
 class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts: each an
+    int when integral and a Fraction otherwise, never a float.  Immutable."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __init__(self, re=0, im=0):
+        _set_re(self, _exact(re))
+        _set_im(self, _exact(im))
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ComplexRational, (self.re, self.im)
 
     @classmethod
     def from_value(cls, z) -> "ComplexRational":
         if isinstance(z, ComplexRational):
             return z
         if isinstance(z, complex):
-            return cls(_frac(z.real), _frac(z.imag))
-        return cls(_frac(z))
+            return cls(z.real, z.imag)
+        return cls(z)
 
     def __add__(self, other) -> "ComplexRational":
         o = ComplexRational.from_value(other)
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        return _cr(self.re + o.re, self.im + o.im)
 
     def __sub__(self, other) -> "ComplexRational":
         o = ComplexRational.from_value(other)
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        return _cr(self.re - o.re, self.im - o.im)
 
     def __neg__(self) -> "ComplexRational":
-        return ComplexRational(-self.re, -self.im)
+        return _cr(-self.re, -self.im)
 
     def __mul__(self, other) -> "ComplexRational":
         o = ComplexRational.from_value(other)
-        return ComplexRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        return _cr(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+    def __eq__(self, other) -> bool:
+        if type(other) is not ComplexRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
 
-    def abs2(self) -> Fraction:
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def conjugate(self) -> "ComplexRational":
+        return _cr(self.re, -self.im)
+
+    def abs2(self) -> int | Fraction:
         """Squared modulus, exactly."""
         return self.re * self.re + self.im * self.im
 
@@ -93,7 +107,7 @@ class ComplexRational:
         d = self.abs2()
         if d == 0:
             raise ZeroDivisionError("reciprocal of exact zero")
-        return ComplexRational(self.re / d, -self.im / d)
+        return _cr(Fraction(self.re, d), Fraction(-self.im, d))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -101,12 +115,26 @@ class ComplexRational:
     def __complex__(self) -> complex:
         return float(self.re) + 1j * float(self.im)
 
+    def __repr__(self) -> str:
+        return f"ComplexRational(re={Fraction(self.re)!r}, im={Fraction(self.im)!r})"
+
     def __str__(self) -> str:
         return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
 
 
+_set_re, _set_im = ComplexRational.re.__set__, ComplexRational.im.__set__
+
+
+def _cr(re, im) -> ComplexRational:
+    """ComplexRational of exact parts, uncoerced; an integral Fraction becomes an int."""
+    z = object.__new__(ComplexRational)
+    _set_re(z, re if type(re) is int or re.denominator != 1 else re.numerator)
+    _set_im(z, im if type(im) is int or im.denominator != 1 else im.numerator)
+    return z
+
+
 CR_ZERO = ComplexRational()
-CR_ONE = ComplexRational(Fraction(1))
+CR_ONE = ComplexRational(1)
 
 # k x n matrix of exact complex rationals (rows indexed by component).
 Matrix = tuple[tuple[ComplexRational, ...], ...]
@@ -116,10 +144,11 @@ class LaurentPoly:
     """Sparse exact Laurent polynomial f : C^n -> C^k in normal form.
 
     Instances are immutable by convention: no method mutates `terms` after
-    construction, so values are safe to share across threads.
+    construction, so values are safe to share across threads.  eval_grid
+    caches the complex coefficients on first use.
     """
 
-    __slots__ = ("n", "k", "terms")
+    __slots__ = ("n", "k", "terms", "_complex")
     pointwise = True  # eval_grid acts point by point (see quadrature)
 
     def __init__(self, n: int, k: int, terms: Mapping[Exponents, object]):
@@ -145,9 +174,14 @@ class LaurentPoly:
             vec = tuple(ComplexRational.from_value(c) for c in coeffs)
             if any(vec):
                 normalized[key] = vec
-        self.n = n
-        self.k = k
-        self.terms = normalized
+        self.n, self.k, self.terms, self._complex = n, k, normalized, None
+
+    @classmethod
+    def _normal(cls, n: int, k: int, terms: dict) -> "LaurentPoly":
+        """Trusted constructor, for terms already in the normal form of __init__."""
+        poly = object.__new__(cls)
+        poly.n, poly.k, poly.terms, poly._complex = n, k, terms, None
+        return poly
 
     # ---------------------------------------------------------------- build
 
@@ -169,7 +203,7 @@ class LaurentPoly:
         for alpha, comp in enumerate(components):
             for exps, (c,) in comp.terms.items():
                 merged.setdefault(exps, [CR_ZERO] * k)[alpha] = c
-        return cls(n, k, {e: tuple(v) for e, v in merged.items()})
+        return cls._normal(n, k, {e: tuple(v) for e, v in merged.items()})
 
     # ----------------------------------------------------------- arithmetic
 
@@ -185,21 +219,20 @@ class LaurentPoly:
         for exps, vec in other.terms.items():
             cur = out.get(exps)
             out[exps] = vec if cur is None else tuple(a + b for a, b in zip(cur, vec))
-        return LaurentPoly(self.n, self.k, out)
+        return LaurentPoly._normal(self.n, self.k, {e: v for e, v in out.items() if any(v)})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(
+        return LaurentPoly._normal(
             self.n, self.k, {e: tuple(-c for c in v) for e, v in self.terms.items()}
         )
 
     def scale(self, factor) -> "LaurentPoly":
         f = ComplexRational.from_value(factor)
-        return LaurentPoly(
-            self.n, self.k, {e: tuple(c * f for c in v) for e, v in self.terms.items()}
-        )
+        terms = {e: tuple(c * f for c in v) for e, v in self.terms.items()} if f else {}
+        return LaurentPoly._normal(self.n, self.k, terms)
 
     def __mul__(self, other):
         """Componentwise product with another polynomial, or scaling."""
@@ -247,21 +280,28 @@ class LaurentPoly:
     # ----------------------------------------------------------- evaluation
 
     def eval_grid(self, coords: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Evaluate all components on broadcastable coordinate arrays."""
+        """Evaluate all components on broadcastable coordinate arrays, term by
+        term in the order of `terms`, each power coords[j] ** e taken once."""
         if len(coords) != self.n:
             raise DimensionMismatch(f"expected {self.n} coordinate arrays")
+        if self._complex is None:
+            self._complex = [
+                (exps, [(alpha, complex(c)) for alpha, c in enumerate(vec) if c])
+                for exps, vec in self.terms.items()
+            ]
+        powers: list[dict] = [{} for _ in coords]  # per axis: exponent -> power
         out: list = [None] * self.k
-        for exps, vec in self.terms.items():
+        for exps, row in self._complex:
             mono = None
             for j, e in enumerate(exps):
                 if e == 0:
                     continue
-                p = coords[j] ** e
+                p = powers[j].get(e)
+                if p is None:
+                    p = powers[j][e] = coords[j] ** e
                 mono = p if mono is None else mono * p
-            for alpha in range(self.k):
-                if not vec[alpha]:
-                    continue
-                term = complex(vec[alpha]) if mono is None else complex(vec[alpha]) * mono
+            for alpha, c in row:
+                term = c if mono is None else c * mono
                 out[alpha] = term if out[alpha] is None else out[alpha] + term
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords)) if coords else ()
         return [
@@ -300,13 +340,21 @@ class Decomposition:
     jacobian: Matrix
 
 
-def decompose(f: LaurentPoly) -> Decomposition:
-    """Split f into constant, pure-pole and regular parts.
+def _pole_axis(exps: Exponents) -> int | None:
+    """The axis of a term's pole, None for a term without one.  Raises
+    MixedPoleTerm when a -1 exponent sits alongside any other nonzero one;
+    such functions fall outside the class whose principal part is a
+    constant-residue sum of single-coordinate poles."""
+    if -1 not in exps:
+        return None
+    if exps.count(0) != len(exps) - 1:
+        raise MixedPoleTerm(f"term {exps} mixes a pole with other nonzero exponents")
+    return exps.index(-1)
 
-    Raises MixedPoleTerm when some term carries a -1 exponent alongside any
-    other nonzero exponent; such functions fall outside the class whose
-    principal part is a constant-residue sum of single-coordinate poles.
-    """
+
+def decompose(f: LaurentPoly) -> Decomposition:
+    """Split f into constant, pure-pole and regular parts (raises
+    MixedPoleTerm as _pole_axis does)."""
     n, k = f.n, f.k
     core = f.coefficient((0,) * n)
     principal: dict[Exponents, tuple[ComplexRational, ...]] = {}
@@ -314,13 +362,8 @@ def decompose(f: LaurentPoly) -> Decomposition:
     eta = [[CR_ZERO] * n for _ in range(k)]
     jac = [[CR_ZERO] * n for _ in range(k)]
     for exps, vec in f.terms.items():
-        negatives = [j for j, e in enumerate(exps) if e < 0]
-        if negatives:
-            if len(negatives) > 1 or any(e != 0 for j, e in enumerate(exps) if j != negatives[0]):
-                raise MixedPoleTerm(
-                    f"term {exps} mixes a pole with other nonzero exponents"
-                )
-            beta = negatives[0]
+        beta = _pole_axis(exps)
+        if beta is not None:
             principal[exps] = vec
             for alpha in range(k):
                 eta[alpha][beta] = vec[alpha]
@@ -332,8 +375,8 @@ def decompose(f: LaurentPoly) -> Decomposition:
                     jac[alpha][beta] = vec[alpha]
     return Decomposition(
         core=core,
-        principal=LaurentPoly(n, k, principal),
-        analytic=LaurentPoly(n, k, analytic),
+        principal=LaurentPoly._normal(n, k, principal),
+        analytic=LaurentPoly._normal(n, k, analytic),
         eta=tuple(tuple(row) for row in eta),
         jacobian=tuple(tuple(row) for row in jac),
     )
@@ -358,8 +401,7 @@ def exterior_integral(
         raise DimensionMismatch(f"weight vector has length {len(svec)}, expected {f.n}")
     if not conjugate:
         return f.coefficient(tuple(-x - 1 for x in svec))
-    lam2 = _scale_sq(lam)
-    factor = ComplexRational(lam2 ** (sum(svec) + f.n))
+    factor = _scale_sq(lam) ** (sum(svec) + f.n)
     return tuple(c.conjugate() * factor for c in f.coefficient(tuple(x + 1 for x in svec)))
 
 
@@ -371,52 +413,48 @@ def inner_product_exact(f: LaurentPoly, g: LaurentPoly, lam=1) -> ComplexRationa
     """
     f._check_shape(g)
     lam2 = _scale_sq(lam)
-    total = CR_ZERO
+    pairs: dict[int, ComplexRational] = {}
     for exps, fvec in f.terms.items():
         gvec = g.terms.get(exps)
-        if gvec is None:
-            continue
-        pair = CR_ZERO
-        for a, b in zip(fvec, gvec):
-            pair = pair + a.conjugate() * b
-        total = total + pair * ComplexRational(lam2 ** sum(exps))
-    return total
+        if gvec is not None:
+            d = sum(exps)
+            pairs[d] = sum((a.conjugate() * b for a, b in zip(fvec, gvec)), pairs.get(d, CR_ZERO))
+    return sum((pair * lam2**d for d, pair in pairs.items()), CR_ZERO)
 
 
-def component_norm_sq(f: LaurentPoly, alpha: int, lam=1) -> Fraction:
+def component_norm_sq(f: LaurentPoly, alpha: int, lam=1) -> int | Fraction:
     """<f_alpha, f_alpha> for a single component, exactly."""
     lam2 = _scale_sq(lam)
-    total = Fraction(0)
+    energy: dict[int, int | Fraction] = {}
     for exps, vec in f.terms.items():
-        if vec[alpha]:
-            total += vec[alpha].abs2() * lam2 ** sum(exps)
-    return total
+        d = sum(exps)
+        energy[d] = energy.get(d, 0) + vec[alpha].abs2()
+    return sum(e * lam2**d for d, e in energy.items())
 
 
 # ------------------------------------------------------------------ variance
 
 
-def variance_exact(f: LaurentPoly, lam=1) -> Fraction:
+def variance_exact(f: LaurentPoly, lam=1) -> int | Fraction:
     """Exact variance of f on the radius-lam boundary torus.
 
     By monomial orthogonality this is the full coefficient energy away from
     the constant term: sum over a != 0 of |c_a|^2 lam^(2*sum(a)), which equals
     <f,f> - |c_0|^2.  Requires f to be decomposable (no mixed pole terms).
     """
-    decompose(f)  # raise MixedPoleTerm for out-of-class input
     lam2 = _scale_sq(lam)
-    zero = (0,) * f.n
-    total = Fraction(0)
+    energy: dict[int, int | Fraction] = {}
     for exps, vec in f.terms.items():
-        if exps == zero:
-            continue
-        total += sum((c.abs2() for c in vec), Fraction(0)) * lam2 ** sum(exps)
-    return total
+        _pole_axis(exps)  # raises MixedPoleTerm for out-of-class input
+        if any(exps):
+            d = sum(exps)
+            energy[d] = energy.get(d, 0) + sum(c.abs2() for c in vec)
+    return sum(e * lam2**d for d, e in energy.items())
 
 
-def trace_norm_sq_exact(matrix: Matrix) -> Fraction:
+def trace_norm_sq_exact(matrix: Matrix) -> int | Fraction:
     """Tr(M* M) as the exact sum of squared entry moduli."""
-    return sum((c.abs2() for row in matrix for c in row), Fraction(0))
+    return sum(c.abs2() for row in matrix for c in row)
 
 
 def variance_model_exact(eta: Matrix, jacobian: Matrix, lam=1) -> Fraction:
@@ -434,12 +472,20 @@ def matrix_to_complex(matrix) -> np.ndarray:
     )
 
 
-def trace_norm_sq(matrix) -> float:
+def trace_norm_sq(matrix, lead: int = 0) -> float | np.ndarray:
     """Numeric counterpart of trace_norm_sq_exact: Tr(M* M) of a measured (or
-    exact) matrix, or the squared norm of a vector, in floating point."""
-    return float(np.sum(np.abs(np.asarray(matrix, dtype=complex)) ** 2))
+    exact) matrix, or the squared norm of a vector, in floating point; one per
+    matrix of a stack with ``lead`` leading axes, each summed as one flat run,
+    so as that matrix alone is."""
+    sq = np.abs(np.asarray(matrix, dtype=complex)) ** 2
+    total = sq.reshape(sq.shape[:lead] + (-1,)).sum(axis=-1)
+    return float(total) if lead == 0 else total
 
 
-def variance_model(eta, jacobian, lam: float) -> float:
-    """Numeric counterpart of variance_model_exact for measured matrices."""
-    return trace_norm_sq(eta) / lam**2 + lam**2 * trace_norm_sq(jacobian)
+def variance_model(eta, jacobian, lam) -> float | np.ndarray:
+    """Numeric counterpart of variance_model_exact for measured matrices; for
+    a sequence of scales, one model per matrix pair of the stacks eta and
+    jacobian, each scale squared by Python's float power as a lone one is."""
+    lam2 = lam**2 if np.ndim(lam) == 0 else np.array([x**2 for x in lam], dtype=float)
+    lead = np.ndim(lam2)
+    return trace_norm_sq(eta, lead) / lam2 + lam2 * trace_norm_sq(jacobian, lead)

@@ -631,17 +631,20 @@ def _summaries(
     unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
     indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
     lams = list(lams)
-    pairs = []
-    for lam, (rows, power, err, n_used) in zip(lams, _coefficients(f, lams, indices, tol, max_n)):
-        core, eta, jac = rows[0], rows[1 : n + 1].T.copy(), rows[n + 1 : 2 * n + 1].T.copy()
-        variance = max(power - trace_norm_sq(core), 0.0)
-        summary = SpectralSummary(
-            lam=lam, core=core, eta=eta, jacobian=jac, variance=variance,
-            tail_energy=variance - variance_model(eta, jac, lam),
-            est_error=err, grid_n=n_used,
-        )
-        pairs.append((summary, rows[2 * n + 1 :]))
-    return pairs
+    results = _coefficients(f, lams, indices, tol, max_n)
+    rows = np.array([r for r, _, _, _ in results]).reshape(len(lams), len(indices), f.k)
+    core, eta = rows[:, 0], rows[:, 1 : n + 1].swapaxes(1, 2)
+    jac = rows[:, n + 1 : 2 * n + 1].swapaxes(1, 2)
+    power = np.array([p for _, p, _, _ in results], dtype=float)
+    variance = np.maximum(power - trace_norm_sq(core, 1), 0.0)
+    tail = variance - variance_model(eta, jac, lams)
+    return [
+        (SpectralSummary(lam=lam, core=core[i], eta=eta[i], jacobian=jac[i],
+                         variance=v, tail_energy=t, est_error=err, grid_n=n_used),
+         rows[i, 2 * n + 1 :])
+        for i, (lam, v, t, (_, _, err, n_used))
+        in enumerate(zip(lams, variance.tolist(), tail.tolist(), results))
+    ]
 
 
 def spectral_summaries(

@@ -34,10 +34,13 @@ def test_golden_check_reports_drift_and_writes_nothing(tmp_path, monkeypatch, ca
     assert capsys.readouterr().out == f"0 of {len(COMMANDS)} goldens drifted\n"
     stale = (tmp_path / "transform.txt").read_text().replace("lambda ", "lambda_", 1)
     (tmp_path / "transform.txt").write_text(stale)
+    # the drift pass needs no second run of verify --suite all
+    fewer = {name: argv for name, argv in COMMANDS.items() if name != "verify_all.txt"}
+    monkeypatch.setattr(gen_goldens, "COMMANDS", fewer)
     assert gen_goldens.check() == 1
     out = capsys.readouterr().out
     assert "--- goldens/transform.txt\n" in out and "\n-lambda_" in out and "\n+lambda " in out
-    assert out.endswith(f"1 of {len(COMMANDS)} goldens drifted: transform.txt\n")
+    assert out.endswith(f"1 of {len(fewer)} goldens drifted: transform.txt\n")
     assert (tmp_path / "transform.txt").read_text() == stale
 
 

@@ -1,13 +1,17 @@
 """Unit tests for the exact Laurent oracle."""
 
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylens.errors import AdmissibilityViolation, DimensionMismatch, MixedPoleTerm
+from polylens.quadrature import torus_coords
 from polylens.laurent import (
     CR_ZERO,
     ComplexRational,
@@ -222,12 +226,15 @@ class TestVariance:
 # ---------------------------------------------------------------- properties
 
 _coeff = st.integers(-3, 3)
+_rational = st.fractions(-3, 3, max_denominator=12)
+# integer, rational and mixed operands
+_coeffs = st.sampled_from([_coeff, _rational, st.one_of(_coeff, _rational)])
 
 
 @st.composite
-def decomposable_polys(draw):
-    n = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 2))
+def decomposable_polys(draw, coeff=_coeff, n=None, k=None):
+    n = draw(st.integers(1, 3)) if n is None else n
+    k = draw(st.integers(1, 2)) if k is None else k
     allowed = [(0,) * n]
     for beta in range(n):
         for sign in (-1, 1):
@@ -243,7 +250,7 @@ def decomposable_polys(draw):
     exps = allowed + tails
     terms = {}
     for e in exps:
-        coeffs = tuple(cr(draw(_coeff), draw(_coeff)) for _ in range(k))
+        coeffs = tuple(cr(draw(coeff), draw(coeff)) for _ in range(k))
         terms[e] = coeffs
     return LaurentPoly(n, k, terms)
 
@@ -307,3 +314,185 @@ def test_eval_matches_terms():
     f = scalar(1, {(-1,): 2, (1,): 5})
     value = f.eval_at([0.5j])
     assert value[0] == pytest.approx(2 / 0.5j + 5 * 0.5j)
+
+
+# ------------------------------------------------ exactness against Fractions
+#
+# A reference oracle in Fraction pairs (re, im) alone: every function of the
+# oracle must equal it, and no part of a result may be a float.
+
+
+def _pairs(vec):
+    return [(Fraction(c.re), Fraction(c.im)) for c in vec]
+
+
+def _ref_abs2(z):
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _ref_conj_mul(a, b):
+    """conj(a) * b."""
+    return (a[0] * b[0] + a[1] * b[1], a[0] * b[1] - a[1] * b[0])
+
+
+def _ref_energy(f, lam, part):
+    """sum over the terms e of |part(e, vec)|^2 lam^(2 sum e)."""
+    lam2 = Fraction(lam) ** 2
+    return sum((sum((_ref_abs2(z) for z in _pairs(part(e, vec))), Fraction(0)) * lam2 ** sum(e)
+                for e, vec in f.terms.items()), Fraction(0))
+
+
+def _ref_trace(matrix):
+    return sum((_ref_abs2(z) for row in matrix for z in _pairs(row)), Fraction(0))
+
+
+def _exact_number(x):
+    """An int, or a Fraction that is not integral: never a float."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _same(z, pair):
+    return _exact_number(z.re) and _exact_number(z.im) and (z.re, z.im) == pair
+
+
+_scales = st.sampled_from([1, 2, Fraction(1, 3), Fraction(7, 4), Fraction(0.3)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), _coeffs, _scales)
+def test_oracle_equals_fraction_reference(data, coeff, lam):
+    f = data.draw(decomposable_polys(coeff))
+    g = data.draw(decomposable_polys(coeff, f.n, f.k))
+    lam2 = Fraction(lam) ** 2
+    zero = (0,) * f.n
+    d = decompose(f)
+
+    value = variance_exact(f, lam)
+    assert value == _ref_energy(f, lam, lambda e, vec: vec if e != zero else ())
+    assert not isinstance(value, float)
+    for alpha in range(f.k):
+        value = component_norm_sq(f, alpha, lam)
+        assert value == _ref_energy(f, lam, lambda e, vec: vec[alpha : alpha + 1])
+        assert not isinstance(value, float)
+    value = variance_model_exact(d.eta, d.jacobian, lam)
+    assert value == _ref_trace(d.eta) / lam2 + lam2 * _ref_trace(d.jacobian)
+    assert not isinstance(value, float)
+    value = trace_norm_sq_exact(d.eta)
+    assert value == _ref_trace(d.eta) and _exact_number(value)
+
+    re = im = Fraction(0)
+    for e, fvec in f.terms.items():
+        for a, b in zip(_pairs(fvec), _pairs(g.terms.get(e, (CR_ZERO,) * f.k))):
+            x, y = _ref_conj_mul(a, b)
+            re, im = re + x * lam2 ** sum(e), im + y * lam2 ** sum(e)
+    assert _same(inner_product_exact(f, g, lam), (re, im))
+
+    for s in [tuple(x - 1 for x in e) for e in f.terms] + [zero]:
+        got = exterior_integral(f, s, conjugate=True, lam=lam)
+        factor = lam2 ** (sum(s) + f.n)
+        want = _pairs(f.coefficient(tuple(x + 1 for x in s)))
+        assert all(_same(z, (w[0] * factor, -w[1] * factor)) for z, w in zip(got, want))
+        got = exterior_integral(f, s)
+        want = _pairs(f.coefficient(tuple(-x - 1 for x in s)))
+        assert all(_same(z, w) for z, w in zip(got, want))
+
+    for vec in f.terms.values():
+        for z, (x, y) in zip(vec, _pairs(vec)):
+            value = z.abs2()
+            assert value == x * x + y * y and _exact_number(value)
+            if z:
+                d2 = x * x + y * y
+                assert _same(z.reciprocal(), (x / d2, -y / d2))
+
+
+# ------------------------------------------- ComplexRational value contract
+
+
+class TestComplexRationalContract:
+    """What the frozen-dataclass ComplexRational guaranteed still holds."""
+
+    def test_equal_parts_equal_values(self):
+        for a, b in [(ComplexRational(1), ComplexRational(Fraction(1))),
+                     (ComplexRational(0.5, 2), ComplexRational(Fraction(1, 2), Fraction(4, 2))),
+                     (ComplexRational(), CR_ZERO)]:
+            assert a == b and hash(a) == hash(b)
+        assert ComplexRational(1) != ComplexRational(1, 1)
+        assert ComplexRational(1) != 1  # no equality with plain numbers
+
+    def test_parts_are_ints_or_fractions(self):
+        z = ComplexRational(Fraction(4, 2), 0.25)
+        assert type(z.re) is int and z.re == 2
+        assert z.im == Fraction(1, 4) and type(z.im) is Fraction
+        w = ComplexRational(Fraction(1, 2)) + ComplexRational(Fraction(1, 2))
+        assert type(w.re) is int and type(w.im) is int
+        v = ComplexRational(np.int64(3), np.float64(-2.0))
+        assert type(v.re) is int and type(v.im) is int and v == ComplexRational(3, -2)
+
+    def test_repr_and_str(self):
+        z = ComplexRational(1, Fraction(-1, 2))
+        assert repr(z) == "ComplexRational(re=Fraction(1, 1), im=Fraction(-1, 2))"
+        assert str(z) == "1-1/2i"
+        assert str(ComplexRational(Fraction(3, 4), 2)) == "3/4+2i"
+
+    def test_frozen(self):
+        z = ComplexRational(1, 2)
+        with pytest.raises(FrozenInstanceError):
+            z.re = 3
+        with pytest.raises(FrozenInstanceError):
+            z.other = 3
+        with pytest.raises(FrozenInstanceError):
+            del z.im
+        assert z == ComplexRational(1, 2)
+
+    def test_pickle_round_trip(self):
+        for z in (CR_ZERO, ComplexRational(3, -2), ComplexRational(Fraction(1, 3), 0.1)):
+            back = pickle.loads(pickle.dumps(z))
+            assert back == z and hash(back) == hash(z) and repr(back) == repr(z)
+
+    def test_canonical_text_bytes(self):
+        text = (
+            "laurent n=1 k=2\n"
+            "-1 : 2 0 | 1/2 -3\n"
+            "1 : 0 1 | 7/3 0\n"
+        )
+        for two, half in [(2, Fraction(1, 2)), (Fraction(2), 0.5), (2.0, Fraction(2, 4))]:
+            f = LaurentPoly(1, 2, {(-1,): (two, ComplexRational(half, -3)),
+                                   (1,): (ComplexRational(0, 1), Fraction(7, 3))})
+            assert f.canonical_text() == text
+
+
+# ----------------------------------------------- evaluation, bit for bit
+
+
+def _eval_reference(f, coords):
+    """Term-by-term evaluation: each power taken where its term needs it."""
+    out = [None] * f.k
+    for exps, vec in f.terms.items():
+        mono = None
+        for j, e in enumerate(exps):
+            if e == 0:
+                continue
+            p = coords[j] ** e
+            mono = p if mono is None else mono * p
+        for alpha in range(f.k):
+            if not vec[alpha]:
+                continue
+            term = complex(vec[alpha]) if mono is None else complex(vec[alpha]) * mono
+            out[alpha] = term if out[alpha] is None else out[alpha] + term
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    return [np.broadcast_to(np.asarray(v if v is not None else 0j), shape) for v in out]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.data(), _coeffs,
+       st.lists(st.floats(0.2, 5.0), min_size=1, max_size=4), st.booleans())
+def test_eval_grid_matches_term_by_term(n, data, coeff, lams, lead):
+    term = st.tuples(*[st.integers(-1, 4)] * n)
+    vec = st.tuples(*[st.builds(cr, coeff, coeff)] * 2)
+    f = LaurentPoly(n, 2, data.draw(st.dictionaries(term, vec, max_size=8)))
+    coords = torus_coords(n, lams if lead else lams[0], 8)
+    for _ in range(2):  # the second call reads the cached coefficients
+        got = f.eval_grid(coords)
+        want = _eval_reference(f, coords)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -865,12 +865,12 @@ class TestShiftedGrid:
 
 
 def _assert_same_summary(got, want):
-    """Equal grid and error estimate, values within 1e-15 max(1, |v|)."""
+    """The same summary, bit for bit."""
     assert got.lam == want.lam
     assert got.grid_n == want.grid_n and got.est_error == want.est_error
     for name in ("core", "eta", "jacobian", "variance", "tail_energy"):
         a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
-        assert np.all(np.abs(a - b) <= 1e-15 * np.maximum(1.0, np.abs(b))), name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestScaleBlocks:
@@ -884,6 +884,17 @@ class TestScaleBlocks:
         assert len(batched) == len(lams)
         for lam, s in zip(lams, batched):
             _assert_same_summary(s, spectral_summary(f, lam))
+
+    def test_tail_is_variance_minus_the_lone_model(self):
+        # scales whose float power x**2 and product x*x differ in the last
+        # bit; inputs without a tail, so that the model's last bits show
+        draws = np.random.default_rng(0).uniform(0.3, 3.0, 40000).tolist()
+        lams = sorted(x for x in draws if x**2 != x * x)[:12]
+        assert len(lams) == 12
+        for seed in range(3):
+            f = random_decomposable(np.random.default_rng(seed), n=2, k=2, allow_tail=False)
+            for s in spectral_summaries(f, lams):
+                assert s.tail_energy == s.variance - s.variance_model
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_one_evaluation_per_block(self, extra):
