@@ -7,34 +7,31 @@ lam^2 Tr(D* D) plus a nonnegative tail energy, so lam^2 * variance never
 drops below Tr(eta* eta), and the two-term model is minimized at
 lam* = [Tr(eta* eta)/Tr(D* D)]^(1/4).
 
-A sweep samples each of its scales.  Golden section refines the minimum
-lam_i of a sweep between its neighbours; each probe reads the variance as
-sum_s E_s (lam/lam_i)^(2s) from the energies E_s by total degree of one exact
-grid at lam_i (quadrature.degree_energies), with that grid's error bound
-times max_s (lam/lam_i)^(2s) as its certified error.  A probe whose bound
-misses tol * max(1, V), and each probe of an input without an exponent range
-or whose read at lam_i does not converge, is sampled with spectral_summary
-instead.
+A sweep samples each of its scales, and for an input with an exponent range
+reads the whole range box c^_a = c_a lam^(sum a) from the same grids.
+Golden section refines the minimum lam_i of a sweep between its neighbours;
+each probe reads the variance as sum_s E_s (lam/lam_i)^(2s) from the
+energies E_s by total degree of the sweep's own row at lam_i, with that
+row's est_error times max_s (lam/lam_i)^(2s) as its certified error.  A
+probe whose bound misses tol * max(1, V), and each probe of an input without
+an exponent range, is sampled with spectral_summary instead.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import InconsistentScales, NonConvergent, PoleOnTorus
+from .errors import InconsistentScales, PoleOnTorus
 from .laurent import trace_norm_sq
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
     _summaries,
     check_dimension,
-    degree_energies,
-    spectral_summaries,
     spectral_summary,
 )
 
@@ -121,7 +118,7 @@ def variance_sweep(
     if not lams or any(x <= 0 for x in lams) or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("scale grid must be nonempty, positive and increasing")
 
-    summaries = spectral_summaries(f, lams, tol=tol, max_n=max_n)
+    summaries, _, spectra = zip(*_summaries(f, lams, tol, max_n, box=True))
     eta = summaries[0].eta
     jac = summaries[0].jacobian
     consistency = max(1e-9, 100.0 * tol)
@@ -136,19 +133,13 @@ def variance_sweep(
             )
 
     tr_eta = trace_norm_sq(eta)
-
-    @functools.cache
-    def spectrum():  # read on the first probe, at the scale golden section brackets
-        anchor = sweep.lambdas[int(np.argmin(sweep.variance))]
-        try:
-            return anchor, degree_energies(f, anchor, tol, max_n)
-        except NonConvergent:  # its grids disagree per degree: sample every probe
-            return anchor, None
+    i = int(np.argmin([s.variance for s in summaries]))
+    anchor, err, spectrum = lams[i], summaries[i].est_error, spectra[i]
+    if spectrum.size:  # binned once, for the scale golden section brackets
+        degrees, energies = _degree_energies(f, spectrum)
 
     def variance_at(lam: float) -> float:
-        anchor, read = spectrum()
-        if read is not None:
-            degrees, energies, err = read
+        if spectrum.size:
             with np.errstate(over="ignore", invalid="ignore"):
                 weights = (lam / anchor) ** (2.0 * degrees)
                 value = float((energies * weights).sum())  # not @: a BLAS dot pages in a kernel
@@ -172,6 +163,19 @@ def variance_sweep(
     if len(lams) >= 3:
         sweep.lambda_star_empirical = empirical_optimal_scale(sweep)
     return sweep
+
+
+def _degree_energies(f, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, energies) of a range box read of f (see
+    quadrature._coefficients): energies[i] sums |c^_a|^2 over the components
+    and the a != 0 of total degree degrees[i]."""
+    bounds = f.exponent_bounds()
+    total = sum(np.ix_(*[np.arange(lo, hi + 1) for lo, hi in bounds]))
+    power = (np.abs(spectrum) ** 2).reshape(total.shape + (f.k,)).sum(axis=-1)
+    if all(lo <= 0 <= hi for lo, hi in bounds):  # a = 0 is the mean
+        power[tuple(-lo for lo, _ in bounds)] = 0.0
+    energies = np.bincount((total - total.min()).ravel(), weights=power.ravel())
+    return np.arange(total.min(), total.max() + 1), energies
 
 
 def empirical_optimal_scale(sweep: LensSweep) -> float:
@@ -236,7 +240,7 @@ def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
     max_variance = 0.0
     for lam in probes:  # the first probe out of the class ends the loop
         try:
-            [(s, rows)] = _summaries(f, [lam], DEFAULT_TOL, DEFAULT_MAX_N, deep)
+            [(s, rows, _)] = _summaries(f, [lam], DEFAULT_TOL, DEFAULT_MAX_N, deep)
             max_variance = max(max_variance, s.variance)
             in_class = float(np.max(np.abs(rows))) <= CLASS_TOL
         except PoleOnTorus:

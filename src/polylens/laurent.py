@@ -101,7 +101,7 @@ class ComplexRational:
 
     def abs2(self) -> int | Fraction:
         """Squared modulus, exactly."""
-        return self.re * self.re + self.im * self.im
+        return _exact(self.re * self.re + self.im * self.im)
 
     def reciprocal(self) -> "ComplexRational":
         d = self.abs2()
@@ -454,7 +454,7 @@ def variance_exact(f: LaurentPoly, lam=1) -> int | Fraction:
 
 def trace_norm_sq_exact(matrix: Matrix) -> int | Fraction:
     """Tr(M* M) as the exact sum of squared entry moduli."""
-    return sum(c.abs2() for row in matrix for c in row)
+    return _exact(sum(c.abs2() for row in matrix for c in row))
 
 
 def variance_model_exact(eta: Matrix, jacobian: Matrix, lam=1) -> Fraction:

@@ -11,10 +11,11 @@ per dimension is narrower than the grid.
 Evaluators that know their exponent range (an ``exponent_bounds()`` method
 returning per-axis ``(lo, hi)`` pairs, or None) are sampled once, on the
 exact grid: the smallest power of two N >= MIN_N above the widest exponent
-gap of every product the read pairs (see _gap).  A case of spread 2..7 is
-thus sampled on 4^n or 8^n points, not 16^n.  On that grid every requested
-coefficient, the mean of |f|^2 and an inner product are exact up to
-rounding (discrete orthogonality), so no second grid is sampled; the
+gap of the product the read pairs (see _gap); a coefficient read needs only
+the range's spread, as an order outside the range is 0.  A case of spread
+2..7 is thus sampled on 4^n or 8^n points, not 16^n.  On that grid every
+coefficient of the range, the mean of |f|^2 and an inner product are exact
+up to rounding (discrete orthogonality), so no second grid is sampled; the
 reported error is an a-priori rounding bound (see _rounding_bound), which
 must meet the tolerance.  Where it does not (its constants are worst-case,
 so this happens at extreme scales), the exact grids N and 2N are compared
@@ -36,13 +37,10 @@ alone.  A block that raises (a pole on one of its tori, an invalid scale) is
 sampled again one scale at a time, so the error names the scale and point
 that a one-scale call names.  One scale is the block of one.
 
-The exact grid holds every exponent of the range, so :func:`degree_energies`
-reads every coefficient of the range box from it in one separable
-contraction, c^_a = c_a lam^(sum a) to rounding, and sums the energies
-E_s = sum |c^_a|^2 over the a != 0 of total degree s: the variance at any
-scale mu is sum_s E_s (mu/lam)^(2s).  The read runs through _refine like
-every other, accepted on the mean of |f|^2; a sweep's golden section probes
-with it.
+The exact grid holds every exponent of the range, so a sweep
+(analysis.variance_sweep) also reads every coefficient of the range box from
+its blocks, c^_a = c_a lam^(sum a) to rounding; no other read contracts the
+whole box.
 
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
 without ``bounds``) is refined by doubling N.  Each level samples its grid
@@ -132,8 +130,9 @@ class GridFunction:
     ``bounds``, when given, holds one (lo, hi) pair of integers per axis: a
     range holding every exponent of every component's Laurent expansion on
     the sampled tori.  The evaluator is then sampled once, on the exact grid
-    of that range (see _gap), so a range that misses an exponent gives wrong
-    numbers; without it N doubles from DEFAULT_START_N until two grids
+    of that range (see _gap), and trusted for the zeros outside it: an order
+    outside it reads as exactly 0.  So a range that misses an exponent gives
+    wrong numbers; without it N doubles from DEFAULT_START_N until two grids
     agree."""
 
     n: int
@@ -454,11 +453,11 @@ def _degree(bounds) -> int:
     return 0 if bounds is None else sum(max(abs(lo), abs(hi)) for lo, hi in bounds)
 
 
-def _rounding_bound(grid: TorusGrid, degree: int) -> float | np.ndarray:
+def _rounding_bound(grid: TorusGrid, degree: int, peak) -> float | np.ndarray:
     """A-priori rounding bound on a coefficient read from an exact grid,
-    before its lam^(-sum a) scale: (n + 1) * M * eps * max(peak |f|, 1) with
-    M = max(N, degree), one per scale of a block; degree is the _degree of
-    the evaluator's range, so w^9 read on a 4-grid is covered.
+    before its lam^(-sum a) scale: (n + 1) * M * eps * max(peak, 1) for
+    samples of modulus up to ``peak``, M = max(N, degree), one per scale of a
+    block; degree, the _degree of the range, covers w^9 read on a 4-grid.
 
     n*M*eps covers the n length-N phase contractions (a sum of N terms errs
     by gamma_(N-1) times the sum of their moduli) and M*eps the evaluation
@@ -466,23 +465,26 @@ def _rounding_bound(grid: TorusGrid, degree: int) -> float | np.ndarray:
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
     Secs. 3.1 and 4.2), both relative to the peak (floored at 1 for
     intermediates of unit size).  A mean of a product of two samples is
-    bounded by 4*k*max(peak, 1) times this (see _grid_mean), which also
-    covers the variance formed from the mean of |f|^2.  Rounding inside the
-    evaluator beyond that, as in (w + 1e8) - 1e8, is not covered.
+    bounded by 4*k*max(peak, 1) times this, each at its own operand's peak
+    (see _grid_mean), which also covers the variance formed from the mean of
+    |f|^2.  Rounding inside the evaluator beyond that, as in
+    (w + 1e8) - 1e8, is not covered.
     """
     eps = np.finfo(float).eps
-    return (grid.n + 1) * max(grid.N, degree) * eps * np.maximum(grid.peak, 1.0)
+    return (grid.n + 1) * max(grid.N, degree) * eps * np.maximum(peak, 1.0)
 
 
 def _grid_mean(
-    products: np.ndarray, grid: TorusGrid, k: int, degree: int
+    products: np.ndarray, grid: TorusGrid, k: int, degree: int, peaks
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid mean of k products of two samples (|f|^2 or conj(f).g), summed
-    over the k, and its bound 4*k*max(peak, 1)*_rounding_bound(grid, degree),
-    each in a last axis of length one.  The sum is pairwise in the memory
+    """Grid mean of k products conj(u).v of two samples (|f|^2 or conj(f).g),
+    summed over the k, and its bound 4*k*max(peak_u, 1)*_rounding_bound(grid,
+    degree, peak_v), each in a last axis of length one, for the peaks
+    (peak_u, peak_v) of the two operands.  The sum is pairwise in the memory
     order of one scale's grid, so its rounding is logarithmic in N^n."""
+    peak_u, peak_v = peaks
     total = products.sum(axis=tuple(range(-grid.n - 1, 0)))
-    est = 4 * k * np.maximum(grid.peak, 1.0) * _rounding_bound(grid, degree)
+    est = 4 * k * np.maximum(peak_u, 1.0) * _rounding_bound(grid, degree, peak_v)
     return total[..., None] / grid.N**grid.n, np.asarray(est)[..., None]
 
 
@@ -507,7 +509,7 @@ def _refine(
     error estimate.  The bound uses worst-case constants, so at extreme
     scales it can miss the tolerance while the values are accurate: the
     doubling loop then compares the exact grids N and 2N of that scale, both
-    alias-free.
+    alias-free, on what a one-scale read returns; the rest of the row stays.
     A block that raises a pole or an invalid scale is sampled again one
     scale at a time, so the error is the one a one-scale call raises.
     """
@@ -538,8 +540,9 @@ def _refine(
         for lam, value, err, ok in zip(block, values, np.max(ests, axis=-1), accepted):
             if ok:
                 results.append((value, float(err), N))
-            else:
-                results.append(_adaptive(f, lam, read, tol, N, max_n))
+            else:  # what a one-scale read leaves out keeps this row's values
+                vec, err, n_used = _adaptive(f, lam, read, tol, N, max_n)
+                results.append((np.concatenate([vec, value[vec.size :]]), err, n_used))
     return results
 
 
@@ -560,7 +563,8 @@ def _gap(u, v) -> int:
     conj(w^e) = lam^(2e) w^(-e), so the product's exponents are the gaps
     e_v - e_u, and its N-point mean is the term of gap 0 alone unless a
     nonzero gap is a multiple of N on every axis.  N > _gap(u, v) rules
-    that out.
+    that out.  A coefficient read needs _gap(bounds, bounds) alone, since
+    c_a is 0 for an order a outside the range.
     """
     return max(max(v_hi - u_lo, u_hi - v_lo) for (u_lo, u_hi), (v_lo, v_hi) in zip(u, v))
 
@@ -571,32 +575,51 @@ def _coefficients(
     indices: Sequence[Sequence[int]],
     tol: float,
     max_n: int,
-) -> list[tuple[np.ndarray, float, float, int]]:
+    box: bool = False,
+) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
     """The one coefficient reader: at each scale in lams, (rows, mean |f|^2,
-    est_error, N_used), rows[i] the k components of the coefficient at
-    indices[i], a tuple of ints, all read from one grid (see _refine for
-    blocks).  An exact grid exceeds the gaps (see _gap) of |f|^2 and of the
-    box A of the orders against f, and the window -m..m of the highest order
-    m read, _gap(A, -A), that laurent_coefficients requires."""
+    est_error, N_used, spectrum), rows[i] the k components of the coefficient
+    at indices[i], a tuple of ints, all read from one grid (see _refine for
+    blocks).  A range is read on the exact grid of its spread,
+    _gap(bounds, bounds): an order outside it is exactly 0 and is not
+    contracted.  With ``box``, spectrum holds c^_a = c_a lam^(sum a) for
+    every a of the range box in C order (axis j over lo_j..hi_j, components
+    last), else it is empty.  Its entries carry no bound of their own: the
+    est_error covers their energies (Parseval), also where the doubling loop,
+    which reads no box (see _refine), floors it by a finer grid's bound."""
+    n, k, m = f.n, f.k, len(indices)
+    if any(len(a) != n for a in indices):
+        raise DimensionMismatch(f"indices {list(indices)} must each have length {n}")
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
     bounds = _exponent_bounds(f)
     degree = _degree(bounds)
+    if bounds is not None:
+        inside = [i for i, a in enumerate(indices)
+                  if all(lo <= x <= hi for x, (lo, hi) in zip(a, bounds))]
+        orders = ([range(lo, hi + 1) for lo, hi in bounds] if box
+                  else [sorted({indices[i][j] for i in inside}) for j in range(n)])
+        rows = [[orders[j].index(indices[i][j]) for i in inside] for j in range(n)]
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         lead = np.shape(grid.lam)
-        vec = laurent_coefficients(grid, indices).reshape(lead + (-1,))
-        unit = np.asarray(_rounding_bound(grid, degree))[..., None]
         scales = np.asarray(grid.lam)[..., None] ** powers
-        power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, f.k, degree)
-        est = (unit * scales).repeat(f.k, axis=-1)
-        return np.concatenate([vec, power], axis=-1), np.concatenate([est, bound], axis=-1)
+        vec, spectrum = np.zeros(lead + (m, k), dtype=complex), np.zeros(lead + (0,))
+        if bounds is None:
+            vec = laurent_coefficients(grid, indices)
+        elif box or inside:
+            read_box = _contract(grid, orders) / grid.N**n
+            vec[..., inside, :] = read_box[(..., *rows, slice(None))] * scales[..., inside, None]
+            if box and lead:  # a block of the exact grid, not the doubling loop
+                spectrum = read_box.reshape(lead + (-1,))
+        unit = np.asarray(_rounding_bound(grid, degree, grid.peak))[..., None]
+        power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, k, degree, (grid.peak,) * 2)
+        est = (unit * scales).repeat(k, axis=-1)
+        return (np.concatenate([vec.reshape(lead + (-1,)), power, spectrum], axis=-1),
+                np.concatenate([est, bound, np.zeros(spectrum.shape)], axis=-1))
 
-    box = [(min(axis), max(axis)) for axis in zip(*indices)]
-    width = None if bounds is None else max(
-        _gap(bounds, bounds), _gap(box, bounds), _gap(box, [(-hi, -lo) for lo, hi in box])
-    )
+    width = None if bounds is None else _gap(bounds, bounds)
     return [
-        (vec[:-1].reshape(len(indices), f.k), float(vec[-1].real), err, n_used)
+        (vec[: m * k].reshape(m, k), float(vec[m * k].real), err, n_used, vec[m * k + 1 :])
         for vec, err, n_used in _refine(f, read, width, lams, tol, max_n)
     ]
 
@@ -611,7 +634,7 @@ def adaptive_coefficients(
     index as a tuple of ints.
     """
     idx = [tuple(int(x) for x in a) for a in indices]
-    rows, _, err, n_used = _coefficients(f, [lam], idx, DEFAULT_TOL, DEFAULT_MAX_N)[0]
+    rows, _, err, n_used, _ = _coefficients(f, [lam], idx, DEFAULT_TOL, DEFAULT_MAX_N)[0]
     return dict(zip(idx, rows)), err, n_used
 
 
@@ -621,28 +644,29 @@ def _summaries(
     tol: float,
     max_n: int,
     extra: Sequence[Sequence[int]] = (),
-) -> list[tuple[SpectralSummary, np.ndarray]]:
-    """spectral_summaries, each summary paired with the coefficient rows of
-    its grid at the orders in extra.  One grid per scale is read at the
-    orders 0, -e_0..-e_{n-1}, +e_0..+e_{n-1} and then extra (see
-    _coefficients)."""
+    box: bool = False,
+) -> list[tuple[SpectralSummary, np.ndarray, np.ndarray]]:
+    """spectral_summaries, each summary with the coefficient rows of its
+    grid at the orders in extra and, with ``box``, the spectrum of its range
+    box (see _coefficients).  One grid per scale is read at the orders 0,
+    -e_0..-e_{n-1}, +e_0..+e_{n-1} and then extra."""
     n = f.n
     check_dimension(n)
     unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
     indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
     lams = list(lams)
-    results = _coefficients(f, lams, indices, tol, max_n)
-    rows = np.array([r for r, _, _, _ in results]).reshape(len(lams), len(indices), f.k)
+    results = _coefficients(f, lams, indices, tol, max_n, box)
+    rows = np.array([r for r, *_ in results]).reshape(len(lams), len(indices), f.k)
     core, eta = rows[:, 0], rows[:, 1 : n + 1].swapaxes(1, 2)
     jac = rows[:, n + 1 : 2 * n + 1].swapaxes(1, 2)
-    power = np.array([p for _, p, _, _ in results], dtype=float)
+    power = np.array([p for _, p, *_ in results], dtype=float)
     variance = np.maximum(power - trace_norm_sq(core, 1), 0.0)
     tail = variance - variance_model(eta, jac, lams)
     return [
         (SpectralSummary(lam=lam, core=core[i], eta=eta[i], jacobian=jac[i],
                          variance=v, tail_energy=t, est_error=err, grid_n=n_used),
-         rows[i, 2 * n + 1 :])
-        for i, (lam, v, t, (_, _, err, n_used))
+         rows[i, 2 * n + 1 :], spectrum)
+        for i, (lam, v, t, (_, _, err, n_used, spectrum))
         in enumerate(zip(lams, variance.tolist(), tail.tolist(), results))
     ]
 
@@ -660,7 +684,7 @@ def spectral_summaries(
     the module docstring); each summary is the one spectral_summary returns
     at its scale, and an error is the one the first failing scale raises.
     """
-    return [summary for summary, _ in _summaries(f, lams, tol, max_n)]
+    return [summary for summary, *_ in _summaries(f, lams, tol, max_n)]
 
 
 def spectral_summary(
@@ -687,40 +711,8 @@ def first_order_summary(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """(core, eta, jacobian, est_error, grid_n) of spectral_summary(f, lam,
     tol, max_n): the same reads of the same grid, without the variance."""
-    [(s, _)] = _summaries(f, [lam], tol, max_n)
+    [(s, *_)] = _summaries(f, [lam], tol, max_n)
     return s.core, s.eta, s.jacobian, s.est_error, s.grid_n
-
-
-def degree_energies(
-    f, lam: float, tol: float, max_n: int
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """(degrees, energies, est_error) of f at scale lam, or None when f has
-    no exponent range: energies[i] sums |c_a lam^s|^2 over the components and
-    the a != 0 of total degree s = degrees[i] (see the module docstring), and
-    est_error bounds the summed error of all the energies."""
-    bounds = _exponent_bounds(f)
-    if bounds is None:
-        return None
-    check_dimension(f.n)
-    axes = [np.arange(lo, hi + 1) for lo, hi in bounds]
-    total = sum(np.ix_(*axes))  # total degree of each exponent
-    degrees = np.arange(total.min(), total.max() + 1)
-    degree = _degree(bounds)
-
-    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-        power = (np.abs(_contract(grid, axes) / grid.N**f.n) ** 2).sum(axis=-1)
-        if all(lo <= 0 <= hi for lo, hi in bounds):  # a = 0 is the mean
-            power[(..., *(-lo for lo, _ in bounds))] = 0.0
-        energies = np.zeros(power.shape[: np.ndim(grid.lam)] + degrees.shape)
-        np.add.at(energies, (..., total - degrees[0]), power)
-        # accepted on the mean of |f|^2, as a summary's read is; its bound
-        # covers the sum of the energies (Parseval)
-        mean, est = _grid_mean(np.abs(grid.values) ** 2, grid, f.k, degree)
-        zeros = np.zeros_like(energies)
-        return np.concatenate([energies, mean], axis=-1), np.concatenate([zeros, est], axis=-1)
-
-    [(values, err, _)] = _refine(f, read, _gap(bounds, bounds), [lam], tol, max_n)
-    return degrees, values[:-1], err
 
 
 def expectation_numeric(f, lam: float) -> np.ndarray:
@@ -743,8 +735,10 @@ def inner_product_numeric(f, g, lam: float) -> complex:
     degree = 0 if width is None else max(_degree(f_bounds), _degree(g_bounds))
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-        values = grid.values
-        return _grid_mean(np.conj(values[..., :k]) * values[..., k:], grid, k, degree)
+        f_values, g_values = grid.values[..., :k], grid.values[..., k:]
+        grid_axes = tuple(range(-grid.n - 1, 0))
+        peaks = [np.abs(v).max(axis=grid_axes) for v in (f_values, g_values)]
+        return _grid_mean(np.conj(f_values) * g_values, grid, k, degree, peaks)
 
     [(vec, _, _)] = _refine(pair, read, width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
     return complex(vec[0])

@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import ParseError, ScaleMismatch
 
 TWO_PI = 2.0 * math.pi
@@ -155,13 +157,10 @@ def arc_integral_check(s: Slice, N: int) -> complex:
         raise ValueError("need at least 8 quadrature points")
     iv = s.interval
     h = iv.width / N
-    total = 0j
-    for j in range(N):
-        theta = iv.lo + (j + 0.5) * h
-        w = s.lam * complex(math.cos(theta), math.sin(theta))
-        dw_dtheta = 1j * s.lam * complex(math.cos(theta), math.sin(theta))
-        total += (1.0 / w) * dw_dtheta * h
-    return total / (2j * math.pi)
+    theta = iv.lo + (np.arange(N) + 0.5) * h
+    w = s.lam * np.exp(1j * theta)
+    dw_dtheta = 1j * w
+    return complex(((1.0 / w) * dw_dtheta).sum() * h) / (2j * math.pi)
 
 
 # ------------------------------------------------------------- CLI interface

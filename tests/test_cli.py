@@ -341,7 +341,7 @@ class TestInputBoundary:
         assert main(["analyze", "--expr", "w^33", "--n", "1", "--lambda", "1",
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["grid_n"] == 64
+        assert doc["grid_n"] == 4
         assert max(abs(x) for x in doc["jacobian"][0][0]) < 1e-12
         assert abs(doc["tail_energy"] - 1) < 1e-12
         assert main(["analyze", "--expr", "1/w + w^-31", "--n", "1", "--lambda", "1",

@@ -46,7 +46,6 @@ from polylens.quadrature import (
     TorusGrid,
     _alias_floor,
     adaptive_coefficients,
-    degree_energies,
     expectation_numeric,
     first_order_summary,
     inner_product_numeric,
@@ -255,10 +254,11 @@ _REFINEMENT_CORPUS = [
     ("1/w + 1/(w - 10)", 1, 0.5, {}, 32),
     ("1/w + 3*w + w^2 + 1/(w - 10)", 1, 0.8, {}, 32),
     ("1/(w - 10)", 1, 1.0, {"max_n": 16}, NonConvergent),
-    # exponent width 34 (orders -1..33): the exact grid is N=64
-    ("w^33", 1, 1.0, {}, 64),
-    ("w^33", 1, 1.0, {"max_n": 32}, NonConvergent),
-    ("1/w + w^-31", 1, 1.0, {}, 64),
+    # the range 33..33 has spread 0, so the smallest grid reads it, and the
+    # orders -1..1 outside it read as 0; the range -31..-1 needs N=32
+    ("w^33", 1, 1.0, {}, 4),
+    ("w^33", 1, 1.0, {"max_n": 32}, 4),
+    ("1/w + w^-31", 1, 1.0, {}, 32),
     ("2/w1 + 3*w2^2 + w1*w2/w3", 3, 0.7, {}, 4),
     # rho = 0.8: levels 32 and 64 miss, the shifted 128 grid confirms; a cap
     # of 64 refuses after two levels
@@ -320,10 +320,9 @@ def _grid_above(width: int) -> int:
 
 
 def _exact_grid(bounds) -> int:
-    """The exact grid of a summary for a range: the smallest power of two,
-    at least 4, above the spread of the range and the orders -1..1 on every
-    axis."""
-    return _grid_above(max(max(hi, 1) - min(lo, -1) for lo, hi in bounds))
+    """The exact grid of every read of a range: the smallest power of two,
+    at least 4, above the spread of the range."""
+    return _grid_above(max(hi - lo for lo, hi in bounds))
 
 
 class _Counted:
@@ -364,14 +363,6 @@ class TestExactGrid:
             spectral_summary(counted, 1.0, max_n=max_n)
         assert counted.sizes == []
 
-    def test_requested_orders_widen_the_grid(self):
-        # w^-10 aliases onto order 6 of a 16-grid; the spread -10..6 needs N=32
-        coeffs, _, n_used = adaptive_coefficients(parse("w^-10", 1), 1.0, [(6,)])
-        assert n_used == 32 and abs(coeffs[(6,)][0]) < 1e-12
-        # the window -9..9 of order 9 needs N=32, which reads it as 0
-        coeffs, _, n_used = adaptive_coefficients(parse("1/w", 1), 1.0, [(9,)])
-        assert n_used == 32 and abs(coeffs[(9,)][0]) < 1e-12
-
     def test_the_grid_is_sized_by_the_spread(self):
         # spread 4: a 4-grid would read w^3 as 1/w, so N=8 reads c_-1 = 1
         f = parse("w^3 + 1/w", 1)
@@ -383,14 +374,6 @@ class TestExactGrid:
         s = spectral_summary(parse("w^2 + 1/w", 1), 1.0)
         assert s.grid_n == 4 and abs(s.eta[0, 0] - 1) < 1e-12
         assert abs(s.jacobian[0, 0]) < 1e-12 and abs(s.tail_energy - 1) < 1e-12
-
-    @pytest.mark.parametrize("order,grid_n", [
-        ((-2,), 8), ((3,), 8), ((7,), 16), ((8,), 32), ((9,), 32),
-    ])
-    def test_the_grid_holds_every_requested_order(self, order, grid_n):
-        # the spread of 1/w and order -2 is 1, but |a| <= N/2 - 1 needs N=8
-        coeffs, _, n_used = adaptive_coefficients(parse("1/w", 1), 1.0, [order])
-        assert n_used == grid_n and abs(coeffs[order][0]) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from((0.05, 0.3, 1.0, 1.7, 6.0)))
@@ -487,20 +470,8 @@ class TestGridFunctionBounds:
         assert grid.values.size > SLAB_VALUES and sizes == [64]
 
 
-# The exact-grid widths of the three readers as each stated its own rule
-# before they shared one; every exact grid must keep these sizes.
-def _coefficient_width(bounds, indices) -> int:
-    width = max(
-        max(hi, *(a[j] for a in indices)) - min(lo, *(a[j] for a in indices))
-        for j, (lo, hi) in enumerate(bounds)
-    )
-    return max(width, 2 * max(abs(x) for a in indices for x in a))
-
-
-def _energy_width(bounds) -> int:
-    return max(hi - lo for lo, hi in bounds)
-
-
+# The exact-grid width of an inner product: the widest gap between the
+# exponents of f and g.
 def _inner_product_width(f_bounds, g_bounds) -> int:
     return max(
         max(g_hi - f_lo, f_hi - g_lo)
@@ -533,8 +504,8 @@ def _ranged_function(terms, bounds) -> GridFunction:
 
 
 class TestOneAliasRule:
-    """Each reader samples one grid, sized as before the readers shared
-    _gap, and reads the oracle's values from it."""
+    """Each reader samples one grid, sized by _gap, and reads the oracle's
+    values from it."""
 
     @staticmethod
     def _sizes(call):
@@ -546,25 +517,27 @@ class TestOneAliasRule:
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 3))
     def test_coefficients(self, data, n):
+        # the grid is sized by the spread alone, whatever the orders read
         terms, bounds = data.draw(_ranged(n))
-        order = st.tuples(*[st.integers(-5, 5)] * n)
+        order = st.tuples(*[st.integers(-5, 5) | st.integers(-40, 40)] * n)
         indices = data.draw(st.lists(order, min_size=1, max_size=5, unique=True))
         f = _ranged_function(terms, bounds)
         (coeffs, err, n_used), sizes = self._sizes(
             lambda: adaptive_coefficients(f, 1.0, indices))
-        N = _grid_above(_coefficient_width(bounds, indices))
+        N = _exact_grid(bounds)
         assert sizes == [N] and n_used == N
         for a in indices:
             assert abs(coeffs[a][0] - terms.get(a, 0)) <= err
+            if any(not lo <= x <= hi for x, (lo, hi) in zip(a, bounds)):
+                assert coeffs[a][0] == 0  # outside the range: not contracted
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), st.integers(1, 3))
     def test_degree_energies(self, data, n):
         terms, bounds = data.draw(_ranged(n))
         f = _ranged_function(terms, bounds)
-        (degrees, energies, err), sizes = self._sizes(
-            lambda: degree_energies(f, 1.0, DEFAULT_TOL, DEFAULT_MAX_N))
-        assert sizes == [_grid_above(_energy_width(bounds))]
+        (degrees, energies, err), sizes = self._sizes(lambda: _box_energies(f, 1.0))
+        assert sizes == [_exact_grid(bounds)]
         want = np.zeros(len(degrees))
         for exps, c in terms.items():
             if any(exps):
@@ -915,8 +888,8 @@ class TestScaleBlocks:
         counted = _Counted(parse("1/w + w", 1))
         sweep = variance_sweep(counted, [0.25 * 2 ** (i / 8) for i in range(33)])
         # the sweep grid is one block; golden section then reads every probe
-        # from one anchor grid at the sweep minimum
-        assert counted.sizes == [33 * 4, 4]
+        # from the block's row at the sweep minimum
+        assert counted.sizes == [33 * 4]
         assert abs(sweep.lambda_star_empirical - 1) < 1e-3
 
     @pytest.mark.parametrize("text,lams,bad", [
@@ -967,21 +940,65 @@ class TestScaleBlocks:
         for lam, s in zip(lams, batched):
             _assert_same_summary(s, spectral_summary(f, lam))
 
+    @pytest.mark.parametrize("text,lams", [
+        ("1/w + w", [0.001, 1.0, 1000.0]),
+        # 35 box entries near rounding noise would keep this scale doubling
+        # past the 128-grid its summary accepts
+        ("w^33 + 100000/w", [0.3]),
+    ])
+    def test_the_doubling_loop_keeps_the_exact_box(self, text, lams):
+        # a scale that misses its bound compares the summary's entries
+        # alone, so a sweep's summaries are the plain ones, and keeps the
+        # box of its exact-grid row
+        f = parse(text, 1)
+        boxed = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, box=True)
+        N = _exact_grid(f.exponent_bounds())
+        for lam, (s, _, spectrum), plain in zip(lams, boxed, spectral_summaries(f, lams)):
+            _assert_same_summary(s, plain)
+            exact = sample_torus(f, lam, N)
+            want = quadrature._contract(exact, [range(lo, hi + 1) for lo, hi in f.exponent_bounds()])
+            assert np.array_equal(spectrum, (want / N).ravel())
+
+
+def _box_energies(f, lam, max_n=DEFAULT_MAX_N):
+    """(degrees, energies, est_error) of the range box read at lam, as a
+    sweep reads the row of its minimum."""
+    [(s, _, spectrum)] = quadrature._summaries(f, [lam], DEFAULT_TOL, max_n, box=True)
+    return (*analysis._degree_energies(f, spectrum), s.est_error)
+
+
+def _oracle_energies(f, degrees) -> np.ndarray:
+    """sum |c_a|^2 over the components and the a != 0 of each total degree."""
+    want = np.zeros(len(degrees))
+    for exps, coeffs in f.terms.items():
+        if any(exps):
+            want[sum(exps) - degrees[0]] += sum(float(c.abs2()) for c in coeffs)
+    return want
+
 
 class TestSweepProbes:
-    """Golden-section probes read from the degree energies of one anchor grid."""
+    """Golden-section probes read from the degree energies of the sweep's
+    row at its minimum."""
 
     def test_energies_give_the_variance_at_every_scale(self):
         f = random_decomposable(np.random.default_rng(11), n=2, k=2)
-        degrees, energies, err = degree_energies(f, 0.9, DEFAULT_TOL, DEFAULT_MAX_N)
-        for lam in (0.3, 0.9, 2.0):
-            value = float(energies @ (lam / 0.9) ** (2.0 * degrees))
+        sweep = variance_sweep(f, geometric_grid(0.3, 3.0, 9))
+        i = int(np.argmin(sweep.variance))
+        anchor = sweep.lambdas[i]
+        degrees, energies, err = _box_energies(f, anchor)
+        assert err == sweep.est_error[i]
+        # c^_a = c_a anchor^(sum a): the oracle's energies at the anchor
+        want = _oracle_energies(f, degrees) * anchor ** (2.0 * degrees)
+        assert np.abs(energies - want).sum() <= err
+        for lam in (0.3, anchor, 2.0):
+            value = float(energies @ (lam / anchor) ** (2.0 * degrees))
             exact = float(variance_exact(f, Fraction(lam)))
-            assert abs(value - exact) <= err * max((lam / 0.9) ** (2.0 * degrees))
+            assert abs(value - exact) <= err * max((lam / anchor) ** (2.0 * degrees))
 
     def test_no_range_reads_no_energies(self):
         f = GridFunction(1, 1, parse("1/w + w", 1).eval_grid)
-        assert degree_energies(f, 1.0, DEFAULT_TOL, DEFAULT_MAX_N) is None
+        [(_, _, spectrum)] = quadrature._summaries(f, [1.0], DEFAULT_TOL, DEFAULT_MAX_N, box=True)
+        assert spectrum.size == 0
 
     def test_no_range_samples_every_probe(self, monkeypatch):
         f = GridFunction(1, 1, parse("1/w + w", 1).eval_grid)
@@ -993,6 +1010,25 @@ class TestSweepProbes:
         during = list(sampled)
         probes = _probes(sweep)
         assert len(probes) > 10 and during == probes
+
+    def test_anchor_from_the_doubling_loop_reads_its_exact_box(self, monkeypatch):
+        # at peak 2e5 every exact grid misses 1e-10 on the core, so the row
+        # at the minimum comes from the doubling loop; its est_error still
+        # certifies the box of its exact grid, and no probe is sampled
+        f = parse("100000/w + 100000*w", 1)
+        sampled = []
+        summary = analysis.spectral_summary
+        monkeypatch.setattr(analysis, "spectral_summary",
+                            lambda g, lam, **kw: sampled.append(lam) or summary(g, lam, **kw))
+        sweep = variance_sweep(f, geometric_grid(0.5, 2.0, 9))
+        i = int(np.argmin(sweep.variance))
+        assert sweep.lambdas[i] == 1.0 and sweep.est_error[i] > 1e-10
+        probes = _probes(sweep)
+        assert len(probes) > 10 and sampled == []
+        for lam in probes:
+            exact = 1e10 * (lam**-2 + lam**2)
+            assert abs(sweep.variance_fn(lam) - exact) <= DEFAULT_TOL * exact
+        assert abs(sweep.lambda_star_empirical - 1) < 1e-3
 
     def test_uncertified_probe_is_sampled(self, monkeypatch):
         # degrees -1..2 on the box of the range, the top one empty: at 100
@@ -1010,19 +1046,13 @@ class TestSweepProbes:
     def test_read_is_accepted_on_the_mean(self):
         # at peak 202 the bound misses 1e-10 for the energies of size 1
         # and 0, not for the mean of |f|^2 = 40002
-        degrees, energies, err = degree_energies(parse("200 + w + 1/w", 1), 1.0, 1e-10, 4)
+        f = parse("200 + w + 1/w", 1)
+        sweep = variance_sweep(f, [0.5, 1.0, 2.0], max_n=4)
+        assert sweep.variance.index(min(sweep.variance)) == 1
+        degrees, energies, err = _box_energies(f, 1.0, max_n=4)
         assert list(degrees) == [-1, 0, 1] and 1e-10 < err <= 1e-10 * 40002
+        assert err == sweep.est_error[1]
         assert np.allclose(energies, [1, 0, 1], rtol=0, atol=err)
-
-    def test_unconverged_read_samples_every_probe(self, monkeypatch):
-        def unconverged(*args):
-            raise NonConvergent("grids disagree")
-
-        monkeypatch.setattr(analysis, "degree_energies", unconverged)
-        counted = _Counted(parse("1/w + w", 1))
-        sweep = variance_sweep(counted, geometric_grid(0.25, 4.0, 17))
-        assert counted.sizes[0] == 17 * 4 and len(counted.sizes) > 10
-        assert abs(sweep.lambda_star_empirical - 1) < 1e-3
 
     def test_two_point_sweep_samples_no_anchor(self):
         counted = _Counted(parse("1/w + w", 1))
@@ -1036,8 +1066,10 @@ class TestSweepProbes:
         f = random_decomposable(np.random.default_rng(seed), n=n, k=k)
         sweep = variance_sweep(f, geometric_grid(0.3, 3.0, steps))
         i = int(np.argmin(sweep.variance))
-        anchor = sweep.lambdas[i]
-        degrees, _, err = degree_energies(f, anchor, DEFAULT_TOL, DEFAULT_MAX_N)
+        anchor, err = sweep.lambdas[i], sweep.est_error[i]
+        degrees, energies, _ = _box_energies(f, anchor)
+        want = _oracle_energies(f, degrees) * anchor ** (2.0 * degrees)
+        assert np.abs(energies - want).sum() <= err
         for lam in _probes(sweep):
             value = sweep.variance_fn(lam)
             bound = err * max((lam / anchor) ** (2.0 * degrees))

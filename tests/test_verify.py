@@ -18,6 +18,7 @@ from polylens.verify import (
     _tail_integral_shapes_numeric,
     _tail_self_energy_numeric,
     check_full_disc,
+    check_pairing_identities,
     check_tail_integrals_vanish,
     random_tail,
 )
@@ -101,6 +102,17 @@ def test_a_tail_case_samples_one_exact_grid(seed, monkeypatch):
     result = check_tail_integrals_vanish(seed)
     assert result.passed and result.cases == 100
     assert len(grids) == 100 and all(N == exact for N, exact in grids)
+
+
+def test_pairings_sample_only_their_exact_grids(monkeypatch):
+    # each operand's rounding is bounded by its own peak, so a coordinate
+    # monomial against f meets the tolerance on the exact grid at every scale
+    def doubling(*args, **kwargs):
+        raise AssertionError("the doubling loop ran")
+
+    monkeypatch.setattr(quadrature, "_adaptive", doubling)
+    result = check_pairing_identities(7)
+    assert result.passed and result.cases == 50
 
 
 def test_a_failing_check_reports_its_first_failure(monkeypatch):
