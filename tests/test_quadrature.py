@@ -375,6 +375,22 @@ class TestExactGrid:
         assert s.grid_n == 4 and abs(s.eta[0, 0] - 1) < 1e-12
         assert abs(s.jacobian[0, 0]) < 1e-12 and abs(s.tail_energy - 1) < 1e-12
 
+    @pytest.mark.parametrize("order,grid_n", [
+        ((-2,), 8), ((3,), 8), ((7,), 16), ((8,), 32), ((9,), 32),
+    ])
+    def test_the_grid_holds_every_requested_order(self, order, grid_n):
+        # the range a..a+N-1 has spread N-1, the widest an N-grid reads
+        # exactly; there w^(a+N-1) aliases onto order a-1, which lies
+        # outside the range and so reads as exactly 0
+        (a,) = order
+        top, below = (a + grid_n - 1,), (a - 1,)
+        f = parse(f"w^{a} + 2*w^{top[0]}", 1)
+        assert _exact_grid(f.exponent_bounds()) == grid_n
+        coeffs, err, n_used = adaptive_coefficients(f, 1.0, [order, top, below])
+        assert n_used == grid_n
+        assert abs(coeffs[order][0] - 1) <= err and abs(coeffs[top][0] - 2) <= err
+        assert coeffs[below][0] == 0
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from((0.05, 0.3, 1.0, 1.7, 6.0)))
     def test_error_estimate_bounds_the_oracle_gap_at_every_scale(self, seed, lam):
