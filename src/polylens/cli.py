@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="refinement tolerance (default 1e-10)")
+                       help="tolerance of the doubling loop (default 1e-10); an "
+                            "exact grid reports its rounding bound instead")
         p.add_argument("--max-grid", type=_positive_int, default=None,
                        help="per-dimension grid cap (default 4096; env LENS_MAX_GRID)")
 

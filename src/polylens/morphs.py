@@ -31,6 +31,7 @@ equal-radius torus and the integrals stop being well defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -44,12 +45,11 @@ from .errors import (
     SingularJacobian,
     VanishesOnTorus,
 )
-from .expr import MeroExpr, substitute, to_laurent
+from .expr import BinOp, Lit, MeroExpr, substitute, to_laurent
 from .laurent import LaurentPoly, decompose, matrix_to_complex
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
-    GridFunction,
     first_order_summary,
     sample_torus,
 )
@@ -197,25 +197,21 @@ class TransformReport:
         return self.max_residual <= tol
 
 
-def _analytic_pullback(pulled: MeroExpr, g: Morph, eta_p: np.ndarray):
-    """Evaluator for the pullback minus the pulled-back pole part
-    sum_gamma eta'[alpha, gamma] / g_gamma(w)."""
-    k = pulled.k
-
-    def fn(coords):
-        pv = pulled.eval_grid(coords)
-        gv = g.components.eval_grid(coords)
-        out = []
-        for alpha in range(k):
-            value = pv[alpha].astype(complex)
-            for gamma in range(g.n):
-                coef = eta_p[alpha, gamma]
-                if coef != 0:
-                    value = value - coef / gv[gamma]
-            out.append(value)
-        return out
-
-    return GridFunction(g.n, k, fn)
+def _analytic_pullback(pulled: MeroExpr, g: Morph, eta_p: np.ndarray) -> MeroExpr:
+    """The pullback minus the pulled-back pole part
+    sum_gamma eta'[alpha, gamma] / g_gamma(w), as an expression.  It divides
+    by the g_gamma of the nonzero entries alone, so it has an exponent range
+    (and is read on the exact grid) when those are monomials, as for a
+    linear change c*w."""
+    components = []
+    for alpha, node in enumerate(pulled.components):
+        for gamma, g_node in enumerate(g.components.components):
+            coef = complex(eta_p[alpha, gamma])
+            if coef != 0:
+                pole = BinOp("/", Lit(Fraction(coef.real), Fraction(coef.imag)), g_node)
+                node = BinOp("-", node, pole)
+        components.append(node)
+    return MeroExpr(n=g.n, components=tuple(components), var_letter=pulled.var_letter)
 
 
 def verify_transform(

@@ -15,11 +15,10 @@ gap of the product the read pairs (see _gap); a coefficient read needs only
 the range's spread, as an order outside the range is 0.  A case of spread
 2..7 is thus sampled on 4^n or 8^n points, not 16^n.  On that grid every
 coefficient of the range, the mean of |f|^2 and an inner product are exact
-up to rounding (discrete orthogonality), so no second grid is sampled; the
-reported error is an a-priori rounding bound (see _rounding_bound), which
-must meet the tolerance.  Where it does not (its constants are worst-case,
-so this happens at extreme scales), the exact grids N and 2N are compared
-as in the doubling loop.
+up to rounding (discrete orthogonality), so the read is the answer: no
+second grid is sampled, and the reported error is an a-priori rounding
+bound (see _rounding_bound), whatever the tolerance.  The tolerance governs
+only the doubling loop below; a finer exact grid would only raise the bound.
 ``laurent.LaurentPoly`` and ``expr.MeroExpr`` provide the method; a MeroExpr
 has a range when it divides only by monomials.  A :class:`GridFunction` has
 the range of its ``bounds`` field, which its maker declares: on the
@@ -31,11 +30,10 @@ The exact grid does not depend on the scale, so a sweep over several scales
 of f on the coordinates lam[:, None] * circle and one separable contraction
 per block, with the scale axis leading.  A block holds at most BLOCK_VALUES
 values (scales x N^n points x k components), which keeps its memory that of
-a small grid.  Every scale keeps its own peak, rounding bound and acceptance
-test, and a scale whose bound misses the tolerance runs the doubling loop
-alone.  A block that raises (a pole on one of its tori, an invalid scale) is
-sampled again one scale at a time, so the error names the scale and point
-that a one-scale call names.  One scale is the block of one.
+a small grid.  Every scale keeps its own peak and rounding bound.  A block
+that raises (a pole on one of its tori, an invalid scale) is sampled again
+one scale at a time, so the error names the scale and point that a
+one-scale call names.  One scale is the block of one.
 
 The exact grid holds every exponent of the range, so a sweep
 (analysis.variance_sweep) also reads every coefficient of the range box from
@@ -400,13 +398,12 @@ def _adaptive(
     lam: float,
     read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
     tol: float,
-    n_start: int,
     max_n: int,
 ) -> tuple[np.ndarray, float, int]:
     """Refine N at one scale until the statistic is resolved within tol.
 
     ``read`` returns the statistic on a grid of f with a per-entry rounding
-    bound.  The first level samples twice the starting size (see _refine)
+    bound.  The first level samples 2*DEFAULT_START_N points per dimension
     and reads its even sub-grid as the starting level; every later level
     samples one new grid.  A level accepts N when the grids N/2 and N agree;
     when only the squared delta is within tol, it samples the N grid turned
@@ -417,11 +414,11 @@ def _adaptive(
     is the infinity-norm of the accepting delta or alias error, floored
     entry by entry by the rounding bound of N.
     """
-    N = 2 * n_start
+    N = 2 * DEFAULT_START_N
     if N > max_n:
         raise NonConvergent(
             f"grid cap N={max_n} leaves no room for two grids "
-            f"(N={n_start} and N={N})"
+            f"(N={DEFAULT_START_N} and N={N})"
         )
     grid = sample_torus(f, lam, N)
     shift = GRID_SHIFT[: grid.n]
@@ -497,26 +494,24 @@ def _refine(
     max_n: int,
 ) -> list[tuple[np.ndarray, float, int]]:
     """One refinement of f per scale in lams: the exact grid when the
-    exponent width is known, else the doubling loop from DEFAULT_START_N
-    (see _adaptive).  Raises ValueError unless tol is positive and finite.
+    exponent width is known, else the doubling loop (see _adaptive).  Raises
+    ValueError unless tol is positive and finite.
 
     ``read`` returns the statistic on a grid with a per-entry rounding
     bound, the block's scale axis leading.  The exact grid is the smallest
     power of two N >= MIN_N above ``width``, the widest exponent gap the
     statistic pairs (see _gap).  Its scales are sampled in blocks of at most
-    BLOCK_VALUES values.  A scale is accepted when every entry of its row
-    meets the acceptance rule of _adaptive, with the largest bound as its
-    error estimate.  The bound uses worst-case constants, so at extreme
-    scales it can miss the tolerance while the values are accurate: the
-    doubling loop then compares the exact grids N and 2N of that scale, both
-    alias-free, on what a one-scale read returns; the rest of the row stays.
-    A block that raises a pole or an invalid scale is sampled again one
-    scale at a time, so the error is the one a one-scale call raises.
+    BLOCK_VALUES values, and each scale's row is its answer, with the
+    largest bound of the row as its error estimate.  tol governs only the
+    doubling loop: an exact read holds every coefficient it pairs, so a
+    finer grid would only raise the bound's max(N, degree).  A block that
+    raises a pole or an invalid scale is sampled again one scale at a time,
+    so the error is the one a one-scale call raises.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if width is None:
-        return [_adaptive(f, lam, read, tol, DEFAULT_START_N, max_n) for lam in lams]
+        return [_adaptive(f, lam, read, tol, max_n) for lam in lams]
     N = MIN_N
     while N <= width:
         N *= 2
@@ -536,13 +531,7 @@ def _refine(
                 raise
             pending[:0] = [[lam] for lam in block]
             continue
-        accepted = np.all(ests <= tol * np.maximum(1.0, np.abs(values)), axis=-1)
-        for lam, value, err, ok in zip(block, values, np.max(ests, axis=-1), accepted):
-            if ok:
-                results.append((value, float(err), N))
-            else:  # what a one-scale read leaves out keeps this row's values
-                vec, err, n_used = _adaptive(f, lam, read, tol, N, max_n)
-                results.append((np.concatenate([vec, value[vec.size :]]), err, n_used))
+        results.extend((value, float(err), N) for value, err in zip(values, ests.max(axis=-1)))
     return results
 
 
@@ -585,8 +574,7 @@ def _coefficients(
     contracted.  With ``box``, spectrum holds c^_a = c_a lam^(sum a) for
     every a of the range box in C order (axis j over lo_j..hi_j, components
     last), else it is empty.  Its entries carry no bound of their own: the
-    est_error covers their energies (Parseval), also where the doubling loop,
-    which reads no box (see _refine), floors it by a finer grid's bound."""
+    est_error covers their energies (Parseval)."""
     n, k, m = f.n, f.k, len(indices)
     if any(len(a) != n for a in indices):
         raise DimensionMismatch(f"indices {list(indices)} must each have length {n}")
@@ -609,7 +597,7 @@ def _coefficients(
         elif box or inside:
             read_box = _contract(grid, orders) / grid.N**n
             vec[..., inside, :] = read_box[(..., *rows, slice(None))] * scales[..., inside, None]
-            if box and lead:  # a block of the exact grid, not the doubling loop
+            if box:
                 spectrum = read_box.reshape(lead + (-1,))
         unit = np.asarray(_rounding_bound(grid, degree, grid.peak))[..., None]
         power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, k, degree, (grid.peak,) * 2)
@@ -722,8 +710,9 @@ def expectation_numeric(f, lam: float) -> np.ndarray:
 
 
 def inner_product_numeric(f, g, lam: float) -> complex:
-    """<f, g> as the grid mean of conj(f).g, conjugate-linear in f, on the
-    exact grid of the two ranges (see _gap) when both have one.  Raises
+    """<f, g> as the grid mean of conj(f).g, conjugate-linear in f: read
+    once from the exact grid of the two ranges (see _gap) when both have
+    one, else refined by the doubling loop to DEFAULT_TOL.  Raises
     GridTooLarge when a grid exceeds MAX_TOTAL_POINTS points."""
     if f.n != g.n or f.k != g.k:
         raise DimensionMismatch(f"shape ({f.n},{f.k}) vs ({g.n},{g.k})")

@@ -8,7 +8,7 @@ import numpy as np
 
 import polylens.verify as V
 from _corpus import MALFORMED_CASES, VALID_CASES
-from gen_goldens import COMMANDS, GOLDEN_DIR, run_command
+from gen_goldens import COMMANDS, GOLDEN_DIR
 from polylens.cli import main
 from polylens.errors import AdmissibilityViolation, NotLaurent, ParseError
 from polylens.expr import parse, to_laurent, to_text
@@ -133,12 +133,12 @@ def test_criterion_09_parser():
     _report("09 parser", [result])
 
 
-def test_criterion_10_cli(capsys):
+def test_criterion_10_cli(capsys, golden_run):
     """Golden-file byte equality for the documented commands and the
     five-way exit-code contract."""
     failures = []
     for name, argv in COMMANDS.items():
-        code, text = run_command(argv)
+        code, text = golden_run(argv)
         if code != 0:
             failures.append(f"{name}: exit {code}")
         elif text != (GOLDEN_DIR / name).read_text():

@@ -20,21 +20,23 @@ from polylens.verify import CheckResult
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_byte_equality(name):
-    code, text = run_command(COMMANDS[name])
+def test_golden_byte_equality(name, golden_run):
+    code, text = golden_run(COMMANDS[name])
     assert code == 0
     assert text == (GOLDEN_DIR / name).read_text()
 
 
-def test_golden_check_reports_drift_and_writes_nothing(tmp_path, monkeypatch, capsys):
+def test_golden_check_reports_drift_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                       golden_run):
     for name in COMMANDS:
         (tmp_path / name).write_text((GOLDEN_DIR / name).read_text())
     monkeypatch.setattr(gen_goldens, "GOLDEN_DIR", tmp_path)
+    # each command's output comes from the session's one run of it
+    monkeypatch.setattr(gen_goldens, "run_command", golden_run)
     assert gen_goldens.check() == 0
     assert capsys.readouterr().out == f"0 of {len(COMMANDS)} goldens drifted\n"
     stale = (tmp_path / "transform.txt").read_text().replace("lambda ", "lambda_", 1)
     (tmp_path / "transform.txt").write_text(stale)
-    # the drift pass needs no second run of verify --suite all
     fewer = {name: argv for name, argv in COMMANDS.items() if name != "verify_all.txt"}
     monkeypatch.setattr(gen_goldens, "COMMANDS", fewer)
     assert gen_goldens.check() == 1
@@ -233,6 +235,18 @@ class TestInputBoundary:
         assert main(argv + ["--max-grid", cap]) == 3
         err = capsys.readouterr().err
         assert "NonConvergent" in err and "no room for two grids" in err
+
+    @pytest.mark.parametrize("text,lam,extra,est_error", [
+        ("(1+2i)/w + 3*w^2 - 0.7*w", "1.3", ["--tol", "1e-20"], 3.3e-13),
+        ("1/w + w", "1e-3", ["--max-grid", "4"], 7.1e-9),
+    ])
+    def test_an_exact_grid_is_never_refined(self, text, lam, extra, est_error, capsys):
+        # the 4-grid is read once and reports its rounding bound, whatever
+        # the tolerance, so it needs no room for a second grid
+        argv = ["analyze", "--expr", text, "--n", "1", "--lambda", lam, "--json"]
+        assert main(argv + extra) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["grid_n"] == 4 and doc["est_error"] == pytest.approx(est_error, rel=0.01)
 
     def test_cap_below_the_exact_grid(self, capsys):
         # the range -1..8 of 1/w + w^8 needs the exact grid N=16

@@ -102,6 +102,52 @@ class TestPullback:
             pullback(parse("u1 + u2", 2, var_letter="u"), g)
 
 
+def _closure_pullback(pulled, g, eta_p):
+    """Reference: the analytic pullback as a plain callable, evaluated the
+    way the expression tree evaluates it."""
+    def fn(coords):
+        pv, gv = pulled.eval_grid(coords), g.components.eval_grid(coords)
+        out = []
+        for alpha in range(pulled.k):
+            value = pv[alpha].astype(complex)
+            for gamma in range(g.n):
+                if eta_p[alpha, gamma] != 0:
+                    value = value - eta_p[alpha, gamma] / gv[gamma]
+            out.append(value)
+        return out
+
+    return quadrature.GridFunction(g.n, pulled.k, fn)
+
+
+class TestAnalyticPullback:
+    @pytest.mark.parametrize("text,n,psi_text,ranged", [
+        ("2*w", 1, "(1+2i)/u + 3*u", True),
+        ("w + 0.25*w^2", 1, "(1+2i)/u + 3*u", False),
+        ("w1 + w1*w2/4, 2*w2", 2, "1/u1 + 1/u2 + u1 + 2*u2", False),
+        ("w1, w2", 2, "(1+i)/u1 + u2 + u1*u2", True),
+    ])
+    def test_tree_has_the_closure_values(self, text, n, psi_text, ranged):
+        # dividing by the monomial 2*w keeps a range, so the summary reads
+        # the exact grid; by w + 0.25*w^2 it has none
+        g = morph_validate(parse(text, n))
+        psi = parse(psi_text, n, var_letter="u")
+        _, eta_p, _, _, _ = quadrature.first_order_summary(psi, g.lam)
+        pulled = pullback(psi, g)
+        tree = morphs._analytic_pullback(pulled, g, eta_p)
+        assert (tree.exponent_bounds() is not None) == ranged
+        reference = _closure_pullback(pulled, g, eta_p)
+        for N in (16, 64):
+            got = quadrature.sample_torus(tree, g.lam, N).values
+            assert np.array_equal(got, quadrature.sample_torus(reference, g.lam, N).values)
+
+    def test_zero_entries_are_skipped(self):
+        # eta' of u has no pole, so nothing is subtracted
+        g = morph_validate(parse("2*w", 1))
+        pulled = pullback(parse("u", 1, var_letter="u"), g)
+        tree = morphs._analytic_pullback(pulled, g, np.zeros((1, 1), dtype=complex))
+        assert tree.components == pulled.components
+
+
 class TestTransform:
     def test_linear_residue(self):
         g = morph_validate(parse("2*w", 1), 0.5)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polylens import quadrature
@@ -394,13 +394,12 @@ class TestExactGrid:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from((0.05, 0.3, 1.0, 1.7, 6.0)))
     def test_error_estimate_bounds_the_oracle_gap_at_every_scale(self, seed, lam):
-        # at extreme scales the rounding bound of the small exact grid may
-        # miss the tolerance, and the grids N and 2N are compared instead
+        # at extreme scales the rounding bound of the exact grid may miss
+        # the tolerance; it still bounds the gap to the oracle
         f = random_decomposable(np.random.default_rng(seed))
         s = spectral_summary(f, lam)
         d = decompose(f)
-        N = _exact_grid(f.exponent_bounds())
-        assert s.grid_n in (N, 2 * N)
+        assert s.grid_n == _exact_grid(f.exponent_bounds())
         gaps = [
             np.max(np.abs(s.core - matrix_to_complex([d.core]).ravel())),
             np.max(np.abs(s.eta - matrix_to_complex(d.eta))),
@@ -414,11 +413,19 @@ class TestExactGrid:
         assert s.variance == 0.0 and 0 < s.est_error < 1e-12
 
     def test_missed_bound_compares_two_exact_grids(self):
-        # the bound on D (scale 1/lam, peak 1e5) misses 1e-10, so the exact
-        # grid 64 is compared with 128; neither aliases w^33 onto w
-        s = spectral_summary(parse("w^33 + 100000/w", 1), 0.9)
-        assert s.grid_n == 128
+        # the rounding bound of the mean of |f|^2 (peak 1.1e5) misses 1e-10,
+        # yet the 64-grid, which does not alias w^33 onto w, is the answer:
+        # a 128-grid would only double the bound
+        counted = _Counted(parse("w^33 + 100000/w", 1))
+        s = spectral_summary(counted, 0.9)
+        assert counted.sizes == [64] and s.grid_n == 64
         assert abs(s.jacobian[0, 0]) < 1e-10 and abs(s.eta[0, 0] - 1e5) < 1e-10 * 1e5
+        # est_error is the largest rounding bound of the row: the 2k + 1
+        # coefficients at their scales, and the mean of |f|^2
+        grid = sample_torus(counted.f, 0.9, 64)
+        unit = quadrature._rounding_bound(grid, 33, grid.peak)
+        bounds = [unit * 0.9**-a for a in (0, 1, -1)] + [4 * 1 * max(grid.peak, 1.0) * unit]
+        assert s.est_error == max(bounds) > DEFAULT_TOL
 
     def test_inner_product_grid_covers_the_exponent_difference(self):
         # conj(w^8) * w^-8 = w^-16 on the unit circle: a 16-grid would read 1
@@ -949,23 +956,27 @@ class TestScaleBlocks:
         lams = [0.001, 1.0, 1000.0]
         counted = _Counted(f)
         batched = spectral_summaries(counted, lams)
-        # one block on the exact 4-grid; the rounding bound misses the
-        # tolerance at both extremes, which compare the grids 4 and 8 alone
-        assert counted.sizes == [3 * 4, 8, 8]
-        assert [s.grid_n for s in batched] == [8, 4, 8]
+        # one block on the exact 4-grid is the whole answer: the rounding
+        # bound misses the tolerance at both extremes, and no scale is
+        # refined, since a finer exact grid would only raise the bound
+        assert counted.sizes == [3 * 4]
+        assert [s.grid_n for s in batched] == [4, 4, 4]
         for lam, s in zip(lams, batched):
+            exact = [abs(s.core[0]), abs(s.eta[0, 0] - 1), abs(s.jacobian[0, 0] - 1),
+                     abs(s.variance - (lam**-2 + lam**2))]
+            assert max(exact) <= s.est_error
             _assert_same_summary(s, spectral_summary(f, lam))
 
     @pytest.mark.parametrize("text,lams", [
         ("1/w + w", [0.001, 1.0, 1000.0]),
-        # 35 box entries near rounding noise would keep this scale doubling
-        # past the 128-grid its summary accepts
+        # a bound far above the tolerance, with 35 box entries near
+        # rounding noise
         ("w^33 + 100000/w", [0.3]),
     ])
-    def test_the_doubling_loop_keeps_the_exact_box(self, text, lams):
-        # a scale that misses its bound compares the summary's entries
-        # alone, so a sweep's summaries are the plain ones, and keeps the
-        # box of its exact-grid row
+    def test_exact_box_beyond_the_tolerance(self, text, lams):
+        # a scale whose bound misses the tolerance is still read once from
+        # its exact grid: a sweep's summaries are the plain ones, and its box
+        # is that grid's contraction
         f = parse(text, 1)
         boxed = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, box=True)
         N = _exact_grid(f.exponent_bounds())
@@ -974,6 +985,90 @@ class TestScaleBlocks:
             exact = sample_torus(f, lam, N)
             want = quadrature._contract(exact, [range(lo, hi + 1) for lo, hi in f.exponent_bounds()])
             assert np.array_equal(spectrum, (want / N).ravel())
+
+
+def _pairing(f_terms, g_terms, lam) -> complex:
+    """sum conj(c^f_a) . c^g_a lam^(2 sum a), in exact rationals, for terms
+    {exponents: vector of Gaussian integers}."""
+    total = [Fraction(0), Fraction(0)]
+    for a, f_vec in f_terms.items():
+        weight = Fraction(lam) ** (2 * sum(a))
+        for x, y in zip(f_vec, g_terms.get(a, [0] * len(f_vec))):
+            z = x.conjugate() * y
+            total[0] += Fraction(z.real) * weight
+            total[1] += Fraction(z.imag) * weight
+    return complex(float(total[0]), float(total[1]))
+
+
+@st.composite
+def _exact_inputs(draw):
+    """Two evaluators with exponent ranges of one shape, random_decomposable
+    polynomials or _ranged functions, each with its terms {exponents:
+    vector of Gaussian integers}, exact as complex floats."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        f = random_decomposable(rng)
+        pair = (f, random_decomposable(rng, n=f.n, k=f.k))
+        return [(p, {a: [complex(c) for c in v] for a, v in p.terms.items()}) for p in pair]
+    n = draw(st.integers(1, 3))
+    pair = (draw(_ranged(n)) for _ in range(2))
+    return [(_ranged_function(terms, bounds), {a: [c] for a, c in terms.items()})
+            for terms, bounds in pair]
+
+
+class TestExactReadIsTheAnswer:
+    """An evaluator with an exponent range is read once, from its exact grid,
+    whatever the tolerance: no front end enters the doubling loop, and the
+    rounding bound it reports bounds the gap to the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_exact_inputs(), st.floats(-3, math.log10(30)), st.sampled_from([1e-10, 1e-20]))
+    def test_no_front_end_enters_the_doubling_loop(self, pair, log_lam, tol):
+        (f, terms), (g, g_terms) = pair
+        lam = 10**log_lam
+        for t in (terms, g_terms):  # no value beyond the blow-up threshold
+            assume(sum(max(map(abs, v)) * lam ** sum(a) for a, v in t.items())
+                   <= quadrature.BLOWUP_THRESHOLD)
+        n, zero = f.n, [0j] * f.k
+        reads, refine = [], quadrature._refine
+
+        def recorded(*args):
+            reads.append(refine(*args))
+            return reads[-1]
+
+        with mock.patch.object(quadrature, "_adaptive",
+                               side_effect=AssertionError("the doubling loop ran")), \
+             mock.patch.object(quadrature, "_refine", side_effect=recorded):
+            [s] = spectral_summaries(f, [lam], tol)
+            orders = list(dict.fromkeys([(0,) * n, *terms, *(
+                tuple(d * (i == j) for i in range(n)) for j in range(n) for d in (-1, 1))]))
+            coeffs, err, n_used = adaptive_coefficients(f, lam, orders)
+            value = inner_product_numeric(f, g, lam)
+        [(_, ip_err, _)] = reads[-1]
+        assert s.grid_n == n_used == _exact_grid(f.exponent_bounds())
+
+        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        core = np.array(terms.get((0,) * n, zero))
+        eta = np.array([terms.get(tuple(-x for x in e), zero) for e in unit]).T
+        jac = np.array([terms.get(e, zero) for e in unit]).T
+        variance = float(sum(sum(int(c.real) ** 2 + int(c.imag) ** 2 for c in v)
+                             * Fraction(lam) ** (2 * sum(a)) for a, v in terms.items() if any(a)))
+        gaps = [np.max(np.abs(s.core - core)), np.max(np.abs(s.eta - eta)),
+                np.max(np.abs(s.jacobian - jac)), abs(s.variance - variance)]
+        assert max(gaps) <= s.est_error
+        for a in orders:
+            assert np.max(np.abs(coeffs[a] - np.array(terms.get(a, zero)))) <= err
+        assert abs(value - _pairing(terms, g_terms, lam)) <= ip_err
+
+    def test_no_range_still_refuses_an_unreachable_tolerance(self):
+        # the doubling loop cannot resolve 1e-20, so an input without a
+        # range is refused; the same function with its range reads its
+        # 4-grid and reports the rounding bound
+        f = parse("(1+2i)/w + 3*w^2 - 0.7*w", 1)
+        with pytest.raises(NonConvergent, match="without two grids agreeing within 1e-20"):
+            spectral_summary(GridFunction(1, 1, f.eval_grid), 1.3, tol=1e-20)
+        s = spectral_summary(f, 1.3, tol=1e-20)
+        assert s.grid_n == 4 and 1e-20 < s.est_error < 1e-12
 
 
 def _box_energies(f, lam, max_n=DEFAULT_MAX_N):
@@ -1027,10 +1122,10 @@ class TestSweepProbes:
         probes = _probes(sweep)
         assert len(probes) > 10 and during == probes
 
-    def test_anchor_from_the_doubling_loop_reads_its_exact_box(self, monkeypatch):
-        # at peak 2e5 every exact grid misses 1e-10 on the core, so the row
-        # at the minimum comes from the doubling loop; its est_error still
-        # certifies the box of its exact grid, and no probe is sampled
+    def test_anchor_above_the_tolerance_reads_its_exact_box(self, monkeypatch):
+        # at peak 2e5 the rounding bound of the exact grid misses 1e-10, and
+        # the row at the minimum is still that grid's read: its est_error
+        # certifies the box, and no probe is sampled
         f = parse("100000/w + 100000*w", 1)
         sampled = []
         summary = analysis.spectral_summary
