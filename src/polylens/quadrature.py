@@ -42,8 +42,9 @@ whole box.
 
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
 without ``bounds``) is refined by doubling N.  Each level samples its grid
-once and extracts every requested coefficient in one separable contraction
-(one small phase matrix per axis).  The first level samples
+once and reads it as an exact grid is read: one separable contraction
+(_contract, one small phase matrix per axis) of every requested order, and
+one rounding bound per scale.  The first level samples
 2*DEFAULT_START_N points per dimension and reads the DEFAULT_START_N
 statistic from the even sub-grid, whose coordinates are bitwise those of the
 smaller grid, so a result accepted at N = 2*DEFAULT_START_N costs one
@@ -139,6 +140,8 @@ class GridFunction:
     bounds: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise DimensionMismatch(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
         if self.bounds is None:
             return
         if len(self.bounds) != self.n:
@@ -242,8 +245,9 @@ def sample_torus(
     Raises ValueError for a scale outside SCALE_RANGE (the variance model
     divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
-    blow-up threshold, and GridTooLarge when the point count per scale
-    exceeds MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension).
+    blow-up threshold, GridTooLarge when the point count per scale exceeds
+    MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension), and
+    DimensionMismatch when eval_grid returns other than k components.
     """
     n, k = f.n, f.k
     lams = np.asarray(lam, dtype=float)
@@ -279,6 +283,8 @@ def sample_torus(
             raise PoleOnTorus(
                 f"pole on the {_torus(lams)}: {exc}", point=exc.point
             ) from exc
+        if len(components) != k:
+            raise DimensionMismatch(f"{len(components)} components from eval_grid, expected {k}")
         slab = values[part]
         for alpha, component in enumerate(components):
             slab[..., alpha] = component
@@ -296,35 +302,6 @@ def sample_torus(
     one = lams.ndim == 0
     return TorusGrid(n=n, k=k, lam=lam if one else lams, N=N, values=values,
                      peak=float(peak) if one else peak, shift=shift)
-
-
-def laurent_coefficients(grid: TorusGrid, indices: Sequence[Sequence[int]]) -> np.ndarray:
-    """Coefficients c_a of the sampled function for every index a, as an
-    array of shape (len(indices), k), or (L, len(indices), k) for a block of
-    L scales.
-
-    c_a = lam^(-sum a) * (1/N^n) * sum_m values(m) exp(-2*pi*i*a.(m + s)/N),
-    with s the grid's shift (zero when it has none); exact to rounding when
-    N exceeds the exponent gaps of _gap.  Requires |a_j| <= N/2 - 1 against
-    aliasing.
-
-    The sum is separable (see _contract).
-    """
-    n, N = grid.n, grid.N
-    idx = [tuple(int(x) for x in a) for a in indices]
-    for avec in idx:
-        if len(avec) != n:
-            raise DimensionMismatch(f"index {avec} has length {len(avec)}, expected {n}")
-        if any(abs(x) > N // 2 - 1 for x in avec):
-            raise AliasingRisk(
-                f"coefficient order {avec} too high for N={N} (need |a_j| <= N/2 - 1)"
-            )
-    orders = [sorted({a[j] for a in idx}) for j in range(n)]
-    rows = [[orders[j].index(a[j]) for a in idx] for j in range(n)]
-    coeffs = _contract(grid, orders)[(..., *rows, slice(None))]
-    sums = np.array([sum(a) for a in idx], dtype=float)
-    scale = np.asarray(grid.lam)[..., None] ** -sums / N**n
-    return coeffs * scale[..., None]
 
 
 def _contract(grid: TorusGrid, orders: Sequence[Sequence[int]]) -> np.ndarray:
@@ -348,10 +325,24 @@ def _contract(grid: TorusGrid, orders: Sequence[Sequence[int]]) -> np.ndarray:
     return out
 
 
+def _check_aliasing(indices: Sequence[Sequence[int]], N: int) -> None:
+    """Raise AliasingRisk unless every index a has |a_j| <= N/2 - 1."""
+    for a in indices:
+        if any(abs(x) > N // 2 - 1 for x in a):
+            raise AliasingRisk(f"coefficient order {a} too high for N={N} (need |a_j| <= N/2 - 1)")
+
+
 def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
     """Coefficient c_a of the sampled function, one entry per component
-    (see laurent_coefficients)."""
-    return laurent_coefficients(grid, [a])[0]
+    after a block's scale axis: lam^(-sum a) / N^n times the _contract sum at
+    the one order a, exact to rounding when N exceeds the exponent gaps of
+    _gap.  Raises AliasingRisk as _check_aliasing does."""
+    a = tuple(int(x) for x in a)
+    if len(a) != grid.n:
+        raise DimensionMismatch(f"index {a} has length {len(a)}, expected {grid.n}")
+    _check_aliasing([a], grid.N)
+    coeff = _contract(grid, [[x] for x in a])[(..., *(0,) * grid.n, slice(None))]
+    return coeff * (np.asarray(grid.lam)[..., None] ** -float(sum(a)) / grid.N**grid.n)
 
 
 @dataclass(frozen=True)
@@ -402,17 +393,17 @@ def _adaptive(
 ) -> tuple[np.ndarray, float, int]:
     """Refine N at one scale until the statistic is resolved within tol.
 
-    ``read`` returns the statistic on a grid of f with a per-entry rounding
-    bound.  The first level samples 2*DEFAULT_START_N points per dimension
-    and reads its even sub-grid as the starting level; every later level
-    samples one new grid.  A level accepts N when the grids N/2 and N agree;
+    ``read`` returns the statistic on a grid of f with its rounding bound.
+    The first level samples 2*DEFAULT_START_N points per dimension and reads
+    its even sub-grid as the starting level; every later level samples one
+    new grid.  A level accepts N when the grids N/2 and N agree;
     when only the squared delta is within tol, it samples the N grid turned
     by GRID_SHIFT and accepts N when the alias error inferred from the two
     (see _alias_floor) is.  Otherwise N doubles.  Agreement is absolute for
     entries of modulus <= 1 and relative above, so large variances do not
     stall the refinement at the rounding floor.  The returned error estimate
-    is the infinity-norm of the accepting delta or alias error, floored
-    entry by entry by the rounding bound of N.
+    is the infinity-norm of the accepting delta or alias error, floored by
+    the rounding bound of N.
     """
     N = 2 * DEFAULT_START_N
     if N > max_n:
@@ -475,14 +466,15 @@ def _grid_mean(
     products: np.ndarray, grid: TorusGrid, k: int, degree: int, peaks
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid mean of k products conj(u).v of two samples (|f|^2 or conj(f).g),
-    summed over the k, and its bound 4*k*max(peak_u, 1)*_rounding_bound(grid,
-    degree, peak_v), each in a last axis of length one, for the peaks
-    (peak_u, peak_v) of the two operands.  The sum is pairwise in the memory
-    order of one scale's grid, so its rounding is logarithmic in N^n."""
+    summed over the k, in a last axis of length one, and its bound
+    4*k*max(peak_u, 1)*_rounding_bound(grid, degree, peak_v), one per scale,
+    for the peaks (peak_u, peak_v) of the two operands.  The sum is pairwise
+    in the memory order of one scale's grid, so its rounding is logarithmic
+    in N^n."""
     peak_u, peak_v = peaks
     total = products.sum(axis=tuple(range(-grid.n - 1, 0)))
     est = 4 * k * np.maximum(peak_u, 1.0) * _rounding_bound(grid, degree, peak_v)
-    return total[..., None] / grid.N**grid.n, np.asarray(est)[..., None]
+    return total[..., None] / grid.N**grid.n, np.asarray(est)
 
 
 def _refine(
@@ -492,26 +484,29 @@ def _refine(
     lams: Sequence[float],
     tol: float,
     max_n: int,
-) -> list[tuple[np.ndarray, float, int]]:
-    """One refinement of f per scale in lams: the exact grid when the
-    exponent width is known, else the doubling loop (see _adaptive).  Raises
-    ValueError unless tol is positive and finite.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One refinement of f per scale in lams, stacked: (values, est_error,
+    grid_n) of shapes (L, W), (L,) and (L,) for L scales and a statistic of W
+    entries.  The exact grid is read when the exponent width is known, else
+    the doubling loop runs (see _adaptive).  Raises ValueError unless tol is
+    positive and finite.
 
-    ``read`` returns the statistic on a grid with a per-entry rounding
-    bound, the block's scale axis leading.  The exact grid is the smallest
+    ``read`` returns the statistic on a grid and its rounding bound, one per
+    scale, the block's scale axis leading.  The exact grid is the smallest
     power of two N >= MIN_N above ``width``, the widest exponent gap the
     statistic pairs (see _gap).  Its scales are sampled in blocks of at most
-    BLOCK_VALUES values, and each scale's row is its answer, with the
-    largest bound of the row as its error estimate.  tol governs only the
-    doubling loop: an exact read holds every coefficient it pairs, so a
-    finer grid would only raise the bound's max(N, degree).  A block that
-    raises a pole or an invalid scale is sampled again one scale at a time,
-    so the error is the one a one-scale call raises.
+    BLOCK_VALUES values, and each scale's row and bound are its answer and
+    error estimate.  tol governs only the doubling loop: an exact read holds
+    every coefficient it pairs, so a finer grid would only raise the bound's
+    max(N, degree).  A block that raises a pole or an invalid scale is
+    sampled again one scale at a time, so the error is the one a one-scale
+    call raises.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if width is None:
-        return [_adaptive(f, lam, read, tol, max_n) for lam in lams]
+        runs = [_adaptive(f, lam, read, tol, max_n) for lam in lams]
+        return tuple(np.array(column) for column in zip(*runs))
     N = MIN_N
     while N <= width:
         N *= 2
@@ -521,18 +516,19 @@ def _refine(
         )
     step = max(1, BLOCK_VALUES // (N**f.n * f.k))
     pending = [lams[i : i + step] for i in range(0, len(lams), step)]
-    results = []
+    values, ests = [], []
     while pending:
         block = pending.pop(0)
         try:
-            values, ests = read(sample_torus(f, block, N))
+            value, est = read(sample_torus(f, block, N))
         except (PoleOnTorus, ValueError):
             if len(block) == 1:
                 raise
             pending[:0] = [[lam] for lam in block]
             continue
-        results.extend((value, float(err), N) for value, err in zip(values, ests.max(axis=-1)))
-    return results
+        values.append(value)
+        ests.append(est)
+    return np.concatenate(values), np.concatenate(ests), np.full(len(lams), N)
 
 
 def _exponent_bounds(f) -> list[tuple[int, int]] | None:
@@ -565,51 +561,51 @@ def _coefficients(
     tol: float,
     max_n: int,
     box: bool = False,
-) -> list[tuple[np.ndarray, float, float, int, np.ndarray]]:
-    """The one coefficient reader: at each scale in lams, (rows, mean |f|^2,
-    est_error, N_used, spectrum), rows[i] the k components of the coefficient
-    at indices[i], a tuple of ints, all read from one grid (see _refine for
-    blocks).  A range is read on the exact grid of its spread,
-    _gap(bounds, bounds): an order outside it is exactly 0 and is not
-    contracted.  With ``box``, spectrum holds c^_a = c_a lam^(sum a) for
-    every a of the range box in C order (axis j over lo_j..hi_j, components
-    last), else it is empty.  Its entries carry no bound of their own: the
-    est_error covers their energies (Parseval)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one coefficient reader: (rows, mean |f|^2, est_error, N_used,
+    spectrum) stacked over the L scales in lams, rows[l, i] the k components
+    of the coefficient at indices[i], a tuple of ints, all read from one grid
+    per scale by one _contract (see _refine for blocks).  A range is read on
+    the exact grid of its spread, _gap(bounds, bounds): an order outside it
+    is exactly 0 and is not contracted.  Without a range every order is
+    contracted, and checked by _check_aliasing.  With ``box`` and a range,
+    spectrum[l] holds c^_a = c_a lam^(sum a) for every a of the range box in
+    C order (axis j over lo_j..hi_j, components last), else it is empty.  Its
+    entries carry no bound of their own: the est_error covers their energies
+    (Parseval)."""
     n, k, m = f.n, f.k, len(indices)
     if any(len(a) != n for a in indices):
         raise DimensionMismatch(f"indices {list(indices)} must each have length {n}")
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
     bounds = _exponent_bounds(f)
     degree = _degree(bounds)
-    if bounds is not None:
-        inside = [i for i, a in enumerate(indices)
-                  if all(lo <= x <= hi for x, (lo, hi) in zip(a, bounds))]
-        orders = ([range(lo, hi + 1) for lo, hi in bounds] if box
-                  else [sorted({indices[i][j] for i in inside}) for j in range(n)])
-        rows = [[orders[j].index(indices[i][j]) for i in inside] for j in range(n)]
+    box = box and bounds is not None
+    inside = [i for i, a in enumerate(indices) if bounds is None
+              or all(lo <= x <= hi for x, (lo, hi) in zip(a, bounds))]
+    orders = ([range(lo, hi + 1) for lo, hi in bounds] if box
+              else [sorted({indices[i][j] for i in inside}) for j in range(n)])
+    rows = [[orders[j].index(indices[i][j]) for i in inside] for j in range(n)]
 
     def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         lead = np.shape(grid.lam)
         scales = np.asarray(grid.lam)[..., None] ** powers
         vec, spectrum = np.zeros(lead + (m, k), dtype=complex), np.zeros(lead + (0,))
         if bounds is None:
-            vec = laurent_coefficients(grid, indices)
-        elif box or inside:
+            _check_aliasing(indices, grid.N)
+        if box or inside:
             read_box = _contract(grid, orders) / grid.N**n
             vec[..., inside, :] = read_box[(..., *rows, slice(None))] * scales[..., inside, None]
             if box:
                 spectrum = read_box.reshape(lead + (-1,))
-        unit = np.asarray(_rounding_bound(grid, degree, grid.peak))[..., None]
+        unit = _rounding_bound(grid, degree, grid.peak)
         power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, k, degree, (grid.peak,) * 2)
-        est = (unit * scales).repeat(k, axis=-1)
-        return (np.concatenate([vec.reshape(lead + (-1,)), power, spectrum], axis=-1),
-                np.concatenate([est, bound, np.zeros(spectrum.shape)], axis=-1))
+        est = np.maximum(unit * scales.max(axis=-1, initial=0.0), bound)
+        return np.concatenate([vec.reshape(lead + (-1,)), power, spectrum], axis=-1), est
 
     width = None if bounds is None else _gap(bounds, bounds)
-    return [
-        (vec[: m * k].reshape(m, k), float(vec[m * k].real), err, n_used, vec[m * k + 1 :])
-        for vec, err, n_used in _refine(f, read, width, lams, tol, max_n)
-    ]
+    values, est, grid_n = _refine(f, read, width, lams, tol, max_n)
+    return (values[:, : m * k].reshape(len(lams), m, k), values[:, m * k].real, est, grid_n,
+            values[:, m * k + 1 :])
 
 
 def adaptive_coefficients(
@@ -622,8 +618,8 @@ def adaptive_coefficients(
     index as a tuple of ints.
     """
     idx = [tuple(int(x) for x in a) for a in indices]
-    rows, _, err, n_used, _ = _coefficients(f, [lam], idx, DEFAULT_TOL, DEFAULT_MAX_N)[0]
-    return dict(zip(idx, rows)), err, n_used
+    rows, _, err, n_used, _ = _coefficients(f, [lam], idx, DEFAULT_TOL, DEFAULT_MAX_N)
+    return dict(zip(idx, rows[0])), float(err[0]), int(n_used[0])
 
 
 def _summaries(
@@ -637,25 +633,25 @@ def _summaries(
     """spectral_summaries, each summary with the coefficient rows of its
     grid at the orders in extra and, with ``box``, the spectrum of its range
     box (see _coefficients).  One grid per scale is read at the orders 0,
-    -e_0..-e_{n-1}, +e_0..+e_{n-1} and then extra."""
+    -e_0..-e_{n-1}, +e_0..+e_{n-1} and then extra; no scale reads none."""
     n = f.n
     check_dimension(n)
+    lams = list(lams)
+    if not lams:
+        return []
     unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
     indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
-    lams = list(lams)
-    results = _coefficients(f, lams, indices, tol, max_n, box)
-    rows = np.array([r for r, *_ in results]).reshape(len(lams), len(indices), f.k)
+    rows, power, est, grid_n, spectra = _coefficients(f, lams, indices, tol, max_n, box)
     core, eta = rows[:, 0], rows[:, 1 : n + 1].swapaxes(1, 2)
     jac = rows[:, n + 1 : 2 * n + 1].swapaxes(1, 2)
-    power = np.array([p for _, p, *_ in results], dtype=float)
     variance = np.maximum(power - trace_norm_sq(core, 1), 0.0)
     tail = variance - variance_model(eta, jac, lams)
     return [
         (SpectralSummary(lam=lam, core=core[i], eta=eta[i], jacobian=jac[i],
                          variance=v, tail_energy=t, est_error=err, grid_n=n_used),
-         rows[i, 2 * n + 1 :], spectrum)
-        for i, (lam, v, t, (_, _, err, n_used, spectrum))
-        in enumerate(zip(lams, variance.tolist(), tail.tolist(), results))
+         rows[i, 2 * n + 1 :], spectra[i])
+        for i, (lam, v, t, err, n_used) in enumerate(
+            zip(lams, variance.tolist(), tail.tolist(), est.tolist(), grid_n.tolist()))
     ]
 
 
@@ -729,5 +725,5 @@ def inner_product_numeric(f, g, lam: float) -> complex:
         peaks = [np.abs(v).max(axis=grid_axes) for v in (f_values, g_values)]
         return _grid_mean(np.conj(f_values) * g_values, grid, k, degree, peaks)
 
-    [(vec, _, _)] = _refine(pair, read, width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
-    return complex(vec[0])
+    values, _, _ = _refine(pair, read, width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
+    return complex(values[0, 0])

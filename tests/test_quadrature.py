@@ -50,7 +50,6 @@ from polylens.quadrature import (
     first_order_summary,
     inner_product_numeric,
     laurent_coefficient,
-    laurent_coefficients,
     sample_torus,
     spectral_summaries,
     spectral_summary,
@@ -175,20 +174,27 @@ class TestCoefficients:
 def _direct_coefficient(grid: TorusGrid, a) -> np.ndarray:
     """c_a as a plain sum over every grid point, one index at a time."""
     n, N = grid.n, grid.N
-    dot = np.tensordot(np.asarray(a), np.indices((N,) * n), axes=(0, 0))
-    phase = np.exp(-2j * np.pi * dot / N)
-    total = np.sum(grid.values * phase[..., None], axis=tuple(range(n)))
-    return total * grid.lam ** (-sum(a)) / N**n
+    steps = np.indices((N,) * n, dtype=float)
+    if grid.shift is not None:
+        steps += np.reshape(grid.shift, (n,) + (1,) * n)
+    phase = np.exp(-2j * np.pi * np.tensordot(np.asarray(a), steps, axes=(0, 0)) / N)
+    total = np.sum(grid.values * phase[..., None], axis=tuple(range(-n - 1, -1)))
+    return total * np.asarray(grid.lam)[..., None] ** (-sum(a)) / N**n
 
 
 @st.composite
 def _grids_with_indices(draw):
+    """A grid of random values, with or without a shift and a leading axis of
+    scales, and indices that include a class probe and a mixed order."""
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 2))
     N = draw(st.sampled_from((8, 16, 32)))
-    lam = draw(st.sampled_from((0.3, 1.0, 1.7)))
+    scales = st.sampled_from((0.3, 1.0, 1.7))
+    lam = draw(st.one_of(scales, st.lists(scales, min_size=1, max_size=3).map(np.array)))
+    fraction = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
+    shift = draw(st.none() | st.just(GRID_SHIFT[:n]) | st.tuples(*[fraction] * n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (N,) * n + (k,)
+    shape = np.shape(lam) + (N,) * n + (k,)
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     # an order -2 class probe and a mixed index such as (1, -1, 0)
     beta = draw(st.integers(0, n - 1))
@@ -197,7 +203,7 @@ def _grids_with_indices(draw):
         fixed.append((1, -1) + (0,) * (n - 2))
     drawn = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=6))
     indices = draw(st.permutations(fixed + drawn))
-    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values), indices
+    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values, shift=shift), indices
 
 
 class TestBatchedCoefficients:
@@ -205,25 +211,19 @@ class TestBatchedCoefficients:
     @given(_grids_with_indices())
     def test_matches_direct_sum(self, case):
         grid, indices = case
-        got = laurent_coefficients(grid, indices)
-        assert got.shape == (len(indices), grid.k)
-        for row, a in zip(got, indices):
-            want = _direct_coefficient(grid, a)
-            assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-
-    def test_single_index_wrapper(self):
-        grid = sample_torus(parse("1/w1 + 2*w2, w1*w2", 2), 0.7, 16)
-        indices = [(0, 0), (-1, 0), (0, 1), (1, 1)]
-        batch = laurent_coefficients(grid, indices)
-        for row, a in zip(batch, indices):
-            assert np.allclose(laurent_coefficient(grid, a), row, rtol=1e-14, atol=1e-14)
+        for a in indices:
+            got, want = laurent_coefficient(grid, a), _direct_coefficient(grid, a)
+            assert got.shape == np.shape(grid.lam) + (grid.k,)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_checks_every_index(self):
-        grid = sample_torus(parse("w1", 2), 1.0, 16)
-        with pytest.raises(AliasingRisk):
-            laurent_coefficients(grid, [(0, 0), (1, 8)])
+        # without a range every order is contracted, so one bad order among
+        # good ones is refused on the first grid of the doubling loop
+        f = GridFunction(2, 1, parse("w1", 2).eval_grid)
+        with pytest.raises(AliasingRisk, match=r"order \(1, 8\) too high for N=16"):
+            adaptive_coefficients(f, 1.0, [(0, 0), (1, 8)])
         with pytest.raises(DimensionMismatch):
-            laurent_coefficients(grid, [(0, 0), (1,)])
+            adaptive_coefficients(f, 1.0, [(0, 0), (1,)])
 
 
 # Accepted grid sizes and raised errors of the refinement loop:
@@ -493,6 +493,39 @@ class TestGridFunctionBounds:
         assert grid.values.size > SLAB_VALUES and sizes == [64]
 
 
+class TestEvaluatorShapes:
+    """sample_torus refuses a component count other than k from eval_grid,
+    and a GridFunction an empty domain or codomain."""
+
+    @staticmethod
+    def _one_of_two(c):
+        return [c[0] + 0j]
+
+    @pytest.mark.parametrize("N", [4, 16])
+    def test_too_few_components(self, N):
+        # N = 4 left the second component uninitialised, N = 16 a pole
+        with pytest.raises(DimensionMismatch, match="1 components from eval_grid, expected 2"):
+            sample_torus(GridFunction(1, 2, self._one_of_two), 1.0, N)
+
+    @pytest.mark.parametrize("bounds", [None, ((1, 1),)])
+    def test_too_few_components_in_a_summary(self, bounds):
+        f = GridFunction(1, 2, self._one_of_two, bounds)
+        with pytest.raises(DimensionMismatch, match="expected 2"):
+            spectral_summary(f, 1.0)
+        with pytest.raises(DimensionMismatch, match="expected 2"):
+            spectral_summaries(f, [0.5, 1.0, 2.0])
+
+    def test_too_many_components(self):
+        f = GridFunction(1, 1, lambda c: [c[0], c[0]])
+        with pytest.raises(DimensionMismatch, match="2 components from eval_grid, expected 1"):
+            sample_torus(f, 1.0, 8)
+
+    @pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (-1, 2)])
+    def test_empty_domain_or_codomain(self, n, k):
+        with pytest.raises(DimensionMismatch, match="need n >= 1 and k >= 1"):
+            GridFunction(n, k, lambda c: [])
+
+
 # The exact-grid width of an inner product: the widest gap between the
 # exponents of f and g.
 def _inner_product_width(f_bounds, g_bounds) -> int:
@@ -685,13 +718,13 @@ class TestInnerProduct:
         refine = quadrature._refine
 
         def recorded(*args):
-            refined.extend(refine(*args))
-            return refined
+            refined.append(refine(*args))
+            return refined[-1]
 
         monkeypatch.setattr(quadrature, "_refine", recorded)
         f = LaurentPoly.scalar(1, {(degree,): 1})
         value = inner_product_numeric(f, f, lam)
-        [(_, est, N)] = refined
+        [(_, [est], [N])] = refined
         exact = inner_product_exact(f, f, Fraction(lam))
         assert N == 4
         assert abs(value - complex(exact)) <= est
@@ -805,11 +838,12 @@ class TestShiftedGrid:
     def test_coefficients_match_the_unshifted_grid(self, case):
         f, N, lam, shift, drawn = case
         indices = [(0,) * f.n, *drawn]
-        plain = laurent_coefficients(sample_torus(f, lam, N), indices)
+        grid = sample_torus(f, lam, N)
         turned = sample_torus(f, lam, N, shift=shift)
         assert turned.shift == shift
-        got = laurent_coefficients(turned, indices)
-        assert np.all(np.abs(got - plain) <= 1e-12 * np.maximum(1.0, np.abs(plain)))
+        for a in indices:
+            plain, got = laurent_coefficient(grid, a), laurent_coefficient(turned, a)
+            assert np.all(np.abs(got - plain) <= 1e-12 * np.maximum(1.0, np.abs(plain)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_shifts_keep_every_alias_detectable(self, n):
@@ -929,6 +963,13 @@ class TestScaleBlocks:
         assert batched.value.point == one.value.point
         assert f"radius-{bad:g} torus" in str(one.value)
 
+    @pytest.mark.parametrize("text", ["1/w + w", "1/(w-2)"])
+    def test_no_scales_give_no_summaries(self, text):
+        # the exact grid and the doubling loop alike sample nothing
+        counted = _Counted(parse(text, 1))
+        assert spectral_summaries(counted, []) == []
+        assert counted.sizes == []
+
     def test_invalid_scale_in_a_block_names_itself(self):
         with pytest.raises(ValueError, match="got nan"):
             spectral_summaries(parse("1/w + w", 1), [1.0, float("nan"), 2.0])
@@ -1044,7 +1085,7 @@ class TestExactReadIsTheAnswer:
                 tuple(d * (i == j) for i in range(n)) for j in range(n) for d in (-1, 1))]))
             coeffs, err, n_used = adaptive_coefficients(f, lam, orders)
             value = inner_product_numeric(f, g, lam)
-        [(_, ip_err, _)] = reads[-1]
+        _, [ip_err], _ = reads[-1]
         assert s.grid_n == n_used == _exact_grid(f.exponent_bounds())
 
         unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -1069,6 +1110,81 @@ class TestExactReadIsTheAnswer:
             spectral_summary(GridFunction(1, 1, f.eval_grid), 1.3, tol=1e-20)
         s = spectral_summary(f, 1.3, tol=1e-20)
         assert s.grid_n == 4 and 1e-20 < s.est_error < 1e-12
+
+
+def _per_entry_bound(f, grid, indices, spectrum_size) -> np.ndarray:
+    """The rounding bound of every entry of a coefficient read of f, as the
+    reader once reported it entry by entry: unit * lam^(-sum a) for each
+    component of each coefficient, 4*k*max(peak, 1)*unit for the mean of
+    |f|^2 and 0 for each spectrum entry, unit being _rounding_bound(grid,
+    degree, peak), one row per scale."""
+    k = f.k
+    degree = quadrature._degree(quadrature._exponent_bounds(f))
+    unit = np.asarray(quadrature._rounding_bound(grid, degree, grid.peak))[..., None]
+    scales = np.asarray(grid.lam)[..., None] ** -np.array([sum(a) for a in indices], dtype=float)
+    power = 4 * k * np.maximum(grid.peak, 1.0)[..., None] * unit
+    zeros = np.zeros(np.shape(grid.lam) + (spectrum_size,))
+    return np.concatenate([(unit * scales).repeat(k, axis=-1), power, zeros], axis=-1)
+
+
+_NO_RANGE = [
+    parse("1/(w-2)", 1),
+    parse("1/w1 + 2*w2 + 0.5/(3 - w1*w2)", 2),
+    GridFunction(1, 2, parse("1/w + w^2 + 1/(3 - w), 3*w", 1).eval_grid),
+]
+
+
+@st.composite
+def _bound_inputs(draw):
+    """An evaluator, a few scales, extra orders and whether to read the range
+    box: a random_decomposable polynomial, a _ranged function, or one
+    without a range at one or two scales.  An extra order of high degree at
+    a small scale has a bound above that of the mean of |f|^2."""
+    kind = draw(st.sampled_from(["decomposable", "ranged", "none"]))
+    if kind == "decomposable":
+        f = random_decomposable(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    elif kind == "ranged":
+        f = _ranged_function(*draw(_ranged(draw(st.integers(1, 3)))))
+    else:
+        f = draw(st.sampled_from(_NO_RANGE))
+    scales = st.sampled_from((0.3, 0.5, 0.8, 1.0, 1.3, 1.7))
+    lams = draw(st.lists(scales, min_size=1, max_size=2 if kind == "none" else 5))
+    extra = draw(st.lists(st.tuples(*[st.integers(-3, 4)] * f.n), max_size=3))
+    return f, lams, extra, draw(st.booleans())
+
+
+class TestOneBoundPerScale:
+    """A read reports one rounding bound per scale, the largest of the
+    bounds it once reported entry by entry, so est_error keeps its bits on
+    the exact grid and in the doubling loop alike."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_bound_inputs())
+    def test_est_error_is_the_largest_per_entry_bound(self, case):
+        f, lams, extra, box = case
+        reads, refine = [], quadrature._refine
+
+        def recorded(g, read, *args):
+            reads.append(read)
+            return refine(g, read, *args)
+
+        with mock.patch.object(quadrature, "_refine", side_effect=recorded):
+            got = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, extra, box)
+        [read] = reads
+        unit = [tuple(int(i == j) for i in range(f.n)) for j in range(f.n)]
+        indices = [(0,) * f.n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
+        size = got[0][2].size
+
+        def per_entry(grid):
+            return read(grid)[0], _per_entry_bound(f, grid, indices, size)
+
+        if quadrature._exponent_bounds(f) is None:
+            want = [quadrature._adaptive(f, lam, per_entry, DEFAULT_TOL, DEFAULT_MAX_N)[1]
+                    for lam in lams]
+        else:
+            block = sample_torus(f, lams, got[0][0].grid_n)
+            want = per_entry(block)[1].max(axis=-1).tolist()
+        assert [s.est_error for s, _, _ in got] == want
 
 
 def _box_energies(f, lam, max_n=DEFAULT_MAX_N):
