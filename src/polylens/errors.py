@@ -47,7 +47,10 @@ class DivisionNearZero(LensError):
 
 
 class GridTooLarge(LensError):
-    """Requested sample grid exceeds the point budget (quadrature.MAX_TOTAL_POINTS)."""
+    """Requested sample grid exceeds the point budget (quadrature.MAX_TOTAL_POINTS),
+    or the dimension its cap.  The budget bounds time: no read holds a grid,
+    so memory is bounded by the slab and the read (quadrature.SLAB_VALUES and
+    READ_VALUES) and their accumulators."""
 
 
 class AliasingRisk(LensError):

@@ -61,17 +61,24 @@ tolerance, N doubles as before.  On either path the estimate is floored by
 the rounding bound of the accepted grid, since the nested grids share points
 and rounding.
 
-A pointwise evaluator (one whose ``pointwise`` attribute is true, such as
-``MeroExpr`` and ``LaurentPoly``) is evaluated on a grid of more than
-SLAB_VALUES values slab by slab, rows of the first grid axis at a time, into
-the one array of the grid.  Its intermediates then stay arrays of a slab,
-not of the grid: an n = 4 expression summed term by term otherwise holds
-three grid-sized temporaries at once, and where the allocator placed them
-moved the peak memory of a process by one grid array from run to run.  The
-operations are elementwise, so the values are those of one evaluation; a
-pole found in a slab is reported at that slab's point, and no row is
-evaluated twice.  A :class:`GridFunction` wraps an arbitrary callable, so it
-is evaluated whole.
+The engine holds no grid.  sample_torus evaluates f in slabs, rows of the
+first grid axis at a time: a pointwise evaluator (one whose ``pointwise``
+attribute is true, such as ``MeroExpr`` and ``LaurentPoly``) in slabs of at
+most SLAB_VALUES values (one row at least), so its intermediates are arrays
+of a slab; a :class:`GridFunction` wraps an arbitrary callable, so it is
+evaluated whole, as one slab.  The engine's reader takes the rows as they
+come, up to READ_VALUES values (a few slabs) at a time, while they are in
+cache: one modulus pass gives their peak (non-finite iff some value is) and
+their share of the mean of |f|^2, and a contraction of the other axes and
+then of those rows, by axis 0's phase matrix restricted to them, their
+share of every coefficient.  On the doubling loop's first level the same
+pass reads the even-indexed points as the N/2 grid.  So a read holds at most READ_VALUES values, their moduli,
+a slab's intermediates and r^n * k sums (r orders per axis), not N^n
+values; a grid of up to READ_VALUES values is read at once, with the bits
+of a whole-grid read.  The operations are elementwise, so the values are
+those of one evaluation; a pole found in a slab is reported at that slab's
+point, and no row is evaluated twice.  sample_torus still returns the whole
+grid to a caller that asks for its values.
 
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
@@ -85,7 +92,6 @@ free; grids and summaries are immutable once built.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -106,11 +112,15 @@ DEFAULT_TOL = 1e-10
 DEFAULT_START_N = 16          # first grid of the doubling loop
 MIN_N = 4                     # smallest grid per dimension, and the smallest exact grid
 DEFAULT_MAX_N = 4096          # per-dimension cap; env LENS_MAX_GRID overrides via CLI
-MAX_TOTAL_POINTS = 2**24      # budget on N**n per scale, read by sample_torus at each call
+# Budget on N**n per scale, read by sample_torus at each call.  It bounds
+# time; memory is bounded by the slab and the read (SLAB_VALUES and
+# READ_VALUES) and the accumulators, since no read holds a grid.
+MAX_TOTAL_POINTS = 2**24
 MAX_DIMENSION = 4
 BLOWUP_THRESHOLD = 1e12       # |f| beyond this counts as a pole on the torus
 BLOCK_VALUES = 2**14          # most values (scales x N^n x k) in one block of scales
 SLAB_VALUES = 2**16           # most values one evaluation of a pointwise evaluator yields
+READ_VALUES = 2**18           # most values the engine reads at once: a few slabs
 SCALE_RANGE = (2.0**-511, 2.0**511)  # scales whose square is a normal float
 
 # Per-axis turn of the confirming grid, in grid steps.  For every nonzero m in
@@ -185,15 +195,6 @@ class TorusGrid:
     peak: float | np.ndarray | None = None  # max |value| per scale, recorded by sample_torus
     shift: tuple[float, ...] | None = None  # per-axis turn in grid steps
 
-    def even_subgrid(self) -> "TorusGrid":
-        """The N/2 grid formed by the even-indexed points of this one (its
-        peak is this grid's, an upper bound)."""
-        values = self.values[(..., *(slice(None, None, 2),) * self.n, slice(None))]
-        shift = None if self.shift is None else tuple(s / 2 for s in self.shift)
-        return TorusGrid(n=self.n, k=self.k, lam=self.lam, N=self.N // 2,
-                         values=np.ascontiguousarray(values), peak=self.peak,
-                         shift=shift)
-
 
 def _steps(N: int, shift: tuple[float, ...] | None, j: int) -> np.ndarray:
     """Grid positions along axis j, in grid steps."""
@@ -234,20 +235,29 @@ def sample_torus(
     lam,
     N: int,
     shift: tuple[float, ...] | None = None,
-) -> TorusGrid:
+    read=None,
+):
     """Evaluate f on the N^n torus grid, turned by shift[j] grid steps along
-    axis j when a shift is given.  ``lam`` is one scale, or a sequence of L
-    scales sampled as one block in a single evaluation of f (see TorusGrid).
-    A pointwise evaluator on a grid of more than SLAB_VALUES values is
-    evaluated slab by slab along the first grid axis (see the module
-    docstring).
+    axis j when a shift is given, and return it as a TorusGrid.  ``lam`` is
+    one scale, or a sequence of L scales sampled as one block in a single
+    evaluation of f (see TorusGrid).  A pointwise evaluator on a grid of more
+    than SLAB_VALUES values is evaluated slab by slab along the first grid
+    axis (see the module docstring).
+
+    ``read``, which only the engine passes, keeps no grid: read(lams, N,
+    shift) makes a reader, the rows go to reader.add(values, modulus, rows)
+    up to READ_VALUES values at a time, with their moduli (which the reader
+    may overwrite) and the slice of the first axis they fill, and
+    sample_torus returns reader.result(peak), for the peak max |value| per
+    scale.
 
     Raises ValueError for a scale outside SCALE_RANGE (the variance model
     divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
     blow-up threshold, GridTooLarge when the point count per scale exceeds
     MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension), and
-    DimensionMismatch when eval_grid returns other than k components.
+    DimensionMismatch when eval_grid returns other than k components or a
+    component that does not broadcast to the grid.
     """
     n, k = f.n, f.k
     lams = np.asarray(lam, dtype=float)
@@ -266,42 +276,91 @@ def sample_torus(
     if shift is not None and len(shift) != n:
         raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
     coords = torus_coords(n, lams, N, shift)
-    values = np.empty(lams.shape + (N,) * n + (k,), dtype=complex)
-    rows = N  # of the first grid axis per evaluation of f
+    shape = lams.shape + (N,) * n + (k,)
+    per_row = lams.size * N ** (n - 1) * k  # values in a row of the first grid axis
+    rows = N  # per evaluation of f
     if getattr(f, "pointwise", False):  # so it may run on slabs
-        rows = min(N, max(1, SLAB_VALUES * N // values.size))
+        rows = min(N, max(1, SLAB_VALUES // per_row))
+    # rows read at once: a slab when the grid is kept, else up to READ_VALUES values
+    span = rows if read is None else min(N, rows * max(1, READ_VALUES // (rows * per_row)))
+    part = lams.shape + (span,) + shape[lams.ndim + 1 :]
+    if read is None:
+        values, modulus = np.empty(shape, dtype=complex), np.empty(part)
+    else:
+        # The values and their moduli share one allocation.  Freed, a block
+        # this large lifts glibc's dynamic mmap and trim thresholds above the
+        # evaluator's temporaries, which otherwise go back to the system
+        # after every grid and fault in again (with two allocations, each
+        # summary of a 32^4 grid took 5,000 page faults on 2-core Linux).
+        size = span * per_row
+        buffer = np.empty(3 * size)
+        values = buffer[: 2 * size].view(complex).reshape(part)
+        modulus = buffer[2 * size :].reshape(part)
+    reader = None if read is None else read(lams, N, shift)
     lead = (slice(None),) * lams.ndim
-    grid_axes = tuple(range(lams.ndim, values.ndim))
-    finite, peaks = True, []
-    for start in range(0, N, rows):
-        part = lead + (slice(start, start + rows),)
-        try:
-            # overflow and 0/0 leave non-finite values, refused below
-            with np.errstate(all="ignore"):
-                components = f.eval_grid([coords[0][part], *coords[1:]])
-        except DivisionNearZero as exc:
-            raise PoleOnTorus(
-                f"pole on the {_torus(lams)}: {exc}", point=exc.point
-            ) from exc
-        if len(components) != k:
-            raise DimensionMismatch(f"{len(components)} components from eval_grid, expected {k}")
-        slab = values[part]
-        for alpha, component in enumerate(components):
-            slab[..., alpha] = component
-        # checked per slab, so that no temporary has the size of the grid
-        finite = finite and np.isfinite(slab).all()
-        if finite:
-            peaks.append(np.abs(slab).max(axis=grid_axes))
-    if not finite:
+    grid_axes = tuple(range(lams.ndim, len(shape)))
+    peak = None  # per scale
+    # overflow and 0/0 leave non-finite values, refused below
+    with np.errstate(all="ignore"):
+        for begin in range(0, N, span):
+            end = min(begin + span, N)
+            offset = 0 if read is None else begin  # the grid row in row 0 of values
+            for start in range(begin, end, rows):
+                stop = min(start + rows, end)
+                try:
+                    components = f.eval_grid([coords[0][lead + (slice(start, stop),)], *coords[1:]])
+                except DivisionNearZero as exc:
+                    raise PoleOnTorus(
+                        f"pole on the {_torus(lams)}: {exc}", point=exc.point
+                    ) from exc
+                if len(components) != k:
+                    raise DimensionMismatch(
+                        f"{len(components)} components from eval_grid, expected {k}"
+                    )
+                slab = values[lead + (slice(start - offset, stop - offset),)]
+                try:
+                    for alpha, component in enumerate(components):
+                        slab[..., alpha] = component
+                except ValueError as exc:
+                    raise DimensionMismatch(
+                        f"component {alpha} from eval_grid has shape {np.shape(component)}, "
+                        f"which does not broadcast to {slab.shape[:-1]}"
+                    ) from exc
+            chunk = values[lead + (slice(begin - offset, end - offset),)]
+            mag = modulus[lead + (slice(0, end - begin),)]
+            top = np.abs(chunk, out=mag).max(axis=grid_axes)
+            peak = top if peak is None else np.maximum(peak, top)
+            if reader is not None:
+                reader.add(chunk, mag, slice(begin, end))
+    worst = peak.max()
+    if not np.isfinite(worst):  # NaN propagates through the maxima
         raise PoleOnTorus(f"non-finite value on the {_torus(lams)}")
-    peak = functools.reduce(np.maximum, peaks)  # per scale
-    if peak.max() > BLOWUP_THRESHOLD:
-        raise PoleOnTorus(
-            f"value of modulus {peak.max():.3g} on the {_torus(lams)}"
-        )
+    if worst > BLOWUP_THRESHOLD:
+        raise PoleOnTorus(f"value of modulus {worst:.3g} on the {_torus(lams)}")
     one = lams.ndim == 0
+    peak = float(peak) if one else peak
+    if reader is not None:
+        return reader.result(peak)
     return TorusGrid(n=n, k=k, lam=lam if one else lams, N=N, values=values,
-                     peak=float(peak) if one else peak, shift=shift)
+                     peak=peak, shift=shift)
+
+
+def _phases(orders: Sequence[Sequence[int]], N: int, shift) -> list[np.ndarray]:
+    """One (r_j, N) phase matrix exp(-2*pi*i*a*(m + s_j)/N) per axis j, a row
+    per order a in orders[j]."""
+    return [np.exp(-2j * np.pi * np.array(axis)[:, None] * _steps(N, shift, j) / N)
+            for j, axis in enumerate(orders)]
+
+
+def _contract_axes(out: np.ndarray, phases, lead: int, first: int = 0) -> np.ndarray:
+    """Contract grid axes first, first + 1, ... of ``out`` (the axes before
+    ``first`` already contracted, after ``lead`` scale axes) against one phase
+    matrix each, from the left: (r_j, N_j) @ (lead, r_0, ..., r_{j-1}, N_j,
+    rest).  The first step reads ``out`` in place; the others read its small
+    result."""
+    for j, p in enumerate(phases, first):
+        out = p @ out.reshape(out.shape[: lead + j] + (p.shape[1], -1))
+    return out
 
 
 def _contract(grid: TorusGrid, orders: Sequence[Sequence[int]]) -> np.ndarray:
@@ -310,19 +369,10 @@ def _contract(grid: TorusGrid, orders: Sequence[Sequence[int]]) -> np.ndarray:
     the length of orders[j] and a block's scale axis leading.
 
     The sum is separable: axis j is contracted against one phase matrix with a
-    row per order on that axis.  Axis 0 goes first, from the left, so the full
-    grid is read in place; the remaining axes are contracted on the small
-    result.
+    row per order on that axis, axis 0 first (see _contract_axes).  A
+    streamed read (_Stream) takes the same steps slab by slab.
     """
-    out = grid.values
-    lead = np.ndim(grid.lam)
-    for j, axis in enumerate(orders):
-        m = _steps(grid.N, grid.shift, j)
-        phases = np.exp(-2j * np.pi * np.array(axis)[:, None] * m / grid.N)
-        # (r_j, N) @ (lead, r_0, ..., r_{j-1}, N, rest): contracts grid axis
-        # j; the first step reads the full grid in place
-        out = phases @ out.reshape(out.shape[: lead + j] + (grid.N, -1))
-    return out
+    return _contract_axes(grid.values, _phases(orders, grid.N, grid.shift), np.ndim(grid.lam))
 
 
 def _check_aliasing(indices: Sequence[Sequence[int]], N: int) -> None:
@@ -387,16 +437,17 @@ def _alias_floor(n: int) -> float:
 def _adaptive(
     f,
     lam: float,
-    read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
+    read,
     tol: float,
     max_n: int,
 ) -> tuple[np.ndarray, float, int]:
     """Refine N at one scale until the statistic is resolved within tol.
 
-    ``read`` returns the statistic on a grid of f with its rounding bound.
-    The first level samples 2*DEFAULT_START_N points per dimension and reads
-    its even sub-grid as the starting level; every later level samples one
-    new grid.  A level accepts N when the grids N/2 and N agree;
+    ``read`` makes the reader of a grid (see sample_torus), whose result is
+    the statistic with its rounding bound.  The first level samples
+    2*DEFAULT_START_N points per dimension and reads, in the same pass, its
+    even-indexed points as the starting level (see _Even); every later level
+    samples one new grid.  A level accepts N when the grids N/2 and N agree;
     when only the squared delta is within tol, it samples the N grid turned
     by GRID_SHIFT and accepts N when the alias error inferred from the two
     (see _alias_floor) is.  Otherwise N doubles.  Agreement is absolute for
@@ -411,26 +462,26 @@ def _adaptive(
             f"grid cap N={max_n} leaves no room for two grids "
             f"(N={DEFAULT_START_N} and N={N})"
         )
-    grid = sample_torus(f, lam, N)
-    shift = GRID_SHIFT[: grid.n]
-    prev, _ = read(grid.even_subgrid())
-    cur, floor = read(grid)
-    del grid  # hold no grid while the next one is sampled
+    n = f.n
+    shift = GRID_SHIFT[:n]
+    (prev, _), (cur, floor) = sample_torus(
+        f, lam, N, read=lambda lams, size, _: _Even(n, read(lams, size // 2, None), read(lams, size, None))
+    )
     while True:
         bound = tol * np.maximum(1.0, np.abs(cur))
         delta = np.abs(cur - prev)
         if np.all(delta <= bound):
             return cur, float(np.max(np.maximum(delta, floor))), N
         if np.all(delta <= np.sqrt(bound)):
-            turned, _ = read(sample_torus(f, lam, N, shift))
-            alias = SHIFT_MARGIN * np.abs(turned - cur) / _alias_floor(len(shift))
+            turned, _ = sample_torus(f, lam, N, shift, read=read)
+            alias = SHIFT_MARGIN * np.abs(turned - cur) / _alias_floor(n)
             if np.all(alias <= bound):
                 return cur, float(np.max(np.maximum(alias, floor))), N
         if 2 * N > max_n:
             break
         prev = cur
         N *= 2
-        cur, floor = read(sample_torus(f, lam, N))
+        cur, floor = sample_torus(f, lam, N, read=read)
     raise NonConvergent(
         f"refinement reached N={N} (cap {max_n}) without two grids agreeing within {tol:g}"
     )
@@ -441,8 +492,8 @@ def _degree(bounds) -> int:
     return 0 if bounds is None else sum(max(abs(lo), abs(hi)) for lo, hi in bounds)
 
 
-def _rounding_bound(grid: TorusGrid, degree: int, peak) -> float | np.ndarray:
-    """A-priori rounding bound on a coefficient read from an exact grid,
+def _rounding_bound(n: int, N: int, degree: int, peak) -> float | np.ndarray:
+    """A-priori rounding bound on a coefficient read from an exact N^n grid,
     before its lam^(-sum a) scale: (n + 1) * M * eps * max(peak, 1) for
     samples of modulus up to ``peak``, M = max(N, degree), one per scale of a
     block; degree, the _degree of the range, covers w^9 read on a 4-grid.
@@ -457,29 +508,128 @@ def _rounding_bound(grid: TorusGrid, degree: int, peak) -> float | np.ndarray:
     (see _grid_mean), which also covers the variance formed from the mean of
     |f|^2.  Rounding inside the evaluator beyond that, as in
     (w + 1e8) - 1e8, is not covered.
+
+    A grid read in S parts of at most c rows of the first axis (see the
+    module docstring) sums in another order, and the bound still holds.  A
+    coefficient contracts each part's other axes and sums its c rows, and
+    adds the S parts in sequence: that errs by gamma_(c - 1 + (n - 1)(N - 1)
+    + S - 1) times the sum of the moduli, and c + S - 1 <= N for
+    S = ceil(N/c) and 1 <= c <= N (N <= c(N - c + 1) as
+    (c - 1)(N - c) >= 0), so gamma_(n(N - 1)), which n*M*eps covers, still
+    covers it.  A mean sums pairwise within a part of V values and adds the
+    S <= N parts in sequence: that errs by gamma_(S - 1 + ceil(log2 V)), and
+    S - 1 + log2(N^n * k) stays below 4*k*(n + 1)*N, the factor its bound
+    allows.
     """
     eps = np.finfo(float).eps
-    return (grid.n + 1) * max(grid.N, degree) * eps * np.maximum(peak, 1.0)
+    return (n + 1) * max(N, degree) * eps * np.maximum(peak, 1.0)
 
 
 def _grid_mean(
-    products: np.ndarray, grid: TorusGrid, k: int, degree: int, peaks
+    total: np.ndarray, n: int, N: int, k: int, degree: int, peaks
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid mean of k products conj(u).v of two samples (|f|^2 or conj(f).g),
-    summed over the k, in a last axis of length one, and its bound
-    4*k*max(peak_u, 1)*_rounding_bound(grid, degree, peak_v), one per scale,
-    for the peaks (peak_u, peak_v) of the two operands.  The sum is pairwise
-    in the memory order of one scale's grid, so its rounding is logarithmic
-    in N^n."""
+    """Grid mean from the ``total`` over an N^n grid of k products conj(u).v
+    of two samples (|f|^2 or conj(f).g), in a last axis of length one, and
+    its bound 4*k*max(peak_u, 1)*_rounding_bound(n, N, degree, peak_v), one
+    per scale, for the peaks (peak_u, peak_v) of the two operands."""
     peak_u, peak_v = peaks
-    total = products.sum(axis=tuple(range(-grid.n - 1, 0)))
-    est = 4 * k * np.maximum(peak_u, 1.0) * _rounding_bound(grid, degree, peak_v)
-    return total[..., None] / grid.N**grid.n, np.asarray(est)
+    est = 4 * k * np.maximum(peak_u, 1.0) * _rounding_bound(n, N, degree, peak_v)
+    return total[..., None] / N**n, np.asarray(est)
+
+
+def _grid_axes(n: int) -> tuple[int, ...]:
+    """The n grid axes and the component axis of an array of values."""
+    return tuple(range(-n - 1, 0))
+
+
+def _accumulate(total, part):
+    """total + part, in place after the first part of a grid."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+class _Stream:
+    """A reader (see sample_torus) of one N^n grid for _coefficients: the
+    _contract of the per-axis ``orders`` (None for no order) and the sum of
+    |f|^2 over each scale's grid, each summed over the reads in the order of
+    _rounding_bound.  A part of a few rows contracts its other axes first,
+    while it is in cache, and then its rows, by axis 0's phase matrix
+    restricted to them, so what is summed across parts has r^n * k values;
+    a grid read at once takes exactly the steps of _contract.  The result
+    is finish(lams, N, contraction, sum of |f|^2, peak)."""
+
+    def __init__(self, n, lams, N, shift, orders, finish):
+        self.n, self.lams, self.N, self.finish = n, lams, N, finish
+        self.phases = None if orders is None else _phases(orders, N, shift)
+        self.total = self.power = None
+
+    def add(self, values, mag, rows):
+        power = np.square(mag, out=mag).sum(axis=_grid_axes(self.n))
+        self.power = _accumulate(self.power, power)
+        if self.phases is not None:
+            lead, first = np.ndim(self.lams), self.phases[0][:, rows]
+            if first.shape[1] == self.N:  # the whole grid, in the steps of _contract
+                part = _contract_axes(values, [first, *self.phases[1:]], lead)
+            else:  # a few rows: the other axes first, then the rows
+                rest = _contract_axes(values, self.phases[1:], lead, 1)
+                part = _contract_axes(rest, [first], lead).reshape(
+                    rest.shape[:lead] + (len(first),) + rest.shape[lead + 1 :])
+            self.total = _accumulate(self.total, part)
+
+    def result(self, peak):
+        return self.finish(self.lams, self.N, self.total, self.power, peak)
+
+
+class _Products:
+    """A reader (see sample_torus) of the grid mean of conj(f).g for
+    inner_product_numeric, the 2k components of its values being f's and
+    then g's: the sum of the k products and the peaks of f and g, each over
+    the parts of the grid.  The result is the mean and its _grid_mean
+    bound."""
+
+    def __init__(self, n, k, N, degree):
+        self.n, self.k, self.N, self.degree = n, k, N, degree
+        self.total = self.peaks = None
+
+    def add(self, values, mag, rows):
+        k, axes = self.k, _grid_axes(self.n)
+        peaks = [mag[..., :k].max(axis=axes), mag[..., k:].max(axis=axes)]
+        self.peaks = peaks if self.peaks is None else np.maximum(self.peaks, peaks)
+        total = (np.conj(values[..., :k]) * values[..., k:]).sum(axis=axes)
+        self.total = _accumulate(self.total, total)
+
+    def result(self, peak):
+        return _grid_mean(self.total, self.n, self.N, self.k, self.degree, self.peaks)
+
+
+class _Even:
+    """A reader (see sample_torus) of the doubling loop's first grid: each
+    part goes to ``fine``, and its even-indexed points, the points of the
+    N/2 grid with bitwise the same coordinates, to ``coarse``.  Both take
+    the grid's peak, an upper bound for the even points.  The result is the
+    pair (coarse result, fine result)."""
+
+    def __init__(self, n, coarse, fine):
+        self.n, self.coarse, self.fine = n, coarse, fine
+
+    def add(self, values, mag, rows):
+        half = slice((rows.start + 1) // 2, (rows.stop + 1) // 2)  # on the N/2 grid
+        if half.start < half.stop:
+            pick = (..., slice(rows.start % 2, None, 2),
+                    *(slice(None, None, 2),) * (self.n - 1), slice(None))
+            # copies, read before fine squares mag in place
+            self.coarse.add(values[pick].copy(), mag[pick].copy(), half)
+        self.fine.add(values, mag, rows)
+
+    def result(self, peak):
+        return self.coarse.result(peak), self.fine.result(peak)
 
 
 def _refine(
     f,
-    read: Callable[[TorusGrid], tuple[np.ndarray, np.ndarray]],
+    read,
     width: int | None,
     lams: Sequence[float],
     tol: float,
@@ -491,8 +641,9 @@ def _refine(
     the doubling loop runs (see _adaptive).  Raises ValueError unless tol is
     positive and finite.
 
-    ``read`` returns the statistic on a grid and its rounding bound, one per
-    scale, the block's scale axis leading.  The exact grid is the smallest
+    ``read`` makes the reader of a grid (see sample_torus), whose result is
+    the statistic and its rounding bound, one per scale, the block's scale
+    axis leading.  The exact grid is the smallest
     power of two N >= MIN_N above ``width``, the widest exponent gap the
     statistic pairs (see _gap).  Its scales are sampled in blocks of at most
     BLOCK_VALUES values, and each scale's row and bound are its answer and
@@ -520,7 +671,7 @@ def _refine(
     while pending:
         block = pending.pop(0)
         try:
-            value, est = read(sample_torus(f, block, N))
+            value, est = sample_torus(f, block, N, read=read)
         except (PoleOnTorus, ValueError):
             if len(block) == 1:
                 raise
@@ -586,21 +737,26 @@ def _coefficients(
               else [sorted({indices[i][j] for i in inside}) for j in range(n)])
     rows = [[orders[j].index(indices[i][j]) for i in inside] for j in range(n)]
 
-    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-        lead = np.shape(grid.lam)
-        scales = np.asarray(grid.lam)[..., None] ** powers
+    def finish(lams, N, read_box, power_sum, peak) -> tuple[np.ndarray, np.ndarray]:
+        lead = np.shape(lams)
+        scales = np.asarray(lams)[..., None] ** powers
         vec, spectrum = np.zeros(lead + (m, k), dtype=complex), np.zeros(lead + (0,))
         if bounds is None:
-            _check_aliasing(indices, grid.N)
-        if box or inside:
-            read_box = _contract(grid, orders) / grid.N**n
+            _check_aliasing(indices, N)
+        if read_box is not None:
+            read_box = read_box / N**n
             vec[..., inside, :] = read_box[(..., *rows, slice(None))] * scales[..., inside, None]
             if box:
                 spectrum = read_box.reshape(lead + (-1,))
-        unit = _rounding_bound(grid, degree, grid.peak)
-        power, bound = _grid_mean(np.abs(grid.values) ** 2, grid, k, degree, (grid.peak,) * 2)
+        unit = _rounding_bound(n, N, degree, peak)
+        power, bound = _grid_mean(power_sum, n, N, k, degree, (peak, peak))
         est = np.maximum(unit * scales.max(axis=-1, initial=0.0), bound)
         return np.concatenate([vec.reshape(lead + (-1,)), power, spectrum], axis=-1), est
+
+    read_orders = orders if box or inside else None
+
+    def read(lams, N, shift) -> _Stream:
+        return _Stream(n, lams, N, shift, read_orders, finish)
 
     width = None if bounds is None else _gap(bounds, bounds)
     values, est, grid_n = _refine(f, read, width, lams, tol, max_n)
@@ -714,16 +870,21 @@ def inner_product_numeric(f, g, lam: float) -> complex:
         raise DimensionMismatch(f"shape ({f.n},{f.k}) vs ({g.n},{g.k})")
 
     k = f.k
-    pair = GridFunction(f.n, 2 * k, lambda coords: [*f.eval_grid(coords), *g.eval_grid(coords)])
     f_bounds, g_bounds = _exponent_bounds(f), _exponent_bounds(g)
     width = None if f_bounds is None or g_bounds is None else _gap(f_bounds, g_bounds)
     degree = 0 if width is None else max(_degree(f_bounds), _degree(g_bounds))
-
-    def read(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-        f_values, g_values = grid.values[..., :k], grid.values[..., k:]
-        grid_axes = tuple(range(-grid.n - 1, 0))
-        peaks = [np.abs(v).max(axis=grid_axes) for v in (f_values, g_values)]
-        return _grid_mean(np.conj(f_values) * g_values, grid, k, degree, peaks)
-
-    values, _, _ = _refine(pair, read, width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
+    values, _, _ = _refine(_Pair(f, g), lambda lams, N, shift: _Products(f.n, k, N, degree),
+                           width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
     return complex(values[0, 0])
+
+
+class _Pair:
+    """f and g as one evaluator of their 2k components, pointwise when both
+    are."""
+
+    def __init__(self, f, g):
+        self.n, self.k, self.f, self.g = f.n, 2 * f.k, f, g
+        self.pointwise = getattr(f, "pointwise", False) and getattr(g, "pointwise", False)
+
+    def eval_grid(self, coords):
+        return [*self.f.eval_grid(coords), *self.g.eval_grid(coords)]

@@ -131,9 +131,9 @@ class TestDetectability:
         grids = []
         sample = quadrature.sample_torus
 
-        def counted(f, lam, N, shift=None):
+        def counted(f, lam, N, shift=None, **kwargs):
             grids.append((lam, N, shift))
-            return sample(f, lam, N, shift)
+            return sample(f, lam, N, shift, **kwargs)
 
         monkeypatch.setattr(quadrature, "sample_torus", counted)
         report = detectability_check(parse("1/w1 + 2*w2 + 1/(3 - w1*w2)", 2), [0.5, 0.9])
@@ -146,9 +146,9 @@ class TestDetectability:
         scales = []
         sample = quadrature.sample_torus
 
-        def counted(f, lam, N, shift=None):
+        def counted(f, lam, N, shift=None, **kwargs):
             scales.append(lam)
-            return sample(f, lam, N, shift)
+            return sample(f, lam, N, shift, **kwargs)
 
         monkeypatch.setattr(quadrature, "sample_torus", counted)
         report = detectability_check(parse("1/(w-0.4)", 1), [0.5, 1.0, 2.0])

@@ -4,6 +4,8 @@ summaries, and agreement with the exact oracle."""
 import cmath
 import itertools
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -109,11 +111,17 @@ class TestSampling:
                 assert np.array_equal(fine[::2], torus_coords(1, lam, N)[0])
 
     def test_even_subgrid_matches_direct_sampling(self):
+        # the first level's reader hands the even points of the 32-grid to
+        # the reader of the 16-grid
         f = parse("1/w1 + w2/(1.5 - w1*w2), w1^2", 2)
-        coarse = sample_torus(f, 0.8, 32).even_subgrid()
+        coarse, fine = sample_torus(
+            f, 0.8, 32, read=lambda lams, N, shift: quadrature._Even(
+                2, _Values(N // 2), _Values(N))
+        )
         direct = sample_torus(f, 0.8, 16)
-        assert coarse.N == 16 and coarse.values.shape == direct.values.shape
-        assert np.allclose(coarse.values, direct.values, rtol=1e-14, atol=0)
+        assert coarse.shape == direct.values.shape
+        assert np.allclose(coarse, direct.values, rtol=1e-14, atol=0)
+        assert np.array_equal(fine, sample_torus(f, 0.8, 32).values)
 
     def test_big_grid_is_evaluated_in_slabs_of_the_first_axis(self):
         f = parse("1/w1 + 2*w2 + 3*w3 + 0.5/(4 - w1*w2*w3), w2^2", 3)
@@ -325,6 +333,24 @@ def _exact_grid(bounds) -> int:
     return _grid_above(max(hi - lo for lo, hi in bounds))
 
 
+class _Values:
+    """A reader (see sample_torus) that keeps the values it is handed, and
+    checks that their rows come in order and fill the N-grid."""
+
+    def __init__(self, N):
+        self.N, self.parts = N, []
+
+    def add(self, values, mag, rows):
+        assert rows.start == sum(len(p) for p in self.parts)
+        assert np.array_equal(mag, np.abs(values))
+        self.parts.append(values.copy())
+
+    def result(self, peak):
+        values = np.concatenate(self.parts)
+        assert len(values) == self.N and peak >= np.abs(values).max()
+        return values
+
+
 class _Counted:
     """A pointwise evaluator with an exponent range that records its grid
     sizes."""
@@ -423,7 +449,7 @@ class TestExactGrid:
         # est_error is the largest rounding bound of the row: the 2k + 1
         # coefficients at their scales, and the mean of |f|^2
         grid = sample_torus(counted.f, 0.9, 64)
-        unit = quadrature._rounding_bound(grid, 33, grid.peak)
+        unit = quadrature._rounding_bound(grid.n, grid.N, 33, grid.peak)
         bounds = [unit * 0.9**-a for a in (0, 1, -1)] + [4 * 1 * max(grid.peak, 1.0) * unit]
         assert s.est_error == max(bounds) > DEFAULT_TOL
 
@@ -519,6 +545,30 @@ class TestEvaluatorShapes:
         f = GridFunction(1, 1, lambda c: [c[0], c[0]])
         with pytest.raises(DimensionMismatch, match="2 components from eval_grid, expected 1"):
             sample_torus(f, 1.0, 8)
+
+    @pytest.mark.parametrize("bounds", [None, ((0, 1),)])
+    def test_component_of_the_wrong_shape(self, bounds):
+        # a component that does not broadcast is a DimensionMismatch, a LensError
+        f = GridFunction(1, 1, lambda c: [np.ones(3)], bounds)
+        grid = "(32,)" if bounds is None else "(1, 4)"
+        with pytest.raises(DimensionMismatch, match=rf"component 0 .* shape \(3,\), .* {re.escape(grid)}"):
+            spectral_summary(f, 1.0)
+
+    def test_component_of_the_wrong_shape_samples_its_block_once(self, monkeypatch):
+        # a block that raises a DimensionMismatch is not sampled again one
+        # scale at a time, as a block that raises a pole is
+        blocks = []
+        sample = quadrature.sample_torus
+
+        def counted(f, lam, N, *args, **kwargs):
+            blocks.append(np.shape(lam))
+            return sample(f, lam, N, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "sample_torus", counted)
+        f = GridFunction(1, 1, lambda c: [np.ones(3)], ((0, 1),))
+        with pytest.raises(DimensionMismatch, match=r"shape \(3,\), .* \(3, 4\)"):
+            spectral_summaries(f, [0.5, 1.0, 2.0])
+        assert blocks == [(3,)]
 
     @pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (-1, 2)])
     def test_empty_domain_or_codomain(self, n, k):
@@ -660,9 +710,9 @@ def _record_grids(monkeypatch) -> list:
     grids = []
     sample = quadrature.sample_torus
 
-    def counted(f, lam, N, shift=None):
+    def counted(f, lam, N, shift=None, **kwargs):
         grids.append((N, shift))
-        return sample(f, lam, N, shift)
+        return sample(f, lam, N, shift, **kwargs)
 
     monkeypatch.setattr(quadrature, "sample_torus", counted)
     return grids
@@ -1112,19 +1162,34 @@ class TestExactReadIsTheAnswer:
         assert s.grid_n == 4 and 1e-20 < s.est_error < 1e-12
 
 
-def _per_entry_bound(f, grid, indices, spectrum_size) -> np.ndarray:
-    """The rounding bound of every entry of a coefficient read of f, as the
-    reader once reported it entry by entry: unit * lam^(-sum a) for each
-    component of each coefficient, 4*k*max(peak, 1)*unit for the mean of
-    |f|^2 and 0 for each spectrum entry, unit being _rounding_bound(grid,
-    degree, peak), one row per scale."""
+def _per_entry_bound(f, lams, N, peak, indices, spectrum_size) -> np.ndarray:
+    """The rounding bound of every entry of a coefficient read of f from its
+    N-grid at the scales lams, as the reader once reported it entry by
+    entry: unit * lam^(-sum a) for each component of each coefficient,
+    4*k*max(peak, 1)*unit for the mean of |f|^2 and 0 for each spectrum
+    entry, unit being _rounding_bound(n, N, degree, peak), one row per
+    scale."""
     k = f.k
     degree = quadrature._degree(quadrature._exponent_bounds(f))
-    unit = np.asarray(quadrature._rounding_bound(grid, degree, grid.peak))[..., None]
-    scales = np.asarray(grid.lam)[..., None] ** -np.array([sum(a) for a in indices], dtype=float)
-    power = 4 * k * np.maximum(grid.peak, 1.0)[..., None] * unit
-    zeros = np.zeros(np.shape(grid.lam) + (spectrum_size,))
+    unit = np.asarray(quadrature._rounding_bound(f.n, N, degree, peak))[..., None]
+    scales = np.asarray(lams)[..., None] ** -np.array([sum(a) for a in indices], dtype=float)
+    power = 4 * k * np.maximum(peak, 1.0)[..., None] * unit
+    zeros = np.zeros(np.shape(lams) + (spectrum_size,))
     return np.concatenate([(unit * scales).repeat(k, axis=-1), power, zeros], axis=-1)
+
+
+class _PerEntry:
+    """A reader (see sample_torus) that reads as ``reader`` does and reports
+    _per_entry_bound for its bound."""
+
+    def __init__(self, reader, bound):
+        self.reader, self.bound = reader, bound
+
+    def add(self, *args):
+        self.reader.add(*args)
+
+    def result(self, peak):
+        return self.reader.result(peak)[0], self.bound(peak)
 
 
 _NO_RANGE = [
@@ -1175,15 +1240,16 @@ class TestOneBoundPerScale:
         indices = [(0,) * f.n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
         size = got[0][2].size
 
-        def per_entry(grid):
-            return read(grid)[0], _per_entry_bound(f, grid, indices, size)
+        def per_entry(lams, N, shift):
+            return _PerEntry(read(lams, N, shift),
+                             lambda peak: _per_entry_bound(f, lams, N, peak, indices, size))
 
         if quadrature._exponent_bounds(f) is None:
             want = [quadrature._adaptive(f, lam, per_entry, DEFAULT_TOL, DEFAULT_MAX_N)[1]
                     for lam in lams]
         else:
-            block = sample_torus(f, lams, got[0][0].grid_n)
-            want = per_entry(block)[1].max(axis=-1).tolist()
+            N = got[0][0].grid_n
+            want = sample_torus(f, lams, N, read=per_entry)[1].max(axis=-1).tolist()
         assert [s.est_error for s, _, _ in got] == want
 
 
@@ -1318,3 +1384,115 @@ def _probes(sweep) -> list[float]:
     finally:
         sweep.variance_fn = read
     return probes
+
+
+# Inputs without a range, each with the scale and a grid size of its doubling
+# loop above SLAB_VALUES values: a 1024^2 grid, a 64^3 grid of two
+# components and the 32^4 grid of the first level.
+_STREAMED = [
+    (parse("1/w1 + 2*w2 + 0.5/(1.02 - w1*w2)", 2), 1.0, 1024),
+    (parse("1/w1 + w2 + 1/(2 - w1*w2*w3), w3^2/(3 - w1)", 3), 1.0, 64),
+    (parse("(1+2i)/w1 + w4 + 1/(2 - w1*w2*w3*w4)", 4), 0.9, 32),
+]
+
+
+def _stream(n, orders):
+    """A reader (see sample_torus) of the box of orders and the mean of
+    |f|^2, as (box, mean, peak)."""
+    return lambda lams, N, shift: quadrature._Stream(
+        n, lams, N, shift, orders,
+        lambda lams, N, total, power, peak: (total / N**n, power / N**n, peak))
+
+
+def _whole_grid_read(f, lam, N, shift, orders):
+    """(box, mean, peak) of a whole sampled grid: the reference."""
+    grid = sample_torus(f, lam, N, shift)
+    box = quadrature._contract(grid, orders) / N**f.n
+    return box, (np.abs(grid.values) ** 2).sum() / N**f.n, grid.peak
+
+
+def _assert_within_bound(got, want, n, k, N):
+    """Each streamed statistic is within the engine's rounding bound of the
+    whole-grid one: the coefficient bound for the box, and that of the mean
+    for the mean; the peaks are equal."""
+    (box, power, peak), (box_want, power_want, peak_want) = got, want
+    assert peak == peak_want
+    unit = quadrature._rounding_bound(n, N, 0, peak)
+    assert np.max(np.abs(box - box_want)) <= unit
+    assert abs(power - power_want) <= 4 * k * max(peak, 1.0) * unit
+
+
+class TestStreamedRead:
+    """A grid is read in parts of at most READ_VALUES values as it is
+    evaluated, and never held whole: each part's moduli give its peak and
+    share of the mean of |f|^2, and its rows their share of every
+    coefficient."""
+
+    @pytest.fixture(params=["default", "small"])
+    def sizes(self, request, monkeypatch):
+        # small slabs and parts split even the 32-grids of the first level
+        if request.param == "small":
+            monkeypatch.setattr(quadrature, "SLAB_VALUES", 2**9)
+            monkeypatch.setattr(quadrature, "READ_VALUES", 2**11)
+        return request.param
+
+    @pytest.mark.parametrize("f,lam,N", _STREAMED)
+    def test_parts_read_as_the_whole_grid(self, sizes, f, lam, N):
+        n, k = f.n, f.k
+        orders = [[-1, 0, 1]] * n
+        assert N**n * k > quadrature.READ_VALUES  # read in parts
+        # a later level, and the same grid turned as the confirmation turns it
+        for shift in (None, GRID_SHIFT[:n]):
+            got = sample_torus(f, lam, N, shift, read=_stream(n, orders))
+            _assert_within_bound(got, _whole_grid_read(f, lam, N, shift, orders), n, k, N)
+        # the first level and its even points, the N/2 grid
+        coarse, fine = sample_torus(
+            f, lam, 32, read=lambda lams, N, shift: quadrature._Even(
+                n, _stream(n, orders)(lams, N // 2, None), _stream(n, orders)(lams, N, None)))
+        whole = _whole_grid_read(f, lam, 32, None, orders)
+        _assert_within_bound(fine, whole, n, k, 32)
+        half = _whole_grid_read(f, lam, 16, None, orders)
+        # the coarse read carries the 32-grid's peak, an upper bound
+        assert coarse[2] == whole[2] >= half[2]
+        _assert_within_bound(coarse[:2] + (half[2],), half, n, k, 16)
+
+    @pytest.mark.parametrize("f,lam,N", _STREAMED)
+    def test_summary_in_small_parts(self, f, lam, N, monkeypatch):
+        want = spectral_summary(f, lam)
+        monkeypatch.setattr(quadrature, "SLAB_VALUES", 2**9)
+        monkeypatch.setattr(quadrature, "READ_VALUES", 2**11)
+        got = spectral_summary(f, lam)
+        assert got.grid_n == want.grid_n and got.grid_n >= N
+        for field in ("core", "eta", "jacobian", "variance"):
+            assert np.max(np.abs(getattr(got, field) - getattr(want, field))) <= want.est_error
+
+    def test_inner_product_in_small_parts(self, monkeypatch):
+        # the pair of two pointwise evaluators is pointwise, so it is read in
+        # parts too, on its exact grid and in the doubling loop
+        pairs = [(random_decomposable(np.random.default_rng(seed), n=3, k=2),) * 2
+                 for seed in (1, 2)]
+        pairs.append((_STREAMED[1][0], parse("w1*w2 + 1/(4 - w3), 1/w2", 3)))
+        want = [inner_product_numeric(f, g, 0.9) for f, g in pairs]
+        monkeypatch.setattr(quadrature, "SLAB_VALUES", 2**9)
+        monkeypatch.setattr(quadrature, "READ_VALUES", 2**11)
+        for (f, g), value in zip(pairs, want):
+            pair = quadrature._Pair(f, g)
+            assert pair.pointwise and pair.k == 2 * f.k
+            assert abs(inner_product_numeric(f, g, 0.9) - value) <= 1e-12 * max(1, abs(value))
+
+    @pytest.mark.parametrize("lam,N", [(1.0, 64), (1.15, 128)])
+    def test_memory_is_bounded_by_the_slab(self, lam, N):
+        # the 64^3 grid of one component is READ_VALUES values, read at
+        # once; the 128^3 grid, 33.6 MB of values, in eight parts: either
+        # read holds a part, its moduli and a slab's intermediates (9.1 MB
+        # traced, against 7.1 and 48.0 MB for whole grids)
+        f = parse("1/w1 + 1/(2 - w1*w2*w3)", 3)
+        spectral_summary(f, lam)  # caches warmed outside the trace
+        tracemalloc.start()
+        try:
+            s = spectral_summary(f, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert s.grid_n == N
+        assert peak < 10 * SLAB_VALUES * 16
