@@ -48,9 +48,10 @@ class DivisionNearZero(LensError):
 
 class GridTooLarge(LensError):
     """Requested sample grid exceeds the point budget (quadrature.MAX_TOTAL_POINTS),
-    or the dimension its cap.  The budget bounds time: no read holds a grid,
-    so memory is bounded by the slab and the read (quadrature.SLAB_VALUES and
-    READ_VALUES) and their accumulators."""
+    or the dimension its cap.  The budget bounds time.  No read of a
+    pointwise evaluator holds its grid, so its memory is bounded by the slab
+    and the read (quadrature.SLAB_VALUES and READ_VALUES) and their
+    accumulators; a GridFunction is evaluated and read whole."""
 
 
 class AliasingRisk(LensError):

@@ -61,24 +61,26 @@ tolerance, N doubles as before.  On either path the estimate is floored by
 the rounding bound of the accepted grid, since the nested grids share points
 and rounding.
 
-The engine holds no grid.  sample_torus evaluates f in slabs, rows of the
-first grid axis at a time: a pointwise evaluator (one whose ``pointwise``
-attribute is true, such as ``MeroExpr`` and ``LaurentPoly``) in slabs of at
-most SLAB_VALUES values (one row at least), so its intermediates are arrays
-of a slab; a :class:`GridFunction` wraps an arbitrary callable, so it is
-evaluated whole, as one slab.  The engine's reader takes the rows as they
-come, up to READ_VALUES values (a few slabs) at a time, while they are in
-cache: one modulus pass gives their peak (non-finite iff some value is) and
-their share of the mean of |f|^2, and a contraction of the other axes and
-then of those rows, by axis 0's phase matrix restricted to them, their
-share of every coefficient.  On the doubling loop's first level the same
-pass reads the even-indexed points as the N/2 grid.  So a read holds at most READ_VALUES values, their moduli,
-a slab's intermediates and r^n * k sums (r orders per axis), not N^n
-values; a grid of up to READ_VALUES values is read at once, with the bits
-of a whole-grid read.  The operations are elementwise, so the values are
-those of one evaluation; a pole found in a slab is reported at that slab's
-point, and no row is evaluated twice.  sample_torus still returns the whole
-grid to a caller that asks for its values.
+sample_torus evaluates f in slabs, rows of the first grid axis at a time,
+and reads the rows as they come, up to READ_VALUES values (a few slabs) at
+a time, while they are in cache: one modulus pass gives their peak
+(non-finite iff some value is) and their share of the mean of |f|^2, and a
+contraction of the other axes and then of those rows, by axis 0's phase
+matrix restricted to them, their share of every coefficient.  On the
+doubling loop's first level the same pass reads the even-indexed points as
+the N/2 grid.  A pointwise evaluator (one whose ``pointwise`` attribute is
+true, such as ``MeroExpr`` and ``LaurentPoly``) runs on slabs of at most
+SLAB_VALUES values (one row at least), so a read of it holds at most
+READ_VALUES values, their moduli, a slab's intermediates and r^n * k sums
+(r orders per axis), not N^n values.  A :class:`GridFunction` wraps an
+arbitrary callable, which is not pointwise, so it is evaluated as one slab
+and read in one part: its whole grid is held, 24 bytes a value for the
+values and their moduli, beside whatever the callable allocates.  A grid of
+up to READ_VALUES values is read at once, with the bits of a whole-grid
+read.  The operations are elementwise, so the values are those of one
+evaluation; a pole found in a slab is reported at that slab's point, and no
+row is evaluated twice.  A caller that asks for the values, which the
+engine never does, gets the whole grid, copied from each part as it is read.
 
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
@@ -92,6 +94,7 @@ free; grids and summaries are immutable once built.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -113,8 +116,9 @@ DEFAULT_START_N = 16          # first grid of the doubling loop
 MIN_N = 4                     # smallest grid per dimension, and the smallest exact grid
 DEFAULT_MAX_N = 4096          # per-dimension cap; env LENS_MAX_GRID overrides via CLI
 # Budget on N**n per scale, read by sample_torus at each call.  It bounds
-# time; memory is bounded by the slab and the read (SLAB_VALUES and
-# READ_VALUES) and the accumulators, since no read holds a grid.
+# time.  For a pointwise evaluator memory is bounded by the slab and the read
+# (SLAB_VALUES and READ_VALUES) and the accumulators; a GridFunction is read
+# whole (see the module docstring).
 MAX_TOTAL_POINTS = 2**24
 MAX_DIMENSION = 4
 BLOWUP_THRESHOLD = 1e12       # |f| beyond this counts as a pole on the torus
@@ -242,17 +246,19 @@ def sample_torus(
     one scale, or a sequence of L scales sampled as one block in a single
     evaluation of f (see TorusGrid).  A pointwise evaluator on a grid of more
     than SLAB_VALUES values is evaluated slab by slab along the first grid
-    axis (see the module docstring).
+    axis, and the rows are read up to READ_VALUES values at a time (see the
+    module docstring); without ``read`` each part is copied into the
+    returned grid as it is read.
 
     ``read``, which only the engine passes, keeps no grid: read(lams, N,
-    shift) makes a reader, the rows go to reader.add(values, modulus, rows)
-    up to READ_VALUES values at a time, with their moduli (which the reader
-    may overwrite) and the slice of the first axis they fill, and
-    sample_torus returns reader.result(peak), for the peak max |value| per
-    scale.
+    shift) makes a reader, each part goes to reader.add(values, modulus,
+    rows) with its moduli (which the reader may overwrite) and the slice of
+    the first axis it fills, and sample_torus returns reader.result(peak),
+    for the peak max |value| per scale.
 
     Raises ValueError for a scale outside SCALE_RANGE (the variance model
-    divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
+    divides by lam^2 and multiplies by it) or a shift entry that is not a
+    finite real number, PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
     blow-up threshold, GridTooLarge when the point count per scale exceeds
     MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension), and
@@ -273,38 +279,39 @@ def sample_torus(
     check_dimension(n)
     if N**n > MAX_TOTAL_POINTS:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
-    if shift is not None and len(shift) != n:
-        raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
+    if shift is not None:
+        if len(shift) != n:
+            raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
+        for j, s in enumerate(shift):
+            if not (isinstance(s, numbers.Real) and math.isfinite(s)):
+                raise ValueError(f"shift[{j}] is {s!r}, not a finite real number")
+        shift = tuple(float(s) for s in shift)
     coords = torus_coords(n, lams, N, shift)
     shape = lams.shape + (N,) * n + (k,)
     per_row = lams.size * N ** (n - 1) * k  # values in a row of the first grid axis
     rows = N  # per evaluation of f
     if getattr(f, "pointwise", False):  # so it may run on slabs
         rows = min(N, max(1, SLAB_VALUES // per_row))
-    # rows read at once: a slab when the grid is kept, else up to READ_VALUES values
-    span = rows if read is None else min(N, rows * max(1, READ_VALUES // (rows * per_row)))
+    span = min(N, rows * max(1, READ_VALUES // (rows * per_row)))  # rows read at once
+    # The values and their moduli share one allocation.  Freed, a block this
+    # large lifts glibc's dynamic mmap and trim thresholds above the
+    # evaluator's temporaries, which otherwise go back to the system after
+    # every grid and fault in again (with two allocations, each summary of a
+    # 32^4 grid took 5,000 page faults on 2-core Linux).
+    size = span * per_row
     part = lams.shape + (span,) + shape[lams.ndim + 1 :]
-    if read is None:
-        values, modulus = np.empty(shape, dtype=complex), np.empty(part)
-    else:
-        # The values and their moduli share one allocation.  Freed, a block
-        # this large lifts glibc's dynamic mmap and trim thresholds above the
-        # evaluator's temporaries, which otherwise go back to the system
-        # after every grid and fault in again (with two allocations, each
-        # summary of a 32^4 grid took 5,000 page faults on 2-core Linux).
-        size = span * per_row
-        buffer = np.empty(3 * size)
-        values = buffer[: 2 * size].view(complex).reshape(part)
-        modulus = buffer[2 * size :].reshape(part)
+    buffer = np.empty(3 * size)
+    values = buffer[: 2 * size].view(complex).reshape(part)
+    modulus = buffer[2 * size :].reshape(part)
     reader = None if read is None else read(lams, N, shift)
+    kept = np.empty(shape, dtype=complex) if read is None else None
     lead = (slice(None),) * lams.ndim
     grid_axes = tuple(range(lams.ndim, len(shape)))
-    peak = None  # per scale
+    peak = np.zeros(lams.shape)  # per scale
     # overflow and 0/0 leave non-finite values, refused below
     with np.errstate(all="ignore"):
         for begin in range(0, N, span):
             end = min(begin + span, N)
-            offset = 0 if read is None else begin  # the grid row in row 0 of values
             for start in range(begin, end, rows):
                 stop = min(start + rows, end)
                 try:
@@ -317,7 +324,7 @@ def sample_torus(
                     raise DimensionMismatch(
                         f"{len(components)} components from eval_grid, expected {k}"
                     )
-                slab = values[lead + (slice(start - offset, stop - offset),)]
+                slab = values[lead + (slice(start - begin, stop - begin),)]
                 try:
                     for alpha, component in enumerate(components):
                         slab[..., alpha] = component
@@ -326,11 +333,12 @@ def sample_torus(
                         f"component {alpha} from eval_grid has shape {np.shape(component)}, "
                         f"which does not broadcast to {slab.shape[:-1]}"
                     ) from exc
-            chunk = values[lead + (slice(begin - offset, end - offset),)]
-            mag = modulus[lead + (slice(0, end - begin),)]
-            top = np.abs(chunk, out=mag).max(axis=grid_axes)
-            peak = top if peak is None else np.maximum(peak, top)
-            if reader is not None:
+            filled = lead + (slice(0, end - begin),)
+            chunk, mag = values[filled], modulus[filled]
+            peak = np.maximum(peak, np.abs(chunk, out=mag).max(axis=grid_axes))
+            if reader is None:
+                kept[lead + (slice(begin, end),)] = chunk
+            else:
                 reader.add(chunk, mag, slice(begin, end))
     worst = peak.max()
     if not np.isfinite(worst):  # NaN propagates through the maxima
@@ -341,7 +349,7 @@ def sample_torus(
     peak = float(peak) if one else peak
     if reader is not None:
         return reader.result(peak)
-    return TorusGrid(n=n, k=k, lam=lam if one else lams, N=N, values=values,
+    return TorusGrid(n=n, k=k, lam=lam if one else lams, N=N, values=kept,
                      peak=peak, shift=shift)
 
 
@@ -537,19 +545,6 @@ def _grid_mean(
     return total[..., None] / N**n, np.asarray(est)
 
 
-def _grid_axes(n: int) -> tuple[int, ...]:
-    """The n grid axes and the component axis of an array of values."""
-    return tuple(range(-n - 1, 0))
-
-
-def _accumulate(total, part):
-    """total + part, in place after the first part of a grid."""
-    if total is None:
-        return part
-    total += part
-    return total
-
-
 class _Stream:
     """A reader (see sample_torus) of one N^n grid for _coefficients: the
     _contract of the per-axis ``orders`` (None for no order) and the sum of
@@ -561,13 +556,13 @@ class _Stream:
     is finish(lams, N, contraction, sum of |f|^2, peak)."""
 
     def __init__(self, n, lams, N, shift, orders, finish):
-        self.n, self.lams, self.N, self.finish = n, lams, N, finish
+        self.lams, self.N, self.finish = lams, N, finish
+        self.axes = tuple(range(-n - 1, 0))  # the grid axes and the component axis
         self.phases = None if orders is None else _phases(orders, N, shift)
-        self.total = self.power = None
+        self.power, self.total = 0, None if orders is None else 0
 
     def add(self, values, mag, rows):
-        power = np.square(mag, out=mag).sum(axis=_grid_axes(self.n))
-        self.power = _accumulate(self.power, power)
+        self.power += np.square(mag, out=mag).sum(axis=self.axes)
         if self.phases is not None:
             lead, first = np.ndim(self.lams), self.phases[0][:, rows]
             if first.shape[1] == self.N:  # the whole grid, in the steps of _contract
@@ -576,7 +571,7 @@ class _Stream:
                 rest = _contract_axes(values, self.phases[1:], lead, 1)
                 part = _contract_axes(rest, [first], lead).reshape(
                     rest.shape[:lead] + (len(first),) + rest.shape[lead + 1 :])
-            self.total = _accumulate(self.total, part)
+            self.total += part
 
     def result(self, peak):
         return self.finish(self.lams, self.N, self.total, self.power, peak)
@@ -591,14 +586,14 @@ class _Products:
 
     def __init__(self, n, k, N, degree):
         self.n, self.k, self.N, self.degree = n, k, N, degree
-        self.total = self.peaks = None
+        self.axes = tuple(range(-n - 1, 0))  # the grid axes and the component axis
+        self.total = self.peaks = 0
 
     def add(self, values, mag, rows):
-        k, axes = self.k, _grid_axes(self.n)
+        k, axes = self.k, self.axes
         peaks = [mag[..., :k].max(axis=axes), mag[..., k:].max(axis=axes)]
-        self.peaks = peaks if self.peaks is None else np.maximum(self.peaks, peaks)
-        total = (np.conj(values[..., :k]) * values[..., k:]).sum(axis=axes)
-        self.total = _accumulate(self.total, total)
+        self.peaks = np.maximum(self.peaks, peaks)
+        self.total += (np.conj(values[..., :k]) * values[..., k:]).sum(axis=axes)
 
     def result(self, peak):
         return _grid_mean(self.total, self.n, self.N, self.k, self.degree, self.peaks)

@@ -1,0 +1,56 @@
+"""Which grids the engine samples, for the tests that count them.
+
+recorded_grids() records one Grid(f, lam, N, shift) for every call of
+``quadrature.sample_torus`` inside its ``with`` block, in call order; lam is
+the scale or the block of scales as the engine passed it.  It is a context
+manager, not a pytest fixture, because a function-scoped fixture cannot be
+used inside a hypothesis test.  It patches the module attribute, so it sees
+the engine's own calls: ``verify`` and ``morphs`` import ``sample_torus`` by
+name, and their direct calls are not recorded.
+
+exact_grid(bounds) is the grid the engine samples for a coefficient read of
+a range, and grid_above(width) the one it samples for a read pairing
+exponents up to width apart (see quadrature._gap).
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Any, NamedTuple
+from unittest import mock
+
+from polylens import quadrature
+
+
+class Grid(NamedTuple):
+    f: Any
+    lam: Any
+    N: int
+    shift: tuple[float, ...] | None
+
+
+@contextlib.contextmanager
+def recorded_grids():
+    grids: list[Grid] = []
+    sample = quadrature.sample_torus
+
+    def recorded(f, lam, N, shift=None, **kwargs):
+        grids.append(Grid(f, lam, N, shift))
+        return sample(f, lam, N, shift, **kwargs)
+
+    with mock.patch.object(quadrature, "sample_torus", recorded):
+        yield grids
+
+
+def grid_above(width: int) -> int:
+    """The smallest power of two, at least MIN_N, above width."""
+    N = quadrature.MIN_N
+    while N <= width:
+        N *= 2
+    return N
+
+
+def exact_grid(bounds) -> int:
+    """The exact grid of every read of a range: the smallest power of two,
+    at least MIN_N, above the spread of the range."""
+    return grid_above(max(hi - lo for lo, hi in bounds))

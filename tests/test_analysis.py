@@ -2,7 +2,7 @@
 
 import pytest
 
-from polylens import quadrature
+from _grids import recorded_grids
 from polylens.analysis import (
     CLASS_TOL,
     DRIFT_TOL,
@@ -125,34 +125,22 @@ class TestDetectability:
         assert report.is_detectable
         assert report.in_class
 
-    def test_each_probe_scale_samples_its_grid_once(self, monkeypatch):
+    def test_each_probe_scale_samples_its_grid_once(self):
         # the order -2 probe is read from the summary's grid; the only other
         # grid of a scale is the doubling loop's shifted confirmation
-        grids = []
-        sample = quadrature.sample_torus
-
-        def counted(f, lam, N, shift=None, **kwargs):
-            grids.append((lam, N, shift))
-            return sample(f, lam, N, shift, **kwargs)
-
-        monkeypatch.setattr(quadrature, "sample_torus", counted)
-        report = detectability_check(parse("1/w1 + 2*w2 + 1/(3 - w1*w2)", 2), [0.5, 0.9])
+        with recorded_grids() as recorded:
+            report = detectability_check(parse("1/w1 + 2*w2 + 1/(3 - w1*w2)", 2), [0.5, 0.9])
         assert report.is_detectable and report.in_class
+        grids = [(g.lam, g.N, g.shift) for g in recorded]
         assert {lam for lam, _, _ in grids} == {0.5, 0.9}
         assert len(grids) == len(set(grids))
 
-    def test_out_of_class_first_probe_samples_no_later_probe(self, monkeypatch):
+    def test_out_of_class_first_probe_samples_no_later_probe(self):
         # 1/(w - 0.4) has order -2 coefficient 0.4 on the radius-0.5 torus
-        scales = []
-        sample = quadrature.sample_torus
-
-        def counted(f, lam, N, shift=None, **kwargs):
-            scales.append(lam)
-            return sample(f, lam, N, shift, **kwargs)
-
-        monkeypatch.setattr(quadrature, "sample_torus", counted)
-        report = detectability_check(parse("1/(w-0.4)", 1), [0.5, 1.0, 2.0])
+        with recorded_grids() as grids:
+            report = detectability_check(parse("1/(w-0.4)", 1), [0.5, 1.0, 2.0])
         assert report.reason == "NotInClass" and not report.in_class
+        scales = [g.lam for g in grids]
         assert scales and set(scales) == {0.5}
 
     def test_pole_on_the_second_probe_torus(self):

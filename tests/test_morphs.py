@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _grids import recorded_grids
 from polylens.errors import (
     DimensionMismatch,
     NotDiagonalDominant,
@@ -168,20 +169,15 @@ class TestTransform:
         assert report.jac_direct[0, 0] == pytest.approx(2.0, abs=1e-10)
         assert report.jac_predicted[0, 0] == pytest.approx(2.0, abs=1e-10)
 
-    def test_measured_at_the_validated_radius(self, monkeypatch):
+    def test_measured_at_the_validated_radius(self):
         g = morph_validate(parse("w + w^2/4", 1), 0.5)
         psi = parse("1/u + u", 1, var_letter="u")
         _, eta, _, _, _ = quadrature.first_order_summary(pullback(psi, g), 0.5)
-        radii = []
-        sample = quadrature.sample_torus
-
-        def counted(f, lam, *args, **kwargs):
-            radii.extend(np.ravel(lam))  # one scale, or a block of scales
-            return sample(f, lam, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "sample_torus", counted)
-        report = verify_transform(psi, g)
+        with recorded_grids() as grids:
+            report = verify_transform(psi, g)
         assert np.array_equal(report.eta_direct, eta)
+        # one scale, or a block of scales
+        radii = [lam for grid in grids for lam in np.ravel(grid.lam)]
         assert radii and set(radii) == {0.5}
         with pytest.raises(TypeError):
             verify_transform(psi, g, 0.5)  # the radius is g.lam, not an argument

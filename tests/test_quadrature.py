@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _grids import exact_grid, grid_above, recorded_grids
 from polylens import quadrature
 from polylens.errors import (
     AliasingRisk,
@@ -42,7 +43,6 @@ from polylens.quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
     GRID_SHIFT,
-    MIN_N,
     SLAB_VALUES,
     GridFunction,
     TorusGrid,
@@ -319,20 +319,6 @@ class TestRefinement:
         assert sizes == []
 
 
-def _grid_above(width: int) -> int:
-    """The smallest power of two, at least MIN_N, above width."""
-    N = MIN_N
-    while N <= width:
-        N *= 2
-    return N
-
-
-def _exact_grid(bounds) -> int:
-    """The exact grid of every read of a range: the smallest power of two,
-    at least 4, above the spread of the range."""
-    return _grid_above(max(hi - lo for lo, hi in bounds))
-
-
 class _Values:
     """A reader (see sample_torus) that keeps the values it is handed, and
     checks that their rows come in order and fill the N-grid."""
@@ -411,7 +397,7 @@ class TestExactGrid:
         (a,) = order
         top, below = (a + grid_n - 1,), (a - 1,)
         f = parse(f"w^{a} + 2*w^{top[0]}", 1)
-        assert _exact_grid(f.exponent_bounds()) == grid_n
+        assert exact_grid(f.exponent_bounds()) == grid_n
         coeffs, err, n_used = adaptive_coefficients(f, 1.0, [order, top, below])
         assert n_used == grid_n
         assert abs(coeffs[order][0] - 1) <= err and abs(coeffs[top][0] - 2) <= err
@@ -425,7 +411,7 @@ class TestExactGrid:
         f = random_decomposable(np.random.default_rng(seed))
         s = spectral_summary(f, lam)
         d = decompose(f)
-        assert s.grid_n == _exact_grid(f.exponent_bounds())
+        assert s.grid_n == exact_grid(f.exponent_bounds())
         gaps = [
             np.max(np.abs(s.core - matrix_to_complex([d.core]).ravel())),
             np.max(np.abs(s.eta - matrix_to_complex(d.eta))),
@@ -465,7 +451,7 @@ class TestExactGrid:
         f = random_decomposable(np.random.default_rng(seed))
         s = spectral_summary(f, lam)
         d = decompose(f)
-        assert s.grid_n == _exact_grid(f.exponent_bounds()) and s.est_error > 0
+        assert s.grid_n == exact_grid(f.exponent_bounds()) and s.est_error > 0
         gaps = [
             np.max(np.abs(s.core - matrix_to_complex([d.core]).ravel())),
             np.max(np.abs(s.eta - matrix_to_complex(d.eta))),
@@ -554,21 +540,14 @@ class TestEvaluatorShapes:
         with pytest.raises(DimensionMismatch, match=rf"component 0 .* shape \(3,\), .* {re.escape(grid)}"):
             spectral_summary(f, 1.0)
 
-    def test_component_of_the_wrong_shape_samples_its_block_once(self, monkeypatch):
+    def test_component_of_the_wrong_shape_samples_its_block_once(self):
         # a block that raises a DimensionMismatch is not sampled again one
         # scale at a time, as a block that raises a pole is
-        blocks = []
-        sample = quadrature.sample_torus
-
-        def counted(f, lam, N, *args, **kwargs):
-            blocks.append(np.shape(lam))
-            return sample(f, lam, N, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "sample_torus", counted)
         f = GridFunction(1, 1, lambda c: [np.ones(3)], ((0, 1),))
-        with pytest.raises(DimensionMismatch, match=r"shape \(3,\), .* \(3, 4\)"):
+        with recorded_grids() as grids, pytest.raises(
+                DimensionMismatch, match=r"shape \(3,\), .* \(3, 4\)"):
             spectral_summaries(f, [0.5, 1.0, 2.0])
-        assert blocks == [(3,)]
+        assert [np.shape(g.lam) for g in grids] == [(3,)]
 
     @pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (-1, 2)])
     def test_empty_domain_or_codomain(self, n, k):
@@ -613,13 +592,6 @@ class TestOneAliasRule:
     """Each reader samples one grid, sized by _gap, and reads the oracle's
     values from it."""
 
-    @staticmethod
-    def _sizes(call):
-        with mock.patch.object(quadrature, "sample_torus",
-                               wraps=quadrature.sample_torus) as spy:
-            result = call()
-        return result, [c.args[2] for c in spy.call_args_list]
-
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 3))
     def test_coefficients(self, data, n):
@@ -628,10 +600,10 @@ class TestOneAliasRule:
         order = st.tuples(*[st.integers(-5, 5) | st.integers(-40, 40)] * n)
         indices = data.draw(st.lists(order, min_size=1, max_size=5, unique=True))
         f = _ranged_function(terms, bounds)
-        (coeffs, err, n_used), sizes = self._sizes(
-            lambda: adaptive_coefficients(f, 1.0, indices))
-        N = _exact_grid(bounds)
-        assert sizes == [N] and n_used == N
+        with recorded_grids() as grids:
+            coeffs, err, n_used = adaptive_coefficients(f, 1.0, indices)
+        N = exact_grid(bounds)
+        assert [grid.N for grid in grids] == [N] and n_used == N
         for a in indices:
             assert abs(coeffs[a][0] - terms.get(a, 0)) <= err
             if any(not lo <= x <= hi for x, (lo, hi) in zip(a, bounds)):
@@ -642,8 +614,9 @@ class TestOneAliasRule:
     def test_degree_energies(self, data, n):
         terms, bounds = data.draw(_ranged(n))
         f = _ranged_function(terms, bounds)
-        (degrees, energies, err), sizes = self._sizes(lambda: _box_energies(f, 1.0))
-        assert sizes == [_exact_grid(bounds)]
+        with recorded_grids() as grids:
+            degrees, energies, err = _box_energies(f, 1.0)
+        assert [grid.N for grid in grids] == [exact_grid(bounds)]
         want = np.zeros(len(degrees))
         for exps, c in terms.items():
             if any(exps):
@@ -655,8 +628,9 @@ class TestOneAliasRule:
     def test_inner_product(self, data, n):
         (f_terms, f_bounds), (g_terms, g_bounds) = data.draw(_ranged(n)), data.draw(_ranged(n))
         f, g = _ranged_function(f_terms, f_bounds), _ranged_function(g_terms, g_bounds)
-        value, sizes = self._sizes(lambda: inner_product_numeric(f, g, 1.0))
-        assert sizes == [_grid_above(_inner_product_width(f_bounds, g_bounds))]
+        with recorded_grids() as grids:
+            value = inner_product_numeric(f, g, 1.0)
+        assert [grid.N for grid in grids] == [grid_above(_inner_product_width(f_bounds, g_bounds))]
         want = sum(np.conj(c) * g_terms.get(a, 0) for a, c in f_terms.items())
         assert abs(value - want) <= 1e-12
 
@@ -705,33 +679,21 @@ class TestSpectralSummary:
         assert abs(s.jacobian[1, 0] - 1.0) < 1e-10
 
 
-def _record_grids(monkeypatch) -> list:
-    """Record (N, shift) of every grid quadrature samples from now on."""
-    grids = []
-    sample = quadrature.sample_torus
-
-    def counted(f, lam, N, shift=None, **kwargs):
-        grids.append((N, shift))
-        return sample(f, lam, N, shift, **kwargs)
-
-    monkeypatch.setattr(quadrature, "sample_torus", counted)
-    return grids
-
-
 class TestInnerProduct:
-    def test_ranges_sample_one_exact_grid(self, monkeypatch):
+    def test_ranges_sample_one_exact_grid(self):
         # the exponents of conj(f).g, differences of those of g and f, lie
         # in -2..3, so no term but the constant lands on order 0 of a 4-grid
-        grids = _record_grids(monkeypatch)
         f, g = parse("1/w + 2*w", 1), parse("w + 3*w^2 + 1/w", 1)
-        assert abs(inner_product_numeric(f, g, 1.0) - 3.0) < 1e-12
-        assert grids == [(4, None)]
+        with recorded_grids() as grids:
+            assert abs(inner_product_numeric(f, g, 1.0) - 3.0) < 1e-12
+        assert [(grid.N, grid.shift) for grid in grids] == [(4, None)]
 
-    def test_no_range_samples_the_doubling_levels(self, monkeypatch):
-        grids = _record_grids(monkeypatch)
+    def test_no_range_samples_the_doubling_levels(self):
         f = parse("1/(w-2)", 1)
-        assert abs(inner_product_numeric(f, f, 1.0) - 1 / 3) < 1e-12
-        assert grids == [(32, None), (64, None), (64, GRID_SHIFT[:1])]
+        with recorded_grids() as grids:
+            assert abs(inner_product_numeric(f, f, 1.0) - 1 / 3) < 1e-12
+        assert [(grid.N, grid.shift) for grid in grids] == [
+            (32, None), (64, None), (64, GRID_SHIFT[:1])]
 
     def test_conjugate_coordinate_against_pole(self):
         zbar = GridFunction(1, 1, lambda c: [np.conj(c[0])])
@@ -897,6 +859,8 @@ class TestShiftedGrid:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_shifts_keep_every_alias_detectable(self, n):
+        # over every nonzero m in {-1,0,1}^n, m.s keeps at least 2^-n from an
+        # integer and reaches it, and _alias_floor is the least |1 - e^(2 pi i m.s)|
         shift = np.array(GRID_SHIFT[:n])
         factors, distances = [], []
         for m in itertools.product((-1, 0, 1), repeat=n):
@@ -905,12 +869,25 @@ class TestShiftedGrid:
                 distances.append(abs(turn - round(turn)))
                 factors.append(abs(1 - cmath.exp(2j * math.pi * turn)))
         assert min(distances) == 2.0**-n
-        assert min(factors) >= _alias_floor(n) * (1 - 1e-12)
-        assert min(factors) <= _alias_floor(n) * (1 + 1e-12)
+        assert abs(min(factors) - _alias_floor(n)) <= 1e-15 * min(factors)
+        floor = {1: 2.0, 2: 1.41421356, 3: 0.76536686, 4: 0.39018064}[n]
+        assert _alias_floor(n) == pytest.approx(floor, abs=5e-9)
 
     def test_shift_needs_one_entry_per_axis(self):
         with pytest.raises(DimensionMismatch):
             sample_torus(parse("w1*w2", 2), 1.0, 16, shift=(0.5,))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, "a", None, 1j])
+    def test_shift_entries_are_finite_reals(self, entry):
+        # not a pole, and not numpy's own error: the shift is malformed
+        with pytest.raises(ValueError, match=r"shift\[1\] is .*, not a finite real number"):
+            sample_torus(parse("1/w1 + w2", 2), 1.0, 8, shift=(0.5, entry))
+
+    def test_shift_entries_of_any_real_type(self):
+        f = parse("1/w1 + w2", 2)
+        want = sample_torus(f, 1.0, 8, shift=(0.5, 0.25))
+        got = sample_torus(f, 1.0, 8, shift=(Fraction(1, 2), np.float32(0.25)))
+        assert got.shift == want.shift and np.array_equal(got.values, want.values)
 
     def test_confirmation_samples_the_same_grid_size(self):
         sizes = []
@@ -981,7 +958,7 @@ class TestScaleBlocks:
         # n = 3, k = 1, orders -1..4 on the last axis: the exact 8-grid, 512
         # values per scale
         f = random_decomposable(np.random.default_rng(3), n=3, k=1)
-        assert _exact_grid(f.exponent_bounds()) == 8
+        assert exact_grid(f.exponent_bounds()) == 8
         block = BLOCK_VALUES // 8**3
         lams = [0.4 + 0.4 * i / block for i in range(block + extra)]
         counted = _Counted(f)
@@ -1070,7 +1047,7 @@ class TestScaleBlocks:
         # is that grid's contraction
         f = parse(text, 1)
         boxed = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, box=True)
-        N = _exact_grid(f.exponent_bounds())
+        N = exact_grid(f.exponent_bounds())
         for lam, (s, _, spectrum), plain in zip(lams, boxed, spectral_summaries(f, lams)):
             _assert_same_summary(s, plain)
             exact = sample_torus(f, lam, N)
@@ -1136,7 +1113,7 @@ class TestExactReadIsTheAnswer:
             coeffs, err, n_used = adaptive_coefficients(f, lam, orders)
             value = inner_product_numeric(f, g, lam)
         _, [ip_err], _ = reads[-1]
-        assert s.grid_n == n_used == _exact_grid(f.exponent_bounds())
+        assert s.grid_n == n_used == exact_grid(f.exponent_bounds())
 
         unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         core = np.array(terms.get((0,) * n, zero))

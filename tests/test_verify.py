@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _grids import exact_grid, recorded_grids
 from polylens import quadrature, verify
 from polylens.quadrature import expectation_numeric, sample_torus
 from polylens.verify import (
@@ -24,22 +25,13 @@ from polylens.verify import (
 )
 
 
-def _exact_n(bounds) -> int:
-    """The exact grid expectation_numeric samples for a range."""
-    width = max(max(hi, 0) - min(lo, 0) for lo, hi in bounds)
-    N = quadrature.MIN_N
-    while N <= width:
-        N *= 2
-    return N
-
-
 def _assert_range_holds(fn, lam):
     """Every coefficient outside the declared range vanishes on a grid twice
     the exact one and of at least 32 points, so that no stray term of
     degree below 16 aliases inside the range, relative to the peak of the
     samples."""
     bounds = fn.exponent_bounds()
-    M = max(32, 2 * _exact_n(bounds))
+    M = max(32, 2 * exact_grid(bounds))
     grid = sample_torus(fn, lam, M)
     # entry a (mod M) is lam^(sum a) times the coefficient of order a
     spectrum = np.fft.fftn(grid.values, axes=tuple(range(fn.n))) / M**fn.n
@@ -87,21 +79,15 @@ def test_tail_shapes_follow_the_exact_order(n):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_a_tail_case_samples_one_exact_grid(seed, monkeypatch):
-    grids = []
-    sample = quadrature.sample_torus
-
-    def counted(f, lam, N, *args, **kwargs):
-        grids.append((N, _exact_n(f.exponent_bounds())))
-        return sample(f, lam, N, *args, **kwargs)
-
     def doubling(*args, **kwargs):
         raise AssertionError("the doubling loop ran")
 
-    monkeypatch.setattr(quadrature, "sample_torus", counted)
     monkeypatch.setattr(quadrature, "_adaptive", doubling)
-    result = check_tail_integrals_vanish(seed)
+    with recorded_grids() as grids:
+        result = check_tail_integrals_vanish(seed)
     assert result.passed and result.cases == 100
-    assert len(grids) == 100 and all(N == exact for N, exact in grids)
+    assert len(grids) == 100
+    assert all(g.N == exact_grid(g.f.exponent_bounds()) for g in grids)
 
 
 def test_pairings_sample_only_their_exact_grids(monkeypatch):
