@@ -30,6 +30,7 @@ from .laurent import trace_norm_sq
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
+    _degree_energies,
     _summaries,
     check_dimension,
     spectral_summary,
@@ -163,19 +164,6 @@ def variance_sweep(
     if len(lams) >= 3:
         sweep.lambda_star_empirical = empirical_optimal_scale(sweep)
     return sweep
-
-
-def _degree_energies(f, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, energies) of a range box read of f (see
-    quadrature._coefficients): energies[i] sums |c^_a|^2 over the components
-    and the a != 0 of total degree degrees[i]."""
-    bounds = f.exponent_bounds()
-    total = sum(np.ix_(*[np.arange(lo, hi + 1) for lo, hi in bounds]))
-    power = (np.abs(spectrum) ** 2).reshape(total.shape + (f.k,)).sum(axis=-1)
-    if all(lo <= 0 <= hi for lo, hi in bounds):  # a = 0 is the mean
-        power[tuple(-lo for lo, _ in bounds)] = 0.0
-    energies = np.bincount((total - total.min()).ravel(), weights=power.ravel())
-    return np.arange(total.min(), total.max() + 1), energies
 
 
 def empirical_optimal_scale(sweep: LensSweep) -> float:

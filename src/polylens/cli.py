@@ -21,6 +21,7 @@ per-dimension grid cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -323,12 +324,19 @@ def _join_dash_values(argv: list[str], options: set[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """build_parser() and its option strings, built by the first main call."""
     parser = build_parser()
+    return parser, _option_strings(parser)
+
+
+def main(argv=None) -> int:
+    parser, options = _parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_dash_values(list(argv), _option_strings(parser)))
+        args = parser.parse_args(_join_dash_values(list(argv), options))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -37,15 +37,17 @@ one-scale call names.  One scale is the block of one.
 
 The exact grid holds every exponent of the range, so a sweep
 (analysis.variance_sweep) also reads every coefficient of the range box from
-its blocks, c^_a = c_a lam^(sum a) to rounding; no other read contracts the
-whole box.
+its blocks, c^_a = c_a lam^(sum a) to rounding, which _degree_energies bins
+by total degree; no other read contracts the whole box.
 
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
-without ``bounds``) is refined by doubling N.  Each level samples its grid
-once and reads it as an exact grid is read: one separable contraction
-(_contract, one small phase matrix per axis) of every requested order, and
-one rounding bound per scale.  The first level samples
-2*DEFAULT_START_N points per dimension and reads the DEFAULT_START_N
+without ``bounds``) is refined by doubling N.  Its coefficient orders must
+keep |a_j| <= DEFAULT_START_N/2 - 1 = 7, the alias rule of its least grid; a
+higher order is refused (AliasingRisk) before any grid is sampled.  Each
+level samples its grid once and reads it as an exact grid is read: one
+separable contraction (_contract_axes, one small phase matrix per axis) of
+every requested order, and one rounding bound per scale.  The first level
+samples 2*DEFAULT_START_N points per dimension and reads the DEFAULT_START_N
 statistic from the even sub-grid, whose coordinates are bitwise those of the
 smaller grid, so a result accepted at N = 2*DEFAULT_START_N costs one
 evaluation of f.  A level accepts N when the grids N/2 and N agree within the
@@ -257,8 +259,9 @@ def sample_torus(
     for the peak max |value| per scale.
 
     Raises ValueError for a scale outside SCALE_RANGE (the variance model
-    divides by lam^2 and multiplies by it) or a shift entry that is not a
-    finite real number, PoleOnTorus when evaluation
+    divides by lam^2 and multiplies by it), a shift that is not a sequence
+    or an entry of it that is not a real number within the float range,
+    PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
     blow-up threshold, GridTooLarge when the point count per scale exceeds
     MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension), and
@@ -280,10 +283,18 @@ def sample_torus(
     if N**n > MAX_TOTAL_POINTS:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
     if shift is not None:
+        try:
+            shift = tuple(shift)
+        except TypeError:
+            raise ValueError(f"shift is {shift!r}, not a sequence of {n} real numbers") from None
         if len(shift) != n:
             raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
         for j, s in enumerate(shift):
-            if not (isinstance(s, numbers.Real) and math.isfinite(s)):
+            try:
+                finite = isinstance(s, numbers.Real) and math.isfinite(s)
+            except OverflowError:
+                raise ValueError(f"shift[{j}] is a real number too large for a float") from None
+            if not finite:
                 raise ValueError(f"shift[{j}] is {s!r}, not a finite real number")
         shift = tuple(float(s) for s in shift)
     coords = torus_coords(n, lams, N, shift)
@@ -371,18 +382,6 @@ def _contract_axes(out: np.ndarray, phases, lead: int, first: int = 0) -> np.nda
     return out
 
 
-def _contract(grid: TorusGrid, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    """sum_m values(m) exp(-2*pi*i*a.(m + s)/N) for every a in the product of
-    the per-axis ``orders``, of shape lead + (r_0, ..., r_{n-1}, k) with r_j
-    the length of orders[j] and a block's scale axis leading.
-
-    The sum is separable: axis j is contracted against one phase matrix with a
-    row per order on that axis, axis 0 first (see _contract_axes).  A
-    streamed read (_Stream) takes the same steps slab by slab.
-    """
-    return _contract_axes(grid.values, _phases(orders, grid.N, grid.shift), np.ndim(grid.lam))
-
-
 def _check_aliasing(indices: Sequence[Sequence[int]], N: int) -> None:
     """Raise AliasingRisk unless every index a has |a_j| <= N/2 - 1."""
     for a in indices:
@@ -392,14 +391,17 @@ def _check_aliasing(indices: Sequence[Sequence[int]], N: int) -> None:
 
 def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
     """Coefficient c_a of the sampled function, one entry per component
-    after a block's scale axis: lam^(-sum a) / N^n times the _contract sum at
-    the one order a, exact to rounding when N exceeds the exponent gaps of
-    _gap.  Raises AliasingRisk as _check_aliasing does."""
+    after a block's scale axis: lam^(-sum a) / N^n times the _contract_axes
+    sum of values(m) exp(-2*pi*i*a.(m + s)/N), exact to rounding when N
+    exceeds the exponent gaps of _gap.  Raises AliasingRisk as
+    _check_aliasing does."""
     a = tuple(int(x) for x in a)
     if len(a) != grid.n:
         raise DimensionMismatch(f"index {a} has length {len(a)}, expected {grid.n}")
     _check_aliasing([a], grid.N)
-    coeff = _contract(grid, [[x] for x in a])[(..., *(0,) * grid.n, slice(None))]
+    sums = _contract_axes(grid.values, _phases([[x] for x in a], grid.N, grid.shift),
+                          np.ndim(grid.lam))
+    coeff = sums[(..., *(0,) * grid.n, slice(None))]
     return coeff * (np.asarray(grid.lam)[..., None] ** -float(sum(a)) / grid.N**grid.n)
 
 
@@ -547,12 +549,12 @@ def _grid_mean(
 
 class _Stream:
     """A reader (see sample_torus) of one N^n grid for _coefficients: the
-    _contract of the per-axis ``orders`` (None for no order) and the sum of
+    contraction of the per-axis ``orders`` (None for no order) and the sum of
     |f|^2 over each scale's grid, each summed over the reads in the order of
     _rounding_bound.  A part of a few rows contracts its other axes first,
     while it is in cache, and then its rows, by axis 0's phase matrix
     restricted to them, so what is summed across parts has r^n * k values;
-    a grid read at once takes exactly the steps of _contract.  The result
+    a grid read at once takes the steps of laurent_coefficient.  The result
     is finish(lams, N, contraction, sum of |f|^2, peak)."""
 
     def __init__(self, n, lams, N, shift, orders, finish):
@@ -565,7 +567,7 @@ class _Stream:
         self.power += np.square(mag, out=mag).sum(axis=self.axes)
         if self.phases is not None:
             lead, first = np.ndim(self.lams), self.phases[0][:, rows]
-            if first.shape[1] == self.N:  # the whole grid, in the steps of _contract
+            if first.shape[1] == self.N:  # the whole grid, axis 0 first
                 part = _contract_axes(values, [first, *self.phases[1:]], lead)
             else:  # a few rows: the other axes first, then the rows
                 rest = _contract_axes(values, self.phases[1:], lead, 1)
@@ -710,20 +712,23 @@ def _coefficients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The one coefficient reader: (rows, mean |f|^2, est_error, N_used,
     spectrum) stacked over the L scales in lams, rows[l, i] the k components
-    of the coefficient at indices[i], a tuple of ints, all read from one grid
-    per scale by one _contract (see _refine for blocks).  A range is read on
-    the exact grid of its spread, _gap(bounds, bounds): an order outside it
-    is exactly 0 and is not contracted.  Without a range every order is
-    contracted, and checked by _check_aliasing.  With ``box`` and a range,
-    spectrum[l] holds c^_a = c_a lam^(sum a) for every a of the range box in
-    C order (axis j over lo_j..hi_j, components last), else it is empty.  Its
-    entries carry no bound of their own: the est_error covers their energies
-    (Parseval)."""
+    of the coefficient at indices[i], a tuple of ints, all read from one
+    grid per scale by one _Stream (see _refine for blocks).  A range is read
+    on the exact grid of its spread, _gap(bounds, bounds): an order outside
+    it is exactly 0 and is not contracted.  Without a range every order is
+    contracted, and _check_aliasing refuses, before any grid is sampled, an
+    order that does not fit DEFAULT_START_N, the least N the doubling loop
+    reads.  With ``box`` and a range, spectrum[l] holds
+    c^_a = c_a lam^(sum a) for every a of the range box in C order (axis j
+    over lo_j..hi_j, components last), else it is empty.  Its entries carry
+    no bound of their own: the est_error covers their energies (Parseval)."""
     n, k, m = f.n, f.k, len(indices)
     if any(len(a) != n for a in indices):
         raise DimensionMismatch(f"indices {list(indices)} must each have length {n}")
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
     bounds = _exponent_bounds(f)
+    if bounds is None:
+        _check_aliasing(indices, DEFAULT_START_N)
     degree = _degree(bounds)
     box = box and bounds is not None
     inside = [i for i, a in enumerate(indices) if bounds is None
@@ -736,8 +741,6 @@ def _coefficients(
         lead = np.shape(lams)
         scales = np.asarray(lams)[..., None] ** powers
         vec, spectrum = np.zeros(lead + (m, k), dtype=complex), np.zeros(lead + (0,))
-        if bounds is None:
-            _check_aliasing(indices, N)
         if read_box is not None:
             read_box = read_box / N**n
             vec[..., inside, :] = read_box[(..., *rows, slice(None))] * scales[..., inside, None]
@@ -757,6 +760,19 @@ def _coefficients(
     values, est, grid_n = _refine(f, read, width, lams, tol, max_n)
     return (values[:, : m * k].reshape(len(lams), m, k), values[:, m * k].real, est, grid_n,
             values[:, m * k + 1 :])
+
+
+def _degree_energies(f, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, energies) of a range box read of f (see _coefficients):
+    energies[i] sums |c^_a|^2 over the components and the a != 0 of total
+    degree degrees[i]."""
+    bounds = f.exponent_bounds()
+    total = sum(np.ix_(*[np.arange(lo, hi + 1) for lo, hi in bounds]))
+    power = (np.abs(spectrum) ** 2).reshape(total.shape + (f.k,)).sum(axis=-1)
+    if all(lo <= 0 <= hi for lo, hi in bounds):  # a = 0 is the mean
+        power[tuple(-lo for lo, _ in bounds)] = 0.0
+    energies = np.bincount((total - total.min()).ravel(), weights=power.ravel())
+    return np.arange(total.min(), total.max() + 1), energies
 
 
 def adaptive_coefficients(

@@ -54,6 +54,12 @@ class AngularInterval:
 FULL_CIRCLE = AngularInterval(-math.pi, math.pi, lo_open=True, hi_open=False)
 
 
+def _check_radius(lam) -> None:
+    """Raise ValueError unless 0 < lam < inf, which NaN is not."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"slice radius must be positive and finite, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class Slice:
     """Sector of the radius-lam disc over an angular interval."""
@@ -62,8 +68,7 @@ class Slice:
     interval: AngularInterval
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("slice radius must be positive")
+        _check_radius(self.lam)
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,7 @@ class SliceSet:
     components: tuple[AngularInterval, ...]
 
     def __post_init__(self):
+        _check_radius(self.lam)
         comps = tuple(sorted(self.components, key=lambda i: (i.lo, i.hi)))
         for a, b in zip(comps, comps[1:]):
             if b.lo < a.hi:

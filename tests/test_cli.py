@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import polylens.cli as cli
 import polylens.verify as verify_mod
 import gen_goldens
 from gen_goldens import COMMANDS, GOLDEN_DIR, run_command
@@ -58,6 +59,22 @@ class TestExitCodes:
     def test_usage_missing_argument(self, capsys):
         assert main(["analyze", "--expr", "w"]) == 1
         capsys.readouterr()
+
+    def test_calls_share_one_parser(self, capsys, monkeypatch):
+        # the parser is built by the first main call, not per call, and a
+        # usage error through the shared parser still exits 1
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            assert main(["analyze", "--expr", "1/w", "--n", "1", "--lambda", "1"]) == 0
+            assert main(["analyze", "--expr", "w"]) == 1
+            assert main(["measure", "--interval", "-pi:pi"]) == 0
+            assert built == [1]
+        finally:
+            cli._parser.cache_clear()
+        assert "required: --n, --lambda" in capsys.readouterr().err
 
     def test_usage_bad_ranges(self, capsys):
         assert main(["sweep", "--expr", "w", "--n", "1", "--lambda-min", "2",

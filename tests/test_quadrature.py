@@ -298,6 +298,29 @@ class TestRefinement:
         with pytest.raises(AliasingRisk, match="too high for N=16"):
             adaptive_coefficients(f, 1.0, [(8,)])
 
+    def test_refused_read_samples_no_grid(self):
+        # the orders are checked against the first level before any grid
+        f = GridFunction(1, 1, parse("w^8", 1).eval_grid)
+        with recorded_grids() as grids, pytest.raises(AliasingRisk):
+            adaptive_coefficients(f, 1.0, [(8,)])
+        assert grids == []
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_orders_up_to_seven_without_a_range(self, axis):
+        # order 7 on either axis is read; order 8 or -8 is refused with the
+        # first level's message and no grid
+        f = GridFunction(2, 1, parse("1/w1 + 3*w1^7 + 2*w2^7 + 1/(3 - w1*w2)", 2).eval_grid)
+        exact = {(7, 0): 3, (0, 7): 2, (-7, 0): 0, (0, -7): 0, (7, 7): 3.0**-8}
+        coeffs, _, _ = adaptive_coefficients(f, 1.0, list(exact))
+        for a, want in exact.items():
+            assert abs(coeffs[a][0] - want) <= 1e-9
+        for x in (8, -8):
+            a = tuple(x if j == axis else 0 for j in range(2))
+            message = f"coefficient order {a} too high for N=16 (need |a_j| <= N/2 - 1)"
+            with recorded_grids() as grids, pytest.raises(AliasingRisk, match=re.escape(message)):
+                adaptive_coefficients(f, 1.0, [(7, 7), a])
+            assert grids == []
+
     def test_second_level_acceptance_samples_once(self):
         f = parse("1/w1 + 2*w2", 2)
         sizes = []
@@ -883,6 +906,16 @@ class TestShiftedGrid:
         with pytest.raises(ValueError, match=r"shift\[1\] is .*, not a finite real number"):
             sample_torus(parse("1/w1 + w2", 2), 1.0, 8, shift=(0.5, entry))
 
+    @pytest.mark.parametrize("entry", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_shift_entries_fit_a_float(self, entry):
+        with pytest.raises(ValueError, match=r"shift\[1\] is a real number too large for a float"):
+            sample_torus(parse("1/w1 + w2", 2), 1.0, 8, shift=(0.5, entry))
+
+    @pytest.mark.parametrize("shift", [0.5, 1, np.float64(0.5), np.array(0.5)])
+    def test_shift_is_a_sequence(self, shift):
+        with pytest.raises(ValueError, match=r"shift is .*, not a sequence of 1 real numbers"):
+            sample_torus(parse("1/w", 1), 1.0, 8, shift=shift)
+
     def test_shift_entries_of_any_real_type(self):
         f = parse("1/w1 + w2", 2)
         want = sample_torus(f, 1.0, 8, shift=(0.5, 0.25))
@@ -1051,7 +1084,9 @@ class TestScaleBlocks:
         for lam, (s, _, spectrum), plain in zip(lams, boxed, spectral_summaries(f, lams)):
             _assert_same_summary(s, plain)
             exact = sample_torus(f, lam, N)
-            want = quadrature._contract(exact, [range(lo, hi + 1) for lo, hi in f.exponent_bounds()])
+            orders = [range(lo, hi + 1) for lo, hi in f.exponent_bounds()]
+            want = quadrature._contract_axes(
+                exact.values, quadrature._phases(orders, N, exact.shift), np.ndim(lam))
             assert np.array_equal(spectrum, (want / N).ravel())
 
 
@@ -1234,7 +1269,7 @@ def _box_energies(f, lam, max_n=DEFAULT_MAX_N):
     """(degrees, energies, est_error) of the range box read at lam, as a
     sweep reads the row of its minimum."""
     [(s, _, spectrum)] = quadrature._summaries(f, [lam], DEFAULT_TOL, max_n, box=True)
-    return (*analysis._degree_energies(f, spectrum), s.est_error)
+    return (*quadrature._degree_energies(f, spectrum), s.est_error)
 
 
 def _oracle_energies(f, degrees) -> np.ndarray:
@@ -1264,6 +1299,16 @@ class TestSweepProbes:
             value = float(energies @ (lam / anchor) ** (2.0 * degrees))
             exact = float(variance_exact(f, Fraction(lam)))
             assert abs(value - exact) <= err * max((lam / anchor) ** (2.0 * degrees))
+
+    @pytest.mark.parametrize("seed,n,k", [(0, 1, 1), (5, 2, 2), (9, 3, 1)])
+    def test_degree_energies_bin_the_range_box(self, seed, n, k):
+        f = random_decomposable(np.random.default_rng(seed), n=n, k=k)
+        [(s, _, spectrum)] = quadrature._summaries(f, [1.0], DEFAULT_TOL, DEFAULT_MAX_N, box=True)
+        degrees, energies = quadrature._degree_energies(f, spectrum)
+        bounds = f.exponent_bounds()
+        lowest, highest = sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
+        assert list(degrees) == list(range(lowest, highest + 1))
+        assert np.abs(energies - _oracle_energies(f, degrees)).sum() <= s.est_error
 
     def test_no_range_reads_no_energies(self):
         f = GridFunction(1, 1, parse("1/w + w", 1).eval_grid)
@@ -1384,7 +1429,8 @@ def _stream(n, orders):
 def _whole_grid_read(f, lam, N, shift, orders):
     """(box, mean, peak) of a whole sampled grid: the reference."""
     grid = sample_torus(f, lam, N, shift)
-    box = quadrature._contract(grid, orders) / N**f.n
+    phases = quadrature._phases(orders, N, grid.shift)
+    box = quadrature._contract_axes(grid.values, phases, np.ndim(lam)) / N**f.n
     return box, (np.abs(grid.values) ** 2).sum() / N**f.n, grid.peak
 
 

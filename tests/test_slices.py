@@ -47,6 +47,13 @@ class TestMeasure:
         with pytest.raises(ValueError):
             Slice(0.0, FULL_CIRCLE)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_radius_is_positive_and_finite(self, lam):
+        with pytest.raises(ValueError, match="slice radius must be positive and finite"):
+            Slice(lam, FULL_CIRCLE)
+        with pytest.raises(ValueError, match="slice radius must be positive and finite"):
+            SliceSet(lam, (FULL_CIRCLE,))
+
 
 class TestAlgebra:
     def test_intersect(self):
