@@ -7,14 +7,15 @@ lam^2 Tr(D* D) plus a nonnegative tail energy, so lam^2 * variance never
 drops below Tr(eta* eta), and the two-term model is minimized at
 lam* = [Tr(eta* eta)/Tr(D* D)]^(1/4).
 
-A sweep samples each of its scales, and for an input with an exponent range
-reads the whole range box c^_a = c_a lam^(sum a) from the same grids.
-Golden section refines the minimum lam_i of a sweep between its neighbours;
-each probe reads the variance as sum_s E_s (lam/lam_i)^(2s) from the
-energies E_s by total degree of the sweep's own row at lam_i, with that
-row's est_error times max_s (lam/lam_i)^(2s) as its certified error.  A
-probe whose bound misses tol * max(1, V), and each probe of an input without
-an exponent range, is sampled with spectral_summary instead.
+A sweep reads all its scales as one stacked summary, and for an input with
+an exponent range the energies E_s by total degree s of the range box
+c^_a = c_a lam^(sum a) from the same grids, which the engine bins block by
+block.  Golden section refines the minimum lam_i of a sweep between its
+neighbours; each probe reads the variance as sum_s E_s (lam/lam_i)^(2s)
+from the sweep's own row of energies at lam_i, with that row's est_error
+times max_s (lam/lam_i)^(2s) as its certified error.  A probe whose bound
+misses tol * max(1, V), and each probe of an input without an exponent
+range, is sampled with spectral_summary instead.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .laurent import trace_norm_sq
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
-    _degree_energies,
     _summaries,
     check_dimension,
     spectral_summary,
@@ -110,8 +110,9 @@ def variance_sweep(
 
     The grid must be positive and strictly increasing.  The residue and
     derivative matrices are reported from the smallest scale and checked for
-    consistency across all scales: drift beyond tolerance means the input is
-    outside the supported class (its coefficients depend on the radius).
+    consistency across all scales: a drift beyond max(1e-9, 100 * tol) plus
+    the est_error of both scales' reads means the input is outside the
+    supported class (its coefficients depend on the radius).
     The empirical optimum is refined only for grids of at least 3 points;
     shorter sweeps leave it NaN.
     """
@@ -119,31 +120,30 @@ def variance_sweep(
     if not lams or any(x <= 0 for x in lams) or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("scale grid must be nonempty, positive and increasing")
 
-    summaries, _, spectra = zip(*_summaries(f, lams, tol, max_n, box=True))
-    eta = summaries[0].eta
-    jac = summaries[0].jacobian
-    consistency = max(1e-9, 100.0 * tol)
-    for s in summaries[1:]:
-        drift = max(
-            float(np.max(np.abs(s.eta - eta))), float(np.max(np.abs(s.jacobian - jac)))
+    s, _, energies = _summaries(f, lams, tol, max_n, box=True)
+    drift = np.maximum(np.abs(s.eta - s.eta[0]).max(axis=(1, 2)),
+                       np.abs(s.jacobian - s.jacobian[0]).max(axis=(1, 2)))
+    drifting = np.flatnonzero(drift > max(1e-9, 100.0 * tol) + s.est_error[0] + s.est_error)
+    if drifting.size:
+        i = drifting[0]
+        raise InconsistentScales(
+            f"coefficient matrices drift by {drift[i]:.3g} between scales "
+            f"{lams[0]:g} and {lams[i]:g}"
         )
-        if drift > consistency:
-            raise InconsistentScales(
-                f"coefficient matrices drift by {drift:.3g} between scales "
-                f"{lams[0]:g} and {s.lam:g}"
-            )
 
+    eta, jac = s.eta[0], s.jacobian[0]
     tr_eta = trace_norm_sq(eta)
-    i = int(np.argmin([s.variance for s in summaries]))
-    anchor, err, spectrum = lams[i], summaries[i].est_error, spectra[i]
-    if spectrum.size:  # binned once, for the scale golden section brackets
-        degrees, energies = _degree_energies(f, spectrum)
+    variance = s.variance.tolist()
+    i = int(np.argmin(s.variance))
+    anchor, err, energy = lams[i], float(s.est_error[i]), energies[i]
+    if energy.size:  # energy[s] is that of total degree sum_j lo_j + s
+        degrees = sum(lo for lo, _ in f.exponent_bounds()) + np.arange(energy.size)
 
     def variance_at(lam: float) -> float:
-        if spectrum.size:
+        if energy.size:
             with np.errstate(over="ignore", invalid="ignore"):
                 weights = (lam / anchor) ** (2.0 * degrees)
-                value = float((energies * weights).sum())  # not @: a BLAS dot pages in a kernel
+                value = float((energy * weights).sum())  # not @: a BLAS dot pages in a kernel
                 bound = err * float(weights.max())
             if bound <= tol * max(1.0, value) and bound < math.inf:
                 return value
@@ -151,10 +151,10 @@ def variance_sweep(
 
     sweep = LensSweep(
         lambdas=lams,
-        variance=[s.variance for s in summaries],
-        variance_model=[s.variance_model for s in summaries],
-        bound_gap=[lam**2 * s.variance - tr_eta for lam, s in zip(lams, summaries)],
-        est_error=[s.est_error for s in summaries],
+        variance=variance,
+        variance_model=s.variance_model.tolist(),
+        bound_gap=[lam**2 * v - tr_eta for lam, v in zip(lams, variance)],
+        est_error=s.est_error.tolist(),
         eta=eta,
         jacobian=jac,
         lambda_star_closed=optimal_scale(eta, jac),
@@ -228,8 +228,8 @@ def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
     max_variance = 0.0
     for lam in probes:  # the first probe out of the class ends the loop
         try:
-            [(s, rows, _)] = _summaries(f, [lam], DEFAULT_TOL, DEFAULT_MAX_N, deep)
-            max_variance = max(max_variance, s.variance)
+            s, rows, _ = _summaries(f, [lam], DEFAULT_TOL, DEFAULT_MAX_N, deep)
+            max_variance = max(max_variance, float(s.variance[0]))
             in_class = float(np.max(np.abs(rows))) <= CLASS_TOL
         except PoleOnTorus:
             max_variance, in_class = math.inf, False
@@ -241,11 +241,9 @@ def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
                 in_class=False,
                 reason="NotInClass",
             )
-        cores.append(s.core)
-    drift = 0.0
-    for i in range(len(cores)):
-        for j in range(i + 1, len(cores)):
-            drift = max(drift, float(np.max(np.abs(cores[i] - cores[j]))))
+        cores.append(s.core[0])
+    cores = np.array(cores)  # (probes, k): the largest gap of any two
+    drift = float(np.max(np.abs(cores[:, None] - cores)))
     ok = drift <= DRIFT_TOL and math.isfinite(max_variance)
     return DetectabilityReport(
         is_detectable=ok,

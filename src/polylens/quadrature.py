@@ -37,8 +37,9 @@ one-scale call names.  One scale is the block of one.
 
 The exact grid holds every exponent of the range, so a sweep
 (analysis.variance_sweep) also reads every coefficient of the range box from
-its blocks, c^_a = c_a lam^(sum a) to rounding, which _degree_energies bins
-by total degree; no other read contracts the whole box.
+its blocks, c^_a = c_a lam^(sum a) to rounding, and _coefficients bins their
+energies by total degree as each block is read: the box leaves no block, and
+no other read contracts it.
 
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
 without ``bounds``) is refined by doubling N.  Its coefficient orders must
@@ -408,20 +409,24 @@ def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectralSummary:
     """Constant term, residue and first-derivative matrices, and variance of
-    an evaluator at one scale, with the refinement error estimate."""
+    an evaluator at one scale, with the refinement error estimate.  The
+    engine reads L scales as one summary in stacked form (see _summaries),
+    as a block's TorusGrid: ``lam`` an (L,) array, a leading scale axis on
+    every field."""
 
-    lam: float
+    lam: float | np.ndarray
     core: np.ndarray       # (k,)
     eta: np.ndarray        # (k, n): coefficient of 1/w_beta per component
     jacobian: np.ndarray   # (k, n): coefficient of w_beta per component
-    variance: float
-    tail_energy: float     # variance minus the two-term closed form
-    est_error: float
-    grid_n: int
+    variance: float | np.ndarray
+    tail_energy: float | np.ndarray  # variance minus the two-term closed form
+    est_error: float | np.ndarray
+    grid_n: int | np.ndarray
 
     @property
-    def variance_model(self) -> float:
-        return variance_model(self.eta, self.jacobian, self.lam)
+    def variance_model(self) -> float | np.ndarray:
+        lam = self.lam if np.ndim(self.lam) == 0 else self.lam.tolist()  # Python's float power
+        return variance_model(self.eta, self.jacobian, lam)
 
     def to_json_dict(self) -> dict:
         pair = lambda z: [float(z.real), float(z.imag)]
@@ -711,17 +716,18 @@ def _coefficients(
     box: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The one coefficient reader: (rows, mean |f|^2, est_error, N_used,
-    spectrum) stacked over the L scales in lams, rows[l, i] the k components
+    energies) stacked over the L scales in lams, rows[l, i] the k components
     of the coefficient at indices[i], a tuple of ints, all read from one
     grid per scale by one _Stream (see _refine for blocks).  A range is read
     on the exact grid of its spread, _gap(bounds, bounds): an order outside
     it is exactly 0 and is not contracted.  Without a range every order is
     contracted, and _check_aliasing refuses, before any grid is sampled, an
     order that does not fit DEFAULT_START_N, the least N the doubling loop
-    reads.  With ``box`` and a range, spectrum[l] holds
-    c^_a = c_a lam^(sum a) for every a of the range box in C order (axis j
-    over lo_j..hi_j, components last), else it is empty.  Its entries carry
-    no bound of their own: the est_error covers their energies (Parseval)."""
+    reads.  With ``box`` and a range, the whole range box is contracted, and
+    energies[l, s] sums |c^_a|^2, c^_a = c_a lam^(sum a), over the components
+    and the a != 0 of total degree sum_j lo_j + s, for s up to
+    sum_j (hi_j - lo_j); else energies has no columns.  They carry no bound
+    of their own: the est_error covers them (Parseval)."""
     n, k, m = f.n, f.k, len(indices)
     if any(len(a) != n for a in indices):
         raise DimensionMismatch(f"indices {list(indices)} must each have length {n}")
@@ -736,20 +742,26 @@ def _coefficients(
     orders = ([range(lo, hi + 1) for lo, hi in bounds] if box
               else [sorted({indices[i][j] for i in inside}) for j in range(n)])
     rows = [[orders[j].index(indices[i][j]) for i in inside] for j in range(n)]
+    if box:  # per box entry: its total degree less sum_j lo_j, and a != 0
+        axes = np.ix_(*[np.array(axis) for axis in orders])
+        shifted = (sum(axes) - sum(lo for lo, _ in bounds)).ravel()
+        moving = (sum(np.abs(a) for a in axes) > 0).ravel()  # a = 0 is the mean
 
     def finish(lams, N, read_box, power_sum, peak) -> tuple[np.ndarray, np.ndarray]:
         lead = np.shape(lams)
         scales = np.asarray(lams)[..., None] ** powers
-        vec, spectrum = np.zeros(lead + (m, k), dtype=complex), np.zeros(lead + (0,))
+        vec, energies = np.zeros(lead + (m, k), dtype=complex), np.zeros(lead + (0,))
         if read_box is not None:
             read_box = read_box / N**n
             vec[..., inside, :] = read_box[(..., *rows, slice(None))] * scales[..., inside, None]
-            if box:
-                spectrum = read_box.reshape(lead + (-1,))
+            if box:  # one bincount, scale l's bins after l * (shifted[-1] + 1)
+                energy = (np.abs(read_box) ** 2).sum(axis=-1).reshape(lead + (-1,)) * moving
+                bins = np.arange(math.prod(lead))[:, None] * (shifted[-1] + 1) + shifted
+                energies = np.bincount(bins.ravel(), weights=energy.ravel()).reshape(lead + (-1,))
         unit = _rounding_bound(n, N, degree, peak)
         power, bound = _grid_mean(power_sum, n, N, k, degree, (peak, peak))
         est = np.maximum(unit * scales.max(axis=-1, initial=0.0), bound)
-        return np.concatenate([vec.reshape(lead + (-1,)), power, spectrum], axis=-1), est
+        return np.concatenate([vec.reshape(lead + (-1,)), power, energies], axis=-1), est
 
     read_orders = orders if box or inside else None
 
@@ -759,20 +771,7 @@ def _coefficients(
     width = None if bounds is None else _gap(bounds, bounds)
     values, est, grid_n = _refine(f, read, width, lams, tol, max_n)
     return (values[:, : m * k].reshape(len(lams), m, k), values[:, m * k].real, est, grid_n,
-            values[:, m * k + 1 :])
-
-
-def _degree_energies(f, spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, energies) of a range box read of f (see _coefficients):
-    energies[i] sums |c^_a|^2 over the components and the a != 0 of total
-    degree degrees[i]."""
-    bounds = f.exponent_bounds()
-    total = sum(np.ix_(*[np.arange(lo, hi + 1) for lo, hi in bounds]))
-    power = (np.abs(spectrum) ** 2).reshape(total.shape + (f.k,)).sum(axis=-1)
-    if all(lo <= 0 <= hi for lo, hi in bounds):  # a = 0 is the mean
-        power[tuple(-lo for lo, _ in bounds)] = 0.0
-    energies = np.bincount((total - total.min()).ravel(), weights=power.ravel())
-    return np.arange(total.min(), total.max() + 1), energies
+            values[:, m * k + 1 :].real)
 
 
 def adaptive_coefficients(
@@ -791,35 +790,30 @@ def adaptive_coefficients(
 
 def _summaries(
     f,
-    lams: Sequence[float],
+    lams: list[float],
     tol: float,
     max_n: int,
     extra: Sequence[Sequence[int]] = (),
     box: bool = False,
-) -> list[tuple[SpectralSummary, np.ndarray, np.ndarray]]:
-    """spectral_summaries, each summary with the coefficient rows of its
-    grid at the orders in extra and, with ``box``, the spectrum of its range
-    box (see _coefficients).  One grid per scale is read at the orders 0,
-    -e_0..-e_{n-1}, +e_0..+e_{n-1} and then extra; no scale reads none."""
+) -> tuple[SpectralSummary, np.ndarray, np.ndarray]:
+    """The summaries of spectral_summaries as one SpectralSummary in stacked
+    form, with the (L, e, k) coefficient rows of each scale's grid at the e
+    orders in extra and, with ``box``, the (L, D) energies of its range box
+    by total degree (see _coefficients).  One grid per scale is read at the
+    orders 0, -e_0..-e_{n-1}, +e_0..+e_{n-1} and then extra; lams is a
+    nonempty list."""
     n = f.n
     check_dimension(n)
-    lams = list(lams)
-    if not lams:
-        return []
     unit = [tuple(int(i == beta) for i in range(n)) for beta in range(n)]
     indices = [(0,) * n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
-    rows, power, est, grid_n, spectra = _coefficients(f, lams, indices, tol, max_n, box)
+    rows, power, est, grid_n, energies = _coefficients(f, lams, indices, tol, max_n, box)
     core, eta = rows[:, 0], rows[:, 1 : n + 1].swapaxes(1, 2)
     jac = rows[:, n + 1 : 2 * n + 1].swapaxes(1, 2)
     variance = np.maximum(power - trace_norm_sq(core, 1), 0.0)
     tail = variance - variance_model(eta, jac, lams)
-    return [
-        (SpectralSummary(lam=lam, core=core[i], eta=eta[i], jacobian=jac[i],
-                         variance=v, tail_energy=t, est_error=err, grid_n=n_used),
-         rows[i, 2 * n + 1 :], spectra[i])
-        for i, (lam, v, t, err, n_used) in enumerate(
-            zip(lams, variance.tolist(), tail.tolist(), est.tolist(), grid_n.tolist()))
-    ]
+    summary = SpectralSummary(lam=np.array(lams, dtype=float), core=core, eta=eta, jacobian=jac,
+                              variance=variance, tail_energy=tail, est_error=est, grid_n=grid_n)
+    return summary, rows[:, 2 * n + 1 :], energies
 
 
 def spectral_summaries(
@@ -835,7 +829,14 @@ def spectral_summaries(
     the module docstring); each summary is the one spectral_summary returns
     at its scale, and an error is the one the first failing scale raises.
     """
-    return [summary for summary, *_ in _summaries(f, lams, tol, max_n)]
+    lams = list(lams)
+    if not lams:
+        check_dimension(f.n)
+        return []
+    s, _, _ = _summaries(f, lams, tol, max_n)
+    return [SpectralSummary(*fields) for fields in zip(
+        lams, s.core, s.eta, s.jacobian, s.variance.tolist(), s.tail_energy.tolist(),
+        s.est_error.tolist(), s.grid_n.tolist())]
 
 
 def spectral_summary(
@@ -862,8 +863,8 @@ def first_order_summary(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """(core, eta, jacobian, est_error, grid_n) of spectral_summary(f, lam,
     tol, max_n): the same reads of the same grid, without the variance."""
-    [(s, *_)] = _summaries(f, [lam], tol, max_n)
-    return s.core, s.eta, s.jacobian, s.est_error, s.grid_n
+    s, _, _ = _summaries(f, [lam], tol, max_n)
+    return s.core[0], s.eta[0], s.jacobian[0], float(s.est_error[0]), int(s.grid_n[0])
 
 
 def expectation_numeric(f, lam: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Scale-analysis tests: sweeps, optimal scale, detectability."""
 
+import numpy as np
 import pytest
 
 from _grids import recorded_grids
@@ -17,6 +18,7 @@ from polylens.analysis import (
 )
 from polylens.errors import InconsistentScales
 from polylens.expr import parse
+from polylens.quadrature import spectral_summaries, spectral_summary
 
 
 class TestSweep:
@@ -51,6 +53,19 @@ class TestSweep:
         # pole at 0.4: residue matrices differ below and above that radius
         with pytest.raises(InconsistentScales):
             variance_sweep(parse("1/(w-0.4)", 1), [0.3, 0.35, 0.5])
+
+    def test_drift_within_the_reads_error_is_accepted(self):
+        # a Laurent polynomial, in the class: its matrices drift by up to
+        # 6.7e-8 between scales, above max(1e-9, 100 * tol), and within the
+        # reads' est_error of 284 to 938
+        f = parse("100000000/w + 100000000*w", 1)
+        lams = geometric_grid(0.3, 2.0, 9)
+        summaries = spectral_summaries(f, lams)
+        drift = max(abs(s.eta[0, 0] - summaries[0].eta[0, 0]) for s in summaries)
+        assert drift > 1e-8 and min(s.est_error for s in summaries) > 100
+        sweep = variance_sweep(f, lams)
+        assert sweep.lambda_star_closed == pytest.approx(1.0, abs=1e-9)
+        assert sweep.lambda_star_empirical == pytest.approx(1.0, abs=1e-3)
 
 
 class TestOptimalScale:
@@ -169,6 +184,17 @@ class TestDetectability:
             # the tiny values meet the tolerance on the first grids, whose
             # aliases leave a relative error of about 3e-5 in the drift
             assert report.expectation_drift == pytest.approx(drift, rel=1e-3, abs=1e-15)
+
+    def test_drift_is_the_largest_gap_of_any_two_probes(self):
+        # c/(w - 0.7) has expectation 0 inside the pole's radius and -c/0.7
+        # outside it: the widest pair is not the first and last probe
+        f = parse("0.000000003/(w - 0.7)", 1)
+        probes = [0.5, 1.0, 0.6]
+        report = detectability_check(f, probes)
+        cores = [spectral_summary(f, lam).core for lam in probes]
+        assert report.expectation_drift == max(
+            float(np.max(np.abs(a - b))) for a in cores for b in cores)
+        assert report.expectation_drift > 4e-9
 
     def test_needs_two_probes(self):
         with pytest.raises(ValueError):

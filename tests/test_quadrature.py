@@ -954,6 +954,27 @@ class TestShiftedGrid:
         assert max(gaps) <= s.est_error
 
 
+def _row(s, i):
+    """Row i of a stacked summary (see quadrature._summaries), as the
+    one-scale summary of its scale."""
+    return quadrature.SpectralSummary(
+        lam=float(s.lam[i]), core=s.core[i], eta=s.eta[i], jacobian=s.jacobian[i],
+        variance=float(s.variance[i]), tail_energy=float(s.tail_energy[i]),
+        est_error=float(s.est_error[i]), grid_n=int(s.grid_n[i]))
+
+
+def _binned(f, box) -> np.ndarray:
+    """sum |c^_a|^2 over the components and the a != 0 of each total degree,
+    lowest first, of a range box of f (axis j over lo_j..hi_j, components
+    last), binned one entry at a time in C order."""
+    bounds = f.exponent_bounds()
+    total = sum(np.ix_(*[np.arange(lo, hi + 1) for lo, hi in bounds]))
+    power = (np.abs(box) ** 2).sum(axis=-1)
+    if all(lo <= 0 <= hi for lo, hi in bounds):  # a = 0 is the mean
+        power[tuple(-lo for lo, _ in bounds)] = 0.0
+    return np.bincount((total - total.min()).ravel(), weights=power.ravel())
+
+
 def _assert_same_summary(got, want):
     """The same summary, bit for bit."""
     assert got.lam == want.lam
@@ -974,6 +995,20 @@ class TestScaleBlocks:
         assert len(batched) == len(lams)
         for lam, s in zip(lams, batched):
             _assert_same_summary(s, spectral_summary(f, lam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 2),
+           st.lists(st.floats(0.2, 5.0), min_size=1, max_size=12, unique=True))
+    def test_stacked_summary_splits_into_one_scale_summaries(self, seed, n, k, lams):
+        f = random_decomposable(np.random.default_rng(seed), n=n, k=k)
+        lams = sorted(lams)
+        s, _, _ = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N)
+        assert s.lam.shape == s.variance.shape == (len(lams),)
+        models = s.variance_model
+        for i, lam in enumerate(lams):
+            one = spectral_summary(f, lam)
+            _assert_same_summary(_row(s, i), one)
+            assert models[i] == one.variance_model
 
     def test_tail_is_variance_minus_the_lone_model(self):
         # scales whose float power x**2 and product x*x differ in the last
@@ -1076,18 +1111,18 @@ class TestScaleBlocks:
     ])
     def test_exact_box_beyond_the_tolerance(self, text, lams):
         # a scale whose bound misses the tolerance is still read once from
-        # its exact grid: a sweep's summaries are the plain ones, and its box
-        # is that grid's contraction
+        # its exact grid: a sweep's summaries are the plain ones, and its
+        # energies bin that grid's contraction of the whole box
         f = parse(text, 1)
-        boxed = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, box=True)
+        s, _, energies = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, box=True)
         N = exact_grid(f.exponent_bounds())
-        for lam, (s, _, spectrum), plain in zip(lams, boxed, spectral_summaries(f, lams)):
-            _assert_same_summary(s, plain)
+        for i, (lam, plain) in enumerate(zip(lams, spectral_summaries(f, lams))):
+            _assert_same_summary(_row(s, i), plain)
             exact = sample_torus(f, lam, N)
             orders = [range(lo, hi + 1) for lo, hi in f.exponent_bounds()]
             want = quadrature._contract_axes(
                 exact.values, quadrature._phases(orders, N, exact.shift), np.ndim(lam))
-            assert np.array_equal(spectrum, (want / N).ravel())
+            assert np.array_equal(energies[i], _binned(f, want / N))
 
 
 def _pairing(f_terms, g_terms, lam) -> complex:
@@ -1174,19 +1209,19 @@ class TestExactReadIsTheAnswer:
         assert s.grid_n == 4 and 1e-20 < s.est_error < 1e-12
 
 
-def _per_entry_bound(f, lams, N, peak, indices, spectrum_size) -> np.ndarray:
+def _per_entry_bound(f, lams, N, peak, indices, energy_size) -> np.ndarray:
     """The rounding bound of every entry of a coefficient read of f from its
     N-grid at the scales lams, as the reader once reported it entry by
     entry: unit * lam^(-sum a) for each component of each coefficient,
-    4*k*max(peak, 1)*unit for the mean of |f|^2 and 0 for each spectrum
-    entry, unit being _rounding_bound(n, N, degree, peak), one row per
+    4*k*max(peak, 1)*unit for the mean of |f|^2 and 0 for each energy by
+    degree, unit being _rounding_bound(n, N, degree, peak), one row per
     scale."""
     k = f.k
     degree = quadrature._degree(quadrature._exponent_bounds(f))
     unit = np.asarray(quadrature._rounding_bound(f.n, N, degree, peak))[..., None]
     scales = np.asarray(lams)[..., None] ** -np.array([sum(a) for a in indices], dtype=float)
     power = 4 * k * np.maximum(peak, 1.0)[..., None] * unit
-    zeros = np.zeros(np.shape(lams) + (spectrum_size,))
+    zeros = np.zeros(np.shape(lams) + (energy_size,))
     return np.concatenate([(unit * scales).repeat(k, axis=-1), power, zeros], axis=-1)
 
 
@@ -1246,11 +1281,11 @@ class TestOneBoundPerScale:
             return refine(g, read, *args)
 
         with mock.patch.object(quadrature, "_refine", side_effect=recorded):
-            got = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, extra, box)
+            s, _, energies = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, extra, box)
         [read] = reads
         unit = [tuple(int(i == j) for i in range(f.n)) for j in range(f.n)]
         indices = [(0,) * f.n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
-        size = got[0][2].size
+        size = energies.shape[-1]
 
         def per_entry(lams, N, shift):
             return _PerEntry(read(lams, N, shift),
@@ -1260,16 +1295,17 @@ class TestOneBoundPerScale:
             want = [quadrature._adaptive(f, lam, per_entry, DEFAULT_TOL, DEFAULT_MAX_N)[1]
                     for lam in lams]
         else:
-            N = got[0][0].grid_n
+            N = int(s.grid_n[0])
             want = sample_torus(f, lams, N, read=per_entry)[1].max(axis=-1).tolist()
-        assert [s.est_error for s, _, _ in got] == want
+        assert s.est_error.tolist() == want
 
 
 def _box_energies(f, lam, max_n=DEFAULT_MAX_N):
     """(degrees, energies, est_error) of the range box read at lam, as a
     sweep reads the row of its minimum."""
-    [(s, _, spectrum)] = quadrature._summaries(f, [lam], DEFAULT_TOL, max_n, box=True)
-    return (*quadrature._degree_energies(f, spectrum), s.est_error)
+    s, _, [energies] = quadrature._summaries(f, [lam], DEFAULT_TOL, max_n, box=True)
+    lowest = sum(lo for lo, _ in f.exponent_bounds())
+    return lowest + np.arange(energies.size), energies, float(s.est_error[0])
 
 
 def _oracle_energies(f, degrees) -> np.ndarray:
@@ -1303,17 +1339,32 @@ class TestSweepProbes:
     @pytest.mark.parametrize("seed,n,k", [(0, 1, 1), (5, 2, 2), (9, 3, 1)])
     def test_degree_energies_bin_the_range_box(self, seed, n, k):
         f = random_decomposable(np.random.default_rng(seed), n=n, k=k)
-        [(s, _, spectrum)] = quadrature._summaries(f, [1.0], DEFAULT_TOL, DEFAULT_MAX_N, box=True)
-        degrees, energies = quadrature._degree_energies(f, spectrum)
+        s, _, [energies] = quadrature._summaries(f, [1.0], DEFAULT_TOL, DEFAULT_MAX_N, box=True)
         bounds = f.exponent_bounds()
         lowest, highest = sum(lo for lo, _ in bounds), sum(hi for _, hi in bounds)
-        assert list(degrees) == list(range(lowest, highest + 1))
-        assert np.abs(energies - _oracle_energies(f, degrees)).sum() <= s.est_error
+        assert energies.shape == (highest - lowest + 1,)
+        degrees = np.arange(lowest, highest + 1)
+        assert np.abs(energies - _oracle_energies(f, degrees)).sum() <= s.est_error[0]
 
     def test_no_range_reads_no_energies(self):
         f = GridFunction(1, 1, parse("1/w + w", 1).eval_grid)
-        [(_, _, spectrum)] = quadrature._summaries(f, [1.0], DEFAULT_TOL, DEFAULT_MAX_N, box=True)
-        assert spectrum.size == 0
+        _, _, energies = quadrature._summaries(f, [1.0], DEFAULT_TOL, DEFAULT_MAX_N, box=True)
+        assert energies.shape == (1, 0)
+
+    def test_sweep_peak_does_not_grow_with_its_steps(self):
+        # 9,702 box entries per scale, each scale one block of the 32^3
+        # grid: a sweep keeps their energies by degree, not the box
+        f = parse("1/w1 + w1 + w1^20*w2^20*w3^20", 3)
+        peaks = []
+        variance_sweep(f, geometric_grid(0.8, 1.2, 3))  # caches warmed outside the trace
+        for steps in (9, 33):
+            tracemalloc.start()
+            try:
+                variance_sweep(f, geometric_grid(0.8, 1.2, steps))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_no_range_samples_every_probe(self, monkeypatch):
         f = GridFunction(1, 1, parse("1/w + w", 1).eval_grid)
