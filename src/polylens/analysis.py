@@ -36,7 +36,8 @@ from .quadrature import (
     spectral_summary,
 )
 
-# Traces below this are treated as exactly zero when classifying degeneracies.
+# A trace at most this fraction of Tr(eta* eta) + Tr(D* D) is treated as
+# exactly zero when classifying degeneracies.
 TRACE_ZERO_THRESHOLD = 1e-18
 
 GOLDEN_REL_TOL = 1e-4  # golden section stops at a bracket this fraction of its midpoint
@@ -70,13 +71,16 @@ def optimal_scale(eta, jacobian) -> OptimalScale:
 
     Degenerate(ZeroJacobian) when Tr(D* D) = 0 (variance monotone decreasing
     in the scale) and Degenerate(ZeroResidue) when Tr(eta* eta) = 0 (monotone
-    increasing toward zero scale); degeneracies are values, not errors.
+    increasing toward zero scale); degeneracies are values, not errors.  A
+    trace is zero relative to the two together, so the outcome does not
+    depend on the units of f.
     """
     tr_eta = trace_norm_sq(eta)
     tr_jac = trace_norm_sq(jacobian)
-    if tr_jac <= TRACE_ZERO_THRESHOLD:
+    zero = TRACE_ZERO_THRESHOLD * (tr_eta + tr_jac)
+    if tr_jac <= zero:
         return ZERO_JACOBIAN
-    if tr_eta <= TRACE_ZERO_THRESHOLD:
+    if tr_eta <= zero:
         return ZERO_RESIDUE
     return (tr_eta / tr_jac) ** 0.25
 
@@ -210,8 +214,10 @@ class DetectabilityReport:
 
 
 def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
-    """Detectable iff the expectation is the same at every probed scale
-    (within DRIFT_TOL) and every variance is finite.
+    """Detectable iff the expectation is the same at every probed scale and
+    every variance is finite.  Two probes drift apart when their cores differ
+    by more than DRIFT_TOL plus both reads' est_error, so only a gap the
+    reads' own rounding cannot explain counts.
 
     Class membership is probed alongside: a pole on a sampled torus, or a
     coefficient above CLASS_TOL at order -2 in some coordinate (the signature
@@ -224,7 +230,7 @@ def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
         raise ValueError("need at least 2 probe scales")
     check_dimension(f.n)  # before the n orders of length n
     deep = [tuple(-2 * (i == beta) for i in range(f.n)) for beta in range(f.n)]
-    cores = []
+    cores, errors = [], []
     max_variance = 0.0
     for lam in probes:  # the first probe out of the class ends the loop
         try:
@@ -242,9 +248,11 @@ def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
                 reason="NotInClass",
             )
         cores.append(s.core[0])
-    cores = np.array(cores)  # (probes, k): the largest gap of any two
-    drift = float(np.max(np.abs(cores[:, None] - cores)))
-    ok = drift <= DRIFT_TOL and math.isfinite(max_variance)
+        errors.append(float(s.est_error[0]))
+    cores, errors = np.array(cores), np.array(errors)  # (probes, k), (probes,)
+    gaps = np.abs(cores[:, None] - cores).max(axis=-1)  # of every two probes
+    drift = float(gaps.max())
+    ok = bool(np.all(gaps <= DRIFT_TOL + errors[:, None] + errors)) and math.isfinite(max_variance)
     return DetectabilityReport(
         is_detectable=ok,
         expectation_drift=drift,

@@ -17,10 +17,13 @@ One subtlety: a pulled-back pole sheds analytic terms (for n = 1 and
 g = c*w + a*w^2, the pullback of eta'/u is eta'/(c*w) - eta' a/c^2 +
 (eta' a^2/c^3) w - ...), so the raw first-order coefficient of the full
 pullback overshoots D' J by exactly eta' a^2/c^3.  The covariance law is a
-chain rule for the analytic component, so its direct side is measured on the
-pullback of the analytic part (the full pullback minus the measured pole
-part); the residue law is insensitive to this split and is checked on the
-full pullback.  TransformReport.feedthrough quantifies the shed term itself.
+chain rule for the analytic component, the full pullback minus the pole part
+sum_gamma eta'[alpha, gamma] / g_gamma.  Coefficient reads are linear, so its
+derivative matrix is D_raw - eta' K, where D_raw is that of the full pullback
+and K that of the 1/g_gamma; both come from one read of the pullback of psi'
+with the components 1/u_gamma appended.  The residue law is insensitive to
+this split and is checked on the same read.  TransformReport.feedthrough,
+eta' K, quantifies the shed term itself.
 
 For n >= 2 only diagonal-dominant morphs g_gamma = c_gamma * w_gamma *
 (1 + h_gamma(w)) with sup|h_gamma| < 1/2 on the poly-disc are accepted:
@@ -45,7 +48,7 @@ from .errors import (
     SingularJacobian,
     VanishesOnTorus,
 )
-from .expr import BinOp, Lit, MeroExpr, substitute, to_laurent
+from .expr import BinOp, Lit, MeroExpr, Var, substitute, to_laurent
 from .laurent import LaurentPoly, decompose, matrix_to_complex
 from .quadrature import (
     DEFAULT_MAX_N,
@@ -184,9 +187,10 @@ class TransformReport:
     @property
     def feedthrough(self) -> np.ndarray:
         """First-order coefficients that the pulled-back pole part sheds: the
-        gap between the raw first-order matrix of the full pullback and the
-        derivative of its analytic component.  Zero for linear changes;
-        eta' a^2/c^3 for the one-dimensional quadratic family."""
+        gap eta' K between the raw first-order matrix of the full pullback and
+        the derivative of its analytic component, K the first-order matrix of
+        the 1/g_gamma.  Zero for linear changes; eta' a^2/c^3 for the
+        one-dimensional quadratic family."""
         return self.jac_raw - self.jac_direct
 
     @property
@@ -195,23 +199,6 @@ class TransformReport:
 
     def passed(self, tol: float) -> bool:
         return self.max_residual <= tol
-
-
-def _analytic_pullback(pulled: MeroExpr, g: Morph, eta_p: np.ndarray) -> MeroExpr:
-    """The pullback minus the pulled-back pole part
-    sum_gamma eta'[alpha, gamma] / g_gamma(w), as an expression.  It divides
-    by the g_gamma of the nonzero entries alone, so it has an exponent range
-    (and is read on the exact grid) when those are monomials, as for a
-    linear change c*w."""
-    components = []
-    for alpha, node in enumerate(pulled.components):
-        for gamma, g_node in enumerate(g.components.components):
-            coef = complex(eta_p[alpha, gamma])
-            if coef != 0:
-                pole = BinOp("/", Lit(Fraction(coef.real), Fraction(coef.imag)), g_node)
-                node = BinOp("-", node, pole)
-        components.append(node)
-    return MeroExpr(n=g.n, components=tuple(components), var_letter=pulled.var_letter)
 
 
 def verify_transform(
@@ -225,21 +212,23 @@ def verify_transform(
     g.lam that morph_validate certified, and compare against the tensor
     transformation laws.
 
-    The residue matrix is extracted from the full pullback; the derivative
-    matrix from the pullback of the analytic component (see the module
-    docstring for why the pole part must be subtracted first).
+    Both laws are read from one summary of the pullback of psi' with the
+    components 1/u_gamma of its poles appended: its first k rows are the
+    pullback's, its last ones give K (see the module docstring).
     """
     if psi_prime.n != g.n:
         raise DimensionMismatch(
             f"function in {psi_prime.n} variables vs change of {g.n} coordinates"
         )
-    lam = g.lam
+    lam, k = g.lam, psi_prime.k
     _, eta_p, jac_p, _, _ = first_order_summary(psi_prime, lam, tol=tol, max_n=max_n)
-    pulled = pullback(psi_prime, g)
-    _, eta_d, jac_raw, _, _ = first_order_summary(pulled, lam, tol=tol, max_n=max_n)
-    _, _, jac_d, _, _ = first_order_summary(
-        _analytic_pullback(pulled, g, eta_p), lam, tol=tol, max_n=max_n
-    )
+    poles = [gamma for gamma in range(g.n) if np.any(eta_p[:, gamma])]
+    inverses = tuple(BinOp("/", Lit(Fraction(1), Fraction(0)), Var(gamma)) for gamma in poles)
+    augmented = MeroExpr(n=g.n, components=psi_prime.components + inverses,
+                         var_letter=psi_prime.var_letter)
+    _, eta, jac, _, _ = first_order_summary(pullback(augmented, g), lam, tol=tol, max_n=max_n)
+    eta_d, jac_raw = eta[:k], jac[:k]
+    jac_d = jac_raw - eta_p[:, poles] @ jac[k:]
     eta_pred = eta_p @ g.jac_inv.T
     jac_pred = jac_p @ g.jac
     return TransformReport(

@@ -1,4 +1,4 @@
-"""Which grids the engine samples, for the tests that count them.
+"""Which grids the engine samples and reads, for the tests that count them.
 
 recorded_grids() records one Grid(f, lam, N, shift) for every call of
 ``quadrature.sample_torus`` inside its ``with`` block, in call order; lam is
@@ -7,6 +7,11 @@ manager, not a pytest fixture, because a function-scoped fixture cannot be
 used inside a hypothesis test.  It patches the module attribute, so it sees
 the engine's own calls: ``verify`` and ``morphs`` import ``sample_torus`` by
 name, and their direct calls are not recorded.
+
+recorded_reads() records one Read for every call of ``quadrature._refine``
+inside its ``with`` block, in call order: its evaluator, reader factory,
+exponent width and scales, and the (values, est_error, grid_n) it returned.
+A call that raises is not recorded.
 
 exact_grid(bounds) is the grid the engine samples for a coefficient read of
 a range, and grid_above(width) the one it samples for a read pairing
@@ -40,6 +45,30 @@ def recorded_grids():
 
     with mock.patch.object(quadrature, "sample_torus", recorded):
         yield grids
+
+
+class Read(NamedTuple):
+    f: Any
+    read: Any
+    width: int | None
+    lams: Any
+    values: Any
+    est_error: Any
+    grid_n: Any
+
+
+@contextlib.contextmanager
+def recorded_reads():
+    reads: list[Read] = []
+    refine = quadrature._refine
+
+    def recorded(f, read, width, lams, tol, max_n):
+        result = refine(f, read, width, lams, tol, max_n)
+        reads.append(Read(f, read, width, lams, *result))
+        return result
+
+    with mock.patch.object(quadrature, "_refine", recorded):
+        yield reads
 
 
 def grid_above(width: int) -> int:

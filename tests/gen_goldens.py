@@ -42,6 +42,9 @@ COMMANDS = {
         "transform", "--expr", "1/u1", "--morph", "2*w1", "--n", "1",
         "--lambda", "0.5",
     ],
+    "transform_quadratic.txt": [
+        "transform", "--expr", "1/u + u", "--morph", "w + 0.25*w^2", "--n", "1",
+    ],
     "verify_all.txt": ["verify", "--suite", "all", "--seed", "7"],
 }
 

@@ -71,6 +71,8 @@ class TestSweep:
 class TestOptimalScale:
     def test_balanced(self):
         assert optimal_scale([[1]], [[1]]) == pytest.approx(1.0)
+        # Tr(D* D) = 1e-20 is not zero beside Tr(eta* eta) = 1e-20
+        assert optimal_scale([[1e-10]], [[1e-10]]) == pytest.approx(1.0)
 
     def test_plugin_value(self):
         assert optimal_scale([[1]], [[2]]) == pytest.approx(0.25**0.25)
@@ -79,7 +81,17 @@ class TestOptimalScale:
     def test_degeneracies_are_values(self):
         assert optimal_scale([[1]], [[0]]) == ZERO_JACOBIAN
         assert optimal_scale([[0]], [[1]]) == ZERO_RESIDUE
+        assert optimal_scale([[1e-10]], [[0]]) == ZERO_JACOBIAN
+        assert optimal_scale([[0]], [[1e-10]]) == ZERO_RESIDUE
         assert isinstance(optimal_scale([[0]], [[0]]), Degenerate)
+
+    @pytest.mark.parametrize("text,closed", [
+        ("0.0000000001/w + 0.0000000001*w", pytest.approx(1.0)),
+        ("0.0000000001/w", ZERO_JACOBIAN),
+    ])
+    def test_sweep_outcome_does_not_depend_on_units(self, text, closed):
+        sweep = variance_sweep(parse(text, 1), geometric_grid(0.5, 2.0, 9))
+        assert sweep.lambda_star_closed == closed
 
     def test_string_rendering(self):
         assert str(ZERO_JACOBIAN) == "Degenerate(ZeroJacobian)"
@@ -195,6 +207,15 @@ class TestDetectability:
         assert report.expectation_drift == max(
             float(np.max(np.abs(a - b))) for a in cores for b in cores)
         assert report.expectation_drift > 4e-9
+
+    def test_drift_within_the_reads_error_is_detectable(self):
+        # a Laurent polynomial, in the class: its expectations drift by 2.9e-8
+        # between probes, above DRIFT_TOL, and within the reads' est_error of
+        # 999 to 2712
+        f = parse("100000000 + 100000000/w + 100000000*w + 100000000*w^2", 1)
+        report = detectability_check(f, [0.5, 1.0, 1.7])
+        assert report.is_detectable and report.in_class and report.reason is None
+        assert report.expectation_drift > DRIFT_TOL
 
     def test_needs_two_probes(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _grids import recorded_grids
+from _grids import recorded_grids, recorded_reads
 from polylens.errors import (
     DimensionMismatch,
     NotDiagonalDominant,
@@ -120,33 +120,45 @@ def _closure_pullback(pulled, g, eta_p):
     return quadrature.GridFunction(g.n, pulled.k, fn)
 
 
-class TestAnalyticPullback:
+class TestAnalyticPart:
+    """jac_direct is the derivative matrix of the pullback's analytic part,
+    taken by linearity from the one read of the pullback: D_raw - eta' K."""
+
     @pytest.mark.parametrize("text,n,psi_text,ranged", [
         ("2*w", 1, "(1+2i)/u + 3*u", True),
         ("w + 0.25*w^2", 1, "(1+2i)/u + 3*u", False),
         ("w1 + w1*w2/4, 2*w2", 2, "1/u1 + 1/u2 + u1 + 2*u2", False),
         ("w1, w2", 2, "(1+i)/u1 + u2 + u1*u2", True),
     ])
-    def test_tree_has_the_closure_values(self, text, n, psi_text, ranged):
-        # dividing by the monomial 2*w keeps a range, so the summary reads
-        # the exact grid; by w + 0.25*w^2 it has none
+    def test_agrees_with_the_closure(self, text, n, psi_text, ranged):
+        # dividing by the monomial 2*w keeps a range, so the pullback is read
+        # on the exact grid; by w + 0.25*w^2 it has none
         g = morph_validate(parse(text, n))
         psi = parse(psi_text, n, var_letter="u")
         _, eta_p, _, _, _ = quadrature.first_order_summary(psi, g.lam)
-        pulled = pullback(psi, g)
-        tree = morphs._analytic_pullback(pulled, g, eta_p)
-        assert (tree.exponent_bounds() is not None) == ranged
-        reference = _closure_pullback(pulled, g, eta_p)
-        for N in (16, 64):
-            got = quadrature.sample_torus(tree, g.lam, N).values
-            assert np.array_equal(got, quadrature.sample_torus(reference, g.lam, N).values)
+        reference = _closure_pullback(pullback(psi, g), g, eta_p)
+        _, _, jac, _, _ = quadrature.first_order_summary(reference, g.lam)
+        with recorded_reads() as reads:
+            report = verify_transform(psi, g)
+        assert [read.width is not None for read in reads] == [True, ranged]
+        assert np.max(np.abs(report.jac_direct - jac)) <= 1e-12
 
-    def test_zero_entries_are_skipped(self):
-        # eta' of u has no pole, so nothing is subtracted
-        g = morph_validate(parse("2*w", 1))
-        pulled = pullback(parse("u", 1, var_letter="u"), g)
-        tree = morphs._analytic_pullback(pulled, g, np.zeros((1, 1), dtype=complex))
-        assert tree.components == pulled.components
+    def test_no_pole_reads_the_raw_matrix(self):
+        # eta' of u is 0, so nothing is taken off, and both reads are exact
+        g = morph_validate(parse("w + 0.25*w^2", 1))
+        with recorded_reads() as reads:
+            report = verify_transform(parse("u", 1, var_letter="u"), g)
+        assert report.jac_direct.tobytes() == report.jac_raw.tobytes()
+        assert [read.grid_n.tolist() for read in reads] == [[4], [4]]
+
+    def test_two_reads(self):
+        g = morph_validate(parse("w + w^2/4", 1))
+        psi = parse("1/u + u", 1, var_letter="u")
+        with recorded_reads() as reads:
+            verify_transform(psi, g)
+        # psi', then its pullback with 1/g appended
+        assert reads[0].f is psi
+        assert [read.f.k for read in reads] == [1, 2]
 
 
 class TestTransform:
@@ -172,10 +184,11 @@ class TestTransform:
     def test_measured_at_the_validated_radius(self):
         g = morph_validate(parse("w + w^2/4", 1), 0.5)
         psi = parse("1/u + u", 1, var_letter="u")
-        _, eta, _, _, _ = quadrature.first_order_summary(pullback(psi, g), 0.5)
+        augmented = parse("1/u + u, 1/u", 1, var_letter="u")
+        _, eta, _, _, _ = quadrature.first_order_summary(pullback(augmented, g), 0.5)
         with recorded_grids() as grids:
             report = verify_transform(psi, g)
-        assert np.array_equal(report.eta_direct, eta)
+        assert np.array_equal(report.eta_direct, eta[:1])
         # one scale, or a block of scales
         radii = [lam for grid in grids for lam in np.ravel(grid.lam)]
         assert radii and set(radii) == {0.5}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _grids import exact_grid, grid_above, recorded_grids
+from _grids import exact_grid, grid_above, recorded_grids, recorded_reads
 from polylens import quadrature
 from polylens.errors import (
     AliasingRisk,
@@ -746,20 +746,14 @@ class TestInnerProduct:
             inner_product_numeric(parse("w", 1), parse("w1, w2", 2), 1.0)
 
     @pytest.mark.parametrize("degree,lam", [(9, 1.05), (9, 1.3), (300, 1.05)])
-    def test_high_degree_terms_stay_within_the_bound(self, monkeypatch, degree, lam):
+    def test_high_degree_terms_stay_within_the_bound(self, degree, lam):
         # the difference of conj(w^d).w^d is 0, so a 4-grid holds it, but
         # each value is a product of d factors: the bound counts d, not N
-        refined = []
-        refine = quadrature._refine
-
-        def recorded(*args):
-            refined.append(refine(*args))
-            return refined[-1]
-
-        monkeypatch.setattr(quadrature, "_refine", recorded)
         f = LaurentPoly.scalar(1, {(degree,): 1})
-        value = inner_product_numeric(f, f, lam)
-        [(_, [est], [N])] = refined
+        with recorded_reads() as reads:
+            value = inner_product_numeric(f, f, lam)
+        [read] = reads
+        [est], [N] = read.est_error, read.grid_n
         exact = inner_product_exact(f, f, Fraction(lam))
         assert N == 4
         assert abs(value - complex(exact)) <= est
@@ -1168,21 +1162,15 @@ class TestExactReadIsTheAnswer:
             assume(sum(max(map(abs, v)) * lam ** sum(a) for a, v in t.items())
                    <= quadrature.BLOWUP_THRESHOLD)
         n, zero = f.n, [0j] * f.k
-        reads, refine = [], quadrature._refine
-
-        def recorded(*args):
-            reads.append(refine(*args))
-            return reads[-1]
-
         with mock.patch.object(quadrature, "_adaptive",
                                side_effect=AssertionError("the doubling loop ran")), \
-             mock.patch.object(quadrature, "_refine", side_effect=recorded):
+             recorded_reads() as reads:
             [s] = spectral_summaries(f, [lam], tol)
             orders = list(dict.fromkeys([(0,) * n, *terms, *(
                 tuple(d * (i == j) for i in range(n)) for j in range(n) for d in (-1, 1))]))
             coeffs, err, n_used = adaptive_coefficients(f, lam, orders)
             value = inner_product_numeric(f, g, lam)
-        _, [ip_err], _ = reads[-1]
+        [ip_err] = reads[-1].est_error
         assert s.grid_n == n_used == exact_grid(f.exponent_bounds())
 
         unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -1274,15 +1262,9 @@ class TestOneBoundPerScale:
     @given(_bound_inputs())
     def test_est_error_is_the_largest_per_entry_bound(self, case):
         f, lams, extra, box = case
-        reads, refine = [], quadrature._refine
-
-        def recorded(g, read, *args):
-            reads.append(read)
-            return refine(g, read, *args)
-
-        with mock.patch.object(quadrature, "_refine", side_effect=recorded):
+        with recorded_reads() as reads:
             s, _, energies = quadrature._summaries(f, lams, DEFAULT_TOL, DEFAULT_MAX_N, extra, box)
-        [read] = reads
+        [read] = [r.read for r in reads]
         unit = [tuple(int(i == j) for i in range(f.n)) for j in range(f.n)]
         indices = [(0,) * f.n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
         size = energies.shape[-1]
