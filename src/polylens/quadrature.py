@@ -85,6 +85,18 @@ evaluation; a pole found in a slab is reported at that slab's point, and no
 row is evaluated twice.  A caller that asks for the values, which the
 engine never does, gets the whole grid, copied from each part as it is read.
 
+A sweep, a verify suite or a run of CLI commands reads the same few grids
+many times, so each axis's unit circle exp(2*pi*i*(m + s)/N), turned by s
+grid steps, and each axis's phase matrix exp(-2*pi*i*a*(m + s)/N), a row per
+order a, are made once per (N, s) and per (orders, N, s) and then shared
+from one least-recently-used cache of TABLE_CACHE tables (see _table).  A
+shared table has the bits a fresh one has and is read-only, so no caller can
+change it under the next.  Only tables of at most BLOCK_VALUES entries (256
+KB) are kept, so the cache holds at most TABLE_CACHE x 256 KB = 16 MB; a
+larger one, such as the 262 MB phase matrix of a box read of 1 + w^4000 on
+its 4096-grid, is made afresh for its read and freed with it.  A grid that
+sample_torus keeps is a new array and shares no memory with the tables.
+
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
 coordinate arrays works, e.g. ``expr.MeroExpr``, ``laurent.LaurentPoly`` or
@@ -97,6 +109,7 @@ free; grids and summaries are immutable once built.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -129,6 +142,7 @@ BLOCK_VALUES = 2**14          # most values (scales x N^n x k) in one block of s
 SLAB_VALUES = 2**16           # most values one evaluation of a pointwise evaluator yields
 READ_VALUES = 2**18           # most values the engine reads at once: a few slabs
 SCALE_RANGE = (2.0**-511, 2.0**511)  # scales whose square is a normal float
+TABLE_CACHE = 64              # circles and phase matrices kept for reuse (see _table)
 
 # Per-axis turn of the confirming grid, in grid steps.  For every nonzero m in
 # {-1,0,1}^n the binary fractions keep m.s at least 2^-n from an integer, the
@@ -203,9 +217,32 @@ class TorusGrid:
     shift: tuple[float, ...] | None = None  # per-axis turn in grid steps
 
 
-def _steps(N: int, shift: tuple[float, ...] | None, j: int) -> np.ndarray:
-    """Grid positions along axis j, in grid steps."""
-    return np.arange(N) if shift is None else np.arange(N) + shift[j]
+def _steps(N: int, s: float | None) -> np.ndarray:
+    """Grid positions along an axis turned by s grid steps (None for none)."""
+    return np.arange(N) if s is None else np.arange(N) + s
+
+
+def _circle(N: int, s: float | None) -> np.ndarray:
+    """The N points exp(2*pi*i*(m + s)/N) of the unit circle, turned by s."""
+    return np.exp(2j * np.pi * _steps(N, s) / N)
+
+
+def _phase(axis: tuple[int, ...], N: int, s: float | None) -> np.ndarray:
+    """The (r, N) phase matrix exp(-2*pi*i*a*(m + s)/N), a row per order a."""
+    return np.exp(-2j * np.pi * np.array(axis)[:, None] * _steps(N, s) / N)
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _cached(make, *key) -> np.ndarray:
+    table = make(*key)
+    table.flags.writeable = False
+    return table
+
+
+def _table(make, size: int, *key) -> np.ndarray:
+    """make(*key), a table of ``size`` entries: shared and read-only from
+    the cache when it has at most BLOCK_VALUES entries, else made afresh."""
+    return make(*key) if size > BLOCK_VALUES else _cached(make, *key)
 
 
 def torus_coords(
@@ -220,7 +257,7 @@ def torus_coords(
     for j in range(n):
         shape = [1] * n
         shape[j] = N
-        circle = np.exp(2j * np.pi * _steps(N, shift, j) / N)
+        circle = _table(_circle, N, N, None if shift is None else shift[j])
         coords.append(radius * circle.reshape(shape))
     return coords
 
@@ -367,8 +404,8 @@ def sample_torus(
 
 def _phases(orders: Sequence[Sequence[int]], N: int, shift) -> list[np.ndarray]:
     """One (r_j, N) phase matrix exp(-2*pi*i*a*(m + s_j)/N) per axis j, a row
-    per order a in orders[j]."""
-    return [np.exp(-2j * np.pi * np.array(axis)[:, None] * _steps(N, shift, j) / N)
+    per order a in orders[j], read-only when cached (see _table)."""
+    return [_table(_phase, len(axis) * N, tuple(axis), N, None if shift is None else shift[j])
             for j, axis in enumerate(orders)]
 
 

@@ -22,10 +22,23 @@ The decorated ``check_*(seed=0)`` seeds ``rng`` with ``seed``, runs the body
 and returns a CheckResult: passed when the body yields nothing, else failed
 with the first yielded message as its detail.  ``SUITES`` gives each suite's
 checks with the offset each adds to the suite seed.
+
+The random inputs (random_decomposable, random_tail, random_matrices) draw
+each polynomial's term flags, tail counts, tail exponents and integer
+coefficients, or each matrix pair's entries, in a few batched rng calls, and
+build the polynomial with the trusted LaurentPoly._normal.  A tail exponent
+is a uniform index into the per-n table of exponent vectors in [0, 4]^n of
+total degree 2 to 4 (_tail_exps), which is the law of drawing from [0, 4]^n
+until the degree fits.  So the family and each term's probability are
+fixed, but which cases a seed draws depends on the order of the draws: the
+batched draws give each seed other cases than the earlier draws of one
+scalar at a time did, with the same case counts.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,17 +108,11 @@ def _check(name: str, cases: int):
 # ------------------------------------------------------------ random inputs
 
 
-def _rand_cr(rng, bound: int = 3) -> ComplexRational:
-    return ComplexRational(
-        int(rng.integers(-bound, bound + 1)), int(rng.integers(-bound, bound + 1))
-    )
+_COEFF_BOUND = 3  # real and imaginary parts of a drawn coefficient lie in [-3, 3]
 
-
-def _rand_nonzero_cr(rng) -> ComplexRational:
-    while True:
-        c = _rand_cr(rng)
-        if c:
-            return c
+# The nonzero coefficients, as (re, im) pairs, for random_tail.
+_NONZERO = [(re, im) for re in range(-_COEFF_BOUND, _COEFF_BOUND + 1)
+            for im in range(-_COEFF_BOUND, _COEFF_BOUND + 1) if re or im]
 
 
 def _unit_exps(n: int, beta: int, sign: int) -> tuple[int, ...]:
@@ -114,57 +121,88 @@ def _unit_exps(n: int, beta: int, sign: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _rand_tail_exps(rng, n: int) -> tuple[int, ...]:
-    """Exponent vector of total degree between 2 and 4, all entries >= 0."""
-    while True:
-        exps = tuple(int(x) for x in rng.integers(0, 5, size=n))
-        if 2 <= sum(exps) <= 4:
-            return exps
+@functools.cache
+def _tail_exps(n: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors in [0, 4]^n of total degree 2 to 4, each entry
+    the multiplicity of its axis in a multiset of 2 to 4 axes.  A uniform
+    index into them is a uniform draw from [0, 4]^n kept only at those
+    degrees."""
+    return tuple(
+        tuple(axes.count(j) for j in range(n))
+        for degree in range(2, 5)
+        for axes in itertools.combinations_with_replacement(range(n), degree)
+    )
+
+
+def _poly(n: int, k: int, components) -> LaurentPoly:
+    """The k-component polynomial whose component alpha holds the terms of
+    components[alpha], pairs (exponents, (re, im)) of ints in which a later
+    pair replaces an earlier one of the same exponents; all-zero
+    coefficient vectors are dropped."""
+    merged: dict = {}
+    for alpha, pairs in enumerate(components):
+        for exps, (re, im) in dict(pairs).items():
+            if re or im:
+                merged.setdefault(exps, [CR_ZERO] * k)[alpha] = ComplexRational(re, im)
+    return LaurentPoly._normal(n, k, {e: tuple(v) for e, v in merged.items()})
 
 
 def random_decomposable(rng, n=None, k=None, allow_tail: bool = True) -> LaurentPoly:
-    """Random polynomial from the decomposable family: constant, single-pole,
-    linear and (optionally) degree-2..4 tail terms; integer coefficients in
-    [-3, 3] for both real and imaginary parts."""
+    """Random polynomial from the decomposable family: per component a
+    constant term with probability 0.8, each pole and each linear term with
+    probability 0.7, and (optionally) 0 to 3 tail terms of total degree 2
+    to 4 (see _tail_exps); integer coefficients in [-3, 3] for both real and
+    imaginary parts.  Each component's draws are made in a few batched rng
+    calls."""
     n = int(rng.integers(1, 4)) if n is None else n
     k = int(rng.integers(1, 3)) if k is None else k
-    components = []
-    for _ in range(k):
-        terms: dict = {}
-        if rng.random() < 0.8:
-            terms[(0,) * n] = _rand_cr(rng)
-        for beta in range(n):
-            if rng.random() < 0.7:
-                terms[_unit_exps(n, beta, -1)] = _rand_cr(rng)
-            if rng.random() < 0.7:
-                terms[_unit_exps(n, beta, 1)] = _rand_cr(rng)
-        if allow_tail:
-            for _ in range(int(rng.integers(0, 4))):
-                terms[_rand_tail_exps(rng, n)] = _rand_cr(rng)
-        components.append(LaurentPoly.scalar(n, terms))
-    return LaurentPoly.from_components(components)
+    slots = [(0,) * n] + [_unit_exps(n, beta, sign) for beta in range(n) for sign in (-1, 1)]
+    table = _tail_exps(n)
+    chance = np.array([0.8] + [0.7] * (2 * n))
+    kept = (rng.random((k, len(slots))) < chance).tolist()
+    parts = rng.integers(-_COEFF_BOUND, _COEFF_BOUND + 1, size=(k, len(slots) + 3, 2)).tolist()
+    tails = rng.integers(0, 4, size=k).tolist() if allow_tail else [0] * k
+    picks = rng.integers(0, len(table), size=(k, 3)).tolist()
+    return _poly(n, k, [
+        [(e, c) for e, keep, c in zip(slots, kept[alpha], parts[alpha]) if keep]
+        + [(table[i], c) for i, c in zip(picks[alpha][: tails[alpha]], parts[alpha][len(slots):])]
+        for alpha in range(k)
+    ])
 
 
 def random_tail(rng, n=None, k=None) -> LaurentPoly:
-    """Random nonzero power series tail of minimum total degree 2."""
+    """Random nonzero power series tail of minimum total degree 2: per
+    component 1 to 4 terms (see _tail_exps) with nonzero coefficients drawn
+    uniformly from those of random_decomposable."""
     n = int(rng.integers(1, 4)) if n is None else n
     k = int(rng.integers(1, 3)) if k is None else k
-    components = []
-    for _ in range(k):
-        terms = {
-            _rand_tail_exps(rng, n): _rand_nonzero_cr(rng)
-            for _ in range(int(rng.integers(1, 5)))
-        }
-        components.append(LaurentPoly.scalar(n, terms))
-    return LaurentPoly.from_components(components)
+    table = _tail_exps(n)
+    counts = rng.integers(1, 5, size=k).tolist()
+    picks = rng.integers(0, len(table), size=(k, 4)).tolist()
+    coeffs = rng.integers(0, len(_NONZERO), size=(k, 4)).tolist()
+    return _poly(n, k, [
+        [(table[i], _NONZERO[c]) for i, c in zip(picks[alpha], coeffs[alpha])][: counts[alpha]]
+        for alpha in range(k)
+    ])
+
+
+def _rand_crs(rng, bound: int, *shape: int) -> tuple:
+    """Nested tuples of the given shape of ComplexRational whose real and
+    imaginary parts are integers drawn uniformly from [-bound, bound], all
+    in one rng call."""
+
+    def nest(parts):
+        return ComplexRational(*parts) if isinstance(parts[0], int) else tuple(map(nest, parts))
+
+    return nest(rng.integers(-bound, bound + 1, size=shape + (2,)).tolist())
 
 
 def random_matrices(rng, n: int, k: int):
     """Random exact (eta, jacobian) pair, both with nonzero trace norms and
-    entries of real and imaginary parts in [-2, 2]."""
+    entries of real and imaginary parts in [-2, 2], each pair drawn in one
+    rng call."""
     while True:
-        eta = tuple(tuple(_rand_cr(rng, 2) for _ in range(n)) for _ in range(k))
-        jac = tuple(tuple(_rand_cr(rng, 2) for _ in range(n)) for _ in range(k))
+        eta, jac = _rand_crs(rng, 2, 2, k, n)
         if trace_norm_sq_exact(eta) and trace_norm_sq_exact(jac):
             return eta, jac
 
@@ -632,7 +670,7 @@ def check_optimal_scale_reproduction(rng, cases):
         n = int(rng.integers(1, 3))
         k = int(rng.integers(1, 3))
         eta, jac = random_matrices(rng, n, k)
-        core = tuple(_rand_cr(rng) for _ in range(k))
+        core = _rand_crs(rng, _COEFF_BOUND, k)
         f = poly_from_matrices(core, eta, jac)
         closed = optimal_scale(matrix_to_complex(eta), matrix_to_complex(jac))
         sweep = variance_sweep(f, grid)

@@ -179,6 +179,73 @@ class TestCoefficients:
             laurent_coefficient(grid, (1, 1))
 
 
+def _fresh_circle(N, s) -> np.ndarray:
+    steps = np.arange(N) if s is None else np.arange(N) + s
+    return np.exp(2j * np.pi * steps / N)
+
+
+def _fresh_phase(axis, N, s) -> np.ndarray:
+    steps = np.arange(N) if s is None else np.arange(N) + s
+    return np.exp(-2j * np.pi * np.array(axis)[:, None] * steps / N)
+
+
+class TestSharedTables:
+    """Circles and phase matrices of at most BLOCK_VALUES entries are made
+    once and shared, read-only; larger ones are made afresh."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(4, 300), st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+           st.one_of(st.none(), st.sampled_from(GRID_SHIFT), st.floats(-2.0, 2.0)),
+           st.floats(0.2, 3.0))
+    def test_cached_tables_equal_fresh_ones(self, N, axis, s, lam):
+        shift = None if s is None else (s, 0.25)
+        circles = [_fresh_circle(N, s), _fresh_circle(N, None if s is None else 0.25)]
+        for _ in range(2):  # a miss, then a hit
+            coords = torus_coords(2, lam, N, shift)
+            for got, circle, shape in zip(coords, circles, [(N, 1), (1, N)]):
+                assert got.tobytes() == (np.asarray(lam) * circle.reshape(shape)).tobytes()
+            first, second = quadrature._phases([axis, [0, 1]], N, shift)
+            assert first.tobytes() == _fresh_phase(axis, N, s).tobytes()
+            s1 = None if shift is None else 0.25
+            assert second.tobytes() == _fresh_phase([0, 1], N, s1).tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        phase, = quadrature._phases([[-1, 0, 1]], 16, None)
+        circle = quadrature._table(quadrature._circle, 16, 16, 0.5)
+        assert phase is quadrature._phases([[-1, 0, 1]], 16, None)[0]
+        for table in (phase, circle):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(table, 2, out=table)
+
+    def test_a_table_above_block_values_is_not_retained(self):
+        # BLOCK_VALUES entries are cached, one more row is not
+        edge, = quadrature._phases([[3]], BLOCK_VALUES, None)
+        assert edge is quadrature._phases([[3]], BLOCK_VALUES, None)[0]
+        before = quadrature._cached.cache_info()
+        big, = quadrature._phases([[2, 3]], BLOCK_VALUES, None)
+        again, = quadrature._phases([[2, 3]], BLOCK_VALUES, None)
+        coords = torus_coords(1, 1.0, 2 * BLOCK_VALUES)[0]
+        assert big is not again and big.flags.writeable
+        assert np.array_equal(big, again)
+        assert np.array_equal(coords, _fresh_circle(2 * BLOCK_VALUES, None))
+        assert quadrature._cached.cache_info() == before
+
+    @pytest.mark.parametrize("shift", [None, GRID_SHIFT[:2]])
+    def test_a_kept_grid_shares_no_memory_with_the_tables(self, shift):
+        grid = sample_torus(parse("1/w1 + w2 + w1*w2", 2), 0.9, 8, shift)
+        laurent_coefficient(grid, (1, 1))
+        steps = [None, None] if shift is None else list(shift)
+        tables = [quadrature._table(quadrature._circle, 8, 8, s) for s in steps]
+        tables += quadrature._phases([[1], [1]], 8, shift)
+        for table in tables:
+            assert not table.flags.writeable
+            assert not np.shares_memory(grid.values, table)
+        grid.values[...] = 0  # a kept grid is the caller's to change
+        assert tables[0].tobytes() == _fresh_circle(8, steps[0]).tobytes()
+
+
 def _direct_coefficient(grid: TorusGrid, a) -> np.ndarray:
     """c_a as a plain sum over every grid point, one index at a time."""
     n, N = grid.n, grid.N
@@ -1019,7 +1086,10 @@ class TestScaleBlocks:
     def test_one_evaluation_per_block(self, extra):
         # n = 3, k = 1, orders -1..4 on the last axis: the exact 8-grid, 512
         # values per scale
-        f = random_decomposable(np.random.default_rng(3), n=3, k=1)
+        f = LaurentPoly.scalar(3, {
+            (0, 0, 0): 1 + 1j, (-1, 0, 0): 2, (0, 1, 0): -1, (0, 0, -1): 3,
+            (0, 0, 1): 1 - 2j, (1, 1, 2): 2, (0, 0, 4): -3,
+        })
         assert exact_grid(f.exponent_bounds()) == 8
         block = BLOCK_VALUES // 8**3
         lams = [0.4 + 0.4 * i / block for i in range(block + extra)]

@@ -1,8 +1,10 @@
-"""The evaluators the verify checks build around LaurentPoly inputs: their
-declared exponent ranges, and the grids a tail case samples; and the result
-a failing check reports."""
+"""The random inputs the verify checks draw; the evaluators they build
+around LaurentPoly inputs: their declared exponent ranges, and the grids a
+tail case samples; and the result a failing check reports."""
 
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from _grids import exact_grid, recorded_grids
 from polylens import quadrature, verify
+from polylens.laurent import LaurentPoly, trace_norm_sq_exact
 from polylens.quadrature import expectation_numeric, sample_torus
 from polylens.verify import (
     CheckResult,
@@ -21,8 +24,65 @@ from polylens.verify import (
     check_full_disc,
     check_pairing_identities,
     check_tail_integrals_vanish,
+    random_decomposable,
+    random_matrices,
     random_tail,
 )
+
+
+def _parts(vec, bound):
+    """Assert each coefficient of vec has integer parts in [-bound, bound]."""
+    for c in vec:
+        assert type(c.re) is int and type(c.im) is int
+        assert abs(c.re) <= bound and abs(c.im) <= bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 2), st.booleans())
+def test_generators_draw_from_their_family(seed, n, k, allow_tail):
+    rng = np.random.default_rng(seed)
+    f = random_decomposable(rng, n=n, k=k, allow_tail=allow_tail)
+    tail = random_tail(rng, n, k)
+    eta, jac = random_matrices(rng, n, k)
+    units = [tuple(sign * (j == beta) for j in range(n)) for beta in range(n) for sign in (-1, 1)]
+    tails = set(verify._tail_exps(n))
+    assert all(2 <= sum(e) <= 4 and min(e) >= 0 for e in tails)
+    for poly in (f, tail):
+        # the trusted constructor skipped no normalisation
+        assert (poly.n, poly.k) == (n, k) and poly == LaurentPoly(n, k, poly.terms)
+        for vec in poly.terms.values():
+            _parts(vec, 3)
+    assert set(f.terms) <= {(0,) * n, *units, *(tails if allow_tail else ())}
+    assert set(tail.terms) <= tails
+    for alpha in range(k):  # every component of a tail is nonzero, of 1 to 4 terms
+        assert 1 <= sum(bool(vec[alpha]) for vec in tail.terms.values()) <= 4
+    for matrix in (eta, jac):
+        assert len(matrix) == k and all(len(row) == n for row in matrix)
+        assert trace_norm_sq_exact(matrix) > 0
+        for row in matrix:
+            _parts(row, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tail_table_is_the_set_rejection_accepts(n):
+    accepted = {e for e in itertools.product(range(5), repeat=n) if 2 <= sum(e) <= 4}
+    table = verify._tail_exps(n)
+    assert len(table) == len(set(table)) and set(table) == accepted
+
+
+def test_terms_appear_with_their_probabilities():
+    # a term is kept with probability p and its coefficient is nonzero with
+    # probability 48/49; 5 standard deviations over 4,000 draws
+    draws, n = 4000, 2
+    rng = np.random.default_rng(2025)
+    seen = dict.fromkeys([(0, 0), (-1, 0), (0, -1), (1, 0), (0, 1)], 0)
+    for _ in range(draws):
+        f = random_decomposable(rng, n=n, k=1)
+        for e in seen:
+            seen[e] += e in f.terms
+    for e, count in seen.items():
+        p = (0.8 if e == (0, 0) else 0.7) * 48 / 49
+        assert abs(count / draws - p) <= 5 * math.sqrt(p * (1 - p) / draws), (e, count)
 
 
 def _assert_range_holds(fn, lam):
