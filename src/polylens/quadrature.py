@@ -43,47 +43,50 @@ no other read contracts it.
 
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
 without ``bounds``) is refined by doubling N.  Its coefficient orders must
-keep |a_j| <= DEFAULT_START_N/2 - 1 = 7, the alias rule of its least grid; a
-higher order is refused (AliasingRisk) before any grid is sampled.  Each
-level samples its grid once and reads it as an exact grid is read: one
-separable contraction (_contract_axes, one small phase matrix per axis) of
-every requested order, and one rounding bound per scale.  The first level
-samples 2*DEFAULT_START_N points per dimension and reads the DEFAULT_START_N
-statistic from the even sub-grid, whose coordinates are bitwise those of the
-smaller grid, so a result accepted at N = 2*DEFAULT_START_N costs one
-evaluation of f.  A level accepts N when the grids N/2 and N agree within the
-tolerance.  When they do not, but the square of their delta does (on
-geometric decay the error of N is near that square), N is confirmed on a
-copy of the N grid turned by GRID_SHIFT grid steps per axis instead of
-sampling 2N: an alias term c_{a+N m} of a coefficient read from the N grid
-turns its phase by 2*pi*m.s under the shift, so the two grids differ by the
-alias error times |1 - exp(2*pi*i*m.s)|.  The estimate divides that
-difference by the smallest such factor over the nonzero m in {-1,0,1}^n
-(see _alias_floor), with a margin of SHIFT_MARGIN; if it misses the
-tolerance, N doubles as before.  On either path the estimate is floored by
-the rounding bound of the accepted grid, since the nested grids share points
-and rounding.
+keep |a_j| <= DEFAULT_START_N/2 - 1 = 7; a higher order is refused
+(AliasingRisk) before any grid is sampled.  At N = 2*DEFAULT_START_N = 32,
+64, ... a level samples two grids of coprime sizes, N and N - 1, and reads
+each as an exact grid is read: one separable contraction (_contract_axes,
+one small phase matrix per axis) of every requested order, and one rounding
+bound per scale.  On N points per axis the trapezoidal rule reads
+c_a + sum_{m != 0} c_{a + N m} (Trefethen and Weideman, SIAM Rev. 56, 2014),
+so the two grids alias a term alike only at a multiple of N (N - 1) on
+every axis, and an alias that one grid makes shows as their difference.
+A level accepts N when twice that difference is within the tolerance, and
+reports it as the error estimate, floored by both grids' rounding bounds;
+otherwise N doubles.  The factor 2 is a margin.  Where the N - 1 grid is
+exact and the N grid is not, the difference is the N grid's whole error;
+under geometric decay of ratio rho per order the N grid's error is
+rho/(1 - rho) times the difference, which 2 covers for rho <= 2/3.
+
+Two gaps stay open, and a certified bound is what closes both.  A term at
+a multiple of N (N - 1) passes unseen: 1/w + 1/(2 - w^992), 992 = 32 * 31,
+prints core 1 on the 32-grid where the closed form is 1/2.  Choosing the
+second size from the expression tree would close that one lattice, but as
+a second selection path.  And slower decay is accepted with an estimate
+below the error: 1/w + 1/(w - 1.1) at scale 1 is off by 1.5e-10 on the
+256-grid, with an est_error of 3.8e-11.
 
 sample_torus evaluates f in slabs, rows of the first grid axis at a time,
 and reads the rows as they come, up to READ_VALUES values (a few slabs) at
 a time, while they are in cache: one modulus pass gives their peak
 (non-finite iff some value is) and their share of the mean of |f|^2, and a
 contraction of the other axes and then of those rows, by axis 0's phase
-matrix restricted to them, their share of every coefficient.  On the
-doubling loop's first level the same pass reads the even-indexed points as
-the N/2 grid.  A pointwise evaluator (one whose ``pointwise`` attribute is
-true, such as ``MeroExpr`` and ``LaurentPoly``) runs on slabs of at most
-SLAB_VALUES values (one row at least), so a read of it holds at most
-READ_VALUES values, their moduli, a slab's intermediates and r^n * k sums
-(r orders per axis), not N^n values.  A :class:`GridFunction` wraps an
-arbitrary callable, which is not pointwise, so it is evaluated as one slab
-and read in one part: its whole grid is held, 24 bytes a value for the
-values and their moduli, beside whatever the callable allocates.  A grid of
-up to READ_VALUES values is read at once, with the bits of a whole-grid
-read.  The operations are elementwise, so the values are those of one
-evaluation; a pole found in a slab is reported at that slab's point, and no
-row is evaluated twice.  A caller that asks for the values, which the
-engine never does, gets the whole grid, copied from each part as it is read.
+matrix restricted to them, their share of every coefficient.  A pointwise
+evaluator (one whose ``pointwise`` attribute is true, such as ``MeroExpr``
+and ``LaurentPoly``) runs on slabs of at most SLAB_VALUES values (one row
+at least), so a read of it holds at most READ_VALUES values, their moduli,
+a slab's intermediates and r^n * k sums (r orders per axis), not N^n
+values.  A :class:`GridFunction` wraps an arbitrary callable, which is not
+pointwise, so it is evaluated as one slab and read in one part: its whole
+grid is held, 24 bytes a value for the values and their moduli, beside
+whatever the callable allocates.  A grid of up to READ_VALUES values is
+read at once, with the bits of a whole-grid read.  The operations are
+elementwise, so the values are those of one evaluation; a pole found in a
+slab is reported at that slab's point, and no row is evaluated twice.  The
+engine's readers take unturned grids of any N, odd or even.  A caller that
+asks for the values, which the engine never does, gets the whole grid,
+copied from each part as it is read.
 
 A sweep, a verify suite or a run of CLI commands reads the same few grids
 many times, so each axis's unit circle exp(2*pi*i*(m + s)/N), turned by s
@@ -128,7 +131,7 @@ from .errors import (
 from .laurent import trace_norm_sq, variance_model
 
 DEFAULT_TOL = 1e-10
-DEFAULT_START_N = 16          # first grid of the doubling loop
+DEFAULT_START_N = 16          # doubling loop's alias rule: orders |a_j| <= DEFAULT_START_N/2 - 1
 MIN_N = 4                     # smallest grid per dimension, and the smallest exact grid
 DEFAULT_MAX_N = 4096          # per-dimension cap; env LENS_MAX_GRID overrides via CLI
 # Budget on N**n per scale, read by sample_torus at each call.  It bounds
@@ -144,14 +147,6 @@ READ_VALUES = 2**18           # most values the engine reads at once: a few slab
 SCALE_RANGE = (2.0**-511, 2.0**511)  # scales whose square is a normal float
 TABLE_CACHE = 64              # circles and phase matrices kept for reuse (see _table)
 
-# Per-axis turn of the confirming grid, in grid steps.  For every nonzero m in
-# {-1,0,1}^n the binary fractions keep m.s at least 2^-n from an integer, the
-# most any n shifts allow: two of the 2^n sums over m in {0,1}^n lie within
-# 2^-n of each other on the circle.  Aliases c_{a+2N m} keep their phase
-# under these shifts, as they do between the nested grids N and 2N.
-GRID_SHIFT = (1 / 2, 1 / 4, 1 / 8, 1 / 16)
-SHIFT_MARGIN = 2.0            # safety factor on the shifted-grid estimate
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -162,8 +157,8 @@ class GridFunction:
     the sampled tori.  The evaluator is then sampled once, on the exact grid
     of that range (see _gap), and trusted for the zeros outside it: an order
     outside it reads as exactly 0.  So a range that misses an exponent gives
-    wrong numbers; without it N doubles from DEFAULT_START_N until two grids
-    agree."""
+    wrong numbers; without it the doubling loop reads the grids N and N - 1
+    for N = 32, 64, ... until they agree (see _adaptive)."""
 
     n: int
     k: int
@@ -290,16 +285,16 @@ def sample_torus(
     module docstring); without ``read`` each part is copied into the
     returned grid as it is read.
 
-    ``read``, which only the engine passes, keeps no grid: read(lams, N,
-    shift) makes a reader, each part goes to reader.add(values, modulus,
-    rows) with its moduli (which the reader may overwrite) and the slice of
-    the first axis it fills, and sample_torus returns reader.result(peak),
-    for the peak max |value| per scale.
+    ``read``, which only the engine passes, keeps no grid: read(lams, N)
+    makes a reader of the unturned grid, each part goes to
+    reader.add(values, modulus, rows) with its moduli (which the reader may
+    overwrite) and the slice of the first axis it fills, and sample_torus
+    returns reader.result(peak), for the peak max |value| per scale.
 
     Raises ValueError for a scale outside SCALE_RANGE (the variance model
-    divides by lam^2 and multiplies by it), a shift that is not a sequence
-    or an entry of it that is not a real number within the float range,
-    PoleOnTorus when evaluation
+    divides by lam^2 and multiplies by it), a shift together with ``read``,
+    a shift that is not a sequence or an entry of it that is not a real
+    number within the float range, PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
     blow-up threshold, GridTooLarge when the point count per scale exceeds
     MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension), and
@@ -321,6 +316,8 @@ def sample_torus(
     if N**n > MAX_TOTAL_POINTS:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
     if shift is not None:
+        if read is not None:
+            raise ValueError("a reader reads the unturned grid: pass a shift or read, not both")
         try:
             shift = tuple(shift)
         except TypeError:
@@ -352,7 +349,7 @@ def sample_torus(
     buffer = np.empty(3 * size)
     values = buffer[: 2 * size].view(complex).reshape(part)
     modulus = buffer[2 * size :].reshape(part)
-    reader = None if read is None else read(lams, N, shift)
+    reader = None if read is None else read(lams, N)
     kept = np.empty(shape, dtype=complex) if read is None else None
     lead = (slice(None),) * lams.ndim
     grid_axes = tuple(range(lams.ndim, len(shape)))
@@ -479,13 +476,6 @@ class SpectralSummary:
         }
 
 
-def _alias_floor(n: int) -> float:
-    """Smallest |1 - exp(2*pi*i*m.s)| over the nonzero m in {-1,0,1}^n, for
-    s = GRID_SHIFT[:n]: 2*sin(pi * 2^-n), since m.s keeps 2^-n from an
-    integer."""
-    return 2 * np.sin(np.pi / 2**n)
-
-
 def _adaptive(
     f,
     lam: float,
@@ -496,44 +486,29 @@ def _adaptive(
     """Refine N at one scale until the statistic is resolved within tol.
 
     ``read`` makes the reader of a grid (see sample_torus), whose result is
-    the statistic with its rounding bound.  The first level samples
-    2*DEFAULT_START_N points per dimension and reads, in the same pass, its
-    even-indexed points as the starting level (see _Even); every later level
-    samples one new grid.  A level accepts N when the grids N/2 and N agree;
-    when only the squared delta is within tol, it samples the N grid turned
-    by GRID_SHIFT and accepts N when the alias error inferred from the two
-    (see _alias_floor) is.  Otherwise N doubles.  Agreement is absolute for
-    entries of modulus <= 1 and relative above, so large variances do not
-    stall the refinement at the rounding floor.  The returned error estimate
-    is the infinity-norm of the accepting delta or alias error, floored by
-    the rounding bound of N.
+    the statistic with its rounding bound.  Each level samples the grids N
+    and N - 1, for N = 2*DEFAULT_START_N, 4*DEFAULT_START_N, ..., and
+    accepts N when twice their difference is within tol; otherwise N
+    doubles (see the module docstring).  Agreement is absolute for entries
+    of modulus <= 1 and relative above, so large variances do not stall the
+    refinement at the rounding floor.  The returned error estimate is the
+    infinity-norm of twice the difference, floored by the rounding bounds
+    of both grids.
     """
     N = 2 * DEFAULT_START_N
     if N > max_n:
         raise NonConvergent(
-            f"grid cap N={max_n} leaves no room for two grids "
-            f"(N={DEFAULT_START_N} and N={N})"
+            f"grid cap N={max_n} leaves no room for two grids (N={N - 1} and N={N})"
         )
-    n = f.n
-    shift = GRID_SHIFT[:n]
-    (prev, _), (cur, floor) = sample_torus(
-        f, lam, N, read=lambda lams, size, _: _Even(n, read(lams, size // 2, None), read(lams, size, None))
-    )
     while True:
-        bound = tol * np.maximum(1.0, np.abs(cur))
-        delta = np.abs(cur - prev)
-        if np.all(delta <= bound):
-            return cur, float(np.max(np.maximum(delta, floor))), N
-        if np.all(delta <= np.sqrt(bound)):
-            turned, _ = sample_torus(f, lam, N, shift, read=read)
-            alias = SHIFT_MARGIN * np.abs(turned - cur) / _alias_floor(n)
-            if np.all(alias <= bound):
-                return cur, float(np.max(np.maximum(alias, floor))), N
+        cur, floor = sample_torus(f, lam, N, read=read)
+        other, other_floor = sample_torus(f, lam, N - 1, read=read)
+        delta = 2 * np.abs(cur - other)
+        if np.all(delta <= tol * np.maximum(1.0, np.abs(cur))):
+            return cur, float(np.max(np.maximum(delta, np.maximum(floor, other_floor)))), N
         if 2 * N > max_n:
             break
-        prev = cur
         N *= 2
-        cur, floor = sample_torus(f, lam, N, read=read)
     raise NonConvergent(
         f"refinement reached N={N} (cap {max_n}) without two grids agreeing within {tol:g}"
     )
@@ -599,10 +574,10 @@ class _Stream:
     a grid read at once takes the steps of laurent_coefficient.  The result
     is finish(lams, N, contraction, sum of |f|^2, peak)."""
 
-    def __init__(self, n, lams, N, shift, orders, finish):
+    def __init__(self, n, lams, N, orders, finish):
         self.lams, self.N, self.finish = lams, N, finish
         self.axes = tuple(range(-n - 1, 0))  # the grid axes and the component axis
-        self.phases = None if orders is None else _phases(orders, N, shift)
+        self.phases = None if orders is None else _phases(orders, N, None)
         self.power, self.total = 0, None if orders is None else 0
 
     def add(self, values, mag, rows):
@@ -641,29 +616,6 @@ class _Products:
 
     def result(self, peak):
         return _grid_mean(self.total, self.n, self.N, self.k, self.degree, self.peaks)
-
-
-class _Even:
-    """A reader (see sample_torus) of the doubling loop's first grid: each
-    part goes to ``fine``, and its even-indexed points, the points of the
-    N/2 grid with bitwise the same coordinates, to ``coarse``.  Both take
-    the grid's peak, an upper bound for the even points.  The result is the
-    pair (coarse result, fine result)."""
-
-    def __init__(self, n, coarse, fine):
-        self.n, self.coarse, self.fine = n, coarse, fine
-
-    def add(self, values, mag, rows):
-        half = slice((rows.start + 1) // 2, (rows.stop + 1) // 2)  # on the N/2 grid
-        if half.start < half.stop:
-            pick = (..., slice(rows.start % 2, None, 2),
-                    *(slice(None, None, 2),) * (self.n - 1), slice(None))
-            # copies, read before fine squares mag in place
-            self.coarse.add(values[pick].copy(), mag[pick].copy(), half)
-        self.fine.add(values, mag, rows)
-
-    def result(self, peak):
-        return self.coarse.result(peak), self.fine.result(peak)
 
 
 def _refine(
@@ -759,8 +711,9 @@ def _coefficients(
     on the exact grid of its spread, _gap(bounds, bounds): an order outside
     it is exactly 0 and is not contracted.  Without a range every order is
     contracted, and _check_aliasing refuses, before any grid is sampled, an
-    order that does not fit DEFAULT_START_N, the least N the doubling loop
-    reads.  With ``box`` and a range, the whole range box is contracted, and
+    order beyond the doubling loop's alias rule, that of a DEFAULT_START_N
+    grid (|a_j| <= 7), which its least grid, of 31 points, keeps with room to
+    spare.  With ``box`` and a range, the whole range box is contracted, and
     energies[l, s] sums |c^_a|^2, c^_a = c_a lam^(sum a), over the components
     and the a != 0 of total degree sum_j lo_j + s, for s up to
     sum_j (hi_j - lo_j); else energies has no columns.  They carry no bound
@@ -802,8 +755,8 @@ def _coefficients(
 
     read_orders = orders if box or inside else None
 
-    def read(lams, N, shift) -> _Stream:
-        return _Stream(n, lams, N, shift, read_orders, finish)
+    def read(lams, N) -> _Stream:
+        return _Stream(n, lams, N, read_orders, finish)
 
     width = None if bounds is None else _gap(bounds, bounds)
     values, est, grid_n = _refine(f, read, width, lams, tol, max_n)
@@ -922,7 +875,7 @@ def inner_product_numeric(f, g, lam: float) -> complex:
     f_bounds, g_bounds = _exponent_bounds(f), _exponent_bounds(g)
     width = None if f_bounds is None or g_bounds is None else _gap(f_bounds, g_bounds)
     degree = 0 if width is None else max(_degree(f_bounds), _degree(g_bounds))
-    values, _, _ = _refine(_Pair(f, g), lambda lams, N, shift: _Products(f.n, k, N, degree),
+    values, _, _ = _refine(_Pair(f, g), lambda lams, N: _Products(f.n, k, N, degree),
                            width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
     return complex(values[0, 0])
 

@@ -29,6 +29,9 @@ COMMANDS = {
     "analyze_json.txt": [
         "analyze", "--expr", "1/w + w", "--n", "1", "--lambda", "1", "--json",
     ],
+    "analyze_doubling.txt": [
+        "analyze", "--expr", "1/w + w + 1/(3 - w^32)", "--n", "1", "--lambda", "1",
+    ],
     "sweep.csv": [
         "sweep", "--expr", "1/w + w", "--n", "1",
         "--lambda-min", "0.25", "--lambda-max", "4", "--steps", "33",

@@ -153,8 +153,8 @@ class TestDetectability:
         assert report.in_class
 
     def test_each_probe_scale_samples_its_grid_once(self):
-        # the order -2 probe is read from the summary's grid; the only other
-        # grid of a scale is the doubling loop's shifted confirmation
+        # the order -2 probe is read from the summary's grids, the doubling
+        # loop's grids N and N - 1 of each scale
         with recorded_grids() as recorded:
             report = detectability_check(parse("1/w1 + 2*w2 + 1/(3 - w1*w2)", 2), [0.5, 0.9])
         assert report.is_detectable and report.in_class
