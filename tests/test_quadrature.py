@@ -384,9 +384,9 @@ class TestRefinement:
     @pytest.mark.parametrize("tol,sizes", [(1e-9, [32, 31]), (1e-10, [32, 31, 64, 63])],
                              ids=["accepts_32", "refines_to_64"])
     def test_grids_32_and_31_decide_acceptance(self, tol, sizes):
-        # twice the gap between the 32- and 31-grid reads of 1/(w - 2), the
-        # 2^-32 - 2^-31 of eta (c_31 against c_30), is 4.7e-10: 1e-9 accepts
-        # N = 32 with that estimate, 1e-10 refines to 64 against 63
+        # the 32- and 31-grid reads of eta in 1/(w - 2) alias c_31 = -2^-32
+        # and c_30 = -2^-31; twice their gap, 2^-31 = 4.7e-10, is the largest:
+        # 1e-9 accepts N = 32 with that estimate, 1e-10 refines to 64
         f = parse("1/(w - 2)", 1)
         seen = []
         g = GridFunction(1, 1, lambda c: seen.append(c[0].size) or f.eval_grid(c))
