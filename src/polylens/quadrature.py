@@ -84,21 +84,21 @@ whatever the callable allocates.  A grid of up to READ_VALUES values is
 read at once, with the bits of a whole-grid read.  The operations are
 elementwise, so the values are those of one evaluation; a pole found in a
 slab is reported at that slab's point, and no row is evaluated twice.  The
-engine's readers take unturned grids of any N, odd or even.  A caller that
-asks for the values, which the engine never does, gets the whole grid,
-copied from each part as it is read.
+engine's readers take grids of any N, odd or even.  A caller that asks for
+the values, which the engine never does, gets the whole grid, copied from
+each part as it is read.
 
 A sweep, a verify suite or a run of CLI commands reads the same few grids
-many times, so each axis's unit circle exp(2*pi*i*(m + s)/N), turned by s
-grid steps, and each axis's phase matrix exp(-2*pi*i*a*(m + s)/N), a row per
-order a, are made once per (N, s) and per (orders, N, s) and then shared
-from one least-recently-used cache of TABLE_CACHE tables (see _table).  A
-shared table has the bits a fresh one has and is read-only, so no caller can
-change it under the next.  Only tables of at most BLOCK_VALUES entries (256
-KB) are kept, so the cache holds at most TABLE_CACHE x 256 KB = 16 MB; a
-larger one, such as the 262 MB phase matrix of a box read of 1 + w^4000 on
-its 4096-grid, is made afresh for its read and freed with it.  A grid that
-sample_torus keeps is a new array and shares no memory with the tables.
+many times, so each axis's unit circle exp(2*pi*i*m/N) and each axis's
+phase matrix exp(-2*pi*i*a*m/N), a row per order a, are made once per N and
+per (orders, N) and then shared from one least-recently-used cache of
+TABLE_CACHE tables (see _table).  A shared table has the bits a fresh one
+has and is read-only, so no caller can change it under the next.  Only
+tables of at most BLOCK_VALUES entries (256 KB) are kept, so the cache
+holds at most TABLE_CACHE x 256 KB = 16 MB; a larger one, such as the 262
+MB phase matrix of a box read of 1 + w^4000 on its 4096-grid, is made
+afresh for its read and freed with it.  A grid that sample_torus keeps is a
+new array and shares no memory with the tables.
 
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
@@ -148,6 +148,19 @@ SCALE_RANGE = (2.0**-511, 2.0**511)  # scales whose square is a normal float
 TABLE_CACHE = 64              # circles and phase matrices kept for reuse (see _table)
 
 
+def _integral(a) -> bool:
+    """Whether every entry of a is an integer of an integral type, not a bool."""
+    return all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in a)
+
+
+def _order(a: Sequence[int]) -> tuple[int, ...]:
+    """A coefficient order as a tuple of ints.  Raises ValueError, rather
+    than truncate, for an entry that is not an integer (see _integral)."""
+    if not _integral(a := tuple(a)):
+        raise ValueError(f"coefficient order {a!r} has an entry that is not an integer")
+    return tuple(map(int, a))
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Adapter turning a plain callable on coordinate arrays into an evaluator.
@@ -175,11 +188,7 @@ class GridFunction:
                 f"bounds has {len(self.bounds)} axes, expected {self.n}"
             )
         for pair in self.bounds:
-            if not (
-                isinstance(pair, (tuple, list)) and len(pair) == 2
-                and all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-                        for x in pair)
-            ):
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and _integral(pair)):
                 raise ValueError(f"bounds entry {pair!r} is not an integer (lo, hi) pair")
             if pair[0] > pair[1]:
                 raise ValueError(f"bounds entry {pair!r} has lo > hi")
@@ -209,22 +218,16 @@ class TorusGrid:
     N: int
     values: np.ndarray  # shape lead + (N,)*n + (k,), lead = () or (L,)
     peak: float | np.ndarray | None = None  # max |value| per scale, recorded by sample_torus
-    shift: tuple[float, ...] | None = None  # per-axis turn in grid steps
 
 
-def _steps(N: int, s: float | None) -> np.ndarray:
-    """Grid positions along an axis turned by s grid steps (None for none)."""
-    return np.arange(N) if s is None else np.arange(N) + s
+def _circle(N: int) -> np.ndarray:
+    """The N points exp(2*pi*i*m/N) of the unit circle."""
+    return np.exp(2j * np.pi * np.arange(N) / N)
 
 
-def _circle(N: int, s: float | None) -> np.ndarray:
-    """The N points exp(2*pi*i*(m + s)/N) of the unit circle, turned by s."""
-    return np.exp(2j * np.pi * _steps(N, s) / N)
-
-
-def _phase(axis: tuple[int, ...], N: int, s: float | None) -> np.ndarray:
-    """The (r, N) phase matrix exp(-2*pi*i*a*(m + s)/N), a row per order a."""
-    return np.exp(-2j * np.pi * np.array(axis)[:, None] * _steps(N, s) / N)
+def _phase(axis: tuple[int, ...], N: int) -> np.ndarray:
+    """The (r, N) phase matrix exp(-2*pi*i*a*m/N), a row per order a."""
+    return np.exp(-2j * np.pi * np.array(axis)[:, None] * np.arange(N) / N)
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)
@@ -240,21 +243,14 @@ def _table(make, size: int, *key) -> np.ndarray:
     return make(*key) if size > BLOCK_VALUES else _cached(make, *key)
 
 
-def torus_coords(
-    n: int, lam, N: int, shift: tuple[float, ...] | None = None
-) -> list[np.ndarray]:
-    """Broadcastable coordinate arrays for the sample grid, axis j turned by
-    shift[j] grid steps when a shift is given.  For a sequence of L scales
-    the arrays carry a leading scale axis: lam[:, None] * circle."""
+def torus_coords(n: int, lam, N: int) -> list[np.ndarray]:
+    """Broadcastable coordinate arrays for the sample grid, lam * circle
+    along each axis.  For a sequence of L scales the arrays carry a leading
+    scale axis: lam[:, None] * circle."""
     radius = np.asarray(lam, dtype=float)
     radius = radius.reshape(radius.shape + (1,) * n)
-    coords = []
-    for j in range(n):
-        shape = [1] * n
-        shape[j] = N
-        circle = _table(_circle, N, N, None if shift is None else shift[j])
-        coords.append(radius * circle.reshape(shape))
-    return coords
+    circle = _table(_circle, N, N)
+    return [radius * circle.reshape([N if i == j else 1 for i in range(n)]) for j in range(n)]
 
 
 def _torus(lams: np.ndarray) -> str:
@@ -269,32 +265,23 @@ def check_dimension(n: int) -> None:
         raise GridTooLarge(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
 
 
-def sample_torus(
-    f,
-    lam,
-    N: int,
-    shift: tuple[float, ...] | None = None,
-    read=None,
-):
-    """Evaluate f on the N^n torus grid, turned by shift[j] grid steps along
-    axis j when a shift is given, and return it as a TorusGrid.  ``lam`` is
-    one scale, or a sequence of L scales sampled as one block in a single
-    evaluation of f (see TorusGrid).  A pointwise evaluator on a grid of more
-    than SLAB_VALUES values is evaluated slab by slab along the first grid
-    axis, and the rows are read up to READ_VALUES values at a time (see the
-    module docstring); without ``read`` each part is copied into the
-    returned grid as it is read.
+def sample_torus(f, lam, N: int, *, read=None):
+    """Evaluate f on the N^n torus grid and return it as a TorusGrid.
+    ``lam`` is one scale, or a sequence of L scales sampled as one block in
+    a single evaluation of f (see TorusGrid).  A pointwise evaluator on a
+    grid of more than SLAB_VALUES values is evaluated slab by slab along the
+    first grid axis, and the rows are read up to READ_VALUES values at a
+    time (see the module docstring); without ``read`` each part is copied
+    into the returned grid as it is read.
 
-    ``read``, which only the engine passes, keeps no grid: read(lams, N)
-    makes a reader of the unturned grid, each part goes to
+    ``read``, a keyword which only the engine passes, keeps no grid:
+    read(lams, N) makes a reader of the grid, each part goes to
     reader.add(values, modulus, rows) with its moduli (which the reader may
     overwrite) and the slice of the first axis it fills, and sample_torus
     returns reader.result(peak), for the peak max |value| per scale.
 
     Raises ValueError for a scale outside SCALE_RANGE (the variance model
-    divides by lam^2 and multiplies by it), a shift together with ``read``,
-    a shift that is not a sequence or an entry of it that is not a real
-    number within the float range, PoleOnTorus when evaluation
+    divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
     blow-up threshold, GridTooLarge when the point count per scale exceeds
     MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension), and
@@ -315,24 +302,7 @@ def sample_torus(
     check_dimension(n)
     if N**n > MAX_TOTAL_POINTS:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
-    if shift is not None:
-        if read is not None:
-            raise ValueError("a reader reads the unturned grid: pass a shift or read, not both")
-        try:
-            shift = tuple(shift)
-        except TypeError:
-            raise ValueError(f"shift is {shift!r}, not a sequence of {n} real numbers") from None
-        if len(shift) != n:
-            raise DimensionMismatch(f"shift has length {len(shift)}, expected {n}")
-        for j, s in enumerate(shift):
-            try:
-                finite = isinstance(s, numbers.Real) and math.isfinite(s)
-            except OverflowError:
-                raise ValueError(f"shift[{j}] is a real number too large for a float") from None
-            if not finite:
-                raise ValueError(f"shift[{j}] is {s!r}, not a finite real number")
-        shift = tuple(float(s) for s in shift)
-    coords = torus_coords(n, lams, N, shift)
+    coords = torus_coords(n, lams, N)
     shape = lams.shape + (N,) * n + (k,)
     per_row = lams.size * N ** (n - 1) * k  # values in a row of the first grid axis
     rows = N  # per evaluation of f
@@ -395,15 +365,13 @@ def sample_torus(
     peak = float(peak) if one else peak
     if reader is not None:
         return reader.result(peak)
-    return TorusGrid(n=n, k=k, lam=lam if one else lams, N=N, values=kept,
-                     peak=peak, shift=shift)
+    return TorusGrid(n=n, k=k, lam=lam if one else lams, N=N, values=kept, peak=peak)
 
 
-def _phases(orders: Sequence[Sequence[int]], N: int, shift) -> list[np.ndarray]:
-    """One (r_j, N) phase matrix exp(-2*pi*i*a*(m + s_j)/N) per axis j, a row
-    per order a in orders[j], read-only when cached (see _table)."""
-    return [_table(_phase, len(axis) * N, tuple(axis), N, None if shift is None else shift[j])
-            for j, axis in enumerate(orders)]
+def _phases(orders: Sequence[Sequence[int]], N: int) -> list[np.ndarray]:
+    """One (r_j, N) phase matrix exp(-2*pi*i*a*m/N) per axis j, a row per
+    order a in orders[j], read-only when cached (see _table)."""
+    return [_table(_phase, len(axis) * N, tuple(axis), N) for axis in orders]
 
 
 def _contract_axes(out: np.ndarray, phases, lead: int, first: int = 0) -> np.ndarray:
@@ -427,15 +395,15 @@ def _check_aliasing(indices: Sequence[Sequence[int]], N: int) -> None:
 def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
     """Coefficient c_a of the sampled function, one entry per component
     after a block's scale axis: lam^(-sum a) / N^n times the _contract_axes
-    sum of values(m) exp(-2*pi*i*a.(m + s)/N), exact to rounding when N
+    sum of values(m) exp(-2*pi*i*a.m/N), exact to rounding when N
     exceeds the exponent gaps of _gap.  Raises AliasingRisk as
-    _check_aliasing does."""
-    a = tuple(int(x) for x in a)
+    _check_aliasing does, and ValueError for an order that is not integral
+    (see _order)."""
+    a = _order(a)
     if len(a) != grid.n:
         raise DimensionMismatch(f"index {a} has length {len(a)}, expected {grid.n}")
     _check_aliasing([a], grid.N)
-    sums = _contract_axes(grid.values, _phases([[x] for x in a], grid.N, grid.shift),
-                          np.ndim(grid.lam))
+    sums = _contract_axes(grid.values, _phases([[x] for x in a], grid.N), np.ndim(grid.lam))
     coeff = sums[(..., *(0,) * grid.n, slice(None))]
     return coeff * (np.asarray(grid.lam)[..., None] ** -float(sum(a)) / grid.N**grid.n)
 
@@ -577,7 +545,7 @@ class _Stream:
     def __init__(self, n, lams, N, orders, finish):
         self.lams, self.N, self.finish = lams, N, finish
         self.axes = tuple(range(-n - 1, 0))  # the grid axes and the component axis
-        self.phases = None if orders is None else _phases(orders, N, None)
+        self.phases = None if orders is None else _phases(orders, N)
         self.power, self.total = 0, None if orders is None else 0
 
     def add(self, values, mag, rows):
@@ -734,7 +702,7 @@ def _coefficients(
     rows = [[orders[j].index(indices[i][j]) for i in inside] for j in range(n)]
     if box:  # per box entry: its total degree less sum_j lo_j, and a != 0
         axes = np.ix_(*[np.array(axis) for axis in orders])
-        shifted = (sum(axes) - sum(lo for lo, _ in bounds)).ravel()
+        offset = (sum(axes) - sum(lo for lo, _ in bounds)).ravel()
         moving = (sum(np.abs(a) for a in axes) > 0).ravel()  # a = 0 is the mean
 
     def finish(lams, N, read_box, power_sum, peak) -> tuple[np.ndarray, np.ndarray]:
@@ -744,9 +712,9 @@ def _coefficients(
         if read_box is not None:
             read_box = read_box / N**n
             vec[..., inside, :] = read_box[(..., *rows, slice(None))] * scales[..., inside, None]
-            if box:  # one bincount, scale l's bins after l * (shifted[-1] + 1)
+            if box:  # one bincount, scale l's bins after l * (offset[-1] + 1)
                 energy = (np.abs(read_box) ** 2).sum(axis=-1).reshape(lead + (-1,)) * moving
-                bins = np.arange(math.prod(lead))[:, None] * (shifted[-1] + 1) + shifted
+                bins = np.arange(math.prod(lead))[:, None] * (offset[-1] + 1) + offset
                 energies = np.bincount(bins.ravel(), weights=energy.ravel()).reshape(lead + (-1,))
         unit = _rounding_bound(n, N, degree, peak)
         power, bound = _grid_mean(power_sum, n, N, k, degree, (peak, peak))
@@ -771,9 +739,10 @@ def adaptive_coefficients(
     has an exponent range, else refined by grid doubling until stable.
 
     Returns (coefficients, est_error, N_used), the coefficients keyed by
-    index as a tuple of ints.
+    index as a tuple of ints.  Raises ValueError for an index that is not
+    integral (see _order).
     """
-    idx = [tuple(int(x) for x in a) for a in indices]
+    idx = [_order(a) for a in indices]
     rows, _, err, n_used, _ = _coefficients(f, [lam], idx, DEFAULT_TOL, DEFAULT_MAX_N)
     return dict(zip(idx, rows[0])), float(err[0]), int(n_used[0])
 

@@ -1,6 +1,6 @@
 """Which grids the engine samples and reads, for the tests that count them.
 
-recorded_grids() records one Grid(f, lam, N, shift) for every call of
+recorded_grids() records one Grid(f, lam, N) for every call of
 ``quadrature.sample_torus`` inside its ``with`` block, in call order; lam is
 the scale or the block of scales as the engine passed it.  It is a context
 manager, not a pytest fixture, because a function-scoped fixture cannot be
@@ -31,7 +31,6 @@ class Grid(NamedTuple):
     f: Any
     lam: Any
     N: int
-    shift: tuple[float, ...] | None
 
 
 @contextlib.contextmanager
@@ -39,9 +38,9 @@ def recorded_grids():
     grids: list[Grid] = []
     sample = quadrature.sample_torus
 
-    def recorded(f, lam, N, shift=None, **kwargs):
-        grids.append(Grid(f, lam, N, shift))
-        return sample(f, lam, N, shift, **kwargs)
+    def recorded(f, lam, N, **kwargs):
+        grids.append(Grid(f, lam, N))
+        return sample(f, lam, N, **kwargs)
 
     with mock.patch.object(quadrature, "sample_torus", recorded):
         yield grids

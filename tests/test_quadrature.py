@@ -56,10 +56,6 @@ from polylens.quadrature import (
 )
 from polylens.verify import random_decomposable
 
-# A turn of a grid by a binary fraction of a step per axis, for the tests of
-# sample_torus's shift.
-_SHIFT = (1 / 2, 1 / 4, 1 / 8, 1 / 16)
-
 
 class TestSampling:
     def test_unit_pole_has_unit_modulus(self):
@@ -118,6 +114,15 @@ class TestSampling:
         assert sizes == [64]
         assert np.array_equal(grid.values, whole.values) and grid.peak == whole.peak
 
+    def test_read_is_a_keyword(self):
+        # a fourth positional argument, or a shift, is refused at the call
+        # and never reaches the reader
+        f = parse("1/w", 1)
+        with pytest.raises(TypeError, match="3 positional arguments but 4 were given"):
+            sample_torus(f, 1.0, 8, (0.5,))
+        with pytest.raises(TypeError, match="unexpected keyword argument 'shift'"):
+            sample_torus(f, 1.0, 8, shift=(0.5,))
+
     def test_pole_found_in_a_slab_is_named_at_that_slab(self):
         # |den| is 2e-10 at w1 = 1, in the first slab of 128 rows, and about
         # 2e-16 at w1 = -1, in the third: the error names a point of the
@@ -159,15 +164,32 @@ class TestCoefficients:
         with pytest.raises(DimensionMismatch):
             laurent_coefficient(grid, (1, 1))
 
+    @pytest.mark.parametrize("order", [(1.5,), (0.7,), (True,), (np.float64(1.0),), ("1",)],
+                             ids=["1.5", "0.7", "True", "float64", "str"])
+    def test_orders_must_be_integers(self, order):
+        # refused, not truncated: int(1.5) and True read c_1 = 1 of 1/w + w,
+        # and int(0.7) read c_0 = -0.5 of 1/(w - 2)
+        grid = sample_torus(parse("1/w + w", 1), 1.0, 8)
+        with pytest.raises(ValueError, match="not an integer"):
+            laurent_coefficient(grid, order)
+        with pytest.raises(ValueError, match="not an integer"):
+            adaptive_coefficients(parse("1/(w-2)", 1), 1.0, [(0,), order])
 
-def _fresh_circle(N, s) -> np.ndarray:
-    steps = np.arange(N) if s is None else np.arange(N) + s
-    return np.exp(2j * np.pi * steps / N)
+    def test_numpy_integer_orders_are_read(self):
+        grid = sample_torus(parse("1/w + w", 1), 1.0, 8)
+        assert laurent_coefficient(grid, (np.int64(1),))[0] == pytest.approx(1)
+        coeffs, _, _ = adaptive_coefficients(parse("1/(w-2)", 1), 1.0, [(np.int64(1),)])
+        (key,) = coeffs
+        assert key == (1,) and type(key[0]) is int
+        assert coeffs[key][0] == pytest.approx(-0.25)
 
 
-def _fresh_phase(axis, N, s) -> np.ndarray:
-    steps = np.arange(N) if s is None else np.arange(N) + s
-    return np.exp(-2j * np.pi * np.array(axis)[:, None] * steps / N)
+def _fresh_circle(N) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(N) / N)
+
+
+def _fresh_phase(axis, N) -> np.ndarray:
+    return np.exp(-2j * np.pi * np.array(axis)[:, None] * np.arange(N) / N)
 
 
 class TestSharedTables:
@@ -176,24 +198,21 @@ class TestSharedTables:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(4, 300), st.lists(st.integers(-40, 40), min_size=1, max_size=6),
-           st.one_of(st.none(), st.sampled_from(_SHIFT), st.floats(-2.0, 2.0)),
            st.floats(0.2, 3.0))
-    def test_cached_tables_equal_fresh_ones(self, N, axis, s, lam):
-        shift = None if s is None else (s, 0.25)
-        circles = [_fresh_circle(N, s), _fresh_circle(N, None if s is None else 0.25)]
+    def test_cached_tables_equal_fresh_ones(self, N, axis, lam):
+        circle = _fresh_circle(N)
         for _ in range(2):  # a miss, then a hit
-            coords = torus_coords(2, lam, N, shift)
-            for got, circle, shape in zip(coords, circles, [(N, 1), (1, N)]):
+            coords = torus_coords(2, lam, N)
+            for got, shape in zip(coords, [(N, 1), (1, N)]):
                 assert got.tobytes() == (np.asarray(lam) * circle.reshape(shape)).tobytes()
-            first, second = quadrature._phases([axis, [0, 1]], N, shift)
-            assert first.tobytes() == _fresh_phase(axis, N, s).tobytes()
-            s1 = None if shift is None else 0.25
-            assert second.tobytes() == _fresh_phase([0, 1], N, s1).tobytes()
+            first, second = quadrature._phases([axis, [0, 1]], N)
+            assert first.tobytes() == _fresh_phase(axis, N).tobytes()
+            assert second.tobytes() == _fresh_phase([0, 1], N).tobytes()
 
     def test_cached_tables_are_read_only(self):
-        phase, = quadrature._phases([[-1, 0, 1]], 16, None)
-        circle = quadrature._table(quadrature._circle, 16, 16, 0.5)
-        assert phase is quadrature._phases([[-1, 0, 1]], 16, None)[0]
+        phase, = quadrature._phases([[-1, 0, 1]], 16)
+        circle = quadrature._table(quadrature._circle, 16, 16)
+        assert phase is quadrature._phases([[-1, 0, 1]], 16)[0]
         for table in (phase, circle):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
@@ -202,37 +221,33 @@ class TestSharedTables:
 
     def test_a_table_above_block_values_is_not_retained(self):
         # BLOCK_VALUES entries are cached, one more row is not
-        edge, = quadrature._phases([[3]], BLOCK_VALUES, None)
-        assert edge is quadrature._phases([[3]], BLOCK_VALUES, None)[0]
+        edge, = quadrature._phases([[3]], BLOCK_VALUES)
+        assert edge is quadrature._phases([[3]], BLOCK_VALUES)[0]
         before = quadrature._cached.cache_info()
-        big, = quadrature._phases([[2, 3]], BLOCK_VALUES, None)
-        again, = quadrature._phases([[2, 3]], BLOCK_VALUES, None)
+        big, = quadrature._phases([[2, 3]], BLOCK_VALUES)
+        again, = quadrature._phases([[2, 3]], BLOCK_VALUES)
         coords = torus_coords(1, 1.0, 2 * BLOCK_VALUES)[0]
         assert big is not again and big.flags.writeable
         assert np.array_equal(big, again)
-        assert np.array_equal(coords, _fresh_circle(2 * BLOCK_VALUES, None))
+        assert np.array_equal(coords, _fresh_circle(2 * BLOCK_VALUES))
         assert quadrature._cached.cache_info() == before
 
-    @pytest.mark.parametrize("shift", [None, _SHIFT[:2]])
-    def test_a_kept_grid_shares_no_memory_with_the_tables(self, shift):
-        grid = sample_torus(parse("1/w1 + w2 + w1*w2", 2), 0.9, 8, shift)
+    def test_a_kept_grid_shares_no_memory_with_the_tables(self):
+        grid = sample_torus(parse("1/w1 + w2 + w1*w2", 2), 0.9, 8)
         laurent_coefficient(grid, (1, 1))
-        steps = [None, None] if shift is None else list(shift)
-        tables = [quadrature._table(quadrature._circle, 8, 8, s) for s in steps]
-        tables += quadrature._phases([[1], [1]], 8, shift)
+        tables = [quadrature._table(quadrature._circle, 8, 8)]
+        tables += quadrature._phases([[1], [1]], 8)
         for table in tables:
             assert not table.flags.writeable
             assert not np.shares_memory(grid.values, table)
         grid.values[...] = 0  # a kept grid is the caller's to change
-        assert tables[0].tobytes() == _fresh_circle(8, steps[0]).tobytes()
+        assert tables[0].tobytes() == _fresh_circle(8).tobytes()
 
 
 def _direct_coefficient(grid: TorusGrid, a) -> np.ndarray:
     """c_a as a plain sum over every grid point, one index at a time."""
     n, N = grid.n, grid.N
     steps = np.indices((N,) * n, dtype=float)
-    if grid.shift is not None:
-        steps += np.reshape(grid.shift, (n,) + (1,) * n)
     phase = np.exp(-2j * np.pi * np.tensordot(np.asarray(a), steps, axes=(0, 0)) / N)
     total = np.sum(grid.values * phase[..., None], axis=tuple(range(-n - 1, -1)))
     return total * np.asarray(grid.lam)[..., None] ** (-sum(a)) / N**n
@@ -240,15 +255,13 @@ def _direct_coefficient(grid: TorusGrid, a) -> np.ndarray:
 
 @st.composite
 def _grids_with_indices(draw):
-    """A grid of random values, with or without a shift and a leading axis of
-    scales, and indices that include a class probe and a mixed order."""
+    """A grid of random values, with or without a leading axis of scales, and
+    indices that include a class probe and a mixed order."""
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 2))
     N = draw(st.sampled_from((8, 16, 32)))
     scales = st.sampled_from((0.3, 1.0, 1.7))
     lam = draw(st.one_of(scales, st.lists(scales, min_size=1, max_size=3).map(np.array)))
-    fraction = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
-    shift = draw(st.none() | st.just(_SHIFT[:n]) | st.tuples(*[fraction] * n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = np.shape(lam) + (N,) * n + (k,)
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -259,7 +272,7 @@ def _grids_with_indices(draw):
         fixed.append((1, -1) + (0,) * (n - 2))
     drawn = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=6))
     indices = draw(st.permutations(fixed + drawn))
-    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values, shift=shift), indices
+    return TorusGrid(n=n, k=k, lam=lam, N=N, values=values), indices
 
 
 class TestBatchedCoefficients:
@@ -758,14 +771,13 @@ class TestInnerProduct:
         f, g = parse("1/w + 2*w", 1), parse("w + 3*w^2 + 1/w", 1)
         with recorded_grids() as grids:
             assert abs(inner_product_numeric(f, g, 1.0) - 3.0) < 1e-12
-        assert [(grid.N, grid.shift) for grid in grids] == [(4, None)]
+        assert [grid.N for grid in grids] == [4]
 
     def test_no_range_samples_the_doubling_levels(self):
         f = parse("1/(w-2)", 1)
         with recorded_grids() as grids:
             assert abs(inner_product_numeric(f, f, 1.0) - 1 / 3) < 1e-12
-        assert [(grid.N, grid.shift) for grid in grids] == [
-            (32, None), (31, None), (64, None), (63, None)]
+        assert [grid.N for grid in grids] == [32, 31, 64, 63]
 
     def test_conjugate_coordinate_against_pole(self):
         zbar = GridFunction(1, 1, lambda c: [np.conj(c[0])])
@@ -865,18 +877,6 @@ def test_mean_of_modulus_squared_equals_self_inner_product():
     assert abs(ip.imag) < 1e-10
 
 
-@st.composite
-def _laurent_with_shift(draw):
-    n = draw(st.integers(1, 3))
-    f = random_decomposable(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n=n)
-    N = draw(st.sampled_from((16, 32)))
-    lam = draw(st.sampled_from((0.5, 1.0, 1.5)))
-    fraction = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False)
-    shift = draw(st.one_of(st.just(_SHIFT[:n]), st.tuples(*[fraction] * n)))
-    drawn = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6))
-    return f, N, lam, shift, drawn
-
-
 def _deep_case(rng, n: int, band: tuple[float, float]):
     """A member of c0 + sum e/w + sum d*w + r/(a - w1...wn) with the series
     ratio rho = lam^n/|a| drawn from the band, and its closed-form core, eta
@@ -909,49 +909,9 @@ _DEEP_SHAPES = [(n, band) for n in (1, 2, 3, 4) for band in _RHO_BANDS
                 if n < 4 or band[1] == 32]
 
 
-class TestShiftedGrid:
-    @settings(max_examples=60, deadline=None)
-    @given(_laurent_with_shift())
-    def test_coefficients_match_the_unshifted_grid(self, case):
-        f, N, lam, shift, drawn = case
-        indices = [(0,) * f.n, *drawn]
-        grid = sample_torus(f, lam, N)
-        turned = sample_torus(f, lam, N, shift=shift)
-        assert turned.shift == shift
-        for a in indices:
-            plain, got = laurent_coefficient(grid, a), laurent_coefficient(turned, a)
-            assert np.all(np.abs(got - plain) <= 1e-12 * np.maximum(1.0, np.abs(plain)))
-
-    def test_shift_needs_one_entry_per_axis(self):
-        with pytest.raises(DimensionMismatch):
-            sample_torus(parse("w1*w2", 2), 1.0, 16, shift=(0.5,))
-
-    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, "a", None, 1j])
-    def test_shift_entries_are_finite_reals(self, entry):
-        # not a pole, and not numpy's own error: the shift is malformed
-        with pytest.raises(ValueError, match=r"shift\[1\] is .*, not a finite real number"):
-            sample_torus(parse("1/w1 + w2", 2), 1.0, 8, shift=(0.5, entry))
-
-    @pytest.mark.parametrize("entry", [10**400, -(10**400), Fraction(10**400, 3)])
-    def test_shift_entries_fit_a_float(self, entry):
-        with pytest.raises(ValueError, match=r"shift\[1\] is a real number too large for a float"):
-            sample_torus(parse("1/w1 + w2", 2), 1.0, 8, shift=(0.5, entry))
-
-    @pytest.mark.parametrize("shift", [0.5, 1, np.float64(0.5), np.array(0.5)])
-    def test_shift_is_a_sequence(self, shift):
-        with pytest.raises(ValueError, match=r"shift is .*, not a sequence of 1 real numbers"):
-            sample_torus(parse("1/w", 1), 1.0, 8, shift=shift)
-
-    def test_shift_entries_of_any_real_type(self):
-        f = parse("1/w1 + w2", 2)
-        want = sample_torus(f, 1.0, 8, shift=(0.5, 0.25))
-        got = sample_torus(f, 1.0, 8, shift=(Fraction(1, 2), np.float32(0.25)))
-        assert got.shift == want.shift and np.array_equal(got.values, want.values)
-
-    def test_a_shift_is_refused_with_a_reader(self):
-        # the engine's readers read the unturned grid
-        with pytest.raises(ValueError, match="pass a shift or read, not both"):
-            sample_torus(parse("1/w", 1), 1.0, 8, (0.5,), read=_stream(1, [[0]]))
+class TestDeepFamilyErrorEstimate:
+    """On the doubling path, est_error bounds the gap to the closed forms of
+    the family c0 + sum e/w + sum d*w + r/(a - w1...wn) (see _deep_case)."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(_DEEP_SHAPES))
@@ -1147,7 +1107,7 @@ class TestScaleBlocks:
             exact = sample_torus(f, lam, N)
             orders = [range(lo, hi + 1) for lo, hi in f.exponent_bounds()]
             want = quadrature._contract_axes(
-                exact.values, quadrature._phases(orders, N, exact.shift), np.ndim(lam))
+                exact.values, quadrature._phases(orders, N), np.ndim(lam))
             assert np.array_equal(energies[i], _binned(f, want / N))
 
 
@@ -1494,7 +1454,7 @@ def _stream(n, orders):
 def _whole_grid_read(f, lam, N, orders):
     """(box, mean, peak) of a whole sampled grid: the reference."""
     grid = sample_torus(f, lam, N)
-    phases = quadrature._phases(orders, N, None)
+    phases = quadrature._phases(orders, N)
     box = quadrature._contract_axes(grid.values, phases, np.ndim(lam)) / N**f.n
     return box, (np.abs(grid.values) ** 2).sum() / N**f.n, grid.peak
 
