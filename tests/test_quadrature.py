@@ -925,6 +925,12 @@ class TestDeepFamilyErrorEstimate:
                 *np.abs(s.jacobian[0] - jac)]
         assert max(gaps) <= s.est_error
 
+
+class TestShiftedGrid:
+    """The first-level floor of est_error on 1/w + w + 1/(w - b), a pole
+    shifted off the origin.  The class keeps its earlier name so that the
+    ids of its cases stay stable."""
+
     @pytest.mark.parametrize("b,lam", [(3, 0.05), (10, 0.02)])
     def test_first_level_estimate_is_floored_by_rounding(self, b, lam):
         # 1/w + w + 1/(w - b) = 1/w + w - sum_m w^m / b^(m+1): at a small
