@@ -27,7 +27,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import InconsistentScales, PoleOnTorus
-from .laurent import trace_norm_sq
+from .laurent import _integral, trace_norm_sq
 from .quadrature import (
     DEFAULT_MAX_N,
     DEFAULT_TOL,
@@ -266,7 +266,7 @@ def geometric_grid(lam_min: float, lam_max: float, steps: int) -> list[float]:
     """Geometric scale grid; log spacing resolves both variance branches."""
     if not (0 < lam_min < lam_max):
         raise ValueError("need 0 < lam_min < lam_max")
-    if not 3 <= steps <= MAX_SWEEP_STEPS:
+    if not _integral((steps,)) or not 3 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"need 3 to {MAX_SWEEP_STEPS} steps, got {steps}")
     ratio = lam_max / lam_min
     return [lam_min * ratio ** (i / (steps - 1)) for i in range(steps)]

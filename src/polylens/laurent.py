@@ -8,7 +8,10 @@ numerical torus engine is validated against the values computed in this
 module.  A polynomial f : C^n -> C^k is stored sparsely as a map from
 exponent vectors (tuples of ints, each >= -1) to length-k coefficient
 vectors.  An exponent of -1 in coordinate j encodes a first-order pole in
-w_j; anything below -1 is rejected at construction.
+w_j; anything below -1 is rejected at construction.  One rule, _exponents,
+reads every exponent, order and weight vector that comes in, here and in
+the quadrature engine: n integers of an integral type, none a bool, so
+0.5, 1.0 or True raises ValueError rather than being truncated.
 
 The boundary-circle integrals implemented here reduce to coefficient reads:
 on |w| = r the only monomial with nonzero circle average is the constant, and
@@ -19,6 +22,7 @@ rational and the whole computation stays exact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -30,6 +34,26 @@ from .errors import AdmissibilityViolation, DimensionMismatch, MixedPoleTerm
 Exponents = tuple[int, ...]
 
 
+def _integral(a) -> bool:
+    """Whether every entry of a is an integer of an integral type, not a bool."""
+    return all(type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+               for x in a)
+
+
+def _exponents(a, n: int) -> Exponents:
+    """An exponent, coefficient-order or weight vector as a tuple of n ints.
+    Raises DimensionMismatch for another length, and ValueError, rather than
+    truncate, for an entry that is not an integer (see _integral)."""
+    if type(a) is tuple and len(a) == n and all(type(x) is int for x in a):
+        return a  # the common case, already in normal form
+    a = tuple(a)
+    if len(a) != n:
+        raise DimensionMismatch(f"exponent vector {a} has length {len(a)}, expected {n}")
+    if not _integral(a):
+        raise ValueError(f"exponent vector {a!r} has an entry that is not an integer")
+    return tuple(map(int, a))
+
+
 def _exact(x) -> int | Fraction:
     """x as an int when integral, else a Fraction (a float by its exact value)."""
     x = x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
@@ -38,9 +62,9 @@ def _exact(x) -> int | Fraction:
 
 def _scale_sq(lam) -> Fraction:
     """Exact squared scale, a Fraction so its negative powers stay exact."""
+    if not 0 < lam < np.inf:  # also rejects NaN
+        raise ValueError(f"scale must be positive and finite, got {lam!r}")
     value = Fraction(lam)
-    if value <= 0:
-        raise ValueError("scale must be positive")
     return value * value
 
 
@@ -143,24 +167,22 @@ Matrix = tuple[tuple[ComplexRational, ...], ...]
 class LaurentPoly:
     """Sparse exact Laurent polynomial f : C^n -> C^k in normal form.
 
-    Instances are immutable by convention: no method mutates `terms` after
-    construction, so values are safe to share across threads.  eval_grid
-    caches the complex coefficients on first use.
+    n and k are integers >= 1 and every key of ``terms`` is a vector of n
+    integers, each >= -1 (see _exponents): a float or bool count or exponent
+    is refused, never truncated.  Instances are immutable by convention: no
+    method mutates `terms` after construction, so values are safe to share
+    across threads.  eval_grid caches the complex coefficients on first use.
     """
 
     __slots__ = ("n", "k", "terms", "_complex")
     pointwise = True  # eval_grid acts point by point (see quadrature)
 
     def __init__(self, n: int, k: int, terms: Mapping[Exponents, object]):
-        if n < 1 or k < 1:
-            raise DimensionMismatch(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        if not _integral((n, k)) or n < 1 or k < 1:
+            raise DimensionMismatch(f"need n >= 1 and k >= 1, both integers, got n={n!r}, k={k!r}")
         normalized: dict[Exponents, tuple[ComplexRational, ...]] = {}
         for exps, coeffs in terms.items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != n:
-                raise DimensionMismatch(
-                    f"exponent vector {key} has length {len(key)}, expected {n}"
-                )
+            key = _exponents(exps, n)
             if any(e < -1 for e in key):
                 raise AdmissibilityViolation(
                     f"exponent vector {key} has a component below -1"
@@ -264,12 +286,7 @@ class LaurentPoly:
     # -------------------------------------------------------------- queries
 
     def coefficient(self, exps: Iterable[int]) -> tuple[ComplexRational, ...]:
-        key = tuple(int(e) for e in exps)
-        if len(key) != self.n:
-            raise DimensionMismatch(
-                f"exponent vector {key} has length {len(key)}, expected {self.n}"
-            )
-        return self.terms.get(key, (CR_ZERO,) * self.k)
+        return self.terms.get(_exponents(exps, self.n), (CR_ZERO,) * self.k)
 
     def exponent_bounds(self) -> list[tuple[int, int]]:
         """Per-axis (min, max) of the term exponents; (0, 0) when f = 0."""
@@ -396,9 +413,7 @@ def exterior_integral(
     conj(w^a) = lam^(2a) w^(-a) on the circle turns the same rule into
     conj(c_(s+1)) * lam^(2*sum(s_j+1)).
     """
-    svec = tuple(int(x) for x in s)
-    if len(svec) != f.n:
-        raise DimensionMismatch(f"weight vector has length {len(svec)}, expected {f.n}")
+    svec = _exponents(s, f.n)
     if not conjugate:
         return f.coefficient(tuple(-x - 1 for x in svec))
     factor = _scale_sq(lam) ** (sum(svec) + f.n)

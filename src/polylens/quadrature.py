@@ -114,7 +114,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -128,7 +127,7 @@ from .errors import (
     NonConvergent,
     PoleOnTorus,
 )
-from .laurent import trace_norm_sq, variance_model
+from .laurent import _exponents, _integral, trace_norm_sq, variance_model
 
 DEFAULT_TOL = 1e-10
 DEFAULT_START_N = 16          # doubling loop's alias rule: orders |a_j| <= DEFAULT_START_N/2 - 1
@@ -146,19 +145,6 @@ SLAB_VALUES = 2**16           # most values one evaluation of a pointwise evalua
 READ_VALUES = 2**18           # most values the engine reads at once: a few slabs
 SCALE_RANGE = (2.0**-511, 2.0**511)  # scales whose square is a normal float
 TABLE_CACHE = 64              # circles and phase matrices kept for reuse (see _table)
-
-
-def _integral(a) -> bool:
-    """Whether every entry of a is an integer of an integral type, not a bool."""
-    return all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in a)
-
-
-def _order(a: Sequence[int]) -> tuple[int, ...]:
-    """A coefficient order as a tuple of ints.  Raises ValueError, rather
-    than truncate, for an entry that is not an integer (see _integral)."""
-    if not _integral(a := tuple(a)):
-        raise ValueError(f"coefficient order {a!r} has an entry that is not an integer")
-    return tuple(map(int, a))
 
 
 @dataclass(frozen=True)
@@ -179,8 +165,9 @@ class GridFunction:
     bounds: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise DimensionMismatch(f"need n >= 1 and k >= 1, got n={self.n}, k={self.k}")
+        if not _integral((self.n, self.k)) or self.n < 1 or self.k < 1:
+            raise DimensionMismatch(
+                f"need n >= 1 and k >= 1, both integers, got n={self.n!r}, k={self.k!r}")
         if self.bounds is None:
             return
         if len(self.bounds) != self.n:
@@ -260,7 +247,11 @@ def _torus(lams: np.ndarray) -> str:
 
 
 def check_dimension(n: int) -> None:
-    """Raise GridTooLarge for n > MAX_DIMENSION, before any work of size n."""
+    """Raise ValueError for an n that is not an integer (see
+    laurent._integral) and GridTooLarge for n > MAX_DIMENSION, before any
+    work of size n."""
+    if not _integral((n,)):
+        raise ValueError(f"dimension {n!r} is not an integer")
     if n > MAX_DIMENSION:
         raise GridTooLarge(f"dimension {n} exceeds the cap of {MAX_DIMENSION}")
 
@@ -281,7 +272,8 @@ def sample_torus(f, lam, N: int, *, read=None):
     returns reader.result(peak), for the peak max |value| per scale.
 
     Raises ValueError for a scale outside SCALE_RANGE (the variance model
-    divides by lam^2 and multiplies by it), PoleOnTorus when evaluation
+    divides by lam^2 and multiplies by it), or an N or n that is not an
+    integer, or N < MIN_N (see laurent._integral), PoleOnTorus when evaluation
     divides by a near-zero modulus or any value is non-finite or beyond the
     blow-up threshold, GridTooLarge when the point count per scale exceeds
     MAX_TOTAL_POINTS (or n > MAX_DIMENSION, see check_dimension), and
@@ -297,8 +289,8 @@ def sample_torus(f, lam, N: int, *, read=None):
             raise ValueError(
                 f"radius must be positive and finite, within 2^-511..2^511, got {value!r}"
             )
-    if N < MIN_N:
-        raise ValueError(f"need at least {MIN_N} points per dimension")
+    if not _integral((N,)) or N < MIN_N:
+        raise ValueError(f"need an integer of at least {MIN_N} points per dimension, got {N!r}")
     check_dimension(n)
     if N**n > MAX_TOTAL_POINTS:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
@@ -374,13 +366,12 @@ def _phases(orders: Sequence[Sequence[int]], N: int) -> list[np.ndarray]:
     return [_table(_phase, len(axis) * N, tuple(axis), N) for axis in orders]
 
 
-def _contract_axes(out: np.ndarray, phases, lead: int, first: int = 0) -> np.ndarray:
-    """Contract grid axes first, first + 1, ... of ``out`` (the axes before
-    ``first`` already contracted, after ``lead`` scale axes) against one phase
-    matrix each, from the left: (r_j, N_j) @ (lead, r_0, ..., r_{j-1}, N_j,
-    rest).  The first step reads ``out`` in place; the others read its small
-    result."""
-    for j, p in enumerate(phases, first):
+def _contract_axes(out: np.ndarray, phases, lead: int) -> np.ndarray:
+    """Contract the axes of ``out`` after its ``lead`` leading ones against
+    one phase matrix each, from the left: (r_j, N_j) @ (lead, r_0, ...,
+    r_{j-1}, N_j, rest).  The first step reads ``out`` in place; the others
+    read its small result."""
+    for j, p in enumerate(phases):
         out = p @ out.reshape(out.shape[: lead + j] + (p.shape[1], -1))
     return out
 
@@ -397,11 +388,9 @@ def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
     after a block's scale axis: lam^(-sum a) / N^n times the _contract_axes
     sum of values(m) exp(-2*pi*i*a.m/N), exact to rounding when N
     exceeds the exponent gaps of _gap.  Raises AliasingRisk as
-    _check_aliasing does, and ValueError for an order that is not integral
-    (see _order)."""
-    a = _order(a)
-    if len(a) != grid.n:
-        raise DimensionMismatch(f"index {a} has length {len(a)}, expected {grid.n}")
+    _check_aliasing does, and DimensionMismatch or ValueError for an order
+    that is not n integers (see laurent._exponents)."""
+    a = _exponents(a, grid.n)
     _check_aliasing([a], grid.N)
     sums = _contract_axes(grid.values, _phases([[x] for x in a], grid.N), np.ndim(grid.lam))
     coeff = sums[(..., *(0,) * grid.n, slice(None))]
@@ -555,7 +544,7 @@ class _Stream:
             if first.shape[1] == self.N:  # the whole grid, axis 0 first
                 part = _contract_axes(values, [first, *self.phases[1:]], lead)
             else:  # a few rows: the other axes first, then the rows
-                rest = _contract_axes(values, self.phases[1:], lead, 1)
+                rest = _contract_axes(values, self.phases[1:], lead + 1)  # rows as one more lead axis
                 part = _contract_axes(rest, [first], lead).reshape(
                     rest.shape[:lead] + (len(first),) + rest.shape[lead + 1 :])
             self.total += part
@@ -625,19 +614,15 @@ def _refine(
             f"exponent width {width} needs an exact grid of N={N}, above the cap {max_n}"
         )
     step = max(1, BLOCK_VALUES // (N**f.n * f.k))
-    pending = [lams[i : i + step] for i in range(0, len(lams), step)]
-    values, ests = [], []
-    while pending:
-        block = pending.pop(0)
+    reads = []
+    for block in (lams[i : i + step] for i in range(0, len(lams), step)):
         try:
-            value, est = sample_torus(f, block, N, read=read)
+            reads.append(sample_torus(f, block, N, read=read))
         except (PoleOnTorus, ValueError):
             if len(block) == 1:
                 raise
-            pending[:0] = [[lam] for lam in block]
-            continue
-        values.append(value)
-        ests.append(est)
+            reads += [sample_torus(f, [lam], N, read=read) for lam in block]
+    values, ests = zip(*reads)
     return np.concatenate(values), np.concatenate(ests), np.full(len(lams), N)
 
 
@@ -674,7 +659,7 @@ def _coefficients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The one coefficient reader: (rows, mean |f|^2, est_error, N_used,
     energies) stacked over the L scales in lams, rows[l, i] the k components
-    of the coefficient at indices[i], a tuple of ints, all read from one
+    of the coefficient at indices[i], a tuple of n ints, all read from one
     grid per scale by one _Stream (see _refine for blocks).  A range is read
     on the exact grid of its spread, _gap(bounds, bounds): an order outside
     it is exactly 0 and is not contracted.  Without a range every order is
@@ -687,8 +672,6 @@ def _coefficients(
     sum_j (hi_j - lo_j); else energies has no columns.  They carry no bound
     of their own: the est_error covers them (Parseval)."""
     n, k, m = f.n, f.k, len(indices)
-    if any(len(a) != n for a in indices):
-        raise DimensionMismatch(f"indices {list(indices)} must each have length {n}")
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
     bounds = _exponent_bounds(f)
     if bounds is None:
@@ -739,10 +722,10 @@ def adaptive_coefficients(
     has an exponent range, else refined by grid doubling until stable.
 
     Returns (coefficients, est_error, N_used), the coefficients keyed by
-    index as a tuple of ints.  Raises ValueError for an index that is not
-    integral (see _order).
+    index as a tuple of ints.  Raises DimensionMismatch or ValueError for an
+    index that is not f.n integers (see laurent._exponents).
     """
-    idx = [_order(a) for a in indices]
+    idx = [_exponents(a, f.n) for a in indices]
     rows, _, err, n_used, _ = _coefficients(f, [lam], idx, DEFAULT_TOL, DEFAULT_MAX_N)
     return dict(zip(idx, rows[0])), float(err[0]), int(n_used[0])
 

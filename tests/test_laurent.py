@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylens.errors import AdmissibilityViolation, DimensionMismatch, MixedPoleTerm
-from polylens.quadrature import torus_coords
+from polylens.expr import parse
+from polylens.quadrature import (
+    adaptive_coefficients,
+    laurent_coefficient,
+    sample_torus,
+    torus_coords,
+)
 from polylens.laurent import (
     CR_ZERO,
     ComplexRational,
@@ -221,6 +227,52 @@ class TestVariance:
             variance_exact(f, 0)
         with pytest.raises(ValueError):
             inner_product_exact(f, f, -1)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_scale_must_be_finite(self, lam):
+        f = scalar(1, {(-1,): 1, (1,): 2})
+        calls = [
+            lambda: variance_exact(f, lam),
+            lambda: inner_product_exact(f, f, lam),
+            lambda: component_norm_sq(f, 0, lam),
+            lambda: variance_model_exact(((cr(1),),), ((cr(2),),), lam),
+            lambda: exterior_integral(f, (0,), conjugate=True, lam=lam),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="positive and finite"):
+                call()
+
+
+# ------------------------------------------------------------ exponent rule
+
+# Every entry point that takes an exponent, order or weight vector, here
+# given one of length 1, reads it by one rule (laurent._exponents).
+_VECTOR_READERS = {
+    "LaurentPoly": lambda a: scalar(1, {(0,): 2, a: 3}).terms,
+    "coefficient": lambda a: scalar(1, {(0,): 3, (1,): 2}).coefficient(a),
+    "exterior_integral": lambda a: exterior_integral(
+        scalar(1, {(1,): 1, (2,): 5}), a, conjugate=True),
+    "laurent_coefficient": lambda a: laurent_coefficient(
+        sample_torus(parse("1/w + 2 + w", 1), 1.0, 8), a),
+    "adaptive_coefficients": lambda a: adaptive_coefficients(parse("1/(w-2)", 1), 1.0, [a]),
+}
+
+
+@pytest.mark.parametrize("reader", list(_VECTOR_READERS))
+@pytest.mark.parametrize("a, error", [
+    ((0.5,), ValueError), ((1.0,), ValueError), ((True,), ValueError),
+    ((np.int64(1),), None), ((1, 0), DimensionMismatch),
+], ids=["0.5", "1.0", "True", "int64", "length2"])
+def test_one_rule_for_exponent_vectors(reader, a, error):
+    # each reader has a nonzero coefficient at 0 and 1, so truncating 0.5,
+    # 1.0 or True would read a plausible number; an int64 entry is read as
+    # the int it equals
+    read = _VECTOR_READERS[reader]
+    if error is None:  # repr tells np.int64(1) from 1, so keys must be ints
+        assert repr(read(a)) == repr(read((1,)))
+    else:
+        with pytest.raises(error):
+            read(a)
 
 
 # ---------------------------------------------------------------- properties

@@ -640,6 +640,34 @@ class TestEvaluatorShapes:
             GridFunction(n, k, lambda c: [])
 
 
+class _Evaluator:
+    """A duck-typed evaluator of the identity, with any n, even a float."""
+
+    def __init__(self, n):
+        self.n, self.k = n, 1
+
+    def eval_grid(self, coords):
+        return [coords[0] + 0j]
+
+
+# A count that is not an integer is refused as n < 1 is: by a constructor as
+# a DimensionMismatch, and by the engine as a ValueError, before range() or
+# a slice would fail on it with a bare TypeError.
+@pytest.mark.parametrize("call, error", [
+    (lambda: LaurentPoly(1.5, 1, {}), DimensionMismatch),
+    (lambda: LaurentPoly(1, 2.0, {}), DimensionMismatch),
+    (lambda: GridFunction(1.5, 1, lambda c: [c[0]]), DimensionMismatch),
+    (lambda: GridFunction(2.0, 1, lambda c: [c[0]]), DimensionMismatch),
+    (lambda: spectral_summary(_Evaluator(2.0), 1.0), ValueError),
+    (lambda: sample_torus(parse("w", 1), 1.0, 16.0), ValueError),
+    (lambda: geometric_grid(0.5, 2, 3.5), ValueError),
+], ids=["LaurentPoly-n", "LaurentPoly-k", "GridFunction-1.5", "GridFunction-2.0",
+        "spectral_summary", "sample_torus", "geometric_grid"])
+def test_counts_must_be_integers(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # The exact-grid width of an inner product: the widest gap between the
 # exponents of f and g.
 def _inner_product_width(f_bounds, g_bounds) -> int:
