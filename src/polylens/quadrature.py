@@ -42,30 +42,52 @@ energies by total degree as each block is read: the box leaves no block, and
 no other read contracts it.
 
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
-without ``bounds``) is refined by doubling N.  Its coefficient orders must
+without ``bounds``) is refined by doubling.  Its coefficient orders must
 keep |a_j| <= DEFAULT_START_N/2 - 1 = 7; a higher order is refused
 (AliasingRisk) before any grid is sampled.  At N = 2*DEFAULT_START_N = 32,
-64, ... a level samples two grids of coprime sizes, N and N - 1, and reads
-each as an exact grid is read: one separable contraction (_contract_axes,
-one small phase matrix per axis) of every requested order, and one rounding
-bound per scale.  On N points per axis the trapezoidal rule reads
-c_a + sum_{m != 0} c_{a + N m} (Trefethen and Weideman, SIAM Rev. 56, 2014),
-so the two grids alias a term alike only at a multiple of N (N - 1) on
-every axis, and an alias that one grid makes shows as their difference.
-A level accepts N when twice that difference is within the tolerance, and
-reports it as the error estimate, floored by both grids' rounding bounds;
-otherwise N doubles.  The factor 2 is a margin.  Where the N - 1 grid is
-exact and the N grid is not, the difference is the N grid's whole error;
-under geometric decay of ratio rho per order the N grid's error is
-rho/(1 - rho) times the difference, which 2 covers for rho <= 2/3.
+64, ... up to min(max_n^n, MAX_TOTAL_POINTS) a level reads two rank-1
+lattices of coprime sizes N and N - 1: the points k*z/N mod 1 and
+k*z'/(N - 1) mod 1, k = 0, 1, ..., with the generating vectors (z, z') of
+lattices.PAIRS (Sloan and Joe, Lattice Methods for Multiple Integration,
+1994).  A lattice is read as a grid of one axis (see _Lattice): its point
+k has the coordinates lam * exp(2*pi*i*(k*z_j mod N)/N), and a coefficient
+c_a is one contraction of that axis at the frequency z.a mod N, with the
+rounding bound of a one-axis grid of N points.  At n = 1, z = (1,): the
+lattices are the grids N and N - 1, read with their bits.  The lattice of N
+points reads c_a + sum c_(a + d) over its dual lattice
+{d != 0 : z.d = 0 mod N} (for a grid, d = N m), so the two lattices alias
+a term alike only on the intersection of their duals, and an alias that
+one of them makes shows as their difference.  A level accepts N when
+twice that difference is within the tolerance, and reports it as the
+error estimate, floored by both lattices' rounding bounds; otherwise N
+doubles.  The factor 2 is a margin.  Where one lattice is exact and the
+other is not, the difference is the other's whole error.  A level whose
+lattices map two requested orders to one frequency is skipped.  grid_n is
+the point count N of the accepted lattice, which is N per axis at n = 1.
 
-Two gaps stay open, and a certified bound is what closes both.  A term at
-a multiple of N (N - 1) passes unseen: 1/w + 1/(2 - w^992), 992 = 32 * 31,
-prints core 1 on the 32-grid where the closed form is 1/2.  Choosing the
-second size from the expression tree would close that one lattice, but as
-a second selection path.  And slower decay is accepted with an estimate
-below the error: 1/w + 1/(w - 1.1) at scale 1 is off by 1.5e-10 on the
-256-grid, with an est_error of 3.8e-11.
+The pair rule (tests/gen_lattices.py, which writes the table): every pair
+keeps the duals of both lattices, and their intersection, free of short
+vectors by l1 norm.  A rank-1 lattice of N points reads N values where a
+grid resolving the same series along w1...wn reads N^n, but an input whose
+spectrum fills a box needs as many lattice points as grid points: a series
+in w2 alone, 2/w1 + w2/(1.5 - w2) at scale 0.9, is accepted on the lattice
+of 1024 points, against the 64^2 grid.  At n = 1 the grids N and N - 1 see
+a slowly decaying tail at neighbouring aliases, so under geometric decay of
+ratio rho per order the N grid's error is rho/(1 - rho) times their
+difference, which 2 covers for rho <= 2/3; at n >= 2 the two lattices
+alias the tail at unrelated orders.
+
+Three gaps stay open, and a certified bound is what closes them.  A term
+at a multiple of N (N - 1) passes unseen at n = 1: 1/w + 1/(2 - w^992),
+992 = 32 * 31, prints core 1 on the 32-grid where the closed form is 1/2.
+At n >= 2 it is a term on the intersection of the pair's duals, which
+the pair rule only pushes out to an l1 norm of at least
+0.65 (n! N (N - 1))^(1/n): (29, 5) lies on both duals of the first level
+at n = 2, so
+1/w1 + 1/(2 - w1^29*w2^5) prints core 1 on the 32-point lattice where the
+closed form is 1/2.  And at n = 1 slower decay is accepted with an
+estimate below the error: 1/w + 1/(w - 1.1) at scale 1 is off by 1.5e-10
+on the 256-grid, with an est_error of 3.8e-11.
 
 sample_torus evaluates f in slabs, rows of the first grid axis at a time,
 and reads the rows as they come, up to READ_VALUES values (a few slabs) at
@@ -91,14 +113,17 @@ each part as it is read.
 A sweep, a verify suite or a run of CLI commands reads the same few grids
 many times, so each axis's unit circle exp(2*pi*i*m/N) and each axis's
 phase matrix exp(-2*pi*i*a*m/N), a row per order a, are made once per N and
-per (orders, N) and then shared from one least-recently-used cache of
-TABLE_CACHE tables (see _table).  A shared table has the bits a fresh one
-has and is read-only, so no caller can change it under the next.  Only
-tables of at most BLOCK_VALUES entries (256 KB) are kept, so the cache
-holds at most TABLE_CACHE x 256 KB = 16 MB; a larger one, such as the 262
-MB phase matrix of a box read of 1 + w^4000 on its 4096-grid, is made
-afresh for its read and freed with it.  A grid that sample_torus keeps is a
-new array and shares no memory with the tables.
+per (orders, N), and a lattice's unit coordinates and phase matrix once per
+(z, N) and per (orders, z, N) (see _sliced), and then shared from one
+least-recently-used cache of TABLE_CACHE tables (see _table).  A shared
+table has the bits a fresh one has and is read-only, so no caller can
+change it under the next.  Only tables of at most BLOCK_VALUES entries (256
+KB) are kept, so the cache holds at most TABLE_CACHE x 256 KB = 16 MB; a
+larger one, such as the 262 MB phase matrix of a box read of 1 + w^4000 on
+its 4096-grid, is made afresh for its read and freed with it, and a
+lattice's larger one is made for each slab or part of its read alone.  A
+grid that sample_torus keeps is a new array and shares no memory with the
+tables.
 
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
 and a method ``eval_grid(coords) -> list[np.ndarray]`` accepting broadcastable
@@ -114,6 +139,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -127,6 +153,7 @@ from .errors import (
     NonConvergent,
     PoleOnTorus,
 )
+from .lattices import PAIRS
 from .laurent import _exponents, _integral, trace_norm_sq, variance_model
 
 DEFAULT_TOL = 1e-10
@@ -156,8 +183,9 @@ class GridFunction:
     the sampled tori.  The evaluator is then sampled once, on the exact grid
     of that range (see _gap), and trusted for the zeros outside it: an order
     outside it reads as exactly 0.  So a range that misses an exponent gives
-    wrong numbers; without it the doubling loop reads the grids N and N - 1
-    for N = 32, 64, ... until they agree (see _adaptive)."""
+    wrong numbers; without it the doubling loop reads the lattices of N and
+    N - 1 points (the grids N and N - 1 at n = 1) for N = 32, 64, ... until
+    they agree (see _adaptive)."""
 
     n: int
     k: int
@@ -207,6 +235,34 @@ class TorusGrid:
     peak: float | np.ndarray | None = None  # max |value| per scale, recorded by sample_torus
 
 
+class _Lattice:
+    """f on the rank-1 lattice of M points and generating vector z, as
+    sample_torus reads it: an evaluator of one grid axis, whose point m is f
+    at lam * exp(2*pi*i*x_j/M) on each axis j, x_j = m*z_j mod M.  At n = 1,
+    z = (1,), it is the grid itself, with its bits."""
+
+    def __init__(self, f, z):
+        self.n, self.k, self.f, self.z = 1, f.k, f, z
+        self.pointwise = getattr(f, "pointwise", False)
+
+    def eval_grid(self, coords):
+        return self.f.eval_grid(coords)
+
+    def coords(self, lams: np.ndarray, M: int, rows: slice) -> list[np.ndarray]:
+        """f's n coordinate arrays at the points of rows, the scale axis leading."""
+        radius = lams.reshape(lams.shape + (1,))
+        units = _sliced(_lattice_circle, len(self.z) * M, self.z, M)(rows)
+        return [radius * unit for unit in units]
+
+
+def _lattice_circle(z, M: int, rows=slice(None)) -> np.ndarray:
+    """The (n, rows) unit coordinates exp(2*pi*i*x_j/M), x_j = m*z_j mod M,
+    of the M-point lattice of generating vector z at its points m in rows;
+    at n = 1, z = (1,), the bits of _circle."""
+    m = np.arange(*rows.indices(M))
+    return np.exp(2j * np.pi * (m * np.array(z)[:, None] % M) / M)
+
+
 def _circle(N: int) -> np.ndarray:
     """The N points exp(2*pi*i*m/N) of the unit circle."""
     return np.exp(2j * np.pi * np.arange(N) / N)
@@ -228,6 +284,17 @@ def _table(make, size: int, *key) -> np.ndarray:
     """make(*key), a table of ``size`` entries: shared and read-only from
     the cache when it has at most BLOCK_VALUES entries, else made afresh."""
     return make(*key) if size > BLOCK_VALUES else _cached(make, *key)
+
+
+def _sliced(make, size: int, *key) -> Callable[[slice], np.ndarray]:
+    """rows -> make(*key)[:, rows], for a table of ``size`` entries whose
+    last axis is a lattice's points: sliced from the shared table (see
+    _table) when it has at most BLOCK_VALUES entries, else made for those
+    rows alone, as make(*key, rows), so no larger one is ever held whole."""
+    if size > BLOCK_VALUES:
+        return functools.partial(make, *key)
+    table = _cached(make, *key)
+    return lambda rows: table[:, rows]
 
 
 def torus_coords(n: int, lam, N: int) -> list[np.ndarray]:
@@ -263,10 +330,14 @@ def sample_torus(f, lam, N: int, *, read=None):
     grid of more than SLAB_VALUES values is evaluated slab by slab along the
     first grid axis, and the rows are read up to READ_VALUES values at a
     time (see the module docstring); without ``read`` each part is copied
-    into the returned grid as it is read.
+    into the returned grid as it is read.  A _Lattice is a grid of one axis,
+    its N points; its coordinates are made slab by slab.  The buffer of a
+    part's values and moduli is allocated once the first slab is
+    evaluated, so it does not coexist with that slab's temporaries.
 
     ``read``, a keyword which only the engine passes, keeps no grid:
-    read(lams, N) makes a reader of the grid, each part goes to
+    read(lams, N) makes a reader of the grid (the engine binds a lattice's
+    generating vector to it), each part goes to
     reader.add(values, modulus, rows) with its moduli (which the reader may
     overwrite) and the slice of the first axis it fills, and sample_torus
     returns reader.result(peak), for the peak max |value| per scale.
@@ -294,23 +365,16 @@ def sample_torus(f, lam, N: int, *, read=None):
     check_dimension(n)
     if N**n > MAX_TOTAL_POINTS:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
-    coords = torus_coords(n, lams, N)
+    coords = None if isinstance(f, _Lattice) else torus_coords(n, lams, N)
     shape = lams.shape + (N,) * n + (k,)
     per_row = lams.size * N ** (n - 1) * k  # values in a row of the first grid axis
     rows = N  # per evaluation of f
     if getattr(f, "pointwise", False):  # so it may run on slabs
         rows = min(N, max(1, SLAB_VALUES // per_row))
     span = min(N, rows * max(1, READ_VALUES // (rows * per_row)))  # rows read at once
-    # The values and their moduli share one allocation.  Freed, a block this
-    # large lifts glibc's dynamic mmap and trim thresholds above the
-    # evaluator's temporaries, which otherwise go back to the system after
-    # every grid and fault in again (with two allocations, each summary of a
-    # 32^4 grid took 5,000 page faults on 2-core Linux).
     size = span * per_row
     part = lams.shape + (span,) + shape[lams.ndim + 1 :]
-    buffer = np.empty(3 * size)
-    values = buffer[: 2 * size].view(complex).reshape(part)
-    modulus = buffer[2 * size :].reshape(part)
+    values = modulus = None
     reader = None if read is None else read(lams, N)
     kept = np.empty(shape, dtype=complex) if read is None else None
     lead = (slice(None),) * lams.ndim
@@ -322,8 +386,10 @@ def sample_torus(f, lam, N: int, *, read=None):
             end = min(begin + span, N)
             for start in range(begin, end, rows):
                 stop = min(start + rows, end)
+                at = slice(start, stop)
                 try:
-                    components = f.eval_grid([coords[0][lead + (slice(start, stop),)], *coords[1:]])
+                    components = f.eval_grid(f.coords(lams, N, at) if coords is None
+                                             else [coords[0][lead + (at,)], *coords[1:]])
                 except DivisionNearZero as exc:
                     raise PoleOnTorus(
                         f"pole on the {_torus(lams)}: {exc}", point=exc.point
@@ -332,6 +398,17 @@ def sample_torus(f, lam, N: int, *, read=None):
                     raise DimensionMismatch(
                         f"{len(components)} components from eval_grid, expected {k}"
                     )
+                if values is None:
+                    # The values and their moduli share one allocation, made
+                    # once the first slab's temporaries are freed.  Freed, a
+                    # block this large lifts glibc's dynamic mmap and trim
+                    # thresholds above the evaluator's temporaries, which
+                    # otherwise go back to the system after every grid and
+                    # fault in again (with two allocations, each summary of a
+                    # 32^4 grid took 5,000 page faults on 2-core Linux).
+                    buffer = np.empty(3 * size)
+                    values = buffer[: 2 * size].view(complex).reshape(part)
+                    modulus = buffer[2 * size :].reshape(part)
                 slab = values[lead + (slice(start - begin, stop - begin),)]
                 try:
                     for alpha, component in enumerate(components):
@@ -412,7 +489,7 @@ class SpectralSummary:
     variance: float | np.ndarray
     tail_energy: float | np.ndarray  # variance minus the two-term closed form
     est_error: float | np.ndarray
-    grid_n: int | np.ndarray
+    grid_n: int | np.ndarray  # N per axis of a grid; the point count of a lattice (n >= 2)
 
     @property
     def variance_model(self) -> float | np.ndarray:
@@ -439,36 +516,53 @@ def _adaptive(
     read,
     tol: float,
     max_n: int,
+    indices: Sequence[tuple[int, ...]] = (),
 ) -> tuple[np.ndarray, float, int]:
     """Refine N at one scale until the statistic is resolved within tol.
 
-    ``read`` makes the reader of a grid (see sample_torus), whose result is
-    the statistic with its rounding bound.  Each level samples the grids N
-    and N - 1, for N = 2*DEFAULT_START_N, 4*DEFAULT_START_N, ..., and
-    accepts N when twice their difference is within tol; otherwise N
-    doubles (see the module docstring).  Agreement is absolute for entries
-    of modulus <= 1 and relative above, so large variances do not stall the
-    refinement at the rounding floor.  The returned error estimate is the
-    infinity-norm of twice the difference, floored by the rounding bounds
-    of both grids.
+    ``read`` makes the reader of a grid (see sample_torus), read(lams, N, z)
+    for the N-point lattice of generating vector z, whose result is the
+    statistic with its rounding bound.  Each level reads the lattices of N
+    and N - 1 points of lattices.PAIRS (at n = 1, z = (1,): the grids N and
+    N - 1), for N = 2*DEFAULT_START_N, 4*DEFAULT_START_N, ... up to
+    min(max_n^n, MAX_TOTAL_POINTS), and accepts N when twice their
+    difference is within tol; otherwise N doubles (see the module
+    docstring).  A level is skipped, unsampled, when one of its lattices
+    maps two of the orders in ``indices`` to one frequency z.a mod N.
+    Agreement is absolute for entries of modulus <= 1 and relative above, so
+    large variances do not stall the refinement at the rounding floor.  The
+    returned error estimate is the infinity-norm of twice the difference,
+    floored by the rounding bounds of both lattices.
     """
-    N = 2 * DEFAULT_START_N
-    if N > max_n:
+    n, N = f.n, 2 * DEFAULT_START_N
+    cap = min(max_n**n, MAX_TOTAL_POINTS)
+    if N > cap:
         raise NonConvergent(
-            f"grid cap N={max_n} leaves no room for two grids (N={N - 1} and N={N})"
+            f"grid cap N={cap} leaves no room for two grids (N={N - 1} and N={N})"
         )
+    distinct = tuple(sorted(set(indices)))
     while True:
-        cur, floor = sample_torus(f, lam, N, read=read)
-        other, other_floor = sample_torus(f, lam, N - 1, read=read)
-        delta = 2 * np.abs(cur - other)
-        if np.all(delta <= tol * np.maximum(1.0, np.abs(cur))):
-            return cur, float(np.max(np.maximum(delta, np.maximum(floor, other_floor)))), N
-        if 2 * N > max_n:
+        lattices = list(zip(((1,), (1,)) if n == 1 else PAIRS[n, N], (N, N - 1)))
+        if all(_separates(z, size, distinct) for z, size in lattices):
+            (cur, floor), (other, other_floor) = [
+                sample_torus(_Lattice(f, z), lam, size, read=functools.partial(read, z=z))
+                for z, size in lattices]
+            delta = 2 * np.abs(cur - other)
+            if np.all(delta <= tol * np.maximum(1.0, np.abs(cur))):
+                return cur, float(np.max(np.maximum(delta, np.maximum(floor, other_floor)))), N
+        if 2 * N > cap:
             break
         N *= 2
     raise NonConvergent(
-        f"refinement reached N={N} (cap {max_n}) without two grids agreeing within {tol:g}"
+        f"refinement reached N={N} (cap {cap}) without two grids agreeing within {tol:g}"
     )
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _separates(z, size: int, orders) -> bool:
+    """Whether the lattice of generating vector z and size points maps the
+    orders to distinct frequencies z.a mod size."""
+    return len({sum(map(operator.mul, z, a)) % size for a in orders}) == len(orders)
 
 
 def _degree(bounds) -> int:
@@ -492,6 +586,12 @@ def _rounding_bound(n: int, N: int, degree: int, peak) -> float | np.ndarray:
     (see _grid_mean), which also covers the variance formed from the mean of
     |f|^2.  Rounding inside the evaluator beyond that, as in
     (w + 1e8) - 1e8, is not covered.
+
+    A lattice read takes n = 1 and N = M, its point count: one contraction
+    of M terms.  Its weights multiply the n axes' phase factors
+    exp(-2*pi*i*a_j*x_j/M), each rounded as a grid's phase entry is, and 1
+    exactly where a_j = 0, so for the orders of a summary (0 and +-e_beta)
+    one factor rounds, as on a grid.
 
     A grid read in S parts of at most c rows of the first axis (see the
     module docstring) sums in another order, and the bound still holds.  A
@@ -521,30 +621,53 @@ def _grid_mean(
     return total[..., None] / N**n, np.asarray(est)
 
 
-class _Stream:
-    """A reader (see sample_torus) of one N^n grid for _coefficients: the
-    contraction of the per-axis ``orders`` (None for no order) and the sum of
-    |f|^2 over each scale's grid, each summed over the reads in the order of
-    _rounding_bound.  A part of a few rows contracts its other axes first,
-    while it is in cache, and then its rows, by axis 0's phase matrix
-    restricted to them, so what is summed across parts has r^n * k values;
-    a grid read at once takes the steps of laurent_coefficient.  The result
-    is finish(lams, N, contraction, sum of |f|^2, peak)."""
+def _lattice_phase(orders, z, M: int, rows=slice(None)) -> np.ndarray:
+    """The (r, rows) phase matrix of the M-point lattice of generating vector
+    z, a row per order a in orders: at point m, the product over the axes j
+    of exp(-2*pi*i*a_j*x_j/M), x_j = m*z_j mod M.  That is
+    exp(-2*pi*i*(z.a)*m/M), taken from small orders a_j, so it keeps the
+    accuracy of a grid's phase matrix, and at n = 1, z = (1,), it has the
+    bits of _phase."""
+    m = np.arange(*rows.indices(M))
+    out = None
+    for j, zj in enumerate(z):
+        phase = np.exp(-2j * np.pi * np.array([a[j] for a in orders])[:, None] * (m * zj % M) / M)
+        out = phase if out is None else out * phase
+    return out
 
-    def __init__(self, n, lams, N, orders, finish):
+
+class _Stream:
+    """A reader (see sample_torus) of one grid for _coefficients: the
+    contraction of the ``orders`` (None for no order) and the sum of |f|^2
+    over each scale's grid, each summed over the reads in the order of
+    _rounding_bound.  On an N^n grid the orders are per axis; on the M-point
+    lattice of generating vector ``z`` (n = 1, its one axis) they are a list
+    of order vectors, contracted by _lattice_phase.  A part of a few rows
+    contracts its other axes first, while it is in cache, and then its rows,
+    by axis 0's phase matrix restricted to them, so what is summed across
+    parts has r^n * k values; a grid read at once takes the steps of
+    laurent_coefficient.  The result is finish(lams, N, contraction, sum of
+    |f|^2, peak)."""
+
+    def __init__(self, n, lams, N, orders, finish, z=None):
         self.lams, self.N, self.finish = lams, N, finish
         self.axes = tuple(range(-n - 1, 0))  # the grid axes and the component axis
-        self.phases = None if orders is None else _phases(orders, N)
         self.power, self.total = 0, None if orders is None else 0
+        self.first, self.rest = None, []
+        if orders is not None and z is None:
+            phases = _phases(orders, N)
+            self.first, self.rest = (lambda rows: phases[0][:, rows]), phases[1:]
+        elif orders is not None:
+            self.first = _sliced(_lattice_phase, len(orders) * N, tuple(orders), tuple(z), N)
 
     def add(self, values, mag, rows):
         self.power += np.square(mag, out=mag).sum(axis=self.axes)
-        if self.phases is not None:
-            lead, first = np.ndim(self.lams), self.phases[0][:, rows]
+        if self.first is not None:
+            lead, first = np.ndim(self.lams), self.first(rows)
             if first.shape[1] == self.N:  # the whole grid, axis 0 first
-                part = _contract_axes(values, [first, *self.phases[1:]], lead)
+                part = _contract_axes(values, [first, *self.rest], lead)
             else:  # a few rows: the other axes first, then the rows
-                rest = _contract_axes(values, self.phases[1:], lead + 1)  # rows as one more lead axis
+                rest = _contract_axes(values, self.rest, lead + 1)  # rows as one more lead axis
                 part = _contract_axes(rest, [first], lead).reshape(
                     rest.shape[:lead] + (len(first),) + rest.shape[lead + 1 :])
             self.total += part
@@ -557,8 +680,8 @@ class _Products:
     """A reader (see sample_torus) of the grid mean of conj(f).g for
     inner_product_numeric, the 2k components of its values being f's and
     then g's: the sum of the k products and the peaks of f and g, each over
-    the parts of the grid.  The result is the mean and its _grid_mean
-    bound."""
+    the parts of the grid; ``n`` is the number of grid axes, 1 for a
+    lattice.  The result is the mean and its _grid_mean bound."""
 
     def __init__(self, n, k, N, degree):
         self.n, self.k, self.N, self.degree = n, k, N, degree
@@ -582,11 +705,13 @@ def _refine(
     lams: Sequence[float],
     tol: float,
     max_n: int,
+    indices: Sequence[tuple[int, ...]] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One refinement of f per scale in lams, stacked: (values, est_error,
     grid_n) of shapes (L, W), (L,) and (L,) for L scales and a statistic of W
     entries.  The exact grid is read when the exponent width is known, else
-    the doubling loop runs (see _adaptive).  Raises ValueError unless tol is
+    the doubling loop runs on lattices that keep the coefficient orders in
+    ``indices`` apart (see _adaptive).  Raises ValueError unless tol is
     positive and finite.
 
     ``read`` makes the reader of a grid (see sample_torus), whose result is
@@ -604,7 +729,7 @@ def _refine(
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if width is None:
-        runs = [_adaptive(f, lam, read, tol, max_n) for lam in lams]
+        runs = [_adaptive(f, lam, read, tol, max_n, indices) for lam in lams]
         return tuple(np.array(column) for column in zip(*runs))
     N = MIN_N
     while N <= width:
@@ -665,11 +790,13 @@ def _coefficients(
     it is exactly 0 and is not contracted.  Without a range every order is
     contracted, and _check_aliasing refuses, before any grid is sampled, an
     order beyond the doubling loop's alias rule, that of a DEFAULT_START_N
-    grid (|a_j| <= 7), which its least grid, of 31 points, keeps with room to
-    spare.  With ``box`` and a range, the whole range box is contracted, and
-    energies[l, s] sums |c^_a|^2, c^_a = c_a lam^(sum a), over the components
-    and the a != 0 of total degree sum_j lo_j + s, for s up to
-    sum_j (hi_j - lo_j); else energies has no columns.  They carry no bound
+    grid (|a_j| <= 7), which its least grid (n = 1), of 31 points, keeps
+    with room to spare; the doubling loop reads a lattice at the orders'
+    frequencies (see _adaptive).  With ``box`` and a range, the whole range
+    box is contracted, and energies[l, s] sums |c^_a|^2,
+    c^_a = c_a lam^(sum a), over the components and the a != 0 of total
+    degree sum_j lo_j + s, for s up to sum_j (hi_j - lo_j); else energies
+    has no columns.  They carry no bound
     of their own: the est_error covers them (Parseval)."""
     n, k, m = f.n, f.k, len(indices)
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
@@ -688,29 +815,33 @@ def _coefficients(
         offset = (sum(axes) - sum(lo for lo, _ in bounds)).ravel()
         moving = (sum(np.abs(a) for a in axes) > 0).ravel()  # a = 0 is the mean
 
-    def finish(lams, N, read_box, power_sum, peak) -> tuple[np.ndarray, np.ndarray]:
+    def finish(dims, picks, lams, N, read_box, power_sum, peak) -> tuple[np.ndarray, np.ndarray]:
         lead = np.shape(lams)
         scales = np.asarray(lams)[..., None] ** powers
         vec, energies = np.zeros(lead + (m, k), dtype=complex), np.zeros(lead + (0,))
         if read_box is not None:
-            read_box = read_box / N**n
-            vec[..., inside, :] = read_box[(..., *rows, slice(None))] * scales[..., inside, None]
+            read_box = read_box / N**dims
+            vec[..., inside, :] = read_box[(..., *picks, slice(None))] * scales[..., inside, None]
             if box:  # one bincount, scale l's bins after l * (offset[-1] + 1)
                 energy = (np.abs(read_box) ** 2).sum(axis=-1).reshape(lead + (-1,)) * moving
                 bins = np.arange(math.prod(lead))[:, None] * (offset[-1] + 1) + offset
                 energies = np.bincount(bins.ravel(), weights=energy.ravel()).reshape(lead + (-1,))
-        unit = _rounding_bound(n, N, degree, peak)
-        power, bound = _grid_mean(power_sum, n, N, k, degree, (peak, peak))
+        unit = _rounding_bound(dims, N, degree, peak)
+        power, bound = _grid_mean(power_sum, dims, N, k, degree, (peak, peak))
         est = np.maximum(unit * scales.max(axis=-1, initial=0.0), bound)
         return np.concatenate([vec.reshape(lead + (-1,)), power, energies], axis=-1), est
 
     read_orders = orders if box or inside else None
+    vectors = sorted({indices[i] for i in inside})  # the orders of a lattice read
+    on_lattice = [[vectors.index(indices[i]) for i in inside]]
 
-    def read(lams, N) -> _Stream:
-        return _Stream(n, lams, N, read_orders, finish)
+    def read(lams, N, z=None) -> _Stream:
+        if z is None:
+            return _Stream(n, lams, N, read_orders, functools.partial(finish, n, rows))
+        return _Stream(1, lams, N, vectors or None, functools.partial(finish, 1, on_lattice), z)
 
     width = None if bounds is None else _gap(bounds, bounds)
-    values, est, grid_n = _refine(f, read, width, lams, tol, max_n)
+    values, est, grid_n = _refine(f, read, width, lams, tol, max_n, indices)
     return (values[:, : m * k].reshape(len(lams), m, k), values[:, m * k].real, est, grid_n,
             values[:, m * k + 1 :].real)
 
@@ -819,7 +950,8 @@ def inner_product_numeric(f, g, lam: float) -> complex:
     """<f, g> as the grid mean of conj(f).g, conjugate-linear in f: read
     once from the exact grid of the two ranges (see _gap) when both have
     one, else refined by the doubling loop to DEFAULT_TOL.  Raises
-    GridTooLarge when a grid exceeds MAX_TOTAL_POINTS points."""
+    GridTooLarge when the exact grid exceeds MAX_TOTAL_POINTS points, and
+    NonConvergent when the doubling loop reaches that many unresolved."""
     if f.n != g.n or f.k != g.k:
         raise DimensionMismatch(f"shape ({f.n},{f.k}) vs ({g.n},{g.k})")
 
@@ -827,8 +959,11 @@ def inner_product_numeric(f, g, lam: float) -> complex:
     f_bounds, g_bounds = _exponent_bounds(f), _exponent_bounds(g)
     width = None if f_bounds is None or g_bounds is None else _gap(f_bounds, g_bounds)
     degree = 0 if width is None else max(_degree(f_bounds), _degree(g_bounds))
-    values, _, _ = _refine(_Pair(f, g), lambda lams, N: _Products(f.n, k, N, degree),
-                           width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
+
+    def read(lams, N, z=None) -> _Products:  # a lattice is a grid of one axis
+        return _Products(f.n if z is None else 1, k, N, degree)
+
+    values, _, _ = _refine(_Pair(f, g), read, width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
     return complex(values[0, 0])
 
 

@@ -2,7 +2,9 @@
 
 recorded_grids() records one Grid(f, lam, N) for every call of
 ``quadrature.sample_torus`` inside its ``with`` block, in call order; lam is
-the scale or the block of scales as the engine passed it.  It is a context
+the scale or the block of scales as the engine passed it.  The doubling
+loop reads lattices: f is then a ``quadrature._Lattice`` and N its point
+count.  It is a context
 manager, not a pytest fixture, because a function-scoped fixture cannot be
 used inside a hypothesis test.  It patches the module attribute, so it sees
 the engine's own calls: ``verify`` and ``morphs`` import ``sample_torus`` by
@@ -61,8 +63,8 @@ def recorded_reads():
     reads: list[Read] = []
     refine = quadrature._refine
 
-    def recorded(f, read, width, lams, tol, max_n):
-        result = refine(f, read, width, lams, tol, max_n)
+    def recorded(f, read, width, lams, tol, max_n, *indices):
+        result = refine(f, read, width, lams, tol, max_n, *indices)
         reads.append(Read(f, read, width, lams, *result))
         return result
 

@@ -306,14 +306,18 @@ _REFINEMENT_CORPUS = [
     ("1/w", 1, 0.5, {}, 4),
     ("1/w + 3*w + w^2", 1, 0.8, {}, 4),
     ("1/(w-2)", 1, 1.0, {}, 64),
-    ("2/w1 + w2/(1.5 - w2)", 2, 0.9, {}, 64),
-    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {}, 64),
+    # without a range, n >= 2 reads the lattices of lattices.PAIRS: grid_n
+    # is the point count of the accepted lattice
+    ("2/w1 + w2/(1.5 - w2)", 2, 0.9, {}, 1024),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {}, 256),
     ("1/(w-2)", 1, 1.0, {"max_n": 32}, NonConvergent),
     ("1/(w-2)", 1, 1.0, {"max_n": 64}, 64),
     ("1/w", 1, 1.0, {"max_n": 2}, NonConvergent),
     ("1/w", 1, 1.0, {"max_n": 4}, 4),
-    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 32**3 - 1}, GridTooLarge),
-    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3 - 1}, GridTooLarge),
+    # the lattices stop at min(max_n^n, the point budget): the 256-point
+    # level is over a budget of 255, and over 6^3 = 216
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 255}, NonConvergent),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_n": 6}, NonConvergent),
     ("1/(w - 1)", 1, 1.0, {}, PoleOnTorus),
     # exp(2*pi*i/32): a pole on an odd point of the 32-grid only
     ("1/(w - (0.98078528040323043 + 0.19509032201612825i))", 1, 1.0, {}, PoleOnTorus),
@@ -332,7 +336,7 @@ _REFINEMENT_CORPUS = [
     # refuses after two levels
     ("1/(w - 1.25)", 1, 1.0, {}, 128),
     ("1/(w - 1.25)", 1, 1.0, {"max_n": 64}, NonConvergent),
-    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 64**3}, 64),
+    ("1/w1 + 1/(2 - w1*w2*w3)", 3, 1.0, {"max_points": 256}, 256),
     # the exact grid of a range checks the budget too
     ("1/w1 + w2*w3", 3, 1.0, {"max_points": 4**3 - 1}, GridTooLarge),
 ]
@@ -854,12 +858,13 @@ class TestInnerProduct:
             inner_product_numeric(f, f, 1.3)
 
     def test_point_budget(self, monkeypatch):
-        # no exponent range: the first level samples 32^2 points
+        # no exponent range: the first level reads lattices of 32 and 31
+        # points, which a budget of 31 leaves no room for
         f = GridFunction(2, 1, lambda c: [c[0] * c[1]])
-        monkeypatch.setattr(quadrature, "MAX_TOTAL_POINTS", 32**2)
+        monkeypatch.setattr(quadrature, "MAX_TOTAL_POINTS", 32)
         assert abs(inner_product_numeric(f, f, 1.0) - 1) < 1e-12
-        monkeypatch.setattr(quadrature, "MAX_TOTAL_POINTS", 32**2 - 1)
-        with pytest.raises(GridTooLarge):
+        monkeypatch.setattr(quadrature, "MAX_TOTAL_POINTS", 31)
+        with pytest.raises(NonConvergent, match="no room for two grids"):
             inner_product_numeric(f, f, 1.0)
 
 
@@ -930,11 +935,14 @@ def _deep_case(rng, n: int, band: tuple[float, float]):
     return parse(" + ".join(parts), n), lam, c0 + r / a, np.array(e), jac
 
 
-# Bands of rho with the N at which the grids N and N - 1 agree.  n = 4 leaves
-# out the last to keep every grid at or below 32^4 points.
-_RHO_BANDS = (((0.10, 0.19), 32), ((0.33, 0.42), 32), ((0.55, 0.64), 64))
-_DEEP_SHAPES = [(n, band) for n in (1, 2, 3, 4) for band in _RHO_BANDS
-                if n < 4 or band[1] == 32]
+# Bands of rho, and per n the sizes N at which the pair N, N - 1 agrees for
+# a band: the grids at n = 1, the lattices of lattices.PAIRS at n >= 2.  The
+# last band straddles the ratio at which the lattice pair of 256 (n = 2, 3)
+# or 512 points (n = 4) stops agreeing, so it reaches one of two sizes.
+_RHO_BANDS = ((0.10, 0.19), (0.33, 0.42), (0.55, 0.64))
+_BAND_SIZES = {1: ((32,), (32,), (64,)), 2: ((64,), (256,), (256, 1024)),
+               3: ((256,), (256,), (256, 512)), 4: ((256,), (512,), (512, 2048))}
+_DEEP_SHAPES = [(n, band) for n, sizes in _BAND_SIZES.items() for band in zip(_RHO_BANDS, sizes)]
 
 
 class TestDeepFamilyErrorEstimate:
@@ -944,11 +952,10 @@ class TestDeepFamilyErrorEstimate:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(_DEEP_SHAPES))
     def test_error_estimate_bounds_the_closed_form_gap(self, seed, shape):
-        n, (rho_band, grid_n) = shape
+        n, (rho_band, sizes) = shape
         f, lam, core, eta, jac = _deep_case(np.random.default_rng(seed), n, rho_band)
-        with mock.patch.object(quadrature, "MAX_TOTAL_POINTS", 32**4):
-            s = spectral_summary(f, lam)
-        assert s.grid_n == grid_n
+        s = spectral_summary(f, lam)
+        assert s.grid_n in sizes
         gaps = [abs(s.core[0] - core), *np.abs(s.eta[0] - eta),
                 *np.abs(s.jacobian[0] - jac)]
         assert max(gaps) <= s.est_error
@@ -1223,16 +1230,16 @@ class TestExactReadIsTheAnswer:
         assert s.grid_n == 4 and 1e-20 < s.est_error < 1e-12
 
 
-def _per_entry_bound(f, lams, N, peak, indices, energy_size) -> np.ndarray:
+def _per_entry_bound(f, lams, N, dims, peak, indices, energy_size) -> np.ndarray:
     """The rounding bound of every entry of a coefficient read of f from its
-    N-grid at the scales lams, as the reader once reported it entry by
-    entry: unit * lam^(-sum a) for each component of each coefficient,
-    4*k*max(peak, 1)*unit for the mean of |f|^2 and 0 for each energy by
-    degree, unit being _rounding_bound(n, N, degree, peak), one row per
-    scale."""
+    N-point grid of ``dims`` axes (one for a lattice) at the scales lams, as
+    the reader once reported it entry by entry: unit * lam^(-sum a) for each
+    component of each coefficient, 4*k*max(peak, 1)*unit for the mean of
+    |f|^2 and 0 for each energy by degree, unit being
+    _rounding_bound(dims, N, degree, peak), one row per scale."""
     k = f.k
     degree = quadrature._degree(quadrature._exponent_bounds(f))
-    unit = np.asarray(quadrature._rounding_bound(f.n, N, degree, peak))[..., None]
+    unit = np.asarray(quadrature._rounding_bound(dims, N, degree, peak))[..., None]
     scales = np.asarray(lams)[..., None] ** -np.array([sum(a) for a in indices], dtype=float)
     power = 4 * k * np.maximum(peak, 1.0)[..., None] * unit
     zeros = np.zeros(np.shape(lams) + (energy_size,))
@@ -1295,12 +1302,13 @@ class TestOneBoundPerScale:
         indices = [(0,) * f.n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
         size = energies.shape[-1]
 
-        def per_entry(lams, N):
-            return _PerEntry(read(lams, N),
-                             lambda peak: _per_entry_bound(f, lams, N, peak, indices, size))
+        def per_entry(lams, N, z=None):
+            dims = f.n if z is None else 1
+            return _PerEntry(read(lams, N, z),
+                             lambda peak: _per_entry_bound(f, lams, N, dims, peak, indices, size))
 
         if quadrature._exponent_bounds(f) is None:
-            want = [quadrature._adaptive(f, lam, per_entry, DEFAULT_TOL, DEFAULT_MAX_N)[1]
+            want = [quadrature._adaptive(f, lam, per_entry, DEFAULT_TOL, DEFAULT_MAX_N, indices)[1]
                     for lam in lams]
         else:
             N = int(s.grid_n[0])
@@ -1529,6 +1537,38 @@ class TestStreamedRead:
             _assert_within_bound(got, _whole_grid_read(f, lam, size, orders), n, k, size)
 
     @pytest.mark.parametrize("f,lam,N", _STREAMED)
+    def test_lattice_parts_read_as_the_whole_lattice(self, f, lam, N, monkeypatch):
+        # a 512-point lattice of lattices.PAIRS read at once, then in parts
+        # of 128 points with phase matrices made for each part (more than
+        # BLOCK_VALUES entries)
+        n, k, M = f.n, f.k, 512
+        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        orders = [(0,) * n, *unit, *(tuple(-x for x in e) for e in unit)]
+        lattice = quadrature._Lattice(f, quadrature.PAIRS[n, M][0])
+
+        def stream(lams, size):
+            return quadrature._Stream(1, lams, size, orders, lambda lams, N, total, power, peak:
+                                      (total / N, power / N, peak), lattice.z)
+
+        want = sample_torus(lattice, lam, M, read=stream)
+        monkeypatch.setattr(quadrature, "SLAB_VALUES", 64)
+        monkeypatch.setattr(quadrature, "READ_VALUES", 128 * k)
+        monkeypatch.setattr(quadrature, "BLOCK_VALUES", 64)
+        _assert_within_bound(sample_torus(lattice, lam, M, read=stream), want, 1, k, M)
+
+    @pytest.mark.parametrize("N", [31, 32, 1024])
+    def test_the_lattice_of_one_axis_is_the_grid(self, N):
+        # z = (1,): the same coordinates, phases and sums, bit for bit
+        f, orders = parse("1/w + 2*w + 1/(3 - w^5)", 1), [-1, 0, 1]
+        grid = sample_torus(f, 0.9, N, read=_stream(1, [orders]))
+        lattice = sample_torus(quadrature._Lattice(f, (1,)), 0.9, N, read=lambda lams, size:
+                               quadrature._Stream(1, lams, size, [(a,) for a in orders],
+                                                  lambda lams, N, total, power, peak:
+                                                  (total / N, power / N, peak), (1,)))
+        for got, want in zip(lattice, grid):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("f,lam,N", _STREAMED)
     def test_summary_in_small_parts(self, f, lam, N, monkeypatch):
         want = spectral_summary(f, lam)
         monkeypatch.setattr(quadrature, "SLAB_VALUES", 2**9)
@@ -1554,11 +1594,11 @@ class TestStreamedRead:
 
     @pytest.mark.parametrize("lam,N", [(1.0, 64), (1.15, 128)])
     def test_memory_is_bounded_by_the_slab(self, lam, N):
-        # the 64^3 grid of one component is READ_VALUES values, read at
-        # once; the 128^3 grid, 33.6 MB of values, in eight parts: either
-        # read holds a part, its moduli and a slab's intermediates (9.1 MB
-        # traced, against 7.1 and 48.0 MB for whole grids)
-        f = parse("1/w1 + 1/(2 - w1*w2*w3)", 3)
+        # the exact 64^3 grid of one component is READ_VALUES values, read
+        # at once; the 128^3 grid, 33.6 MB of values, in eight parts: either
+        # read holds a part, its moduli and a slab's intermediates (9.6 MB
+        # traced, against 48.0 MB for a whole 128^3 grid)
+        f = parse(f"1/w1 + w1^{N // 2}*w2*w3", 3)
         spectral_summary(f, lam)  # caches warmed outside the trace
         tracemalloc.start()
         try:
