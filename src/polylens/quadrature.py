@@ -41,6 +41,17 @@ its blocks, c^_a = c_a lam^(sum a) to rounding, and _coefficients bins their
 energies by total degree as each block is read: the box leaves no block, and
 no other read contracts it.
 
+Every read is of one point set: a tuple zs of generating vectors, one per
+read axis of N points m = 0, ..., N - 1, axis j giving f the coordinates
+lam * exp(2*pi*i*(m*z mod N)/N) for z in zs[j].  The grid N^n is
+zs = ((1,),) * n; the rank-1 lattice of N points and generating vector z
+is zs = (z,), one axis of n coordinates (see _Lattice).  An order splits
+over the read axes as the coordinates do, and a coefficient contracts each
+axis against the phase matrix of its part (see _phase): a grid each axis at
+its order, a lattice its one axis at the frequency z.a mod N.  Means are
+over the N^A points of A read axes, and the rounding bound is that of A
+contractions of N terms (see _rounding_bound).
+
 Every other evaluator (divisions by non-monomials, a :class:`GridFunction`
 without ``bounds``) is refined by doubling.  Its coefficient orders must
 keep |a_j| <= DEFAULT_START_N/2 - 1 = 7; a higher order is refused
@@ -49,12 +60,8 @@ keep |a_j| <= DEFAULT_START_N/2 - 1 = 7; a higher order is refused
 lattices of coprime sizes N and N - 1: the points k*z/N mod 1 and
 k*z'/(N - 1) mod 1, k = 0, 1, ..., with the generating vectors (z, z') of
 lattices.PAIRS (Sloan and Joe, Lattice Methods for Multiple Integration,
-1994).  A lattice is read as a grid of one axis (see _Lattice): its point
-k has the coordinates lam * exp(2*pi*i*(k*z_j mod N)/N), and a coefficient
-c_a is one contraction of that axis at the frequency z.a mod N, with the
-rounding bound of a one-axis grid of N points.  At n = 1, z = (1,): the
-lattices are the grids N and N - 1, read with their bits.  The lattice of N
-points reads c_a + sum c_(a + d) over its dual lattice
+1994).  At n = 1, z = (1,): the lattices are the grids N and N - 1.  The
+lattice of N points reads c_a + sum c_(a + d) over its dual lattice
 {d != 0 : z.d = 0 mod N} (for a grid, d = N m), so the two lattices alias
 a term alike only on the intersection of their duals, and an alias that
 one of them makes shows as their difference.  A level accepts N when
@@ -63,7 +70,7 @@ error estimate, floored by both lattices' rounding bounds; otherwise N
 doubles.  The factor 2 is a margin.  Where one lattice is exact and the
 other is not, the difference is the other's whole error.  A level whose
 lattices map two requested orders to one frequency is skipped.  grid_n is
-the point count N of the accepted lattice, which is N per axis at n = 1.
+N, the points per read axis: the accepted lattice's point count.
 
 The pair rule (tests/gen_lattices.py, which writes the table): every pair
 keeps the duals of both lattices, and their intersection, free of short
@@ -89,7 +96,7 @@ closed form is 1/2.  And at n = 1 slower decay is accepted with an
 estimate below the error: 1/w + 1/(w - 1.1) at scale 1 is off by 1.5e-10
 on the 256-grid, with an est_error of 3.8e-11.
 
-sample_torus evaluates f in slabs, rows of the first grid axis at a time,
+sample_torus evaluates f in slabs, rows of the first read axis at a time,
 and reads the rows as they come, up to READ_VALUES values (a few slabs) at
 a time, while they are in cache: one modulus pass gives their peak
 (non-finite iff some value is) and their share of the mean of |f|^2, and a
@@ -98,31 +105,31 @@ matrix restricted to them, their share of every coefficient.  A pointwise
 evaluator (one whose ``pointwise`` attribute is true, such as ``MeroExpr``
 and ``LaurentPoly``) runs on slabs of at most SLAB_VALUES values (one row
 at least), so a read of it holds at most READ_VALUES values, their moduli,
-a slab's intermediates and r^n * k sums (r orders per axis), not N^n
-values.  A :class:`GridFunction` wraps an arbitrary callable, which is not
-pointwise, so it is evaluated as one slab and read in one part: its whole
-grid is held, 24 bytes a value for the values and their moduli, beside
-whatever the callable allocates.  A grid of up to READ_VALUES values is
-read at once, with the bits of a whole-grid read.  The operations are
+a slab's intermediates and r^A * k sums (r orders on each of A read axes),
+not N^A values.  A :class:`GridFunction` wraps an arbitrary callable, which
+is not pointwise, so it is evaluated as one slab and read in one part: its
+whole grid is held, 24 bytes a value for the values and their moduli,
+beside whatever the callable allocates.  A grid of up to READ_VALUES values
+is read at once, with the bits of a whole-grid read.  The operations are
 elementwise, so the values are those of one evaluation; a pole found in a
 slab is reported at that slab's point, and no row is evaluated twice.  The
 engine's readers take grids of any N, odd or even.  A caller that asks for
 the values, which the engine never does, gets the whole grid, copied from
 each part as it is read.
 
-A sweep, a verify suite or a run of CLI commands reads the same few grids
-many times, so each axis's unit circle exp(2*pi*i*m/N) and each axis's
-phase matrix exp(-2*pi*i*a*m/N), a row per order a, are made once per N and
-per (orders, N), and a lattice's unit coordinates and phase matrix once per
-(z, N) and per (orders, z, N) (see _sliced), and then shared from one
-least-recently-used cache of TABLE_CACHE tables (see _table).  A shared
-table has the bits a fresh one has and is read-only, so no caller can
-change it under the next.  Only tables of at most BLOCK_VALUES entries (256
-KB) are kept, so the cache holds at most TABLE_CACHE x 256 KB = 16 MB; a
-larger one, such as the 262 MB phase matrix of a box read of 1 + w^4000 on
-its 4096-grid, is made afresh for its read and freed with it, and a
-lattice's larger one is made for each slab or part of its read alone.  A
-grid that sample_torus keeps is a new array and shares no memory with the
+A sweep, a verify suite or a run of CLI commands reads the same few point
+sets many times, so a point set's unit coordinates are made once per
+(zs, N) and its phase matrices once per (orders, zs, N), one table per read
+axis, and shared as one list (see _table).  Two least-recently-used caches
+of TABLE_CACHE entries keep the lists and their axes' tables, which lists
+share.  A shared table has the bits a fresh one has and is read-only, so no
+caller can change it under the next.  Only lists of at most BLOCK_VALUES
+entries (256 KB) in all are kept, so the caches hold at most 2 x
+TABLE_CACHE x 256 KB = 32 MB.  Larger ones are made afresh, read axis 0's
+for each slab or part of the read alone: the 262 MB phase matrix of a box
+read of 1 + w^4000 on its 4096-grid, read in one part, is made for its read
+and freed with it, and no table of a 2^24-point lattice is ever held whole.
+A grid that sample_torus keeps is a new array and shares no memory with the
 tables.
 
 Evaluators are duck-typed: anything with integer attributes ``n`` and ``k``
@@ -138,6 +145,7 @@ free; grids and summaries are immutable once built.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -171,7 +179,7 @@ BLOCK_VALUES = 2**14          # most values (scales x N^n x k) in one block of s
 SLAB_VALUES = 2**16           # most values one evaluation of a pointwise evaluator yields
 READ_VALUES = 2**18           # most values the engine reads at once: a few slabs
 SCALE_RANGE = (2.0**-511, 2.0**511)  # scales whose square is a normal float
-TABLE_CACHE = 64              # circles and phase matrices kept for reuse (see _table)
+TABLE_CACHE = 64              # tables, lists and layouts kept for reuse (see _table)
 
 
 @dataclass(frozen=True)
@@ -236,41 +244,40 @@ class TorusGrid:
 
 
 class _Lattice:
-    """f on the rank-1 lattice of M points and generating vector z, as
-    sample_torus reads it: an evaluator of one grid axis, whose point m is f
-    at lam * exp(2*pi*i*x_j/M) on each axis j, x_j = m*z_j mod M.  At n = 1,
-    z = (1,), it is the grid itself, with its bits."""
+    """f on the rank-1 lattice of generating vector z, as sample_torus reads
+    it: an evaluator of one read axis (n = 1) whose point set is zs = (z,)."""
 
     def __init__(self, f, z):
-        self.n, self.k, self.f, self.z = 1, f.k, f, z
+        self.n, self.k, self.f, self.zs = 1, f.k, f, (z,)
         self.pointwise = getattr(f, "pointwise", False)
 
     def eval_grid(self, coords):
         return self.f.eval_grid(coords)
 
-    def coords(self, lams: np.ndarray, M: int, rows: slice) -> list[np.ndarray]:
-        """f's n coordinate arrays at the points of rows, the scale axis leading."""
-        radius = lams.reshape(lams.shape + (1,))
-        units = _sliced(_lattice_circle, len(self.z) * M, self.z, M)(rows)
-        return [radius * unit for unit in units]
+
+def _circle(z, tail: int, N: int, rows=slice(None)) -> np.ndarray:
+    """The unit coordinates exp(2*pi*i*x_j/N), x_j = m*z_j mod N, of a read
+    axis of N points and generating vector z at its points m in rows, shaped
+    (len(z), rows) + (1,) * tail to broadcast along that axis when ``tail``
+    read axes follow it; a grid axis has z = (1,), the circle
+    exp(2*pi*i*m/N)."""
+    m = np.arange(*rows.indices(N))
+    out = np.exp(2j * np.pi * (m * np.array(z)[:, None] % N) / N)
+    return out.reshape(out.shape + (1,) * tail)
 
 
-def _lattice_circle(z, M: int, rows=slice(None)) -> np.ndarray:
-    """The (n, rows) unit coordinates exp(2*pi*i*x_j/M), x_j = m*z_j mod M,
-    of the M-point lattice of generating vector z at its points m in rows;
-    at n = 1, z = (1,), the bits of _circle."""
-    m = np.arange(*rows.indices(M))
-    return np.exp(2j * np.pi * (m * np.array(z)[:, None] % M) / M)
-
-
-def _circle(N: int) -> np.ndarray:
-    """The N points exp(2*pi*i*m/N) of the unit circle."""
-    return np.exp(2j * np.pi * np.arange(N) / N)
-
-
-def _phase(axis: tuple[int, ...], N: int) -> np.ndarray:
-    """The (r, N) phase matrix exp(-2*pi*i*a*m/N), a row per order a."""
-    return np.exp(-2j * np.pi * np.array(axis)[:, None] * np.arange(N) / N)
+def _phase(orders, z, N: int, rows=slice(None)) -> np.ndarray:
+    """The (r, rows) phase matrix of a read axis of N points and generating
+    vector z, a row per order a in orders (each len(z) long): at point m,
+    the product over j of exp(-2*pi*i*a_j*x_j/N), x_j = m*z_j mod N.  That
+    is exp(-2*pi*i*(z.a)*m/N), taken from small orders a_j, so it keeps the
+    accuracy of a grid axis's phase matrix exp(-2*pi*i*a*m/N), z = (1,)."""
+    m = np.arange(*rows.indices(N))
+    out = None
+    for j, zj in enumerate(z):
+        phase = np.exp(-2j * np.pi * np.array([a[j] for a in orders])[:, None] * (m * zj % N) / N)
+        out = phase if out is None else out * phase
+    return out
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE)
@@ -280,31 +287,25 @@ def _cached(make, *key) -> np.ndarray:
     return table
 
 
-def _table(make, size: int, *key) -> np.ndarray:
-    """make(*key), a table of ``size`` entries: shared and read-only from
-    the cache when it has at most BLOCK_VALUES entries, else made afresh."""
-    return make(*key) if size > BLOCK_VALUES else _cached(make, *key)
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _shared(make, N: int, *columns):  # a new list reuses its axes' cached tables
+    first, *rest = [_cached(make, *key, N) for key in zip(*columns)]
+    return (lambda rows: first[:, rows]), tuple(rest)
 
 
-def _sliced(make, size: int, *key) -> Callable[[slice], np.ndarray]:
-    """rows -> make(*key)[:, rows], for a table of ``size`` entries whose
-    last axis is a lattice's points: sliced from the shared table (see
-    _table) when it has at most BLOCK_VALUES entries, else made for those
-    rows alone, as make(*key, rows), so no larger one is ever held whole."""
-    if size > BLOCK_VALUES:
-        return functools.partial(make, *key)
-    table = _cached(make, *key)
-    return lambda rows: table[:, rows]
-
-
-def torus_coords(n: int, lam, N: int) -> list[np.ndarray]:
-    """Broadcastable coordinate arrays for the sample grid, lam * circle
-    along each axis.  For a sequence of L scales the arrays carry a leading
-    scale axis: lam[:, None] * circle."""
-    radius = np.asarray(lam, dtype=float)
-    radius = radius.reshape(radius.shape + (1,) * n)
-    circle = _table(_circle, N, N)
-    return [radius * circle.reshape([N if i == j else 1 for i in range(n)]) for j in range(n)]
+def _table(make, N: int, *columns) -> tuple[Callable[[slice], np.ndarray], tuple[np.ndarray, ...]]:
+    """The tables make(*key, N) of a point set of N points per read axis,
+    one per read axis, whose key holds that axis's entry of each column
+    (columns[0] gives each table's rows: its coordinates or orders), as
+    (first, rest): first(rows) is axis 0's table at its points in rows and
+    rest the other axes' tables.  Tables of at most BLOCK_VALUES entries in
+    all are shared, read-only, as one cached list; larger ones are made
+    afresh for the read, axis 0's for those rows alone, so it is never held
+    whole."""
+    if N * sum(map(len, columns[0])) > BLOCK_VALUES:
+        first, *rest = zip(*columns)
+        return functools.partial(make, *first, N), tuple(make(*key, N) for key in rest)
+    return _shared(make, N, *columns)
 
 
 def _torus(lams: np.ndarray) -> str:
@@ -328,16 +329,17 @@ def sample_torus(f, lam, N: int, *, read=None):
     ``lam`` is one scale, or a sequence of L scales sampled as one block in
     a single evaluation of f (see TorusGrid).  A pointwise evaluator on a
     grid of more than SLAB_VALUES values is evaluated slab by slab along the
-    first grid axis, and the rows are read up to READ_VALUES values at a
+    first read axis, and the rows are read up to READ_VALUES values at a
     time (see the module docstring); without ``read`` each part is copied
-    into the returned grid as it is read.  A _Lattice is a grid of one axis,
-    its N points; its coordinates are made slab by slab.  The buffer of a
-    part's values and moduli is allocated once the first slab is
-    evaluated, so it does not coexist with that slab's temporaries.
+    into the returned grid as it is read.  The buffer of a part's values
+    and moduli is allocated once the first slab is evaluated, so it does not
+    coexist with that slab's temporaries.  The points are those of f.zs
+    when f has that attribute, as the engine's _Lattice does (its n read
+    axes are then len(zs), not the coordinates of the evaluator it wraps),
+    else of the grid ((1,),) * n (see the module docstring).
 
     ``read``, a keyword which only the engine passes, keeps no grid:
-    read(lams, N) makes a reader of the grid (the engine binds a lattice's
-    generating vector to it), each part goes to
+    read(lams, zs, N) makes a reader of the point set, each part goes to
     reader.add(values, modulus, rows) with its moduli (which the reader may
     overwrite) and the slice of the first axis it fills, and sample_torus
     returns reader.result(peak), for the peak max |value| per scale.
@@ -365,9 +367,12 @@ def sample_torus(f, lam, N: int, *, read=None):
     check_dimension(n)
     if N**n > MAX_TOTAL_POINTS:
         raise GridTooLarge(f"grid of {N}^{n} points exceeds the budget of {MAX_TOTAL_POINTS}")
-    coords = None if isinstance(f, _Lattice) else torus_coords(n, lams, N)
+    zs = getattr(f, "zs", ((1,),) * n)
+    radius = lams.reshape(lams.shape + (1,) * n)
+    first, rest = _table(_circle, N, zs, range(n - 1, -1, -1))
+    others = [radius * unit for table in rest for unit in table]
     shape = lams.shape + (N,) * n + (k,)
-    per_row = lams.size * N ** (n - 1) * k  # values in a row of the first grid axis
+    per_row = lams.size * N ** (n - 1) * k  # values in a row of the first read axis
     rows = N  # per evaluation of f
     if getattr(f, "pointwise", False):  # so it may run on slabs
         rows = min(N, max(1, SLAB_VALUES // per_row))
@@ -375,7 +380,7 @@ def sample_torus(f, lam, N: int, *, read=None):
     size = span * per_row
     part = lams.shape + (span,) + shape[lams.ndim + 1 :]
     values = modulus = None
-    reader = None if read is None else read(lams, N)
+    reader = None if read is None else read(lams, zs, N)
     kept = np.empty(shape, dtype=complex) if read is None else None
     lead = (slice(None),) * lams.ndim
     grid_axes = tuple(range(lams.ndim, len(shape)))
@@ -388,8 +393,7 @@ def sample_torus(f, lam, N: int, *, read=None):
                 stop = min(start + rows, end)
                 at = slice(start, stop)
                 try:
-                    components = f.eval_grid(f.coords(lams, N, at) if coords is None
-                                             else [coords[0][lead + (at,)], *coords[1:]])
+                    components = f.eval_grid([radius * unit for unit in first(at)] + others)
                 except DivisionNearZero as exc:
                     raise PoleOnTorus(
                         f"pole on the {_torus(lams)}: {exc}", point=exc.point
@@ -437,12 +441,6 @@ def sample_torus(f, lam, N: int, *, read=None):
     return TorusGrid(n=n, k=k, lam=lam if one else lams, N=N, values=kept, peak=peak)
 
 
-def _phases(orders: Sequence[Sequence[int]], N: int) -> list[np.ndarray]:
-    """One (r_j, N) phase matrix exp(-2*pi*i*a*m/N) per axis j, a row per
-    order a in orders[j], read-only when cached (see _table)."""
-    return [_table(_phase, len(axis) * N, tuple(axis), N) for axis in orders]
-
-
 def _contract_axes(out: np.ndarray, phases, lead: int) -> np.ndarray:
     """Contract the axes of ``out`` after its ``lead`` leading ones against
     one phase matrix each, from the left: (r_j, N_j) @ (lead, r_0, ...,
@@ -469,7 +467,8 @@ def laurent_coefficient(grid: TorusGrid, a: Sequence[int]) -> np.ndarray:
     that is not n integers (see laurent._exponents)."""
     a = _exponents(a, grid.n)
     _check_aliasing([a], grid.N)
-    sums = _contract_axes(grid.values, _phases([[x] for x in a], grid.N), np.ndim(grid.lam))
+    first, rest = _table(_phase, grid.N, tuple(((x,),) for x in a), ((1,),) * grid.n)
+    sums = _contract_axes(grid.values, [first(slice(None)), *rest], np.ndim(grid.lam))
     coeff = sums[(..., *(0,) * grid.n, slice(None))]
     return coeff * (np.asarray(grid.lam)[..., None] ** -float(sum(a)) / grid.N**grid.n)
 
@@ -489,7 +488,7 @@ class SpectralSummary:
     variance: float | np.ndarray
     tail_energy: float | np.ndarray  # variance minus the two-term closed form
     est_error: float | np.ndarray
-    grid_n: int | np.ndarray  # N per axis of a grid; the point count of a lattice (n >= 2)
+    grid_n: int | np.ndarray  # N, the points per read axis (a lattice's point count)
 
     @property
     def variance_model(self) -> float | np.ndarray:
@@ -520,15 +519,16 @@ def _adaptive(
 ) -> tuple[np.ndarray, float, int]:
     """Refine N at one scale until the statistic is resolved within tol.
 
-    ``read`` makes the reader of a grid (see sample_torus), read(lams, N, z)
-    for the N-point lattice of generating vector z, whose result is the
-    statistic with its rounding bound.  Each level reads the lattices of N
-    and N - 1 points of lattices.PAIRS (at n = 1, z = (1,): the grids N and
-    N - 1), for N = 2*DEFAULT_START_N, 4*DEFAULT_START_N, ... up to
-    min(max_n^n, MAX_TOTAL_POINTS), and accepts N when twice their
-    difference is within tol; otherwise N doubles (see the module
-    docstring).  A level is skipped, unsampled, when one of its lattices
-    maps two of the orders in ``indices`` to one frequency z.a mod N.
+    ``read`` makes the reader of a point set (see sample_torus), here
+    read(lams, (z,), N) for the N-point lattice of generating vector z,
+    whose result is the statistic with its rounding bound.  Each level
+    reads the lattices of N and N - 1 points of lattices.PAIRS (at n = 1,
+    z = (1,): the grids N and N - 1), for N = 2*DEFAULT_START_N,
+    4*DEFAULT_START_N, ... up to min(max_n^n, MAX_TOTAL_POINTS), and accepts
+    N when twice their difference is within tol; otherwise N doubles (see
+    the module docstring).  A level is skipped, unsampled, when one of its
+    lattices maps two of the orders in ``indices`` to one frequency
+    z.a mod N.
     Agreement is absolute for entries of modulus <= 1 and relative above, so
     large variances do not stall the refinement at the rounding floor.  The
     returned error estimate is the infinity-norm of twice the difference,
@@ -545,8 +545,7 @@ def _adaptive(
         lattices = list(zip(((1,), (1,)) if n == 1 else PAIRS[n, N], (N, N - 1)))
         if all(_separates(z, size, distinct) for z, size in lattices):
             (cur, floor), (other, other_floor) = [
-                sample_torus(_Lattice(f, z), lam, size, read=functools.partial(read, z=z))
-                for z, size in lattices]
+                sample_torus(_Lattice(f, z), lam, size, read=read) for z, size in lattices]
             delta = 2 * np.abs(cur - other)
             if np.all(delta <= tol * np.maximum(1.0, np.abs(cur))):
                 return cur, float(np.max(np.maximum(delta, np.maximum(floor, other_floor)))), N
@@ -571,10 +570,11 @@ def _degree(bounds) -> int:
 
 
 def _rounding_bound(n: int, N: int, degree: int, peak) -> float | np.ndarray:
-    """A-priori rounding bound on a coefficient read from an exact N^n grid,
-    before its lam^(-sum a) scale: (n + 1) * M * eps * max(peak, 1) for
-    samples of modulus up to ``peak``, M = max(N, degree), one per scale of a
-    block; degree, the _degree of the range, covers w^9 read on a 4-grid.
+    """A-priori rounding bound on a coefficient read from a point set of n
+    read axes of N points each (see the module docstring), before its
+    lam^(-sum a) scale: (n + 1) * M * eps * max(peak, 1) for samples of
+    modulus up to ``peak``, M = max(N, degree), one per scale of a block;
+    degree, the _degree of the range, covers w^9 read on a 4-grid.
 
     n*M*eps covers the n length-N phase contractions (a sum of N terms errs
     by gamma_(N-1) times the sum of their moduli) and M*eps the evaluation
@@ -587,13 +587,13 @@ def _rounding_bound(n: int, N: int, degree: int, peak) -> float | np.ndarray:
     |f|^2.  Rounding inside the evaluator beyond that, as in
     (w + 1e8) - 1e8, is not covered.
 
-    A lattice read takes n = 1 and N = M, its point count: one contraction
-    of M terms.  Its weights multiply the n axes' phase factors
-    exp(-2*pi*i*a_j*x_j/M), each rounded as a grid's phase entry is, and 1
-    exactly where a_j = 0, so for the orders of a summary (0 and +-e_beta)
-    one factor rounds, as on a grid.
+    A lattice has one read axis, so n = 1: one contraction of its N points.
+    Its weights multiply the phase factors exp(-2*pi*i*a_j*x_j/N) of its
+    coordinates, each rounded as a grid's phase entry is, and 1 exactly
+    where a_j = 0, so for the orders of a summary (0 and +-e_beta) one
+    factor rounds, as on a grid.
 
-    A grid read in S parts of at most c rows of the first axis (see the
+    A read in S parts of at most c rows of the first axis (see the
     module docstring) sums in another order, and the bound still holds.  A
     coefficient contracts each part's other axes and sums its c rows, and
     adds the S parts in sequence: that errs by gamma_(c - 1 + (n - 1)(N - 1)
@@ -605,60 +605,40 @@ def _rounding_bound(n: int, N: int, degree: int, peak) -> float | np.ndarray:
     S - 1 + log2(N^n * k) stays below 4*k*(n + 1)*N, the factor its bound
     allows.
     """
-    eps = np.finfo(float).eps
+    eps = math.ulp(1.0)  # machine epsilon
     return (n + 1) * max(N, degree) * eps * np.maximum(peak, 1.0)
 
 
 def _grid_mean(
     total: np.ndarray, n: int, N: int, k: int, degree: int, peaks
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid mean from the ``total`` over an N^n grid of k products conj(u).v
-    of two samples (|f|^2 or conj(f).g), in a last axis of length one, and
-    its bound 4*k*max(peak_u, 1)*_rounding_bound(n, N, degree, peak_v), one
-    per scale, for the peaks (peak_u, peak_v) of the two operands."""
+    """Mean from the ``total`` over the N^n points of n read axes of k
+    products conj(u).v of two samples (|f|^2 or conj(f).g), in a last axis
+    of length one, and its bound
+    4*k*max(peak_u, 1)*_rounding_bound(n, N, degree, peak_v), one per
+    scale, for the peaks (peak_u, peak_v) of the two operands."""
     peak_u, peak_v = peaks
     est = 4 * k * np.maximum(peak_u, 1.0) * _rounding_bound(n, N, degree, peak_v)
     return total[..., None] / N**n, np.asarray(est)
 
 
-def _lattice_phase(orders, z, M: int, rows=slice(None)) -> np.ndarray:
-    """The (r, rows) phase matrix of the M-point lattice of generating vector
-    z, a row per order a in orders: at point m, the product over the axes j
-    of exp(-2*pi*i*a_j*x_j/M), x_j = m*z_j mod M.  That is
-    exp(-2*pi*i*(z.a)*m/M), taken from small orders a_j, so it keeps the
-    accuracy of a grid's phase matrix, and at n = 1, z = (1,), it has the
-    bits of _phase."""
-    m = np.arange(*rows.indices(M))
-    out = None
-    for j, zj in enumerate(z):
-        phase = np.exp(-2j * np.pi * np.array([a[j] for a in orders])[:, None] * (m * zj % M) / M)
-        out = phase if out is None else out * phase
-    return out
-
-
 class _Stream:
-    """A reader (see sample_torus) of one grid for _coefficients: the
-    contraction of the ``orders`` (None for no order) and the sum of |f|^2
-    over each scale's grid, each summed over the reads in the order of
-    _rounding_bound.  On an N^n grid the orders are per axis; on the M-point
-    lattice of generating vector ``z`` (n = 1, its one axis) they are a list
-    of order vectors, contracted by _lattice_phase.  A part of a few rows
-    contracts its other axes first, while it is in cache, and then its rows,
-    by axis 0's phase matrix restricted to them, so what is summed across
-    parts has r^n * k values; a grid read at once takes the steps of
-    laurent_coefficient.  The result is finish(lams, N, contraction, sum of
-    |f|^2, peak)."""
+    """A reader (see sample_torus) of one point set zs for _coefficients:
+    the contraction of the ``orders`` (None for no order) and the sum of
+    |f|^2 over each scale's points, each summed over the reads in the order
+    of _rounding_bound.  orders[j] holds the orders of read axis j, each the
+    part of an order vector on that axis's coordinates, contracted by its
+    _phase.  A part of a few rows contracts its other axes first, while it
+    is in cache, and then its rows, by axis 0's phase matrix restricted to
+    them, so what is summed across parts has r^A * k values (r orders on
+    each of A read axes); a grid read at once takes the steps of laurent_coefficient.
+    The result is finish(lams, N, contraction, sum of |f|^2, peak)."""
 
-    def __init__(self, n, lams, N, orders, finish, z=None):
+    def __init__(self, lams, zs, N, orders, finish):
         self.lams, self.N, self.finish = lams, N, finish
-        self.axes = tuple(range(-n - 1, 0))  # the grid axes and the component axis
+        self.axes = tuple(range(-len(zs) - 1, 0))  # the read axes and the component axis
         self.power, self.total = 0, None if orders is None else 0
-        self.first, self.rest = None, []
-        if orders is not None and z is None:
-            phases = _phases(orders, N)
-            self.first, self.rest = (lambda rows: phases[0][:, rows]), phases[1:]
-        elif orders is not None:
-            self.first = _sliced(_lattice_phase, len(orders) * N, tuple(orders), tuple(z), N)
+        self.first, self.rest = (None, ()) if orders is None else _table(_phase, N, orders, zs)
 
     def add(self, values, mag, rows):
         self.power += np.square(mag, out=mag).sum(axis=self.axes)
@@ -680,12 +660,12 @@ class _Products:
     """A reader (see sample_torus) of the grid mean of conj(f).g for
     inner_product_numeric, the 2k components of its values being f's and
     then g's: the sum of the k products and the peaks of f and g, each over
-    the parts of the grid; ``n`` is the number of grid axes, 1 for a
-    lattice.  The result is the mean and its _grid_mean bound."""
+    the parts of the grid; ``n`` is the number of read axes.  The result is
+    the mean and its _grid_mean bound."""
 
     def __init__(self, n, k, N, degree):
         self.n, self.k, self.N, self.degree = n, k, N, degree
-        self.axes = tuple(range(-n - 1, 0))  # the grid axes and the component axis
+        self.axes = tuple(range(-n - 1, 0))  # the read axes and the component axis
         self.total = self.peaks = 0
 
     def add(self, values, mag, rows):
@@ -708,26 +688,28 @@ def _refine(
     indices: Sequence[tuple[int, ...]] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One refinement of f per scale in lams, stacked: (values, est_error,
-    grid_n) of shapes (L, W), (L,) and (L,) for L scales and a statistic of W
-    entries.  The exact grid is read when the exponent width is known, else
-    the doubling loop runs on lattices that keep the coefficient orders in
-    ``indices`` apart (see _adaptive).  Raises ValueError unless tol is
-    positive and finite.
+    grid_n) of shapes (L, W), (L,) and (L,) for L scales and a statistic of
+    W entries.  The exact grid is read when the exponent width is known,
+    else the doubling loop runs on lattices that keep the coefficient orders
+    in ``indices`` apart (see _adaptive).  Raises ValueError unless tol is
+    positive and finite, and GridTooLarge for f.n > MAX_DIMENSION (see
+    check_dimension) before either path.
 
-    ``read`` makes the reader of a grid (see sample_torus), whose result is
-    the statistic and its rounding bound, one per scale, the block's scale
-    axis leading.  The exact grid is the smallest
-    power of two N >= MIN_N above ``width``, the widest exponent gap the
-    statistic pairs (see _gap).  Its scales are sampled in blocks of at most
-    BLOCK_VALUES values, and each scale's row and bound are its answer and
-    error estimate.  tol governs only the doubling loop: an exact read holds
-    every coefficient it pairs, so a finer grid would only raise the bound's
+    ``read`` makes the reader of a point set (see sample_torus), whose
+    result is the statistic and its rounding bound, one per scale, the
+    block's scale axis leading.  The exact grid is the smallest power of two
+    N >= MIN_N above ``width``, the widest exponent gap the statistic pairs
+    (see _gap).  Its scales are sampled in blocks of at most BLOCK_VALUES
+    values, and each scale's row and bound are its answer and error
+    estimate.  tol governs only the doubling loop: an exact read holds every
+    coefficient it pairs, so a finer grid would only raise the bound's
     max(N, degree).  A block that raises a pole or an invalid scale is
     sampled again one scale at a time, so the error is the one a one-scale
     call raises.
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    check_dimension(f.n)
     if width is None:
         runs = [_adaptive(f, lam, read, tol, max_n, indices) for lam in lams]
         return tuple(np.array(column) for column in zip(*runs))
@@ -774,6 +756,22 @@ def _gap(u, v) -> int:
     return max(max(v_hi - u_lo, u_hi - v_lo) for (u_lo, u_hi), (v_lo, v_hi) in zip(u, v))
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _layout(indices, split) -> tuple[tuple | None, tuple[np.ndarray, ...]]:
+    """(orders, picks) of a read of the order vectors ``indices`` on read
+    axes of split[j] coordinates each: orders[j] the sorted parts of the
+    indices on axis j's coordinates (None for no index), picks[j] the row of
+    each index's part in orders[j]; made once and shared."""
+    ends = itertools.accumulate(split)
+    parts = [[a[end - d : end] for a in indices] for d, end in zip(split, ends)]
+    orders = tuple(tuple(sorted(set(axis))) for axis in parts)
+    picks = tuple(np.array([axis.index(p) for p in axis_parts], int)
+                  for axis, axis_parts in zip(orders, parts))
+    for pick in picks:  # shared, so read-only
+        pick.flags.writeable = False
+    return (orders if indices else None), picks
+
+
 def _coefficients(
     f,
     lams: Sequence[float],
@@ -785,9 +783,10 @@ def _coefficients(
     """The one coefficient reader: (rows, mean |f|^2, est_error, N_used,
     energies) stacked over the L scales in lams, rows[l, i] the k components
     of the coefficient at indices[i], a tuple of n ints, all read from one
-    grid per scale by one _Stream (see _refine for blocks).  A range is read
-    on the exact grid of its spread, _gap(bounds, bounds): an order outside
-    it is exactly 0 and is not contracted.  Without a range every order is
+    point set per scale by one _Stream, in the _layout of its split (see
+    _refine for blocks).  A range is read on the exact grid of its spread,
+    _gap(bounds, bounds): an order outside it is exactly 0 and is not
+    contracted.  Without a range every order is
     contracted, and _check_aliasing refuses, before any grid is sampled, an
     order beyond the doubling loop's alias rule, that of a DEFAULT_START_N
     grid (|a_j| <= 7), which its least grid (n = 1), of 31 points, keeps
@@ -798,7 +797,7 @@ def _coefficients(
     degree sum_j lo_j + s, for s up to sum_j (hi_j - lo_j); else energies
     has no columns.  They carry no bound
     of their own: the est_error covers them (Parseval)."""
-    n, k, m = f.n, f.k, len(indices)
+    k, m = f.k, len(indices)
     powers = -np.array([sum(a) for a in indices], dtype=float)  # of lam in each scale
     bounds = _exponent_bounds(f)
     if bounds is None:
@@ -807,15 +806,18 @@ def _coefficients(
     box = box and bounds is not None
     inside = [i for i, a in enumerate(indices) if bounds is None
               or all(lo <= x <= hi for x, (lo, hi) in zip(a, bounds))]
-    orders = ([range(lo, hi + 1) for lo, hi in bounds] if box
-              else [sorted({indices[i][j] for i in inside}) for j in range(n)])
-    rows = [[orders[j].index(indices[i][j]) for i in inside] for j in range(n)]
-    if box:  # per box entry: its total degree less sum_j lo_j, and a != 0
-        axes = np.ix_(*[np.array(axis) for axis in orders])
+    wanted = tuple(indices[i] for i in inside)
+    inside = np.array(inside, int)  # an index array reads faster than a list
+    if box:  # the range box, read on the exact grid, one coordinate per axis
+        box_layout = (tuple(tuple((x,) for x in range(lo, hi + 1)) for lo, hi in bounds),
+                      tuple(np.array([a[j] - lo for a in wanted], int)
+                            for j, (lo, _) in enumerate(bounds)))
+        # per box entry: its total degree less sum_j lo_j, and a != 0
+        axes = np.ix_(*[np.arange(lo, hi + 1) for lo, hi in bounds])
         offset = (sum(axes) - sum(lo for lo, _ in bounds)).ravel()
         moving = (sum(np.abs(a) for a in axes) > 0).ravel()  # a = 0 is the mean
 
-    def finish(dims, picks, lams, N, read_box, power_sum, peak) -> tuple[np.ndarray, np.ndarray]:
+    def finish(dims, picks, lams, N, read_box, power_sum, peak):
         lead = np.shape(lams)
         scales = np.asarray(lams)[..., None] ** powers
         vec, energies = np.zeros(lead + (m, k), dtype=complex), np.zeros(lead + (0,))
@@ -831,14 +833,9 @@ def _coefficients(
         est = np.maximum(unit * scales.max(axis=-1, initial=0.0), bound)
         return np.concatenate([vec.reshape(lead + (-1,)), power, energies], axis=-1), est
 
-    read_orders = orders if box or inside else None
-    vectors = sorted({indices[i] for i in inside})  # the orders of a lattice read
-    on_lattice = [[vectors.index(indices[i]) for i in inside]]
-
-    def read(lams, N, z=None) -> _Stream:
-        if z is None:
-            return _Stream(n, lams, N, read_orders, functools.partial(finish, n, rows))
-        return _Stream(1, lams, N, vectors or None, functools.partial(finish, 1, on_lattice), z)
+    def read(lams, zs, N) -> _Stream:
+        orders, picks = box_layout if box else _layout(wanted, tuple(map(len, zs)))
+        return _Stream(lams, zs, N, orders, functools.partial(finish, len(zs), picks))
 
     width = None if bounds is None else _gap(bounds, bounds)
     values, est, grid_n = _refine(f, read, width, lams, tol, max_n, indices)
@@ -960,8 +957,8 @@ def inner_product_numeric(f, g, lam: float) -> complex:
     width = None if f_bounds is None or g_bounds is None else _gap(f_bounds, g_bounds)
     degree = 0 if width is None else max(_degree(f_bounds), _degree(g_bounds))
 
-    def read(lams, N, z=None) -> _Products:  # a lattice is a grid of one axis
-        return _Products(f.n if z is None else 1, k, N, degree)
+    def read(lams, zs, N) -> _Products:
+        return _Products(len(zs), k, N, degree)
 
     values, _, _ = _refine(_Pair(f, g), read, width, [lam], DEFAULT_TOL, DEFAULT_MAX_N)
     return complex(values[0, 0])

@@ -2,18 +2,21 @@
 
 recorded_grids() records one Grid(f, lam, N) for every call of
 ``quadrature.sample_torus`` inside its ``with`` block, in call order; lam is
-the scale or the block of scales as the engine passed it.  The doubling
-loop reads lattices: f is then a ``quadrature._Lattice`` and N its point
-count.  It is a context
+the scale or the block of scales as the engine passed it.  Every read is of
+one point set, N points on each read axis (see the quadrature module
+docstring): an exact read passes the plain f, read on the grid N^n, and
+the doubling loop passes a ``quadrature._Lattice``, an evaluator of one read
+axis (n = 1) whose ``zs`` names the lattice of N points.  It is a context
 manager, not a pytest fixture, because a function-scoped fixture cannot be
 used inside a hypothesis test.  It patches the module attribute, so it sees
 the engine's own calls: ``verify`` and ``morphs`` import ``sample_torus`` by
 name, and their direct calls are not recorded.
 
 recorded_reads() records one Read for every call of ``quadrature._refine``
-inside its ``with`` block, in call order: its evaluator, reader factory,
-exponent width and scales, and the (values, est_error, grid_n) it returned.
-A call that raises is not recorded.
+inside its ``with`` block, in call order: its evaluator, reader factory
+(read(lams, zs, N), see quadrature.sample_torus), exponent width and
+scales, and the (values, est_error, grid_n) it returned.  A call that
+raises is not recorded.
 
 exact_grid(bounds) is the grid the engine samples for a coefficient read of
 a range, and grid_above(width) the one it samples for a read pairing

@@ -52,7 +52,6 @@ from polylens.quadrature import (
     sample_torus,
     spectral_summaries,
     spectral_summary,
-    torus_coords,
 )
 from polylens.verify import random_decomposable
 
@@ -90,6 +89,20 @@ class TestSampling:
             spectral_summary(LaurentPoly(5, 1, {}), 1.0)
         with pytest.raises(GridTooLarge, match="dimension 5 exceeds the cap of 4"):
             detectability_check(LaurentPoly(5, 1, {}), [0.5, 1.0])
+
+    @pytest.mark.parametrize("front", ["adaptive_coefficients", "expectation_numeric",
+                                       "inner_product_numeric"])
+    def test_dimension_cap_precedes_the_doubling_loop(self, front):
+        # without a range, n > 4 is refused before the loop looks up a
+        # lattice pair, which the table has only for n <= 4
+        f = GridFunction(5, 1, lambda c: [c[0]])
+        reads = {
+            "adaptive_coefficients": lambda: adaptive_coefficients(f, 1.0, [(0,) * 5]),
+            "expectation_numeric": lambda: expectation_numeric(f, 1.0),
+            "inner_product_numeric": lambda: inner_product_numeric(f, f, 1.0),
+        }
+        with pytest.raises(GridTooLarge, match="dimension 5 exceeds the cap of 4"):
+            reads[front]()
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
@@ -192,27 +205,54 @@ def _fresh_phase(axis, N) -> np.ndarray:
     return np.exp(-2j * np.pi * np.array(axis)[:, None] * np.arange(N) / N)
 
 
+def _whole_tables(make, N, *columns) -> list[np.ndarray]:
+    """Every table of a point set (see quadrature._table), axis 0's whole."""
+    first, rest = quadrature._table(make, N, *columns)
+    return [first(slice(None)), *rest]
+
+
+def _grid_units(n, N) -> list[np.ndarray]:
+    """The unit coordinates of the N^n grid, one (1, N, 1, ...) table per
+    axis, as sample_torus keys them."""
+    return _whole_tables(quadrature._circle, N, ((1,),) * n, range(n - 1, -1, -1))
+
+
+def _grid_orders(orders):
+    """Per-axis orders of the grid as the readers take them: each order a
+    as the part (a,) of an order vector on that axis's one coordinate."""
+    return tuple(tuple((a,) for a in axis) for axis in orders)
+
+
+def _grid_phases(orders, N) -> list[np.ndarray]:
+    """The phase matrices of the N^n grid at the integer orders of each axis."""
+    return _whole_tables(quadrature._phase, N, _grid_orders(orders), ((1,),) * len(orders))
+
+
 class TestSharedTables:
-    """Circles and phase matrices of at most BLOCK_VALUES entries are made
-    once and shared, read-only; larger ones are made afresh."""
+    """Unit coordinates and phase matrices of at most BLOCK_VALUES entries
+    are made once and shared, read-only; larger ones are made afresh."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(4, 300), st.lists(st.integers(-40, 40), min_size=1, max_size=6),
            st.floats(0.2, 3.0))
     def test_cached_tables_equal_fresh_ones(self, N, axis, lam):
         circle = _fresh_circle(N)
+        seen = []
+        f = GridFunction(2, 1, lambda coords: seen.append(coords) or [coords[0] + coords[1]])
         for _ in range(2):  # a miss, then a hit
-            coords = torus_coords(2, lam, N)
-            for got, shape in zip(coords, [(N, 1), (1, N)]):
+            sample_torus(f, lam, N)
+            for got, shape in zip(seen.pop(), [(N, 1), (1, N)]):
                 assert got.tobytes() == (np.asarray(lam) * circle.reshape(shape)).tobytes()
-            first, second = quadrature._phases([axis, [0, 1]], N)
+            for got, shape in zip(_grid_units(2, N), [(1, N, 1), (1, N)]):
+                assert got.tobytes() == circle.reshape(shape).tobytes()
+            first, second = _grid_phases([axis, [0, 1]], N)
             assert first.tobytes() == _fresh_phase(axis, N).tobytes()
             assert second.tobytes() == _fresh_phase([0, 1], N).tobytes()
 
     def test_cached_tables_are_read_only(self):
-        phase, = quadrature._phases([[-1, 0, 1]], 16)
-        circle = quadrature._table(quadrature._circle, 16, 16)
-        assert phase is quadrature._phases([[-1, 0, 1]], 16)[0]
+        key = (quadrature._phase, 16, _grid_orders([[-1, 0, 1]]), ((1,),))
+        assert quadrature._table(*key) is quadrature._table(*key)  # shared
+        [phase], [circle] = _grid_phases([[-1, 0, 1]], 16), _grid_units(1, 16)
         for table in (phase, circle):
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = 0
@@ -221,27 +261,27 @@ class TestSharedTables:
 
     def test_a_table_above_block_values_is_not_retained(self):
         # BLOCK_VALUES entries are cached, one more row is not
-        edge, = quadrature._phases([[3]], BLOCK_VALUES)
-        assert edge is quadrature._phases([[3]], BLOCK_VALUES)[0]
-        before = quadrature._cached.cache_info()
-        big, = quadrature._phases([[2, 3]], BLOCK_VALUES)
-        again, = quadrature._phases([[2, 3]], BLOCK_VALUES)
-        coords = torus_coords(1, 1.0, 2 * BLOCK_VALUES)[0]
+        key = (quadrature._phase, BLOCK_VALUES, _grid_orders([[3]]), ((1,),))
+        assert quadrature._table(*key) is quadrature._table(*key)
+        caches = (quadrature._cached, quadrature._shared)
+        before = [cache.cache_info() for cache in caches]
+        big, = _grid_phases([[2, 3]], BLOCK_VALUES)
+        again, = _grid_phases([[2, 3]], BLOCK_VALUES)
+        units, = _grid_units(1, 2 * BLOCK_VALUES)
         assert big is not again and big.flags.writeable
         assert np.array_equal(big, again)
-        assert np.array_equal(coords, _fresh_circle(2 * BLOCK_VALUES))
-        assert quadrature._cached.cache_info() == before
+        assert np.array_equal(units, _fresh_circle(2 * BLOCK_VALUES)[None])
+        assert [cache.cache_info() for cache in caches] == before
 
     def test_a_kept_grid_shares_no_memory_with_the_tables(self):
         grid = sample_torus(parse("1/w1 + w2 + w1*w2", 2), 0.9, 8)
         laurent_coefficient(grid, (1, 1))
-        tables = [quadrature._table(quadrature._circle, 8, 8)]
-        tables += quadrature._phases([[1], [1]], 8)
+        tables = _grid_units(2, 8) + _grid_phases([[1], [1]], 8)
         for table in tables:
             assert not table.flags.writeable
             assert not np.shares_memory(grid.values, table)
         grid.values[...] = 0  # a kept grid is the caller's to change
-        assert tables[0].tobytes() == _fresh_circle(8).tobytes()
+        assert tables[0].tobytes() == _fresh_circle(8).reshape(1, 8, 1).tobytes()
 
 
 def _direct_coefficient(grid: TorusGrid, a) -> np.ndarray:
@@ -1147,8 +1187,7 @@ class TestScaleBlocks:
             _assert_same_summary(_row(s, i), plain)
             exact = sample_torus(f, lam, N)
             orders = [range(lo, hi + 1) for lo, hi in f.exponent_bounds()]
-            want = quadrature._contract_axes(
-                exact.values, quadrature._phases(orders, N), np.ndim(lam))
+            want = quadrature._contract_axes(exact.values, _grid_phases(orders, N), np.ndim(lam))
             assert np.array_equal(energies[i], _binned(f, want / N))
 
 
@@ -1302,10 +1341,9 @@ class TestOneBoundPerScale:
         indices = [(0,) * f.n, *(tuple(-x for x in e) for e in unit), *unit, *extra]
         size = energies.shape[-1]
 
-        def per_entry(lams, N, z=None):
-            dims = f.n if z is None else 1
-            return _PerEntry(read(lams, N, z),
-                             lambda peak: _per_entry_bound(f, lams, N, dims, peak, indices, size))
+        def per_entry(lams, zs, N):
+            return _PerEntry(read(lams, zs, N), lambda peak: _per_entry_bound(
+                f, lams, N, len(zs), peak, indices, size))
 
         if quadrature._exponent_bounds(f) is None:
             want = [quadrature._adaptive(f, lam, per_entry, DEFAULT_TOL, DEFAULT_MAX_N, indices)[1]
@@ -1485,18 +1523,20 @@ _STREAMED = [
 ]
 
 
-def _stream(n, orders):
-    """A reader (see sample_torus) of the box of orders and the mean of
-    |f|^2, as (box, mean, peak)."""
-    return lambda lams, N: quadrature._Stream(
-        n, lams, N, orders,
-        lambda lams, N, total, power, peak: (total / N**n, power / N**n, peak))
+def _stream(orders):
+    """A reader (see sample_torus) of the box of orders, given per read axis,
+    and the mean of |f|^2, as (box, mean, peak)."""
+    def read(lams, zs, N):
+        points = N ** len(zs)
+        return quadrature._Stream(lams, zs, N, orders, lambda lams, N, total, power, peak:
+                                  (total / points, power / points, peak))
+    return read
 
 
 def _whole_grid_read(f, lam, N, orders):
     """(box, mean, peak) of a whole sampled grid: the reference."""
     grid = sample_torus(f, lam, N)
-    phases = quadrature._phases(orders, N)
+    phases = _grid_phases(orders, N)
     box = quadrature._contract_axes(grid.values, phases, np.ndim(lam)) / N**f.n
     return box, (np.abs(grid.values) ** 2).sum() / N**f.n, grid.peak
 
@@ -1533,7 +1573,7 @@ class TestStreamedRead:
         orders = [[-1, 0, 1]] * n
         for size in (N, N - 1):
             assert size**n * k > quadrature.READ_VALUES  # read in parts
-            got = sample_torus(f, lam, size, read=_stream(n, orders))
+            got = sample_torus(f, lam, size, read=_stream(_grid_orders(orders)))
             _assert_within_bound(got, _whole_grid_read(f, lam, size, orders), n, k, size)
 
     @pytest.mark.parametrize("f,lam,N", _STREAMED)
@@ -1545,11 +1585,7 @@ class TestStreamedRead:
         unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         orders = [(0,) * n, *unit, *(tuple(-x for x in e) for e in unit)]
         lattice = quadrature._Lattice(f, quadrature.PAIRS[n, M][0])
-
-        def stream(lams, size):
-            return quadrature._Stream(1, lams, size, orders, lambda lams, N, total, power, peak:
-                                      (total / N, power / N, peak), lattice.z)
-
+        stream = _stream((tuple(orders),))  # one read axis of n coordinates
         want = sample_torus(lattice, lam, M, read=stream)
         monkeypatch.setattr(quadrature, "SLAB_VALUES", 64)
         monkeypatch.setattr(quadrature, "READ_VALUES", 128 * k)
@@ -1559,12 +1595,9 @@ class TestStreamedRead:
     @pytest.mark.parametrize("N", [31, 32, 1024])
     def test_the_lattice_of_one_axis_is_the_grid(self, N):
         # z = (1,): the same coordinates, phases and sums, bit for bit
-        f, orders = parse("1/w + 2*w + 1/(3 - w^5)", 1), [-1, 0, 1]
-        grid = sample_torus(f, 0.9, N, read=_stream(1, [orders]))
-        lattice = sample_torus(quadrature._Lattice(f, (1,)), 0.9, N, read=lambda lams, size:
-                               quadrature._Stream(1, lams, size, [(a,) for a in orders],
-                                                  lambda lams, N, total, power, peak:
-                                                  (total / N, power / N, peak), (1,)))
+        f, orders = parse("1/w + 2*w + 1/(3 - w^5)", 1), _grid_orders([[-1, 0, 1]])
+        grid = sample_torus(f, 0.9, N, read=_stream(orders))
+        lattice = sample_torus(quadrature._Lattice(f, (1,)), 0.9, N, read=_stream(orders))
         for got, want in zip(lattice, grid):
             assert np.array_equal(got, want)
 
