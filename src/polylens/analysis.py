@@ -264,9 +264,11 @@ def detectability_check(f, lam_probe: Sequence[float]) -> DetectabilityReport:
 
 def geometric_grid(lam_min: float, lam_max: float, steps: int) -> list[float]:
     """Geometric scale grid; log spacing resolves both variance branches."""
-    if not (0 < lam_min < lam_max):
-        raise ValueError("need 0 < lam_min < lam_max")
+    if not (0 < lam_min < lam_max < math.inf):
+        raise ValueError(f"need 0 < lam_min < lam_max < inf, got {lam_min!r} and {lam_max!r}")
     if not _integral((steps,)) or not 3 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(f"need 3 to {MAX_SWEEP_STEPS} steps, got {steps}")
     ratio = lam_max / lam_min
+    if ratio == math.inf:
+        raise ValueError(f"lam_max / lam_min overflows: {lam_min!r} to {lam_max!r}")
     return [lam_min * ratio ** (i / (steps - 1)) for i in range(steps)]

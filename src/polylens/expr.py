@@ -48,7 +48,7 @@ from .errors import (
     ParseError,
     UnknownVariable,
 )
-from .laurent import CR_ONE, ComplexRational, LaurentPoly
+from .laurent import CR_ONE, ComplexRational, LaurentPoly, _integral
 
 # Divisors with modulus below this are treated as poles.
 EPS_POLE = 1e-9
@@ -358,10 +358,11 @@ def parse(text: str, n: int, var_letter: str = "w") -> MeroExpr:
     """Parse a comma-separated vector expression in n variables.
 
     Raises ParseError (or its subclass UnknownVariable) with the byte offset
-    of the first invalid token.
+    of the first invalid token, and DimensionMismatch unless n is an integer
+    >= 1 (see laurent._integral).
     """
-    if n < 1:
-        raise DimensionMismatch("dimension must be at least 1")
+    if not _integral((n,)) or n < 1:
+        raise DimensionMismatch(f"dimension must be an integer >= 1, got {n!r}")
     if var_letter == "i" or len(var_letter) != 1:
         raise ValueError("variable letter must be a single letter other than 'i'")
     return MeroExpr(n, _Parser(text, n, var_letter).parse_vector(), var_letter)

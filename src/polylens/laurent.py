@@ -438,7 +438,13 @@ def inner_product_exact(f: LaurentPoly, g: LaurentPoly, lam=1) -> ComplexRationa
 
 
 def component_norm_sq(f: LaurentPoly, alpha: int, lam=1) -> int | Fraction:
-    """<f_alpha, f_alpha> for a single component, exactly."""
+    """<f_alpha, f_alpha> for a single component, exactly.  Raises ValueError
+    for an index that is not an integer (see _integral) and DimensionMismatch
+    for one outside 0..k-1."""
+    if not _integral((alpha,)):
+        raise ValueError(f"component index {alpha!r} is not an integer")
+    if not 0 <= alpha < f.k:
+        raise DimensionMismatch(f"component index {alpha} outside 0..{f.k - 1}")
     lam2 = _scale_sq(lam)
     energy: dict[int, int | Fraction] = {}
     for exps, vec in f.terms.items():

@@ -692,8 +692,9 @@ def _refine(
     W entries.  The exact grid is read when the exponent width is known,
     else the doubling loop runs on lattices that keep the coefficient orders
     in ``indices`` apart (see _adaptive).  Raises ValueError unless tol is
-    positive and finite, and GridTooLarge for f.n > MAX_DIMENSION (see
-    check_dimension) before either path.
+    positive and finite and max_n a positive integer (see laurent._integral),
+    and GridTooLarge for f.n > MAX_DIMENSION (see check_dimension) before
+    either path.
 
     ``read`` makes the reader of a point set (see sample_torus), whose
     result is the statistic and its rounding bound, one per scale, the
@@ -709,6 +710,8 @@ def _refine(
     """
     if not 0 < tol < np.inf:  # also rejects NaN
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    if not _integral((max_n,)) or max_n < 1:
+        raise ValueError(f"grid cap must be a positive integer, got {max_n!r}")
     check_dimension(f.n)
     if width is None:
         runs = [_adaptive(f, lam, read, tol, max_n, indices) for lam in lams]

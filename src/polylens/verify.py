@@ -16,12 +16,14 @@ contract:
   oracle/quadrature equivalence; pairing identities; the optimal scale.
 * ``morph``    - tensor transformation laws under coordinate changes.
 
-Each check is a generator body(rng, cases) under the ``_check(name, cases)``
-decorator, which states the check's result name and fixed case count once.
-The decorated ``check_*(seed=0)`` seeds ``rng`` with ``seed``, runs the body
-and returns a CheckResult: passed when the body yields nothing, else failed
-with the first yielded message as its detail.  ``SUITES`` gives each suite's
-checks with the offset each adds to the suite seed.
+Each check is a generator body(rng, cases) under the
+``_check(name, cases, suite, offset=0)`` decorator, which states the check's
+result name, fixed case count, suite and the offset it adds to the suite seed
+once.  The decorated ``check_*(seed=0)`` seeds ``rng`` with ``seed``, runs the
+body and returns a CheckResult: passed when the body yields nothing, else
+failed with the first yielded message as its detail.  ``SUITES`` lists each
+suite's checks in definition order, each reached through its module-level
+name, so a wrapper set on that name applies.
 
 The random inputs (random_decomposable, random_tail, random_matrices) draw
 each polynomial's term flags, tail counts, tail exponents and integer
@@ -90,9 +92,15 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name: str, cases: int):
+# Each suite's checks as run(seed) callables, filled in by _check.
+SUITES: dict[str, list] = {}
+
+
+def _check(name: str, cases: int, suite: str, offset: int = 0):
     """Turn a body(rng, cases) that yields one message per failure into a
-    check(seed=0) -> CheckResult named ``name`` over ``cases`` cases."""
+    check(seed=0) -> CheckResult named ``name`` over ``cases`` cases, and
+    append to ``SUITES[suite]`` a run(seed) that calls the check by its
+    module-level name at ``seed + offset``."""
 
     def decorate(body):
         def check(seed: int = 0) -> CheckResult:
@@ -100,6 +108,7 @@ def _check(name: str, cases: int):
             return CheckResult(name, not failures, cases, failures[0] if failures else "")
 
         check.__name__, check.__doc__ = body.__name__, body.__doc__
+        SUITES.setdefault(suite, []).append(lambda seed: globals()[body.__name__](seed + offset))
         return check
 
     return decorate
@@ -231,14 +240,14 @@ _ARCS = [
 _ARC_RADII = (0.7, 1.0)
 
 
-@_check("full_disc_normalization", len(_DISC_RADII))
+@_check("full_disc_normalization", len(_DISC_RADII), "measure")
 def check_full_disc(rng, cases):
     for lam in _DISC_RADII:
         if slice_measure(Slice(lam, FULL_CIRCLE)) != 1.0:
             yield f"full disc at radius {lam} != 1"
 
 
-@_check("partition_additivity", 1000)
+@_check("partition_additivity", 1000, "measure")
 def check_partition_additivity(rng, cases):
     for i in range(cases):
         m = int(rng.integers(0, 16))
@@ -252,7 +261,7 @@ def check_partition_additivity(rng, cases):
             yield f"case {i}: partition sums to {total!r}"
 
 
-@_check("product_multiplicativity", 100)
+@_check("product_multiplicativity", 100, "measure", 1)
 def check_product_multiplicativity(rng, cases):
     for i in range(cases):
         m = int(rng.integers(2, 4))
@@ -270,7 +279,7 @@ def check_product_multiplicativity(rng, cases):
             yield f"case {i}: {direct!r} vs {via_arcs!r}"
 
 
-@_check("semiring_closure", 200)
+@_check("semiring_closure", 200, "measure", 2)
 def check_semiring_closure(rng, cases):
     for i in range(cases):
         (a1, b1), (a2, b2) = (
@@ -289,7 +298,7 @@ def check_semiring_closure(rng, cases):
             yield f"case {i}: {recomposed!r} vs {slice_measure(sa)!r}"
 
 
-@_check("arc_integral_convergence", len(_ARCS) * len(_ARC_RADII))
+@_check("arc_integral_convergence", len(_ARCS) * len(_ARC_RADII), "measure")
 def check_arc_integrals(rng, cases):
     for iv, n_pts, expected, tol in _ARCS:
         for lam in _ARC_RADII:
@@ -298,7 +307,7 @@ def check_arc_integrals(rng, cases):
                 yield f"arc over {iv} at {lam}: {value!r}"
 
 
-@_check("measure_scale_invariance", 100)
+@_check("measure_scale_invariance", 100, "measure", 3)
 def check_scale_invariance(rng, cases):
     for i in range(cases):
         a, b = sorted(float(x) for x in rng.uniform(-math.pi, math.pi, size=2))
@@ -308,7 +317,7 @@ def check_scale_invariance(rng, cases):
             yield f"case {i}: measure depends on radius"
 
 
-@_check("measure_monotonicity", 200)
+@_check("measure_monotonicity", 200, "measure", 4)
 def check_monotonicity(rng, cases):
     for i in range(cases):
         a, b = sorted(float(x) for x in rng.uniform(-math.pi, math.pi, size=2))
@@ -370,7 +379,7 @@ def _tail_integral_shapes_numeric(tail: LaurentPoly) -> tuple[list[str], GridFun
     return [shape[0] for shape in shapes], GridFunction(tail.n, tail.k * len(shapes), fn, hull)
 
 
-@_check("tail_integrals_vanish", 100)
+@_check("tail_integrals_vanish", 100, "prop1")
 def check_tail_integrals_vanish(rng, cases):
     lams = (0.8, 1.1)
     for i in range(cases):
@@ -398,7 +407,7 @@ def _tail_self_energy_numeric(tail: LaurentPoly) -> GridFunction:
     )
 
 
-@_check("tail_self_energy_nonzero", 60)
+@_check("tail_self_energy_nonzero", 60, "prop1", 1)
 def check_tail_self_energy(rng, cases):
     """The conjugate-pairing tail integral equals the coefficient energy
     sum |c_a|^2 lam^(2 sum a) -- nonzero whenever the tail is, and exactly
@@ -423,7 +432,7 @@ def check_tail_self_energy(rng, cases):
 # -------------------------------------------------------------- lemma suite
 
 
-@_check("component_expectations_vanish", 150)
+@_check("component_expectations_vanish", 150, "lemma")
 def check_component_expectations(rng, cases):
     for i in range(cases):
         f = random_decomposable(rng)
@@ -436,7 +445,7 @@ def check_component_expectations(rng, cases):
                 yield f"case {i}: E(conj {name}) != 0"
 
 
-@_check("component_orthogonality", 150)
+@_check("component_orthogonality", 150, "lemma", 1)
 def check_component_orthogonality(rng, cases):
     lams = (Fraction(1, 2), Fraction(1), Fraction(2))
     for i in range(cases):
@@ -449,7 +458,7 @@ def check_component_orthogonality(rng, cases):
             yield f"case {i}: <analytic, principal> != 0"
 
 
-@_check("component_norms", 150)
+@_check("component_norms", 150, "lemma", 2)
 def check_component_norms(rng, cases):
     lams = (Fraction(1, 2), Fraction(1), Fraction(17, 10))
     for i in range(cases):
@@ -477,7 +486,7 @@ def check_component_norms(rng, cases):
 # ------------------------------------------------------------- theorem suite
 
 
-@_check("exact_subclass_variance", 200)
+@_check("exact_subclass_variance", 200, "theorem")
 def check_exact_subclass_variance(rng, cases):
     """On functions with no degree->=2 tail the measured variance equals the
     two-term closed form at every scale."""
@@ -494,7 +503,7 @@ def check_exact_subclass_variance(rng, cases):
                 yield f"case {i}: measured {s.variance!r} vs model {model!r}"
 
 
-@_check("variance_lower_bound_exact", 200)
+@_check("variance_lower_bound_exact", 200, "theorem", 1)
 def check_variance_lower_bound_exact(rng, cases):
     lams = (Fraction(3, 10), Fraction(1), Fraction(2))
     for i in range(cases):
@@ -513,7 +522,7 @@ def check_variance_lower_bound_exact(rng, cases):
             yield f"case {i}: uncertainty floor violated"
 
 
-@_check("uncertainty_floor_sweep", 200)
+@_check("uncertainty_floor_sweep", 200, "theorem", 2)
 def check_bound_sweep(rng, cases):
     """lam^2 * measured variance stays above Tr(eta* eta) - 1e-9 across a
     33-point geometric sweep, tails included."""
@@ -527,7 +536,7 @@ def check_bound_sweep(rng, cases):
                 break
 
 
-@_check("oracle_equivalence", 200)
+@_check("oracle_equivalence", 200, "theorem", 3)
 def check_oracle_equivalence(rng, cases):
     """Every spectral-summary field agrees with the exact oracle within 1e-9."""
     for i in range(cases):
@@ -553,7 +562,7 @@ def check_oracle_equivalence(rng, cases):
             yield f"case {i}: tail energy differs from oracle"
 
 
-@_check("dft_exactness", 100)
+@_check("dft_exactness", 100, "theorem", 4)
 def check_dft_exactness(rng, cases):
     """Grid coefficients are exact to 1e-12 once the per-dimension exponent
     width fits under the grid size."""
@@ -571,7 +580,7 @@ def check_dft_exactness(rng, cases):
             yield f"case {i}: phantom coefficient at {absent}"
 
 
-@_check("expectation_scale_independence", 100)
+@_check("expectation_scale_independence", 100, "theorem", 5)
 def check_expectation_scale_independence(rng, cases):
     for i in range(cases):
         f = random_decomposable(rng)
@@ -581,7 +590,7 @@ def check_expectation_scale_independence(rng, cases):
             yield f"case {i}: expectation drifts with scale"
 
 
-@_check("matrix_scale_independence", 100)
+@_check("matrix_scale_independence", 100, "theorem", 9)
 def check_matrix_scale_independence(rng, cases):
     """Residue and derivative matrices agree across scales within 1e-9."""
     for i in range(cases):
@@ -608,7 +617,7 @@ def _coordinate_functions(n: int):
     return zbar, inv_z, z, inv_zbar
 
 
-@_check("pairing_identities", 50)
+@_check("pairing_identities", 50, "theorem", 6)
 def check_pairing_identities(rng, cases):
     """<zbar, f> = lam^2 <1/z, f> = Tr(eta) and <z, f> = lam^2 <1/zbar, f> =
     lam^2 Tr(D) for k = n.  Note the lam^2 on the derivative side: the
@@ -645,7 +654,7 @@ def check_pairing_identities(rng, cases):
         yield "erratum subtest: unscaled pairing unexpectedly matched"
 
 
-@_check("model_symmetry", 100)
+@_check("model_symmetry", 100, "theorem", 7)
 def check_model_symmetry(rng, cases):
     """The two-term model is symmetric about the optimal scale on a log axis:
     V(lam) = V(lam*^2 / lam)."""
@@ -661,7 +670,7 @@ def check_model_symmetry(rng, cases):
             yield f"case {i}: model not symmetric about the optimum"
 
 
-@_check("optimal_scale_reproduction", 50)
+@_check("optimal_scale_reproduction", 50, "theorem", 8)
 def check_optimal_scale_reproduction(rng, cases):
     """Empirical sweep minimizer matches [Tr(eta* eta)/Tr(D* D)]^(1/4) within
     1e-3 on the tail-free subclass."""
@@ -720,22 +729,22 @@ def _transform_laws(n: int, morphs, functions, tol: float):
                 yield f"{fn_text} under {text}: residual {report.max_residual:.3g}"
 
 
-@_check("transform_laws_1d", len(MORPHS_1D) * len(FUNCTIONS_1D))
+@_check("transform_laws_1d", len(MORPHS_1D) * len(FUNCTIONS_1D), "morph")
 def check_transform_1d(rng, cases):
     return _transform_laws(1, MORPHS_1D, FUNCTIONS_1D, 1e-8)
 
 
-@_check("transform_laws_2d", len(MORPHS_2D) * len(FUNCTIONS_2D))
+@_check("transform_laws_2d", len(MORPHS_2D) * len(FUNCTIONS_2D), "morph")
 def check_transform_2d(rng, cases):
     return _transform_laws(2, MORPHS_2D, FUNCTIONS_2D, 1e-8)
 
 
-@_check("identity_morph", len(FUNCTIONS_1D))
+@_check("identity_morph", len(FUNCTIONS_1D), "morph")
 def check_identity_morph(rng, cases):
     return _transform_laws(1, ["w"], FUNCTIONS_1D, 1e-10)
 
 
-@_check("pole_feedthrough_quantified", len(_FEEDTHROUGH_MORPHS))
+@_check("pole_feedthrough_quantified", len(_FEEDTHROUGH_MORPHS), "morph")
 def check_pole_feedthrough(rng, cases):
     """The raw first-order coefficient of a full pullback overshoots the
     covariance prediction by exactly eta' a^2 / c^3 for the one-dimensional
@@ -752,7 +761,7 @@ def check_pole_feedthrough(rng, cases):
             yield f"g={text}: feedthrough unexpectedly vanished"
 
 
-@_check("composition_consistency", len(_COMPOSITIONS))
+@_check("composition_consistency", len(_COMPOSITIONS), "morph")
 def check_composition(rng, cases):
     """Derivatives multiply under composition and the transform check agrees
     with sequential application."""
@@ -769,48 +778,6 @@ def check_composition(rng, cases):
 
 
 # ------------------------------------------------------------------- suites
-
-# Each check runs at the suite seed plus its offset.  check_bound_sweep is
-# reached through its module-level name, so a wrapper set on it applies.
-SUITES: dict[str, list] = {
-    "measure": [
-        check_full_disc,
-        check_partition_additivity,
-        lambda seed: check_product_multiplicativity(seed + 1),
-        lambda seed: check_semiring_closure(seed + 2),
-        check_arc_integrals,
-        lambda seed: check_scale_invariance(seed + 3),
-        lambda seed: check_monotonicity(seed + 4),
-    ],
-    "prop1": [
-        check_tail_integrals_vanish,
-        lambda seed: check_tail_self_energy(seed + 1),
-    ],
-    "lemma": [
-        check_component_expectations,
-        lambda seed: check_component_orthogonality(seed + 1),
-        lambda seed: check_component_norms(seed + 2),
-    ],
-    "theorem": [
-        check_exact_subclass_variance,
-        lambda seed: check_variance_lower_bound_exact(seed + 1),
-        lambda seed: check_bound_sweep(seed + 2),
-        lambda seed: check_oracle_equivalence(seed + 3),
-        lambda seed: check_dft_exactness(seed + 4),
-        lambda seed: check_expectation_scale_independence(seed + 5),
-        lambda seed: check_matrix_scale_independence(seed + 9),
-        lambda seed: check_pairing_identities(seed + 6),
-        lambda seed: check_model_symmetry(seed + 7),
-        lambda seed: check_optimal_scale_reproduction(seed + 8),
-    ],
-    "morph": [
-        check_transform_1d,
-        check_transform_2d,
-        check_identity_morph,
-        check_pole_feedthrough,
-        check_composition,
-    ],
-}
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:

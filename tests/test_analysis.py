@@ -1,5 +1,7 @@
 """Scale-analysis tests: sweeps, optimal scale, detectability."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,18 @@ class TestGeometricGrid:
             geometric_grid(1.0, 0.5, 9)
         with pytest.raises(ValueError):
             geometric_grid(0.5, 1.0, 2)
+
+    @pytest.mark.parametrize("lam_min,lam_max", [
+        (0.5, math.inf), (0.5, math.nan), (math.nan, 1.0), (0.0, 1.0), (-math.inf, 1.0),
+    ])
+    def test_ends_must_be_positive_and_finite(self, lam_min, lam_max):
+        with pytest.raises(ValueError, match="need 0 < lam_min < lam_max < inf"):
+            geometric_grid(lam_min, lam_max, 3)
+
+    def test_ratio_must_not_overflow(self):
+        # both ends finite, but their ratio is not: the grid would hold inf
+        with pytest.raises(ValueError, match="overflows"):
+            geometric_grid(1e-200, 1e200, 3)
 
 
 def test_model_symmetry_about_optimum():

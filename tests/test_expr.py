@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _corpus import MALFORMED_CASES, NESTED_SHAPES, VALID_CASES
 from polylens.errors import (
     AdmissibilityViolation,
+    DimensionMismatch,
     DivisionNearZero,
     ExpansionTooLarge,
     NotLaurent,
@@ -140,6 +141,13 @@ class TestNestingCap:
         with pytest.raises(ParseError, match="levels of nesting") as excinfo:
             parse("-" * 99 + "w + w + w", 1)
         assert excinfo.value.offset == 105
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, False, 0, -1])
+def test_dimension_must_be_a_positive_integer(n):
+    # a float is not truncated inside the fold and a bool is not read as 1
+    with pytest.raises(DimensionMismatch, match="dimension must be an integer >= 1"):
+        parse("w1", n)
 
 
 def test_unknown_variable_example():

@@ -220,6 +220,19 @@ class TestVariance:
         for lam in (Fraction(1, 2), Fraction(1), Fraction(17, 10)):
             assert component_norm_sq(f, 0, lam) == lam**4
 
+    def test_component_index_is_checked(self):
+        # a negative index does not wrap round to the last component, a bool
+        # is not read as 1 and an index past k - 1 is not a raw IndexError
+        f = LaurentPoly(1, 2, {(0,): (1, 0), (1,): (0, 2)})
+        assert [component_norm_sq(f, alpha) for alpha in (0, 1)] == [1, 4]
+        for alpha in (-1, 2):
+            with pytest.raises(DimensionMismatch, match="outside 0..1"):
+                component_norm_sq(f, alpha)
+        for alpha in (True, 1.0, np.float64(0)):
+            with pytest.raises(ValueError, match="not an integer"):
+                component_norm_sq(f, alpha)
+        assert component_norm_sq(f, np.int64(1)) == 4
+
     def test_scale_must_be_positive(self):
         f = scalar(1, {(-1,): 1})
         with pytest.raises(ValueError):

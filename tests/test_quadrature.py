@@ -104,6 +104,28 @@ class TestSampling:
         with pytest.raises(GridTooLarge, match="dimension 5 exceeds the cap of 4"):
             reads[front]()
 
+    @pytest.mark.parametrize("max_n", [40.5, 64.0, True, np.float64(64), 0, -64])
+    @pytest.mark.parametrize("text", ["1/(w - 2)", "1/w + 2*w"], ids=["doubling", "exact"])
+    def test_grid_cap_must_be_a_positive_integer(self, text, max_n):
+        # a float cap is not truncated, a bool is not read as 1 and a
+        # negative cap is not raised to the n-th power as a positive one, on
+        # either path and by every front end that takes a cap
+        f = parse(text, 1)
+        reads = [
+            lambda: spectral_summary(f, 1.0, max_n=max_n),
+            lambda: spectral_summaries(f, [0.5, 1.0], max_n=max_n),
+            lambda: first_order_summary(f, 1.0, max_n=max_n),
+            lambda: variance_sweep(f, [0.5, 1.0, 2.0], max_n=max_n),
+        ]
+        for read in reads:
+            with pytest.raises(ValueError, match="grid cap must be a positive integer"):
+                read()
+
+    def test_integer_grid_caps_are_taken(self):
+        f = parse("1/(w - 2)", 1)
+        _assert_same_summary(spectral_summary(f, 1.0, max_n=np.int64(DEFAULT_MAX_N)),
+                             spectral_summary(f, 1.0))
+
     def test_minimum_points(self):
         with pytest.raises(ValueError):
             sample_torus(parse("w", 1), 1.0, 2)

@@ -169,3 +169,33 @@ def test_a_failing_check_reports_its_first_failure(monkeypatch):
         cases=3,
         detail="full disc at radius 0.2 != 1",
     )
+
+
+_OFFSETS = {
+    "measure": [0, 0, 1, 2, 0, 3, 4],
+    "prop1": [0, 1],
+    "lemma": [0, 1, 2],
+    "theorem": [0, 1, 2, 3, 4, 5, 9, 6, 7, 8],
+    "morph": [0, 0, 0, 0, 0],
+}
+
+
+def test_each_suite_runs_its_checks_by_name_at_their_seed_offsets(monkeypatch):
+    # every suite entry reaches its check through the module-level name, so
+    # a recorder set on each check_* sees every run and the seed it gets
+    calls = []
+    checks = [name for name in vars(verify) if name.startswith("check_")]
+    for name in checks:
+        def recorder(seed, name=name):
+            calls.append((name, seed))
+            return CheckResult(name, True, 0)
+
+        monkeypatch.setattr(verify, name, recorder)
+    assert sorted(verify.SUITES) == sorted(_OFFSETS)
+    ran = []
+    for suite, offsets in _OFFSETS.items():
+        calls.clear()
+        assert len(verify.run_suite(suite, 100)) == len(offsets)
+        assert [seed - 100 for _, seed in calls] == offsets, suite
+        ran += [name for name, _ in calls]
+    assert sorted(ran) == sorted(checks)
